@@ -530,78 +530,7 @@ def build_ray_sweep(
     adjoint = adjoint_polygon(poly)
     if adjoint is None or adjoint.side(v) != 1:
         raise ValueError("seed point must be interior to the adjoint")
-    f, img = _frame_with_point_up(poly, kappa, kappa_prime)
-    inv = f.inverse()
-    vi = f.apply(v)
-    if orientation == "kk'":
-        leg_target, chain_end = (0, 1), (0, 0)
-    elif orientation == "k'k":
-        leg_target, chain_end = (0, 0), (0, 1)
-    else:
-        raise ValueError("orientation must be \"kk'\" or \"k'k\"")
-    chain = _sweep(vi, leg_target, chain_end)
-    t = len(chain) - 1
-    graph = WeightedSegmentGraph()
-    w1, w2 = m1, m2
-    leg1 = leg2 = None
-    for k in range(t):
-        for s in primitive_segments_on(chain[k], leg_target):
-            graph.add(inv.apply_seg(s), w1)
-        for s in primitive_segments_on(chain[k], chain[k + 1]):
-            graph.add(inv.apply_seg(s), w2)
-        if k == 0:
-            leg1 = inv.apply_seg(seg(chain[0], lattice_points_on_segment(chain[0], leg_target)[1]))
-            leg2 = inv.apply_seg(seg(chain[0], lattice_points_on_segment(chain[0], chain[1])[1]))
-        if k + 1 < t:
-            d_prev = primitive(sub(chain[k], chain[k + 1]))
-            d1 = primitive(sub(leg_target, chain[k + 1]))
-            d2 = primitive(sub(chain[k + 2], chain[k + 1]))
-            rhs = (-w2 * d_prev[0], -w2 * d_prev[1])
-            w1, w2 = _solve_pair(d1, d2, rhs)
-    # closing edges rho_1..rho_4 at kappa' and kappa (frame coordinates)
-    rho = [
-        seg((0, 1), (-1, 0)),
-        seg((0, 0), (0, 1)),
-        seg((0, 0), (-1, 0)),
-        seg((0, 0), (0, -1)),
-    ]
-
-    def residual(at: Point) -> Point:
-        acc = (0, 0)
-        for s, m in graph.entries.items():
-            so = (f.apply(s[0]), f.apply(s[1]))
-            if at in so:
-                d = sub(so[0] if at == so[1] else so[1], at)
-                d = primitive(d)
-                acc = (acc[0] + m * d[0], acc[1] + m * d[1])
-        return acc
-
-    r = residual((0, 1))
-    a1, a2 = _solve_pair((-1, -1), (0, -1), neg(r))
-    graph.add(inv.apply_seg(rho[0]), a1)
-    graph.add(inv.apply_seg(rho[1]), a2)
-    r = residual((0, 0))
-    a3, a4 = _solve_pair((-1, 0), (0, -1), neg(r))
-    graph.add(inv.apply_seg(rho[2]), a3)
-    graph.add(inv.apply_seg(rho[3]), a4)
-    bad = check_balancing(graph, poly)
-    assert bad <= {v}, f"ray sweep unbalanced beyond the seed: {bad}"
-    return RaySweep(
-        graph,
-        v,
-        tuple(inv.apply(p) for p in chain),
-        leg1,
-        leg2,
-        inv.apply(chain_end),
-        inv.apply(leg_target),
-        f,
-        inv.apply((0, -1)),
-        inv.apply((-1, 0)),
-        kappa,
-        kappa_prime,
-        orientation,
-        1,
-    )
+    return _ray_sweep(poly, 1, kappa, kappa_prime, v, m1, m2, orientation)
 
 
 def build_divisible_ray_sweep(
@@ -624,7 +553,13 @@ def build_divisible_ray_sweep(
         raise ValueError("divisible sweeps need a two-dimensional adjoint")
     if v not in divisible_points(adjoint, d):
         raise ValueError(f"{v} is not a d-divisible point of the adjoint")
-    f, img = _frame_with_point_up(poly, kappa, kappa_prime)
+    return _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation)
+
+
+def _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation) -> RaySweep:
+    """Shared body of the sweeps: at d = 1 the closing column is the single
+    anchor segment [kappa, kappa']."""
+    f = _frame_with_point_up(poly, kappa, kappa_prime)[0]
     inv = f.inverse()
     vi = f.apply(v)
     assert vi[0] % d == 0 and vi[1] % d == 0
@@ -668,8 +603,6 @@ def build_divisible_ray_sweep(
                 acc = (acc[0] + m * dd[0], acc[1] + m * dd[1])
         return acc
 
-    top, bottom = (smul(d, leg_target), smul(d, chain_end))
-    anchor_top = top if top != (0, 0) else bottom  # the point (0, d)
     # close at (0, d): the bridge to (-1, 0) and the column toward kappa
     r = residual((0, d))
     b1, col = _solve_pair(primitive((-1, -d)), (0, -1), neg(r))
@@ -681,15 +614,15 @@ def build_divisible_ray_sweep(
     graph.add(inv.apply_seg(seg((0, 0), (-1, 0))), b2)
     graph.add(inv.apply_seg(seg((0, 0), (0, -1))), b3)
     bad = check_balancing(graph, poly)
-    assert bad <= {v}, f"divisible sweep unbalanced beyond the seed: {bad}"
+    assert bad <= {v}, f"ray sweep unbalanced beyond the seed: {bad}"
     return RaySweep(
         graph,
         v,
         tuple(inv.apply(p) for p in chain),
         leg1,
         leg2,
-        inv.apply(chain_end if chain_end == (0, 0) else smul(d, chain_end)),
-        inv.apply(smul(d, leg_target) if leg_target != (0, 0) else (0, 0)),
+        inv.apply(smul(d, chain_end)),
+        inv.apply(legt),
         f,
         inv.apply((0, -1)),
         inv.apply((-1, 0)),

@@ -241,7 +241,7 @@ def cmd_homology(args) -> int:
 def cmd_replay(args) -> int:
     with open(args.certificate) as fh:
         data = json.load(fh)
-    if "certificate" in data and "nodes" not in data:
+    if isinstance(data, dict) and "certificate" in data and "nodes" not in data:
         data = data["certificate"]
     replay_certificate(data)
     _emit({"schema": "1", "replay": "ok"}, args.out)
@@ -303,12 +303,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except (CertificationError, DerivationError, ReplayError) as exc:
+        # before ValueError: CertificationError and ReplayError subclass it
+        sys.stderr.write(f"certification failed: {exc}\n")
+        return EXIT_FAILED
     except (InputError, SmoothnessError, ValueError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
-    except (CertificationError, DerivationError, ReplayError) as exc:
-        sys.stderr.write(f"certification failed: {exc}\n")
-        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ weighted product of such twists) lies in the image of the geometric or the
 algebraic monodromy.  The axioms are the A-cycle twists over interior
 lattice points and the admissible-graph products (whose realization theorem
 is trusted; everything downstream is machine-checked combinatorics).  The
-derivation is recorded as a DAG whose nodes replay independently.
+derivation is recorded as a DAG whose nodes replay independently: each
+rule is written once, in the kernel ``apply``, which both the Engine and
+``replay_certificate`` run.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .graphs import (
 )
 from . import builders
 from .homology import Loop, SurfaceModel
+from .intlinalg import matmul
 
 GEOMETRIC = "geometric"
 HOMOLOGICAL = "homological"
@@ -34,6 +37,11 @@ class DerivationError(RuntimeError):
     def __init__(self, rule: str, message: str):
         super().__init__(f"[{rule}] {message}")
         self.rule = rule
+        self.message = message
+
+
+class ReplayError(ValueError):
+    pass
 
 
 def loop_key(poly: LatticePolygon, adjoint, obj) -> tuple:
@@ -105,20 +113,22 @@ def graph_of(conclusion) -> WeightedSegmentGraph:
     return g
 
 
-class Engine:
-    """Fact store plus rule applications over a fixed smooth polygon."""
+# ---------------------------------------------------------------------------
+# the rule kernel, shared by derivation and replay
+# ---------------------------------------------------------------------------
 
-    def __init__(self, poly: LatticePolygon):
+
+class RuleContext:
+    """What the rules read besides their params and premises: the polygon,
+    its adjoint, loop keys, and a surface model built on first use."""
+
+    def __init__(self, poly: LatticePolygon, adjoint):
         self.poly = poly
-        self.analysis, self.verdict = analyze(poly)
-        self.adjoint = self.analysis.adjoint
-        self.nodes: list[Node] = []
-        # (flavor, key) -> (exponent, node_id); exponents are positive ideal
-        # generators, tightened by gcd as new facts arrive
-        self.facts: dict[tuple, tuple[int, int]] = {}
+        self.adjoint = adjoint
         self._surface: SurfaceModel | None = None
 
-    # -- infrastructure ------------------------------------------------------
+    def key_of(self, obj) -> tuple:
+        return loop_key(self.poly, self.adjoint, obj)
 
     @property
     def surface(self) -> SurfaceModel:
@@ -126,13 +136,273 @@ class Engine:
             self._surface = SurfaceModel(self.poly)
         return self._surface
 
-    def _add_node(self, rule, params, premises, conclusion) -> int:
-        node = Node(len(self.nodes), rule, params, premises, conclusion)
+
+def _decode_point(x) -> Point:
+    if not (isinstance(x, list) and len(x) == 2 and all(type(c) is int for c in x)):
+        raise ValueError("expected a lattice point [x, y]")
+    return (x[0], x[1])
+
+
+def _seg_json(s: Segment) -> list:
+    return [list(s[0]), list(s[1])]
+
+
+def _decode_segment(x) -> Segment:
+    if not (isinstance(x, list) and len(x) == 2):
+        raise ValueError("expected a segment [[x, y], [x, y]]")
+    return seg(_decode_point(x[0]), _decode_point(x[1]))
+
+
+def _decode_int(x) -> int:
+    if type(x) is not int:
+        raise ValueError("expected an integer")
+    return x
+
+
+# param kind -> (to JSON, from JSON); the kernel sees the decoded values.
+# from_json is looked up per call, so a rebound class attribute is honoured.
+CODECS = {
+    "point": (list, _decode_point),
+    "segment": (_seg_json, _decode_segment),
+    "int": (int, _decode_int),
+    "certificate": (
+        AdmissibilityCertificate.to_json,
+        lambda data: AdmissibilityCertificate.from_json(data),
+    ),
+}
+
+# rule -> (function, number of premises, param name -> codec kind)
+RULES: dict[str, tuple] = {}
+
+
+def _rule(name: str, arity: int, **params: str):
+    def register(fn):
+        RULES[name] = (fn, arity, params)
+        return fn
+
+    return register
+
+
+def _check(ok, message: str) -> None:
+    """A rule precondition; ``apply`` turns its ValueError into a
+    DerivationError that names the rule."""
+    if not ok:
+        raise ValueError(message)
+
+
+def apply(ctx: RuleContext, rule: str, params: dict, premises: list[dict]) -> dict:
+    """The conclusion of one rule application from decoded params and the
+    premises' conclusions; any failed precondition raises
+    DerivationError(rule, message)."""
+    if rule not in RULES:
+        raise DerivationError(rule, "unknown rule")
+    fn, arity, _ = RULES[rule]
+    if len(premises) != arity:
+        raise DerivationError(rule, f"takes {arity} premises, got {len(premises)}")
+    try:
+        return fn(ctx, params, *premises)
+    except ValueError as exc:
+        raise DerivationError(rule, str(exc)) from None
+
+
+def _composite(c) -> WeightedSegmentGraph:
+    _check(c["type"] == "composite", "premise is not a composite fact")
+    return graph_of(c)
+
+
+def _single_of(c, flavor, key) -> int:
+    """Exponent of a single-fact premise, which must state the given loop."""
+    _check(
+        c["type"] == "single" and c["flavor"] == flavor and key_from_json(c["key"]) == key,
+        f"premise is not a single {flavor} fact for {key}",
+    )
+    return c["exponent"]
+
+
+@_rule("acycle", 0, v="point")
+def _acycle(ctx, p):
+    """R1: the twist along the A-cycle over an interior lattice point."""
+    _check(ctx.poly.side(p["v"]) == 1, f"{p['v']} is not interior")
+    return single(GEOMETRIC, ("acycle", p["v"]), 1)
+
+
+@_rule("admissible", 0, certificate="certificate")
+def _admissible(ctx, p):
+    """R2: the twist product of an admissible weighted graph."""
+    cert = p["certificate"]
+    _check(cert.polygon == ctx.poly, "certificate polygon mismatch")
+    _check(not cert.unbalanced_ok, "graph not balanced everywhere")
+    _check(cert.verify(), "certificate failed verification")
+    _check(cert.graph.loops_pairwise_disjoint(), "graph loops are not disjoint")
+    return composite(GEOMETRIC, cert.graph)
+
+
+@_rule("project", 1)
+def _project(ctx, p, c):
+    _check(c["flavor"] == GEOMETRIC, "projection of a non-geometric fact")
+    return {**c, "flavor": HOMOLOGICAL}
+
+
+@_rule("absorb", 2, segment="segment", times="int")
+def _absorb(ctx, p, comp, fact):
+    """R2b: cancel a known single fact against an edge of a composite."""
+    g = _composite(comp)
+    s = p["segment"]
+    exponent = _single_of(fact, comp["flavor"], ctx.key_of(s))
+    w = g.weight(s)
+    _check(w != 0 and w == p["times"] * exponent,
+           f"weight {w} of {s} is not {p['times']} times {exponent}")
+    g.add(s, -w)
+    return composite(comp["flavor"], g)
+
+
+def _lone_edge(ctx, p, comp, fact) -> tuple[WeightedSegmentGraph, Segment]:
+    """R3 precondition: the composite has a single edge at the interior
+    vertex, of weight +-1, and the A-cycle there has exponent one."""
+    vertex = p["vertex"]
+    g = _composite(comp)
+    _check(ctx.poly.side(vertex) == 1, f"{vertex} not interior")
+    _check(_single_of(fact, comp["flavor"], ("acycle", vertex)) == 1,
+           "A-cycle fact must have exponent 1")
+    at = g.edges_at(vertex)
+    _check(len(at) == 1, f"valency {len(at)} at {vertex}")
+    _check(abs(g.weight(at[0])) == 1, f"weight {g.weight(at[0])} at {vertex}")
+    return g, at[0]
+
+
+@_rule("chase", 2, vertex="point")
+def _chase(ctx, p, comp, fact):
+    """R3: the twist of the lone edge at the vertex."""
+    _, sigma = _lone_edge(ctx, p, comp, fact)
+    return single(comp["flavor"], ctx.key_of(sigma), 1)
+
+
+@_rule("chase_remainder", 2, vertex="point")
+def _chase_remainder(ctx, p, comp, fact):
+    """R3: the composite without the lone edge at the vertex."""
+    g, sigma = _lone_edge(ctx, p, comp, fact)
+    g.add(sigma, -g.weight(sigma))
+    return composite(comp["flavor"], g)
+
+
+@_rule("gcd", 2)
+def _gcd(ctx, p, f1, f2):
+    """Two powers of one twist give the power by the gcd of the exponents."""
+    _check(f1["type"] == "single", "premise is not a single fact")
+    flavor, key = f1["flavor"], key_from_json(f1["key"])
+    return single(flavor, key, gcd(_single_of(f1, flavor, key), _single_of(f2, flavor, key)))
+
+
+@_rule("collapse", 1)
+def _collapse(ctx, p, comp):
+    """All edges of the composite share one isotopy class: the product is
+    a power of a single twist."""
+    g = _composite(comp)
+    keys = {ctx.key_of(s) for s in g.entries}
+    _check(len(keys) == 1, f"distinct classes {keys}")
+    net = sum(g.entries.values())
+    _check(net != 0, "net exponent zero")
+    return single(comp["flavor"], keys.pop(), abs(net))
+
+
+@_rule("terminal", 1, segment="segment")
+def _terminal(ctx, p, comp):
+    g = _composite(comp)
+    s = p["segment"]
+    _check(set(g.entries) == {s}, f"extra edges {sorted(g.entries)}")
+    return single(comp["flavor"], ctx.key_of(s), abs(g.weight(s)))
+
+
+def _two_composites(c1, c2) -> tuple[WeightedSegmentGraph, WeightedSegmentGraph]:
+    g1, g2 = _composite(c1), _composite(c2)
+    _check(c1["flavor"] == c2["flavor"], "flavors differ")
+    _check(g1.union(g2).loops_pairwise_disjoint(), "loops not disjoint")
+    return g1, g2
+
+
+@_rule("combine", 2)
+def _combine(ctx, p, c1, c2):
+    g1, g2 = _two_composites(c1, c2)
+    return composite(c1["flavor"], g1.union(g2))
+
+
+@_rule("power", 1, k="int")
+def _power(ctx, p, comp):
+    return composite(comp["flavor"], _composite(comp).scaled(p["k"]))
+
+
+@_rule("subtract", 2)
+def _subtract(ctx, p, c1, c2):
+    """tau_{G1} tau_{G2}^{-1} for disjoint-loop composites."""
+    g1, g2 = _two_composites(c1, c2)
+    return composite(c1["flavor"], g1.union(g2.scaled(-1)))
+
+
+@_rule("bridge_transfer", 1, segment="segment")
+def _bridge_transfer(ctx, p, fact):
+    """R4: the fact for a specific bridge from its class."""
+    s = p["segment"]
+    b = None if ctx.adjoint is None else is_bridge(ctx.poly, ctx.adjoint, s)
+    _check(b is not None, f"{s} is not a bridge")
+    key = ("bridge", b.interior_end)
+    out = single(fact["flavor"], key, _single_of(fact, fact["flavor"], key))
+    out["segment"] = _seg_json(s)
+    return out
+
+
+@_rule("chain_rule_square", 3, sigma1="segment", v1="point", sigma2="segment", sigma="segment")
+def _chain_rule_square(ctx, p, f1, fv, f2):
+    """R6: the boundary-of-regular-neighborhood chain rule, discharged by
+    the exact matrix identity (M1 Mv M2)^4 = M_sigma^2."""
+    s1, v1, s2, s = p["sigma1"], p["v1"], p["sigma2"], p["sigma"]
+    for fact, key in zip((f1, fv, f2), (ctx.key_of(s1), ("acycle", v1), ctx.key_of(s2))):
+        _check(_single_of(fact, HOMOLOGICAL, key) == 1, f"{key} needs an exponent-one fact")
+    surf = ctx.surface
+    m1 = surf.dehn_twist_matrix(Loop.of_segment(s1))
+    mv = surf.dehn_twist_matrix(Loop.acycle(v1))
+    m2 = surf.dehn_twist_matrix(Loop.of_segment(s2))
+    ms = surf.dehn_twist_matrix(Loop.of_segment(s))
+    prod = matmul(matmul(m1, mv), m2)
+    p2 = matmul(prod, prod)
+    _check(matmul(p2, p2) == matmul(ms, ms), "matrix identity fails")
+    out = single(HOMOLOGICAL, ctx.key_of(s), 2)
+    out["chain"] = [_seg_json(s1), list(v1), _seg_json(s2), _seg_json(s)]
+    return out
+
+
+class Engine:
+    """Fact store plus rule applications over a fixed smooth polygon."""
+
+    def __init__(self, poly: LatticePolygon):
+        self.poly = poly
+        self.analysis, self.verdict = analyze(poly)
+        self.adjoint = self.analysis.adjoint
+        self.ctx = RuleContext(poly, self.adjoint)
+        self.nodes: list[Node] = []
+        # (flavor, key) -> (exponent, node_id); exponents are positive ideal
+        # generators, tightened by gcd as new facts arrive
+        self.facts: dict[tuple, tuple[int, int]] = {}
+
+    # -- infrastructure ------------------------------------------------------
+
+    def _apply(self, rule: str, params: dict, premises: list[int]) -> int:
+        """Run the rule kernel and record its conclusion as a new node; the
+        only place nodes are created."""
+        conclusion = apply(self.ctx, rule, params, [self.nodes[i].conclusion for i in premises])
+        spec = RULES[rule][2]
+        encoded = {name: CODECS[spec[name]][0](value) for name, value in params.items()}
+        node = Node(len(self.nodes), rule, encoded, list(premises), conclusion)
         self.nodes.append(node)
         return node.id
 
+    def _apply_single(self, rule: str, params: dict, premises: list[int]) -> int:
+        """Apply a rule concluding a single fact and enter it in the store."""
+        nid = self._apply(rule, params, premises)
+        c = self.nodes[nid].conclusion
+        return self._record_single(c["flavor"], key_from_json(c["key"]), c["exponent"], nid)
+
     def key_of(self, obj) -> tuple:
-        return loop_key(self.poly, self.adjoint, obj)
+        return self.ctx.key_of(obj)
 
     def _record_single(self, flavor, key, exponent, node_id) -> int:
         exponent = abs(int(exponent))
@@ -149,9 +419,7 @@ class Engine:
         if g == exponent:
             self.facts[(flavor, key)] = (exponent, node_id)
             return node_id
-        nid = self._add_node(
-            "gcd", {}, [cid, node_id], single(flavor, key, g)
-        )
+        nid = self._apply("gcd", {}, [cid, node_id])
         self.facts[(flavor, key)] = (g, nid)
         return nid
 
@@ -165,9 +433,7 @@ class Engine:
             geo = self.facts.get((GEOMETRIC, key))
             if geo is not None:
                 e, nid = geo
-                pid = self._add_node(
-                    "project", {}, [nid], single(HOMOLOGICAL, key, e)
-                )
+                pid = self._apply("project", {}, [nid])
                 self.facts[(HOMOLOGICAL, key)] = (e, pid)
                 return (e, pid)
         return None
@@ -178,221 +444,76 @@ class Engine:
             raise DerivationError(rule, f"missing fact {flavor} {key}")
         return got
 
-    # -- axioms --------------------------------------------------------------
+    # -- rule applications: look up premises, build params, apply -------------
 
     def axiom_acycle(self, v: Point) -> int:
-        """R1: the twist along the A-cycle over an interior lattice point."""
-        if self.poly.side(v) != 1:
-            raise DerivationError("acycle", f"{v} is not interior")
-        key = ("acycle", tuple(v))
-        hit = self.facts.get((GEOMETRIC, key))
+        hit = self.facts.get((GEOMETRIC, ("acycle", tuple(v))))
         if hit is not None:
             return hit[1]
-        nid = self._add_node("acycle", {"v": list(v)}, [], single(GEOMETRIC, key, 1))
-        return self._record_single(GEOMETRIC, key, 1, nid)
+        return self._apply_single("acycle", {"v": tuple(v)}, [])
 
     def ensure_acycles(self):
         for v in self.poly.interior_points():
             self.axiom_acycle(v)
 
     def axiom_rea(self, cert: AdmissibilityCertificate, flavor=GEOMETRIC) -> int:
-        """R2: the twist product of an admissible weighted graph."""
-        if cert.unbalanced_ok:
-            raise DerivationError("admissible", "graph not balanced everywhere")
-        if not cert.verify():
-            raise DerivationError("admissible", "certificate failed verification")
-        if not cert.graph.loops_pairwise_disjoint():
-            raise DerivationError("admissible", "graph loops are not disjoint")
-        nid = self._add_node(
-            "admissible",
-            {"certificate": cert.to_json()},
-            [],
-            composite(GEOMETRIC, cert.graph),
-        )
+        nid = self._apply("admissible", {"certificate": cert}, [])
         if flavor == HOMOLOGICAL:
-            nid = self._add_node(
-                "project", {}, [nid], composite(HOMOLOGICAL, cert.graph)
-            )
+            nid = self._apply("project", {}, [nid])
         return nid
 
-    # -- composite manipulation ----------------------------------------------
-
     def absorb(self, comp_id: int, segment: Segment) -> int:
-        """R2b: cancel a known single fact against an edge of a composite."""
         comp = self.nodes[comp_id].conclusion
         if comp["type"] != "composite":
             raise DerivationError("absorb", "premise is not composite")
-        flavor = comp["flavor"]
-        g = graph_of(comp)
         segment = seg(*segment)
-        w = g.weight(segment)
+        w = graph_of(comp).weight(segment)
         if w == 0:
             return comp_id
-        key = self.key_of(segment)
-        exponent, fid = self.require(flavor, key, "absorb")
-        if w % exponent:
-            raise DerivationError(
-                "absorb", f"weight {w} of {segment} not a multiple of {exponent}"
-            )
-        times = w // exponent
-        g.add(segment, -w)
-        nid = self._add_node(
-            "absorb",
-            {"segment": [list(segment[0]), list(segment[1])], "times": times},
-            [comp_id, fid],
-            composite(flavor, g),
-        )
-        return nid
+        exponent, fid = self.require(comp["flavor"], self.key_of(segment), "absorb")
+        params = {"segment": segment, "times": w // exponent}
+        return self._apply("absorb", params, [comp_id, fid])
 
     def chase(self, comp_id: int, vertex: Point) -> tuple[int, int]:
-        """R3: remove a weight +-1 edge at an interior valency-one vertex,
-        concluding both the edge twist and the remaining product."""
-        comp = self.nodes[comp_id].conclusion
-        flavor = comp["flavor"]
-        g = graph_of(comp)
+        """Both halves of R3: the lone edge's twist and the remainder."""
         vertex = (int(vertex[0]), int(vertex[1]))
-        if self.poly.side(vertex) != 1:
-            raise DerivationError("chase", f"{vertex} not interior")
-        at = g.edges_at(vertex)
-        if len(at) != 1:
-            raise DerivationError("chase", f"valency {len(at)} at {vertex}")
-        sigma = at[0]
-        if abs(g.weight(sigma)) != 1:
-            raise DerivationError("chase", f"weight {g.weight(sigma)} at {vertex}")
-        akey = ("acycle", vertex)
-        ae, aid = self.require(flavor, akey, "chase")
-        if ae != 1:
-            raise DerivationError("chase", "A-cycle fact must have exponent 1")
-        skey = self.key_of(sigma)
-        nid = self._add_node(
-            "chase",
-            {"vertex": list(vertex)},
-            [comp_id, aid],
-            single(flavor, skey, 1),
-        )
-        fid = self._record_single(flavor, skey, 1, nid)
-        g.add(sigma, -g.weight(sigma))
-        rid = self._add_node(
-            "chase_remainder",
-            {"vertex": list(vertex)},
-            [comp_id, aid],
-            composite(flavor, g),
-        )
+        flavor = self.nodes[comp_id].conclusion["flavor"]
+        _, aid = self.require(flavor, ("acycle", vertex), "chase")
+        fid = self._apply_single("chase", {"vertex": vertex}, [comp_id, aid])
+        rid = self._apply("chase_remainder", {"vertex": vertex}, [comp_id, aid])
         return fid, rid
 
     def collapse(self, comp_id: int) -> int:
-        """All edges of the composite share one isotopy class: the product is
-        a power of a single twist."""
-        comp = self.nodes[comp_id].conclusion
-        flavor = comp["flavor"]
-        g = graph_of(comp)
-        keys = {self.key_of(s) for s in g.entries}
-        if len(keys) != 1:
-            raise DerivationError("collapse", f"distinct classes {keys}")
-        key = keys.pop()
-        net = sum(g.entries.values())
-        if net == 0:
-            raise DerivationError("collapse", "net exponent zero")
-        nid = self._add_node("collapse", {}, [comp_id], single(flavor, key, abs(net)))
-        return self._record_single(flavor, key, abs(net), nid)
+        return self._apply_single("collapse", {}, [comp_id])
 
     def terminal(self, comp_id: int, segment: Segment) -> int:
-        comp = self.nodes[comp_id].conclusion
-        flavor = comp["flavor"]
-        g = graph_of(comp)
-        segment = seg(*segment)
-        if set(g.entries) != {segment}:
-            raise DerivationError("terminal", f"extra edges {sorted(g.entries)}")
-        w = g.weight(segment)
-        key = self.key_of(segment)
-        nid = self._add_node(
-            "terminal",
-            {"segment": [list(segment[0]), list(segment[1])]},
-            [comp_id],
-            single(flavor, key, abs(w)),
-        )
-        return self._record_single(flavor, key, abs(w), nid)
+        return self._apply_single("terminal", {"segment": seg(*segment)}, [comp_id])
 
     def combine(self, id1: int, id2: int) -> int:
-        c1, c2 = self.nodes[id1].conclusion, self.nodes[id2].conclusion
-        if c1["flavor"] != c2["flavor"]:
-            raise DerivationError("combine", "flavors differ")
-        g = graph_of(c1).union(graph_of(c2))
-        if not g.loops_pairwise_disjoint():
-            raise DerivationError("combine", "union loops not disjoint")
-        return self._add_node("combine", {}, [id1, id2], composite(c1["flavor"], g))
+        return self._apply("combine", {}, [id1, id2])
 
     def power(self, comp_id: int, k: int) -> int:
-        comp = self.nodes[comp_id].conclusion
-        g = graph_of(comp).scaled(k)
-        return self._add_node("power", {"k": k}, [comp_id], composite(comp["flavor"], g))
+        return self._apply("power", {"k": k}, [comp_id])
 
     def subtract(self, id1: int, id2: int) -> int:
-        """tau_{G1} tau_{G2}^{-1} for disjoint-loop composites."""
-        c1, c2 = self.nodes[id1].conclusion, self.nodes[id2].conclusion
-        if c1["flavor"] != c2["flavor"]:
-            raise DerivationError("subtract", "flavors differ")
-        g = graph_of(c1).union(graph_of(c2).scaled(-1))
-        if not graph_of(c1).union(graph_of(c2)).loops_pairwise_disjoint():
-            raise DerivationError("subtract", "loops not disjoint")
-        return self._add_node("subtract", {}, [id1, id2], composite(c1["flavor"], g))
-
-    # -- transfers -----------------------------------------------------------
+        return self._apply("subtract", {}, [id1, id2])
 
     def bridge_transfer(self, segment: Segment, flavor=GEOMETRIC) -> int:
-        """R4: materialize the fact for a specific bridge from its class."""
         segment = seg(*segment)
-        b = is_bridge(self.poly, self.adjoint, segment)
-        if b is None:
+        key = self.key_of(segment)
+        if key[0] != "bridge":
             raise DerivationError("bridge_transfer", f"{segment} is not a bridge")
-        key = ("bridge", b.interior_end)
-        e, fid = self.require(flavor, key, "bridge_transfer")
-        conclusion = single(flavor, key, e)
-        conclusion["segment"] = [list(segment[0]), list(segment[1])]
-        nid = self._add_node(
-            "bridge_transfer",
-            {"segment": [list(segment[0]), list(segment[1])]},
-            [fid],
-            conclusion,
-        )
-        return nid
+        _, fid = self.require(flavor, key, "bridge_transfer")
+        return self._apply("bridge_transfer", {"segment": segment}, [fid])
 
     def chain_rule_square(
         self, sigma1: Segment, v1: Point, sigma2: Segment, sigma: Segment
     ) -> int:
-        """R6: the boundary-of-regular-neighborhood chain rule, discharged by
-        the exact matrix identity (M1 Mv M2)^4 = M_sigma^2."""
-        from .intlinalg import matmul
-
-        s1, s2, s = seg(*sigma1), seg(*sigma2), seg(*sigma)
-        for key in (self.key_of(s1), ("acycle", tuple(v1)), self.key_of(s2)):
-            self.require(HOMOLOGICAL, key, "chain_rule_square")
-        surf = self.surface
-        m1 = surf.dehn_twist_matrix(Loop.of_segment(s1))
-        mv = surf.dehn_twist_matrix(Loop.acycle(v1))
-        m2 = surf.dehn_twist_matrix(Loop.of_segment(s2))
-        ms = surf.dehn_twist_matrix(Loop.of_segment(s))
-        prod = matmul(matmul(m1, mv), m2)
-        p2 = matmul(prod, prod)
-        p4 = matmul(p2, p2)
-        if p4 != matmul(ms, ms):
-            raise DerivationError("chain_rule_square", "matrix identity fails")
-        prem = [
-            self.require(HOMOLOGICAL, self.key_of(s1))[1],
-            self.require(HOMOLOGICAL, ("acycle", tuple(v1)))[1],
-            self.require(HOMOLOGICAL, self.key_of(s2))[1],
-        ]
-        key = self.key_of(s)
-        params = {
-            "sigma1": [list(s1[0]), list(s1[1])],
-            "v1": list(v1),
-            "sigma2": [list(s2[0]), list(s2[1])],
-            "sigma": [list(s[0]), list(s[1])],
-        }
-        conclusion = single(HOMOLOGICAL, key, 2)
-        conclusion["chain"] = [params["sigma1"], params["v1"], params["sigma2"], params["sigma"]]
-        nid = self._add_node("chain_rule_square", params, prem, conclusion)
-        return self._record_single(HOMOLOGICAL, key, 2, nid)
+        s1, s2 = seg(*sigma1), seg(*sigma2)
+        keys = (self.key_of(s1), ("acycle", tuple(v1)), self.key_of(s2))
+        prem = [self.require(HOMOLOGICAL, key, "chain_rule_square")[1] for key in keys]
+        params = {"sigma1": s1, "v1": tuple(v1), "sigma2": s2, "sigma": seg(*sigma)}
+        return self._apply_single("chain_rule_square", params, prem)
 
     # -- plan execution -------------------------------------------------------
 
@@ -761,206 +882,52 @@ class Engine:
 # certificate replay
 # ---------------------------------------------------------------------------
 
-
-class ReplayError(ValueError):
-    pass
-
-
-_surface_cache: dict = {}
-
-
-def _cached_surface(poly: LatticePolygon) -> SurfaceModel:
-    key = poly.vertices
-    if key not in _surface_cache:
-        _surface_cache[key] = SurfaceModel(poly)
-    return _surface_cache[key]
+_NODE_FIELDS = ("id", "rule", "params", "premises", "conclusion")
 
 
 def replay_certificate(data: dict) -> bool:
-    """Re-run every rule application of an exported certificate; any mismatch
-    between a recomputed and a recorded conclusion raises ReplayError."""
+    """Re-run every rule application of an exported certificate through the
+    rule kernel; a malformed node, a failed rule or a recomputed conclusion
+    that differs from the recorded one raises ReplayError."""
+    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
+        raise ReplayError("certificate has no node list")
     try:
         poly = LatticePolygon.from_json(data["polygon"])
-        adjoint = adjoint_polygon(poly)
+        ctx = RuleContext(poly, adjoint_polygon(poly))
     except Exception as exc:
         raise ReplayError(f"bad polygon: {exc}")
-
-    def key_of(obj):
-        return loop_key(poly, adjoint, obj)
-
-    nodes = data["nodes"]
     concl: dict[int, dict] = {}
-    ids = [n.get("id") for n in nodes]
-    if any(not isinstance(i, int) for i in ids) or sorted(ids) != ids or len(set(ids)) != len(ids):
-        raise ReplayError("node ids must be strictly increasing integers")
-
-    def get(i):
-        if i not in concl:
-            raise ReplayError(f"premise {i} missing or out of order")
-        return concl[i]
-
-    for node in nodes:
+    last = None
+    for i, node in enumerate(data["nodes"]):
+        if not isinstance(node, dict) or not all(k in node for k in _NODE_FIELDS):
+            raise ReplayError(f"nodes[{i}]: malformed node")
+        nid, rule = node["id"], node["rule"]
+        if type(nid) is not int or (last is not None and nid <= last):
+            raise ReplayError(f"nodes[{i}]: node ids must be strictly increasing integers")
+        last = nid
+        where = f"node {nid} ({rule})"
+        if not isinstance(rule, str) or rule not in RULES:
+            raise ReplayError(f"{where}: unknown rule")
+        spec = RULES[rule][2]
+        params, prem = node["params"], node["premises"]
+        if not isinstance(params, dict) or set(params) != set(spec):
+            raise ReplayError(f"{where}: params must be exactly {sorted(spec)}")
+        if not isinstance(prem, list) or not all(type(j) is int and j in concl for j in prem):
+            raise ReplayError(f"{where}: premises must be ids of earlier nodes")
+        decoded = {}
+        for name, kind in spec.items():
+            try:
+                decoded[name] = CODECS[kind][1](params[name])
+            except Exception as exc:
+                raise ReplayError(f"{where}: params.{name}: {exc}") from None
         try:
-            nid = node["id"]
-            rule = node["rule"]
-            params = node["params"]
-            prem = node["premises"]
-            stored = node["conclusion"]
-        except (KeyError, TypeError) as exc:
-            raise ReplayError(f"malformed node: {exc}")
-        if nid in concl:
-            raise ReplayError(f"duplicate node id {nid}")
-        got = _replay_rule(poly, adjoint, key_of, rule, params, [get(i) for i in prem])
-        if got != stored:
-            raise ReplayError(f"node {nid} ({rule}): conclusion mismatch")
+            got = apply(ctx, rule, decoded, [concl[j] for j in prem])
+        except DerivationError as exc:
+            raise ReplayError(f"{where}: {exc.message}") from None
+        if got != node["conclusion"]:
+            raise ReplayError(f"{where}: conclusion mismatch")
         concl[nid] = got
     return True
-
-
-def _replay_rule(poly, adjoint, key_of, rule, params, premises):
-    if rule == "acycle":
-        v = tuple(params["v"])
-        if poly.side(v) != 1:
-            raise ReplayError(f"acycle point {v} not interior")
-        return single(GEOMETRIC, ("acycle", v), 1)
-    if rule == "admissible":
-        cert = AdmissibilityCertificate.from_json(params["certificate"])
-        if cert.polygon != poly:
-            raise ReplayError("certificate polygon mismatch")
-        if cert.unbalanced_ok:
-            raise ReplayError("admissible fact with unbalanced vertices")
-        if not cert.verify():
-            raise ReplayError("admissibility certificate failed")
-        if not cert.graph.loops_pairwise_disjoint():
-            raise ReplayError("graph loops not disjoint")
-        return composite(GEOMETRIC, cert.graph)
-    if rule == "project":
-        (c,) = premises
-        out = dict(c)
-        if c["flavor"] != GEOMETRIC:
-            raise ReplayError("projection of a non-geometric fact")
-        out["flavor"] = HOMOLOGICAL
-        return out
-    if rule == "absorb":
-        comp, fact = premises
-        if comp["type"] != "composite" or fact["type"] != "single":
-            raise ReplayError("absorb premises have wrong shapes")
-        if fact["flavor"] != comp["flavor"]:
-            raise ReplayError("absorb flavor mismatch")
-        segment = seg(tuple(params["segment"][0]), tuple(params["segment"][1]))
-        if key_from_json(fact["key"]) != key_of(segment):
-            raise ReplayError("absorbed fact keys a different loop")
-        g = graph_of(comp)
-        w = g.weight(segment)
-        if w == 0 or w != params["times"] * fact["exponent"]:
-            raise ReplayError("absorb arithmetic mismatch")
-        g.add(segment, -w)
-        return composite(comp["flavor"], g)
-    if rule in ("chase", "chase_remainder"):
-        comp, fact = premises
-        vertex = tuple(params["vertex"])
-        if poly.side(vertex) != 1:
-            raise ReplayError("chase vertex not interior")
-        if fact["type"] != "single" or key_from_json(fact["key"]) != ("acycle", vertex):
-            raise ReplayError("chase needs the A-cycle fact at the vertex")
-        if fact["exponent"] != 1 or fact["flavor"] != comp["flavor"]:
-            raise ReplayError("chase A-cycle fact mismatch")
-        g = graph_of(comp)
-        at = g.edges_at(vertex)
-        if len(at) != 1 or abs(g.weight(at[0])) != 1:
-            raise ReplayError("chase valency/weight precondition fails")
-        sigma = at[0]
-        if rule == "chase":
-            return single(comp["flavor"], key_of(sigma), 1)
-        g.add(sigma, -g.weight(sigma))
-        return composite(comp["flavor"], g)
-    if rule == "gcd":
-        f1, f2 = premises
-        if f1["type"] != "single" or f2["type"] != "single":
-            raise ReplayError("gcd premises must be single")
-        if f1["key"] != f2["key"] or f1["flavor"] != f2["flavor"]:
-            raise ReplayError("gcd premises key mismatch")
-        return single(
-            f1["flavor"], key_from_json(f1["key"]), gcd(f1["exponent"], f2["exponent"])
-        )
-    if rule == "collapse":
-        (comp,) = premises
-        g = graph_of(comp)
-        keys = {key_of(s) for s in g.entries}
-        if len(keys) != 1:
-            raise ReplayError("collapse premises span several classes")
-        net = sum(g.entries.values())
-        if net == 0:
-            raise ReplayError("collapse with zero net exponent")
-        return single(comp["flavor"], keys.pop(), abs(net))
-    if rule == "terminal":
-        (comp,) = premises
-        g = graph_of(comp)
-        segment = seg(tuple(params["segment"][0]), tuple(params["segment"][1]))
-        if set(g.entries) != {segment}:
-            raise ReplayError("terminal composite not a single edge")
-        return single(comp["flavor"], key_of(segment), abs(g.weight(segment)))
-    if rule == "combine":
-        c1, c2 = premises
-        if c1["flavor"] != c2["flavor"]:
-            raise ReplayError("combine flavor mismatch")
-        g = graph_of(c1).union(graph_of(c2))
-        if not g.loops_pairwise_disjoint():
-            raise ReplayError("combined loops not disjoint")
-        return composite(c1["flavor"], g)
-    if rule == "power":
-        (c,) = premises
-        return composite(c["flavor"], graph_of(c).scaled(params["k"]))
-    if rule == "subtract":
-        c1, c2 = premises
-        if c1["flavor"] != c2["flavor"]:
-            raise ReplayError("subtract flavor mismatch")
-        if not graph_of(c1).union(graph_of(c2)).loops_pairwise_disjoint():
-            raise ReplayError("subtract loops not disjoint")
-        return composite(c1["flavor"], graph_of(c1).union(graph_of(c2).scaled(-1)))
-    if rule == "bridge_transfer":
-        (fact,) = premises
-        segment = seg(tuple(params["segment"][0]), tuple(params["segment"][1]))
-        if adjoint is None:
-            raise ReplayError("no adjoint polygon")
-        b = is_bridge(poly, adjoint, segment)
-        if b is None:
-            raise ReplayError(f"{segment} is not a bridge")
-        if key_from_json(fact["key"]) != ("bridge", b.interior_end):
-            raise ReplayError("bridge transfer interior end mismatch")
-        out = single(fact["flavor"], ("bridge", b.interior_end), fact["exponent"])
-        out["segment"] = [list(segment[0]), list(segment[1])]
-        return out
-    if rule == "chain_rule_square":
-        from .intlinalg import matmul
-
-        s1 = seg(tuple(params["sigma1"][0]), tuple(params["sigma1"][1]))
-        s2 = seg(tuple(params["sigma2"][0]), tuple(params["sigma2"][1]))
-        s = seg(tuple(params["sigma"][0]), tuple(params["sigma"][1]))
-        v1 = tuple(params["v1"])
-        want = [
-            key_of(s1),
-            ("acycle", v1),
-            key_of(s2),
-        ]
-        for fact, key in zip(premises, want):
-            if fact["type"] != "single" or fact["flavor"] != HOMOLOGICAL:
-                raise ReplayError("chain rule premises must be homological singles")
-            if key_from_json(fact["key"]) != key:
-                raise ReplayError("chain rule premise key mismatch")
-        surf = _cached_surface(poly)
-        m1 = surf.dehn_twist_matrix(Loop.of_segment(s1))
-        mv = surf.dehn_twist_matrix(Loop.acycle(v1))
-        m2 = surf.dehn_twist_matrix(Loop.of_segment(s2))
-        ms = surf.dehn_twist_matrix(Loop.of_segment(s))
-        prod = matmul(matmul(m1, mv), m2)
-        p2 = matmul(prod, prod)
-        if matmul(p2, p2) != matmul(ms, ms):
-            raise ReplayError("chain rule matrix identity fails")
-        out = single(HOMOLOGICAL, key_of(s), 2)
-        out["chain"] = [params["sigma1"], params["v1"], params["sigma2"], params["sigma"]]
-        return out
-    raise ReplayError(f"unknown rule {rule}")
 
 
 # ---------------------------------------------------------------------------
@@ -987,65 +954,65 @@ def _all_anchors(engine: Engine):
     return out
 
 
-def _chain_chase(engine: Engine, u: Point, w: Point, d: int, flavor) -> int:
-    """Weight-one chain [u, w] balanced by end devices; chasing from the
-    d-point u yields an exponent-one fact for every primitive piece."""
+def _device_certificates(engine: Engine, x: Point, w: Point, keep=None):
+    """Certified graphs made of the weight-one chain [x, w] and a pair of end
+    devices at x and w that overlap neither the chain nor each other, in
+    search order: yields (device at x, device at w, certificate)."""
     from .geometry import primitive_segments_on, lattice_points_on_segment
 
-    pieces = primitive_segments_on(u, w)
-    base = WeightedSegmentGraph()
-    for s in pieces:
-        base.add(s, 1)
-    du = primitive(sub(w, u))
-    none_dev = builders.EndDevice("none", WeightedSegmentGraph(), ())
-    dev_u_list = builders.end_devices(engine.poly, u, du) if engine.poly.side(u) != 0 else [none_dev]
-    dev_w_list = (
-        builders.end_devices(engine.poly, w, primitive(sub(u, w)))
-        if engine.poly.side(w) != 0
-        else [none_dev]
-    )
-    last = None
-    for dv in dev_u_list:
-        for dw in dev_w_list:
-            if any(dv.graph.weight(s) or dw.graph.weight(s) for s in pieces):
-                continue  # devices may not overlap the chain
-            if any(dv.graph.weight(s) for s in dw.graph.entries):
+    poly = engine.poly
+    pieces = primitive_segments_on(x, w)
+    base = WeightedSegmentGraph({s: 1 for s in pieces})
+    devices_w = builders.end_devices(poly, w, primitive(sub(x, w)))
+    for dx in builders.end_devices(poly, x, primitive(sub(w, x))):
+        for dw in devices_w:
+            if keep is not None and not keep(dx, dw):
                 continue
-            g = base.copy().union(dv.graph).union(dw.graph)
-            if check_balancing(g, engine.poly):
+            if any(dx.graph.weight(s) or dw.graph.weight(s) for s in pieces):
                 continue
-            if not g.loops_pairwise_disjoint():
+            if any(dx.graph.weight(s) for s in dw.graph.entries):
                 continue
-            sweeps = [x.ray for x in (dv, dw) if x.ray is not None]
-            zero = [p for p in lattice_points_on_segment(u, w) if engine.poly.side(p) != 0]
+            g = base.union(dx.graph).union(dw.graph)
+            if check_balancing(g, poly) or not g.loops_pairwise_disjoint():
+                continue
+            zero = [p for p in lattice_points_on_segment(x, w) if poly.side(p) != 0]
             one = []
-            for x in (dv, dw):
-                if x.kind == "chain":
-                    for s in x.graph.entries:
+            for dev in (dx, dw):
+                if dev.kind == "chain":
+                    for s in dev.graph.entries:
                         for p in s:
-                            if engine.poly.side(p) != 0:
+                            if poly.side(p) != 0:
                                 zero.append(p)
                             elif p not in one:
                                 one.append(p)
+            sweeps = [dev.ray for dev in (dx, dw) if dev.ray is not None]
             try:
-                cert = builders.certify_flexible(g, engine.poly, sweeps, zero, one)
-            except (CertificationError, AssertionError) as exc:
-                last = exc
+                cert = builders.certify_flexible(g, poly, sweeps, zero, one)
+            except (CertificationError, AssertionError):
                 continue
-            if dv.kind == "ray":
-                engine.ensure_leg_facts(dv.ray, flavor)
-            try:
-                comp = engine.axiom_rea(cert, flavor)
-                for s in dv.legs:
-                    comp = engine.absorb(comp, s)
-                for p in lattice_points_on_segment(u, w)[:-1]:
-                    if engine.poly.side(p) == 0:
-                        raise DerivationError("interior_d", "chain touches the boundary")
-                    fid, comp = engine.chase(comp, p)
-                return comp
-            except DerivationError as exc:
-                last = exc
-                continue
+            yield dx, dw, cert
+
+
+def _chain_chase(engine: Engine, u: Point, w: Point, flavor) -> int:
+    """Weight-one chain [u, w] balanced by end devices; chasing from the
+    d-point u yields an exponent-one fact for every primitive piece."""
+    from .geometry import lattice_points_on_segment
+
+    last = None
+    for dv, dw, cert in _device_certificates(engine, u, w):
+        if dv.kind == "ray":
+            engine.ensure_leg_facts(dv.ray, flavor)
+        try:
+            comp = engine.axiom_rea(cert, flavor)
+            for s in dv.legs:
+                comp = engine.absorb(comp, s)
+            for p in lattice_points_on_segment(u, w)[:-1]:
+                if engine.poly.side(p) == 0:
+                    raise DerivationError("interior_d", "chain touches the boundary")
+                fid, comp = engine.chase(comp, p)
+            return comp
+        except DerivationError as exc:
+            last = exc
     raise DerivationError("interior_d", f"devices failed: {last}")
 
 
@@ -1074,7 +1041,7 @@ def pipeline_interior_d(self, sigma: Segment, d: int, flavor=GEOMETRIC) -> int:
             if u == w:
                 continue
             try:
-                _chain_chase(self, u, w, d, flavor)
+                _chain_chase(self, u, w, flavor)
                 got = self.fact(flavor, self.key_of(sigma))
                 if got is None or got[0] != 1:
                     raise DerivationError("interior_d", "chase missed the segment")
@@ -1131,61 +1098,23 @@ def _gamma_triple(self, w: Point, d: int):
     return gammas
 
 
-def _gamma_entry(self, x: Point, gamma: Segment, w: Point, d: int, flavor):
+def _gamma_entry(self, x: Point, w: Point, flavor):
     """Composite fact for a ray sweep at w, obtained by stripping the chain
-    [x, w] and the device at the d-point x from an interior_d graph."""
-    from .geometry import primitive_segments_on, lattice_points_on_segment
+    [x, w] and the device at the d-point x from an interior_d graph; the
+    x-side must be strippable edge by edge."""
+    from .geometry import primitive_segments_on
 
-    pieces = primitive_segments_on(x, w)
-    base = WeightedSegmentGraph()
-    for s in pieces:
-        base.add(s, 1)
-    none_dev = builders.EndDevice("none", WeightedSegmentGraph(), ())
-    du = primitive(sub(w, x))
-    dev_x_list = (
-        builders.end_devices(self.poly, x, du) if self.poly.side(x) != 0 else [none_dev]
-    )
-    dev_w_list = builders.end_devices(self.poly, w, primitive(sub(x, w)))
     last = None
-    for dx in dev_x_list:
-        if dx.kind == "ray":
-            continue  # the x-side must be strippable edge by edge
-        for dw in dev_w_list:
-            if dw.kind != "ray":
-                continue
-            if any(dw.graph.weight(s) or dx.graph.weight(s) for s in pieces):
-                continue  # devices may not overlap the chain
-            if any(dx.graph.weight(s) for s in dw.graph.entries):
-                continue
-            g = base.copy().union(dx.graph).union(dw.graph)
-            if check_balancing(g, self.poly):
-                continue
-            if not g.loops_pairwise_disjoint():
-                continue
-            zero = [p for p in lattice_points_on_segment(x, w) if self.poly.side(p) != 0]
-            one = []
-            if dx.kind == "chain":
-                for s in dx.graph.entries:
-                    for p in s:
-                        if self.poly.side(p) != 0:
-                            zero.append(p)
-                        elif p not in one:
-                            one.append(p)
-            try:
-                cert = builders.certify_flexible(g, self.poly, [dw.ray], zero, one)
-            except (CertificationError, AssertionError) as exc:
-                last = exc
-                continue
-            try:
-                comp = self.axiom_rea(cert, flavor)
-                for s in pieces:
-                    comp = self.absorb(comp, s)
-                for s in dx.graph.entries:
-                    comp = self.absorb(comp, s)
-                return comp, dw.ray
-            except DerivationError as exc:
-                last = exc
-                continue
+    for dx, dw, cert in _device_certificates(
+        self, x, w, lambda dx, dw: dx.kind != "ray" and dw.kind == "ray"
+    ):
+        try:
+            comp = self.axiom_rea(cert, flavor)
+            for s in primitive_segments_on(x, w) + list(dx.graph.entries):
+                comp = self.absorb(comp, s)
+            return comp, dw.ray
+        except DerivationError as exc:
+            last = exc
     raise DerivationError("diad", f"gamma entry failed: {last}")
 
 
@@ -1277,8 +1206,8 @@ def _device_power_fact(self, rs, d: int, flavor) -> int:
     for x, gp in gammas:
         pipeline_interior_d(self, gp, d, flavor)
     entries = []
-    for x, gp in gammas:
-        nid, ray0 = _gamma_entry(self, x, gp, w, d, flavor)
+    for x, _ in gammas:
+        nid, ray0 = _gamma_entry(self, x, w, flavor)
         entries.append(((ray0.kappa, ray0.kappa_prime, ray0.orientation), nid))
     facts = _facts_at_anchor(self, entries, w, anchor, flavor)
     m1 = rs.graph.weight(rs.leg1)

@@ -8,7 +8,6 @@ Everything here is integer arithmetic; no floats anywhere.  Points are plain
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 Point = tuple[int, int]
@@ -194,14 +193,6 @@ class UnimodularMap:
         lin = UnimodularMap(inv)
         return UnimodularMap(inv, neg(lin.apply_vector(self.t)))
 
-    def compose(self, other: "UnimodularMap") -> "UnimodularMap":
-        """self after other: x -> self(other(x))."""
-        rows = tuple(
-            tuple(sum(self.m[i][k] * other.m[k][j] for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
-        return UnimodularMap(rows, add(self.apply_vector(other.t), self.t))
-
     @staticmethod
     def identity() -> "UnimodularMap":
         return UnimodularMap(((1, 0), (0, 1)))
@@ -361,7 +352,3 @@ def pick_check(poly: LatticePolygon) -> bool:
     i = len(poly.interior_points())
     b = len(poly.boundary_points())
     return poly.area2() == 2 * i + b - 2
-
-
-def frac(n, d=1) -> Fraction:
-    return Fraction(n, d)

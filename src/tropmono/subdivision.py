@@ -188,12 +188,6 @@ class RegularSubdivision:
                 return self.plane_value(i, p)
         raise ValueError(f"{p} outside the subdivided polygon")
 
-    def cell_containing(self, p: Point) -> int:
-        for i, c in enumerate(self.cells):
-            if c.side(p) >= 0:
-                return i
-        raise ValueError(f"{p} outside the subdivided polygon")
-
     def to_json(self) -> dict:
         pts = self.witness.support
         index = {p: i for i, p in enumerate(pts)}
@@ -451,31 +445,6 @@ def extend_subdivision(
             return sub_div
         height *= 2
     raise SubdivisionError("extension height search did not converge")
-
-
-def _pull_cells(cells: list[LatticePolygon], p: Point) -> list[LatticePolygon]:
-    out = []
-    for c in cells:
-        if c.side(p) < 0:
-            out.append(c)
-            continue
-        for u, w in c.edges():
-            if orient(u, w, p) == 0 and dot(sub(p, u), sub(p, w)) <= 0:
-                continue  # face contains p
-            out.append(LatticePolygon([p, u, w]))
-    return out
-
-
-def pulling_triangulation_cells(sub_div: RegularSubdivision) -> list[LatticePolygon]:
-    """Combinatorial pulling refinement at every lattice point in
-    lexicographic order; the result is a full (hence unimodular) triangulation
-    refining the input."""
-    cells = list(sub_div.cells)
-    for p in sub_div.polygon.lattice_points():
-        cells = _pull_cells(cells, p)
-    for c in cells:
-        assert len(c.vertices) == 3 and c.area2() == 1, "pulling left a fat cell"
-    return cells
 
 
 def _fplane(a: Point, b: Point, c: Point, h) -> tuple[Fraction, Fraction, int, Fraction]:

@@ -129,7 +129,7 @@ def test_divisible_examples():
     # d = 1 reduces to the plain sweep
     d1 = build_divisible_ray_sweep(T6, 1, (1, 1), (1, 2), (2, 2), 1, 1, "kk'")
     r1 = build_ray_sweep(T6, (1, 1), (1, 2), (2, 2), 1, 1, "kk'")
-    assert d1.graph == r1.graph
+    assert d1 == r1
     # scaled chain is the homothety image of the unscaled chain
     u = build_ray_sweep(SQ4, (1, 1), (1, 2), (2, 2), 1, 1, "kk'")
     assert dv.chain == tuple(add((1, 1), smul(2, sub(p, (1, 1)))) for p in u.chain)

@@ -1,8 +1,11 @@
 import json
+import re
 
 import pytest
 
 from tropmono.cli import main
+from tropmono.engine import Engine, ReplayError, replay_certificate
+from tropmono.geometry import LatticePolygon
 
 
 @pytest.fixture()
@@ -98,3 +101,45 @@ def test_verdict_out_file(polyfile, capsys, tmp_path):
     assert code == 0
     data = json.loads(dest.read_text())
     assert data["mu"] == "not_surjective" and data["n"] == 2
+
+
+@pytest.fixture(scope="module")
+def t3_certificate():
+    return Engine(LatticePolygon([(0, 0), (3, 0), (0, 3)])).derive_surjectivity()["certificate"]
+
+
+def test_rejected_certificate_exit_3(t3_certificate, polyfile, capsys, tmp_path):
+    cert = json.loads(json.dumps(t3_certificate))
+    cert["nodes"][0]["conclusion"]["exponent"] = 2
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, _ = run(capsys, ["replay", str(path)])
+    assert code == 3
+    bad = polyfile("bad.json", [[0, 0], [2, 0], [1, 1], [2, 2], [0, 2]])
+    code, _ = run(capsys, ["analyze", bad])
+    assert code == 2
+
+
+# malformed replay input: (mutation, what the error must name; {id} and
+# {rule} are the last node's)
+MALFORMED = {
+    "missing-param": (lambda c: c["nodes"][0]["params"].pop("v"), "node 0 (acycle)"),
+    "string-param": (lambda c: c["nodes"][0]["params"].update(v="ab"), "node 0 (acycle)"),
+    "null-node": (lambda c: c.update(nodes=[None]), "nodes[0]"),
+    "no-nodes": (lambda c: c.pop("nodes"), "node list"),
+    "extra-premises": (lambda c: c["nodes"][-1].update(premises=[0, 0, 0]), "node {id} ({rule})"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_certificate_is_a_named_replay_error(case, t3_certificate, capsys, tmp_path):
+    mutate, names = MALFORMED[case]
+    cert = json.loads(json.dumps(t3_certificate))
+    names = names.format(**cert["nodes"][-1])
+    mutate(cert)
+    with pytest.raises(ReplayError, match=re.escape(names)):
+        replay_certificate(cert)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["replay", str(path)]) == 3
+    assert names in capsys.readouterr().err

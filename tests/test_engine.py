@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -9,8 +12,10 @@ from tropmono.engine import (
     DerivationError,
     GEOMETRIC,
     HOMOLOGICAL,
+    Node,
     ReplayError,
     replay_certificate,
+    single,
 )
 from tropmono.polygons import adjoint_polygon
 from tropmono.builders import adjoint_boundary_cycle
@@ -42,9 +47,11 @@ def test_corner_and_side_pipelines():
 
 def test_gcd_combine_in_store():
     e = Engine(T6)
-    nid = e._add_node("acycle", {"v": [1, 1]}, [], {"x": 1})
-    e._record_single(GEOMETRIC, ("seg", seg((0, 0), (1, 1))), 4, nid)
-    e._record_single(GEOMETRIC, ("seg", seg((0, 0), (1, 1))), 6, nid)
+    key = ("seg", seg((0, 0), (1, 1)))
+    for exponent in (4, 6):
+        nid = len(e.nodes)
+        e.nodes.append(Node(nid, "acycle", {"v": [1, 1]}, [], single(GEOMETRIC, key, exponent)))
+        e._record_single(GEOMETRIC, key, exponent, nid)
     assert e.facts[(GEOMETRIC, ("seg", seg((0, 0), (1, 1))))][0] == 2
 
 
@@ -223,3 +230,32 @@ def test_hyperelliptic_reports_deferred():
     rep = e.derive_surjectivity()
     assert rep["verdict"]["mu"] == "hyperelliptic_deferred"
     assert rep["certificate"] is None
+
+
+OPTIMIZED_REPLAY = """
+import random, sys
+sys.path[:0] = [{tests!r}, {src!r}]
+from test_engine import T3, T4, corruptible_paths, corruption_survives
+from tropmono.engine import Engine, replay_certificate
+
+survivors = 0
+for poly in (T3, T4):
+    cert = Engine(poly).derive_surjectivity()["certificate"]
+    replay_certificate(cert)
+    replay_certificate(cert)
+    paths = corruptible_paths(cert)
+    rng = random.Random(5)
+    for _ in range(60):
+        survivors += corruption_survives(cert, rng.choice(paths), rng.choice([-2, -1, 1, 2, 7]))
+print(__debug__, survivors)
+"""
+
+
+def test_soundness_under_python_O():
+    """Derivation, replay and corruption rejection with assert statements
+    compiled out: the rule kernel's checks do not rest on assert."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = OPTIMIZED_REPLAY.format(tests=tests, src=os.path.join(os.path.dirname(tests), "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0"]

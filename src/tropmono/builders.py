@@ -967,7 +967,8 @@ def certify_fans(
         raise CertificationError("fan region degenerate")
     sub_div = subdivision_from_heights(region, heights)
     inside = [s for s in graph.entries if region.contains_segment(s)]
-    missing = [s for s in inside if s not in sub_div.edges()]
+    region_edges = sub_div.edges()
+    missing = [s for s in inside if s not in region_edges]
     if missing:
         raise CertificationError(f"fan heights miss edges {missing}")
     batches = [
@@ -983,13 +984,15 @@ def certify_fans(
         sub_div = extend_subdivision(current, sub_div)
     sub_div = extend_subdivision(poly, sub_div)
     refined = unimodular_refinement(sub_div)
-    lost = [s for s in graph.entries if s not in refined.edges()]
+    refined_edges = refined.edges()
+    lost = [s for s in graph.entries if s not in refined_edges]
     if lost:
         raise CertificationError(f"fan refinement lost edges {lost}")
     cert = AdmissibilityCertificate(
         graph, poly, refined.witness, refined, tuple(sorted(allow_unbalanced_at))
     )
-    assert cert.verify()
+    if not cert.verify():
+        raise AssertionError("fan certificate failed verification")
     return cert
 
 

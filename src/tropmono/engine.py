@@ -120,15 +120,20 @@ def graph_of(conclusion) -> WeightedSegmentGraph:
 
 class RuleContext:
     """What the rules read besides their params and premises: the polygon,
-    its adjoint, loop keys, and a surface model built on first use."""
+    its adjoint, loop keys (memoized: at most one per loop or segment of
+    the polygon), and a surface model built on first use."""
 
     def __init__(self, poly: LatticePolygon, adjoint):
         self.poly = poly
         self.adjoint = adjoint
         self._surface: SurfaceModel | None = None
+        self._keys: dict = {}
 
     def key_of(self, obj) -> tuple:
-        return loop_key(self.poly, self.adjoint, obj)
+        key = self._keys.get(obj)
+        if key is None:
+            key = self._keys[obj] = loop_key(self.poly, self.adjoint, obj)
+        return key
 
     @property
     def surface(self) -> SurfaceModel:

@@ -301,7 +301,7 @@ def certify_admissible(
 
     if hint is None:
         refined = unimodular_refinement(trivial_subdivision(poly))
-        if all(s in refined.edges() for s in graph.entries):
+        if refined.edges().issuperset(graph.entries):
             return AdmissibilityCertificate(
                 graph, poly, refined.witness, refined, tuple(sorted(allow_unbalanced_at))
             )
@@ -320,7 +320,8 @@ def certify_admissible(
     else:
         raise CertificationError("empty hint")
 
-    missing = [s for s in graph.entries if s not in region_sub.edges()]
+    region_edges = region_sub.edges()
+    missing = [s for s in graph.entries if s not in region_edges]
     if missing:
         raise CertificationError(f"hint does not support edges {missing}")
 
@@ -329,7 +330,8 @@ def certify_admissible(
     cert = AdmissibilityCertificate(
         graph, poly, refined.witness, refined, tuple(sorted(allow_unbalanced_at))
     )
-    lost = [s for s in graph.entries if s not in refined.edges()]
+    refined_edges = refined.edges()
+    lost = [s for s in graph.entries if s not in refined_edges]
     if lost:
         raise CertificationError(f"refinement lost edges {lost}")
     return cert

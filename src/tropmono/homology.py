@@ -6,7 +6,7 @@ Loops: the A-cycle over every interior lattice point (its blow-up circle)
 and the double of every primitive integer segment.  Homology is computed
 two ways and cross-checked: cellularly (Smith normal form of the boundary
 maps of the explicit CW structure built from the canonical unimodular
-triangulation) and through the symplectic calculus (A-classes are the
+triangulation; cycle checks walk the sparse columns of d1) and through the symplectic calculus (A-classes are the
 circles, B-classes are doubles of lattice paths to the boundary; a segment
 double has no A-part and its B-coordinates are carried by its interior
 endpoints).  Dehn twists act by Picard-Lefschetz transvections.
@@ -134,6 +134,7 @@ class SurfaceModel:
                 d1[nodes[(p, e_out)]][j] += 1
                 d1[nodes[(p, e_in)]][j] -= 1
         self._d1 = d1
+        self._d1_cols = [[(i, row[j]) for i, row in enumerate(d1) if row[j]] for j in range(ne)]
         # faces: (t, sheet) walked ccw on sheet 0 and cw on sheet 1, plus one
         # cap per boundary edge closing the puncture
         faces = []
@@ -169,8 +170,8 @@ class SurfaceModel:
         self._d2_cols = faces
         # closedness and orientability sanity checks
         for col in faces:
-            img = [sum(d1[i][j] * col[j] for j in range(ne)) for i in range(nv)]
-            assert all(x == 0 for x in img), "face boundary is not a cycle"
+            if not self._is_cycle(enumerate(col)):
+                raise AssertionError("face boundary is not a cycle")
         total = [0] * ne
         for col in faces:
             total = [x + y for x, y in zip(total, col)]
@@ -195,7 +196,8 @@ class SurfaceModel:
         cols = []
         for col in self._d2_cols:
             x = self._ksolver.solve(col)
-            assert x is not None, "boundary is not a cycle?"
+            if x is None:
+                raise AssertionError("boundary is not a cycle?")
             cols.append(x)
         bmat = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
         u, d, v = smith_normal_form(bmat)
@@ -204,19 +206,26 @@ class SurfaceModel:
         assert all(abs(x) == 1 for x in diag if x), "torsion in surface homology"
         self.h1_rank = k - r
         assert self.h1_rank == 2 * self.genus, "H1 rank mismatch"
-        self._proj_u = u
-        self._proj_rank = r
+        self._proj_rows = u[r:]  # the rows onto the free rank-2g quotient
+
+    def _is_cycle(self, entries) -> bool:
+        """Whether a 1-chain given by (edge, coefficient) pairs is closed."""
+        img: dict[int, int] = {}
+        for j, c in entries:
+            if c:
+                for i, a in self._d1_cols[j]:
+                    img[i] = img.get(i, 0) + a * c
+        return not any(img.values())
 
     def _cycle_class_raw(self, chain: dict[int, int]) -> list[int]:
         """Coordinates of a cellular 1-cycle in the rank-2g quotient."""
-        ne = len(self._cw_edges)
-        vec = [chain.get(j, 0) for j in range(ne)]
-        img = [sum(self._d1[i][j] * vec[j] for j in range(ne)) for i in range(len(self._d1))]
-        assert all(x == 0 for x in img), "chain is not a cycle"
+        if not self._is_cycle(chain.items()):
+            raise AssertionError("chain is not a cycle")
+        vec = [chain.get(j, 0) for j in range(len(self._cw_edges))]
         x = self._ksolver.solve(vec)
-        assert x is not None
-        y = mat_vec(self._proj_u, x)
-        return y[self._proj_rank:]
+        if x is None:
+            raise AssertionError("cycle does not lie in the cycle lattice")
+        return mat_vec(self._proj_rows, x)
 
     def _acycle_chain(self, v: Point) -> dict[int, int]:
         return {self._arc_idx[(v, ti)]: 1 for ti in self._tri_at[v]}

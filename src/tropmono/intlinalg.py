@@ -26,7 +26,8 @@ def matmul(a, b):
 
 
 def mat_vec(a, x):
-    return [sum(r[j] * x[j] for j in range(len(x))) for r in a]
+    nonzero = [(j, c) for j, c in enumerate(x) if c]
+    return [sum(r[j] * c for j, c in nonzero) for r in a]
 
 
 def smith_normal_form(a):

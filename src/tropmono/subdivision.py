@@ -4,7 +4,8 @@ The core primitive is an exact lower-convex-hull computation on lifted
 lattice points (gift wrapping with integer arithmetic after clearing
 denominators).  On top of it sit the regularity decision procedure (exact
 LP), the extension of a subdivision of a subpolygon to the whole polygon,
-unimodular refinement by pulling, and the dual tropical curve.
+unimodular refinement by pulling (integer heights on one shared scale, using
+the same integer plane routine as the hull), and the dual tropical curve.
 """
 
 from __future__ import annotations
@@ -61,11 +62,12 @@ class HeightFunction:
         return HeightFunction.of({(x, y): Fraction(n, d) for x, y, n, d in data})
 
 
-def _cleared(heights: dict[Point, Fraction]) -> dict[Point, int]:
+def _cleared(heights: dict[Point, Fraction]) -> tuple[dict[Point, int], int]:
+    """Integer heights on the scale of the lcm of the denominators, and that scale."""
     denom = 1
     for v in heights.values():
         denom = lcm(denom, Fraction(v).denominator)
-    return {p: int(Fraction(v) * denom) for p, v in heights.items()}
+    return {p: int(Fraction(v) * denom) for p, v in heights.items()}, denom
 
 
 def _plane_through(a, b, c, h):
@@ -209,7 +211,7 @@ def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivisio
             raise SubdivisionError(f"support point {p} outside the polygon")
     if LatticePolygon(pts) != poly:
         raise SubdivisionError("support does not span the polygon")
-    h = _cleared(hmap)
+    h, _ = _cleared(hmap)
 
     seeds = _boundary_chain_edges(pts, h)
     queue = list(seeds)
@@ -281,7 +283,7 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
     pts = list(hmap)
     if LatticePolygon(pts) != poly:
         return None
-    h = _cleared(hmap)
+    h, _ = _cleared(hmap)
     cells = sorted(cells, key=lambda c: c.vertices)
     if sum(c.area2() for c in cells) != poly.area2():
         return None
@@ -447,37 +449,24 @@ def extend_subdivision(
     raise SubdivisionError("extension height search did not converge")
 
 
-def _fplane(a: Point, b: Point, c: Point, h) -> tuple[Fraction, Fraction, int, Fraction]:
-    """Plane through three lifted points with Fraction heights, nz > 0."""
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], h[b] - h[a]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], h[c] - h[a]
-    nx = uy * vz - uz * vy
-    ny = uz * vx - ux * vz
-    nz = ux * vy - uy * vx
-    d = nx * a[0] + ny * a[1] + nz * h[a]
-    return nx, ny, nz, d
-
-
-def _fval(plane, p: Point, hp) -> Fraction:
-    nx, ny, nz, d = plane
-    return nx * p[0] + ny * p[1] + nz * hp - d
-
-
 def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
     """Regular unimodular refinement of a regular subdivision.
 
     Pulls every lattice point in lexicographic order.  Each pull lowers the
     point slightly below the current lifted surface (the exact rational drop
     is halved until the incremental supporting-plane checks pass) and cones
-    the cells containing it.  The final witness is re-verified globally.
+    the cells containing it.  Heights are integers on one shared ``scale``:
+    when a drop needs a finer denominator, the scale, every height and every
+    kept plane's (nx, ny, d) are multiplied by the missing factor, which
+    changes no sign.  The final witness is re-verified globally.
     """
     if sub_div.is_unimodular():
         return sub_div
     poly = sub_div.polygon
     pts = poly.lattice_points()
-    h: dict[Point, Fraction] = {p: sub_div.evaluate(p) for p in pts}
+    h, scale = _cleared({p: sub_div.evaluate(p) for p in pts})
     cells: list[LatticePolygon] = list(sub_div.cells)
-    planes = [_fplane(c.vertices[0], c.vertices[1], c.vertices[2], h) for c in cells]
+    planes = [_plane_through(c.vertices[0], c.vertices[1], c.vertices[2], h) for c in cells]
     eps = Fraction(1)
 
     for p in pts:
@@ -494,21 +483,28 @@ def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
                     continue
                 cones.append(LatticePolygon([p, u, w]))
         nx, ny, nz, d = planes[affected[0]]
-        nu = Fraction(d - nx * p[0] - ny * p[1], nz)
+        nu = Fraction(d - nx * p[0] - ny * p[1], nz * scale)
+        old = h[p]
         ok = False
         for _ in range(400):
-            hp = nu - eps
-            trial = dict(h)
-            trial[p] = hp
-            good = all(_fval(planes[i], p, hp) > 0 for i in kept)
+            drop = nu - eps
+            if scale % drop.denominator:
+                m = drop.denominator // gcd(scale, drop.denominator)
+                scale *= m
+                for q in h:
+                    h[q] *= m
+                planes = [(a * m, b * m, c, e * m) for a, b, c, e in planes]
+                old = h[p]
+            h[p] = int(drop * scale)
+            good = all(_plane_val(planes[i], p, h) > 0 for i in kept)
             new_planes = []
             if good:
                 for cone in cones:
                     v = cone.vertices
-                    plane = _fplane(v[0], v[1], v[2], trial)
+                    plane = _plane_through(v[0], v[1], v[2], h)
                     on = []
                     for q in pts:
-                        val = _fval(plane, q, trial[q])
+                        val = _plane_val(plane, q, h)
                         if val < 0:
                             good = False
                             break
@@ -519,19 +515,20 @@ def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
                         break
                     new_planes.append(plane)
             if good:
-                h = trial
                 cells = [cells[i] for i in kept] + cones
                 planes = [planes[i] for i in kept] + new_planes
                 ok = True
                 break
+            h[p] = old
             eps /= 2
         if not ok:
             raise SubdivisionError("pulling drop search did not converge")
 
-    result = verify_subdivision(poly, cells, h)
+    result = verify_subdivision(poly, cells, {q: Fraction(v, scale) for q, v in h.items()})
     if result is None:
         raise AssertionError("pulled witness failed global verification")
-    assert result.is_unimodular(), "pulling left a fat cell"
+    if not result.is_unimodular():
+        raise AssertionError("pulling left a fat cell")
     return result
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -95,6 +96,26 @@ def test_derive_sq4_obstructed():
     assert rep["verdict"]["mu"] == "not_surjective"
     assert rep["verdict"]["algebraic_mu"] == "not_surjective"
     assert rep["obstruction"]["n"] == 2
+
+
+def _digest(data) -> str:
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "poly, digest",
+    [
+        (T3, "6a89695aea2baf46bd572f90b147e49b972c5d9de79bfd8af9b95166088421f8"),
+        (T4, "50d54b10c9fd62f50be054856673858d07d621c14d55835f3587d16fb185b434"),
+        (SQ4, "dc1512df2e047a997e6cad7e0bb5774c29315423c2c68facc4917f77c38e299d"),
+    ],
+    ids=["T3", "T4", "SQ4"],
+)
+def test_certificate_bytes_golden(poly, digest):
+    """Derived certificates are pinned byte for byte: changes to the
+    arithmetic under the derivation must not change what it emits."""
+    assert _digest(Engine(poly).derive_surjectivity()["certificate"]) == digest
 
 
 def test_interior_d_and_dd_on_sq4():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from tropmono.homology import (
     sp_order,
     subgroup_order_mod_p,
 )
-from tropmono.intlinalg import matmul
+from tropmono.intlinalg import mat_vec, matmul
 from tropmono.subdivision import trivial_subdivision
 
 T3 = LatticePolygon([(0, 0), (3, 0), (0, 3)])
@@ -137,3 +138,13 @@ def test_sp_order_formula():
     assert sp_order(1, 2) == 6
     assert sp_order(1, 3) == 24
     assert sp_order(3, 2) == 1451520
+
+
+def test_mat_vec_matches_dense_product_on_sparse_vectors():
+    rng = random.Random(11)
+    for _ in range(50):
+        m, n = rng.randint(0, 12), rng.randint(0, 12)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        x = [rng.choice([0, 0, 0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+        dense = [sum(row[j] * x[j] for j in range(n)) for row in a]
+        assert mat_vec(a, x) == dense

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -76,6 +78,19 @@ def test_refinement_keeps_existing_edges():
     # every primitive boundary segment of the inner square survives
     for s in USQ.boundary_segments():
         assert s in refined.edges()
+
+
+def test_refinement_of_fractional_witness_golden():
+    """Heights with denominators 3 and 7 make the integer pull rescale its
+    shared height scale; the refinement is pinned byte for byte."""
+    rect = LatticePolygon([(0, 0), (5, 0), (5, 3), (0, 3)])
+    h = {(x, y): Fraction(x * x % 7, 3) + Fraction(y * y, 7) for x, y in rect.lattice_points()}
+    refined = unimodular_refinement(subdivision_from_heights(rect, h))
+    assert refined.is_unimodular() and len(refined.cells) == rect.area2()
+    text = json.dumps(refined.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7de0187aa5137740feaa9f8d6db3d04406341ae414dc795a6dab19e878e99dad"
+    )
 
 
 def test_extend_identity():

@@ -17,6 +17,7 @@ and refined; all steps are replayed and checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 
 from .geometry import (
@@ -29,22 +30,27 @@ from .geometry import (
     dot,
     lattice_points_on_segment,
     neg,
+    orient,
     primitive,
     primitive_segments_on,
     seg,
     smul,
     sub,
 )
-from .polygons import adjoint_polygon, normalize_at_vertex
+from .polygons import adjoint_polygon, divisible_points, normalize_at_vertex
 from .graphs import (
     AdmissibilityCertificate,
     CertificationError,
     Hint,
     WeightedSegmentGraph,
+    bridges_at,
     certify_admissible,
     check_balancing,
+    check_certifiable,
+    complete_certificate,
     is_bridge,
 )
+from .subdivision import HeightFunction, subdivision_from_heights
 
 # A deduction step: ("absorb", segment) removes a known edge, ("chase", v)
 # chases the unique remaining edge at v, ("terminal", segment) reads off the
@@ -91,8 +97,6 @@ def certify_graph(
     allow_unbalanced_at=frozenset(),
 ) -> AdmissibilityCertificate:
     """Certify via the line-arrangement recipe."""
-    from .subdivision import HeightFunction
-
     region = LatticePolygon(graph.vertices())
     if region.dimension < 2:
         region = poly
@@ -546,8 +550,6 @@ def build_divisible_ray_sweep(
     """The divisible variant G_{.,.,v}(d): the sweep of the homothetic image
     u = h_{1/d,kappa}(v) scaled back by d, closed through h^{-1}(kappa') by
     the three anchor segments and the column [kappa, h^{-1}(kappa')]."""
-    from .polygons import divisible_points
-
     adjoint = adjoint_polygon(poly)
     if adjoint is None or adjoint.dimension != 2:
         raise ValueError("divisible sweeps need a two-dimensional adjoint")
@@ -706,8 +708,6 @@ class EndDevice:
 
 
 def _on_edge(a: Point, b: Point, p: Point) -> bool:
-    from .geometry import orient
-
     return orient(a, b, p) == 0 and dot(sub(p, a), sub(p, b)) <= 0
 
 
@@ -717,8 +717,6 @@ def _dir_out(s: Segment, v: Point) -> Point:
 
 def _chain_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     """Candidate chain+bridge devices at an adjoint-boundary end."""
-    from .graphs import bridges_at
-
     adjoint = adjoint_polygon(poly)
     out = []
     for a, b in adjoint.edges():
@@ -950,10 +948,7 @@ def certify_fans(
     staged construction: lift the chains to 0 and the leg targets to 1 on
     the convex hull, then adjoin the boundary anchors batch by batch and
     extend, refine and check."""
-    from fractions import Fraction
-
-    from .subdivision import extend_subdivision, subdivision_from_heights, unimodular_refinement
-
+    check_certifiable(graph, poly, allow_unbalanced_at)
     zero: set[Point] = set(zero_points)
     apex: set[Point] = set()
     for rs in sweeps:
@@ -971,29 +966,17 @@ def certify_fans(
     missing = [s for s in inside if s not in region_edges]
     if missing:
         raise CertificationError(f"fan heights miss edges {missing}")
-    batches = [
+    stages = []
+    current = region
+    for batch in (
         sorted({rs.alpha for rs in sweeps}),
         sorted({rs.alpha_prime for rs in sweeps}),
-    ]
-    current = region
-    for batch in batches:
+    ):
         new_pts = [p for p in batch if current.side(p) < 0]
-        if not new_pts:
-            continue
-        current = LatticePolygon(list(current.vertices) + new_pts)
-        sub_div = extend_subdivision(current, sub_div)
-    sub_div = extend_subdivision(poly, sub_div)
-    refined = unimodular_refinement(sub_div)
-    refined_edges = refined.edges()
-    lost = [s for s in graph.entries if s not in refined_edges]
-    if lost:
-        raise CertificationError(f"fan refinement lost edges {lost}")
-    cert = AdmissibilityCertificate(
-        graph, poly, refined.witness, refined, tuple(sorted(allow_unbalanced_at))
-    )
-    if not cert.verify():
-        raise AssertionError("fan certificate failed verification")
-    return cert
+        if new_pts:
+            current = LatticePolygon(list(current.vertices) + new_pts)
+            stages.append(current)
+    return complete_certificate(graph, poly, sub_div, allow_unbalanced_at, stages)
 
 
 def certify_flexible(

@@ -13,10 +13,23 @@ rule is written once, in the kernel ``apply``, which both the Engine and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
-from .geometry import LatticePolygon, Point, Segment, seg, sub, primitive
-from .polygons import adjoint_polygon, analyze
+from .geometry import (
+    LatticePolygon,
+    Point,
+    Segment,
+    cross,
+    lattice_length,
+    lattice_points_on_segment,
+    orient,
+    primitive,
+    primitive_segments_on,
+    seg,
+    sub,
+)
+from .polygons import adjoint_polygon, analyze, divisible_points
 from .graphs import (
     AdmissibilityCertificate,
     WeightedSegmentGraph,
@@ -26,8 +39,8 @@ from .graphs import (
     CertificationError,
 )
 from . import builders
-from .homology import Loop, SurfaceModel
-from .intlinalg import matmul
+from .homology import Loop, SurfaceModel, canonical_triangulation
+from .intlinalg import matmul, solve_int
 
 GEOMETRIC = "geometric"
 HOMOLOGICAL = "homological"
@@ -375,6 +388,19 @@ def _chain_rule_square(ctx, p, f1, fv, f2):
     return out
 
 
+def _graph_residual(graph: WeightedSegmentGraph, at: Point) -> Point:
+    acc = (0, 0)
+    for s, m in graph.entries.items():
+        if at in s:
+            d = primitive(sub(s[1] if at == s[0] else s[0], at))
+            acc = (acc[0] + m * d[0], acc[1] + m * d[1])
+    return acc
+
+
+# pairing rounds of the anchor transport in Engine._facts_at_anchor
+_ANCHOR_ROUNDS = 3
+
+
 class Engine:
     """Fact store plus rule applications over a fixed smooth polygon."""
 
@@ -619,8 +645,6 @@ class Engine:
                     ]:
                         continue
                     # far is the other end of an adjoint edge at kappa
-                    from .geometry import lattice_length
-
                     m = lattice_length(kappa, far)
                     # seed graph: exponent l_x at the distance-one point of
                     # the other edge
@@ -822,8 +846,6 @@ class Engine:
         adj = self.adjoint
         cyc = builders.adjoint_boundary_cycle(adj)
         verts = set(adj.vertices)
-        from .geometry import lattice_length
-
         for _ in range(4 * len(cyc)):
             changed = False
             for kappa in sorted(verts):
@@ -882,6 +904,285 @@ class Engine:
         nodes = [self.nodes[i].to_json() for i in sorted(keep)]
         return {"schema": "1", "polygon": self.poly.to_json(), "nodes": nodes}
 
+    # -- divisible pipelines (powers of twists under a d-divisible adjoint) -----
+
+    def _all_anchors(self):
+        adj = self.adjoint
+        out = []
+        for kappa in adj.vertices:
+            for kprime in builders._neighbors_on_boundary(adj, kappa):
+                for orientation in ("kk'", "k'k"):
+                    out.append((kappa, kprime, orientation))
+        return out
+
+    def _device_certificates(self, x: Point, w: Point, keep=None):
+        """Certified graphs made of the weight-one chain [x, w] and a pair of end
+        devices at x and w that overlap neither the chain nor each other, in
+        search order: yields (device at x, device at w, certificate)."""
+        poly = self.poly
+        pieces = primitive_segments_on(x, w)
+        base = WeightedSegmentGraph({s: 1 for s in pieces})
+        devices_w = builders.end_devices(poly, w, primitive(sub(x, w)))
+        for dx in builders.end_devices(poly, x, primitive(sub(w, x))):
+            for dw in devices_w:
+                if keep is not None and not keep(dx, dw):
+                    continue
+                if any(dx.graph.weight(s) or dw.graph.weight(s) for s in pieces):
+                    continue
+                if any(dx.graph.weight(s) for s in dw.graph.entries):
+                    continue
+                g = base.union(dx.graph).union(dw.graph)
+                if check_balancing(g, poly) or not g.loops_pairwise_disjoint():
+                    continue
+                zero = [p for p in lattice_points_on_segment(x, w) if poly.side(p) != 0]
+                one = []
+                for dev in (dx, dw):
+                    if dev.kind == "chain":
+                        for s in dev.graph.entries:
+                            for p in s:
+                                if poly.side(p) != 0:
+                                    zero.append(p)
+                                elif p not in one:
+                                    one.append(p)
+                sweeps = [dev.ray for dev in (dx, dw) if dev.ray is not None]
+                try:
+                    cert = builders.certify_flexible(g, poly, sweeps, zero, one)
+                except (CertificationError, AssertionError):
+                    continue
+                yield dx, dw, cert
+
+    def _chain_chase(self, u: Point, w: Point, flavor) -> int:
+        """Weight-one chain [u, w] balanced by end devices; chasing from the
+        d-point u yields an exponent-one fact for every primitive piece."""
+        last = None
+        for dv, dw, cert in self._device_certificates(u, w):
+            if dv.kind == "ray":
+                self.ensure_leg_facts(dv.ray, flavor)
+            try:
+                comp = self.axiom_rea(cert, flavor)
+                for s in dv.legs:
+                    comp = self.absorb(comp, s)
+                for p in lattice_points_on_segment(u, w)[:-1]:
+                    if self.poly.side(p) == 0:
+                        raise DerivationError("interior_d", "chain touches the boundary")
+                    fid, comp = self.chase(comp, p)
+                return comp
+            except DerivationError as exc:
+                last = exc
+        raise DerivationError("interior_d", f"devices failed: {last}")
+
+    def pipeline_interior_d(self, sigma: Segment, d: int, flavor=GEOMETRIC) -> int:
+        """Exponent-one twist for a segment whose line meets the d-divisible
+        points, assuming exponent-one bridges at those points."""
+        sigma = seg(*sigma)
+        hit = self.fact(flavor, self.key_of(sigma))
+        if hit is not None and hit[0] == 1:
+            return hit[1]
+        adj = self.adjoint
+        dpts = divisible_points(adj, d)
+        a, b = sigma
+        online = [p for p in dpts if orient(a, b, p) == 0]
+        if not online:
+            raise DerivationError("interior_d", "segment line misses the d-points")
+        last_error = None
+        for u in sorted(online):
+            for w in (b, a):
+                v = a if w == b else b
+                if u != v and primitive(sub(v, u)) != primitive(sub(w, u)):
+                    continue  # sigma must lie on [u, w]
+                if u == w:
+                    continue
+                try:
+                    self._chain_chase(u, w, flavor)
+                    got = self.fact(flavor, self.key_of(sigma))
+                    if got is None or got[0] != 1:
+                        raise DerivationError("interior_d", "chase missed the segment")
+                    return got[1]
+                except (DerivationError, CertificationError, ValueError, AssertionError) as exc:
+                    last_error = exc
+        raise DerivationError("interior_d", f"no usable configuration: {last_error}")
+
+    def _gamma_triple(self, w: Point, d: int):
+        """Three primitive segments ending at w whose far chains start at
+        d-divisible points spanning d Z^2, from a unimodular triangle of the
+        homothetic adjoint containing the scaled image of w."""
+        adj = self.adjoint
+        kappa0 = adj.vertices[0]
+        scaled = LatticePolygon(
+            [
+                (
+                    kappa0[0] + (p[0] - kappa0[0]) // d,
+                    kappa0[1] + (p[1] - kappa0[1]) // d,
+                )
+                for p in adj.vertices
+            ]
+        )
+        if scaled.dimension != 2:
+            raise DerivationError("diad", "scaled adjoint degenerate")
+        tri = canonical_triangulation(scaled)
+        hw = (
+            Fraction(kappa0[0] * (d - 1) + w[0], d),
+            Fraction(kappa0[1] * (d - 1) + w[1], d),
+        )
+        corners = None
+        for cell in tri.cells:
+            if cell.side(hw) >= 0:
+                corners = cell.vertices
+                break
+        if corners is None:
+            raise DerivationError("diad", "no triangle containing the scaled point")
+        xs = [
+            (kappa0[0] + d * (c[0] - kappa0[0]), kappa0[1] + d * (c[1] - kappa0[1]))
+            for c in corners
+        ]
+        gammas = []
+        for x in xs:
+            pts = lattice_points_on_segment(x, w)
+            if len(pts) < 2:
+                raise DerivationError("diad", "scaled corner coincides with the point")
+            gammas.append((x, seg(pts[-2], w)))
+        return gammas
+
+    def _gamma_entry(self, x: Point, w: Point, flavor):
+        """Composite fact for a ray sweep at w, obtained by stripping the chain
+        [x, w] and the device at the d-point x from an interior_d graph; the
+        x-side must be strippable edge by edge."""
+        last = None
+        for dx, dw, cert in self._device_certificates(
+            x, w, lambda dx, dw: dx.kind != "ray" and dw.kind == "ray"
+        ):
+            try:
+                comp = self.axiom_rea(cert, flavor)
+                for s in primitive_segments_on(x, w) + list(dx.graph.entries):
+                    comp = self.absorb(comp, s)
+                return comp, dw.ray
+            except DerivationError as exc:
+                last = exc
+        raise DerivationError("diad", f"gamma entry failed: {last}")
+
+    def _pair_once(self, node_id: int, w: Point, target, flavor) -> int | None:
+        """Pair a composite ray fact at w with the target-anchor sweep whose
+        weights cancel the residual; certify the balanced union and subtract."""
+        graph = graph_of(self.nodes[node_id].conclusion)
+        t_kappa, t_kprime, t_orient = target
+        try:
+            probe = builders.build_ray_sweep(self.poly, t_kappa, t_kprime, w, 1, 1, t_orient)
+            res = _graph_residual(graph, w)
+            l1 = builders._dir_out(probe.leg1, w)
+            l2 = builders._dir_out(probe.leg2, w)
+            n1, n2 = builders._solve_pair(l1, l2, (-res[0], -res[1]))
+            tsweep = builders.build_ray_sweep(self.poly, t_kappa, t_kprime, w, n1, n2, t_orient)
+        except (ValueError, AssertionError):
+            return None
+        tgraph = tsweep.graph
+        union = graph.copy().union(tgraph)
+        if not union.entries:
+            return None  # paired a fact against its own negation
+        if check_balancing(union, self.poly) or not union.loops_pairwise_disjoint():
+            return None
+        try:
+            cert = builders.certify_flexible(union, self.poly, [probe, tsweep])
+        except (CertificationError, AssertionError):
+            return None
+        rea = self.axiom_rea(cert, flavor)
+        return self.subtract(rea, node_id)
+
+    def _facts_at_anchor(self, entries, w, target, flavor):
+        """BFS over anchor pairings until the target anchor holds two
+        weight-independent composite facts, as (node id, seed weights) pairs."""
+        probe = builders.build_ray_sweep(self.poly, target[0], target[1], w, 1, 1, target[2])
+        state: dict[tuple, list[int]] = {}
+        for anchor, nid in entries:
+            state.setdefault(anchor, []).append(nid)
+
+        def independent_facts():
+            got = []
+            for nid in state.get(target, []):
+                g = graph_of(self.nodes[nid].conclusion)
+                got.append((nid, (g.weight(probe.leg1), g.weight(probe.leg2))))
+            vecs = [mv for _, mv in got]
+            if any(cross(v1, v2) != 0 for i, v1 in enumerate(vecs) for v2 in vecs[i + 1:]):
+                return got
+            return None
+
+        anchors = self._all_anchors()
+        for _ in range(_ANCHOR_ROUNDS):
+            got = independent_facts()
+            if got is not None:
+                return got
+            for anchor in list(state):
+                for nid in list(state[anchor]):
+                    for t in anchors:
+                        new = self._pair_once(nid, w, t, flavor)
+                        if new is not None:
+                            g = graph_of(self.nodes[new].conclusion)
+                            known = [
+                                graph_of(self.nodes[x].conclusion).entries
+                                for x in state.get(t, [])
+                            ]
+                            if g.entries not in known:
+                                state.setdefault(t, []).append(new)
+        got = independent_facts()
+        if got is None:
+            raise DerivationError("diad", "anchor transport did not reach independence")
+        return got
+
+    def _device_power_fact(self, rs, d: int, flavor) -> int:
+        """Composite fact for the d-th power of a ray sweep at its seed, by the
+        gamma combination algebra."""
+        w = rs.v
+        anchor = (rs.kappa, rs.kappa_prime, rs.orientation)
+        gammas = self._gamma_triple(w, d)
+        for x, gp in gammas:
+            self.pipeline_interior_d(gp, d, flavor)
+        entries = []
+        for x, _ in gammas:
+            nid, ray0 = self._gamma_entry(x, w, flavor)
+            entries.append(((ray0.kappa, ray0.kappa_prime, ray0.orientation), nid))
+        facts = self._facts_at_anchor(entries, w, anchor, flavor)
+        m1 = rs.graph.weight(rs.leg1)
+        m2 = rs.graph.weight(rs.leg2)
+        mat = [[mv[0] for _, mv in facts], [mv[1] for _, mv in facts]]
+        coeffs = solve_int(mat, [d * m1, d * m2])
+        if coeffs is None:
+            raise DerivationError("diad", "device power is not an integer combination")
+        total = None
+        for (nid, _), c in zip(facts, coeffs):
+            if c == 0:
+                continue
+            piece = self.power(nid, c)
+            total = piece if total is None else self.combine(total, piece)
+        if total is None:
+            raise DerivationError("diad", "empty combination")
+        got = graph_of(self.nodes[total].conclusion)
+        want = rs.graph.scaled(d)
+        if got.entries != want.entries:
+            raise DerivationError("diad", "gamma combination does not match the device power")
+        return total
+
+    def pipeline_interior_dd(self, sigma: Segment, d: int, flavor=GEOMETRIC) -> int:
+        """d-th power of any segment twist when the adjoint is d-divisible
+        (with exponent-one bridges at the d-points)."""
+        sigma = seg(*sigma)
+        build = builders.build_interior_graph(self.poly, sigma)
+        devices = [build.notes["device_v"], build.notes["device_w"]]
+        comp = self.axiom_rea(build.certificate, flavor)
+        full_d = self.power(comp, d)
+        for dev in devices:
+            if dev.kind == "none":
+                continue
+            if dev.kind == "chain":
+                for s in dev.graph.entries:
+                    full_d = self.absorb(full_d, s)
+                continue
+            fact = self._device_power_fact(dev.ray, d, flavor)
+            full_d = self.subtract(full_d, fact)
+        return self.terminal(full_d, sigma)
+
+
+pipeline_interior_d = Engine.pipeline_interior_d
+pipeline_interior_dd = Engine.pipeline_interior_dd
+
 
 # ---------------------------------------------------------------------------
 # certificate replay
@@ -933,328 +1234,3 @@ def replay_certificate(data: dict) -> bool:
             raise ReplayError(f"{where}: conclusion mismatch")
         concl[nid] = got
     return True
-
-
-# ---------------------------------------------------------------------------
-# divisible pipelines (powers of twists under a d-divisible adjoint)
-# ---------------------------------------------------------------------------
-
-
-def _graph_residual(graph: WeightedSegmentGraph, at: Point) -> Point:
-    acc = (0, 0)
-    for s, m in graph.entries.items():
-        if at in s:
-            d = primitive(sub(s[1] if at == s[0] else s[0], at))
-            acc = (acc[0] + m * d[0], acc[1] + m * d[1])
-    return acc
-
-
-def _all_anchors(engine: Engine):
-    adj = engine.adjoint
-    out = []
-    for kappa in adj.vertices:
-        for kprime in builders._neighbors_on_boundary(adj, kappa):
-            for orientation in ("kk'", "k'k"):
-                out.append((kappa, kprime, orientation))
-    return out
-
-
-def _device_certificates(engine: Engine, x: Point, w: Point, keep=None):
-    """Certified graphs made of the weight-one chain [x, w] and a pair of end
-    devices at x and w that overlap neither the chain nor each other, in
-    search order: yields (device at x, device at w, certificate)."""
-    from .geometry import primitive_segments_on, lattice_points_on_segment
-
-    poly = engine.poly
-    pieces = primitive_segments_on(x, w)
-    base = WeightedSegmentGraph({s: 1 for s in pieces})
-    devices_w = builders.end_devices(poly, w, primitive(sub(x, w)))
-    for dx in builders.end_devices(poly, x, primitive(sub(w, x))):
-        for dw in devices_w:
-            if keep is not None and not keep(dx, dw):
-                continue
-            if any(dx.graph.weight(s) or dw.graph.weight(s) for s in pieces):
-                continue
-            if any(dx.graph.weight(s) for s in dw.graph.entries):
-                continue
-            g = base.union(dx.graph).union(dw.graph)
-            if check_balancing(g, poly) or not g.loops_pairwise_disjoint():
-                continue
-            zero = [p for p in lattice_points_on_segment(x, w) if poly.side(p) != 0]
-            one = []
-            for dev in (dx, dw):
-                if dev.kind == "chain":
-                    for s in dev.graph.entries:
-                        for p in s:
-                            if poly.side(p) != 0:
-                                zero.append(p)
-                            elif p not in one:
-                                one.append(p)
-            sweeps = [dev.ray for dev in (dx, dw) if dev.ray is not None]
-            try:
-                cert = builders.certify_flexible(g, poly, sweeps, zero, one)
-            except (CertificationError, AssertionError):
-                continue
-            yield dx, dw, cert
-
-
-def _chain_chase(engine: Engine, u: Point, w: Point, flavor) -> int:
-    """Weight-one chain [u, w] balanced by end devices; chasing from the
-    d-point u yields an exponent-one fact for every primitive piece."""
-    from .geometry import lattice_points_on_segment
-
-    last = None
-    for dv, dw, cert in _device_certificates(engine, u, w):
-        if dv.kind == "ray":
-            engine.ensure_leg_facts(dv.ray, flavor)
-        try:
-            comp = engine.axiom_rea(cert, flavor)
-            for s in dv.legs:
-                comp = engine.absorb(comp, s)
-            for p in lattice_points_on_segment(u, w)[:-1]:
-                if engine.poly.side(p) == 0:
-                    raise DerivationError("interior_d", "chain touches the boundary")
-                fid, comp = engine.chase(comp, p)
-            return comp
-        except DerivationError as exc:
-            last = exc
-    raise DerivationError("interior_d", f"devices failed: {last}")
-
-
-def pipeline_interior_d(self, sigma: Segment, d: int, flavor=GEOMETRIC) -> int:
-    """Exponent-one twist for a segment whose line meets the d-divisible
-    points, assuming exponent-one bridges at those points."""
-    from .polygons import divisible_points
-    from .geometry import orient
-
-    sigma = seg(*sigma)
-    hit = self.fact(flavor, self.key_of(sigma))
-    if hit is not None and hit[0] == 1:
-        return hit[1]
-    adj = self.adjoint
-    dpts = divisible_points(adj, d)
-    a, b = sigma
-    online = [p for p in dpts if orient(a, b, p) == 0]
-    if not online:
-        raise DerivationError("interior_d", "segment line misses the d-points")
-    last_error = None
-    for u in sorted(online):
-        for w in (b, a):
-            v = a if w == b else b
-            if u != v and primitive(sub(v, u)) != primitive(sub(w, u)):
-                continue  # sigma must lie on [u, w]
-            if u == w:
-                continue
-            try:
-                _chain_chase(self, u, w, flavor)
-                got = self.fact(flavor, self.key_of(sigma))
-                if got is None or got[0] != 1:
-                    raise DerivationError("interior_d", "chase missed the segment")
-                return got[1]
-            except (DerivationError, CertificationError, ValueError, AssertionError) as exc:
-                last_error = exc
-    raise DerivationError("interior_d", f"no usable configuration: {last_error}")
-
-
-def _gamma_triple(self, w: Point, d: int):
-    """Three primitive segments ending at w whose far chains start at
-    d-divisible points spanning d Z^2, from a unimodular triangle of the
-    homothetic adjoint containing the scaled image of w."""
-    from .polygons import divisible_points
-    from .geometry import lattice_points_on_segment
-    from .homology import canonical_triangulation
-    from fractions import Fraction
-
-    adj = self.adjoint
-    kappa0 = adj.vertices[0]
-    scaled = LatticePolygon(
-        [
-            (
-                kappa0[0] + (p[0] - kappa0[0]) // d,
-                kappa0[1] + (p[1] - kappa0[1]) // d,
-            )
-            for p in adj.vertices
-        ]
-    )
-    if scaled.dimension != 2:
-        raise DerivationError("diad", "scaled adjoint degenerate")
-    tri = canonical_triangulation(scaled)
-    hw = (
-        Fraction(kappa0[0] * (d - 1) + w[0], d),
-        Fraction(kappa0[1] * (d - 1) + w[1], d),
-    )
-    corners = None
-    for cell in tri.cells:
-        if cell.side(hw) >= 0:
-            corners = cell.vertices
-            break
-    if corners is None:
-        raise DerivationError("diad", "no triangle containing the scaled point")
-    xs = [
-        (kappa0[0] + d * (c[0] - kappa0[0]), kappa0[1] + d * (c[1] - kappa0[1]))
-        for c in corners
-    ]
-    gammas = []
-    for x in xs:
-        pts = lattice_points_on_segment(x, w)
-        if len(pts) < 2:
-            raise DerivationError("diad", "scaled corner coincides with the point")
-        gammas.append((x, seg(pts[-2], w)))
-    return gammas
-
-
-def _gamma_entry(self, x: Point, w: Point, flavor):
-    """Composite fact for a ray sweep at w, obtained by stripping the chain
-    [x, w] and the device at the d-point x from an interior_d graph; the
-    x-side must be strippable edge by edge."""
-    from .geometry import primitive_segments_on
-
-    last = None
-    for dx, dw, cert in _device_certificates(
-        self, x, w, lambda dx, dw: dx.kind != "ray" and dw.kind == "ray"
-    ):
-        try:
-            comp = self.axiom_rea(cert, flavor)
-            for s in primitive_segments_on(x, w) + list(dx.graph.entries):
-                comp = self.absorb(comp, s)
-            return comp, dw.ray
-        except DerivationError as exc:
-            last = exc
-    raise DerivationError("diad", f"gamma entry failed: {last}")
-
-
-def _pair_once(self, node_id: int, w: Point, target, flavor) -> int | None:
-    """Pair a composite ray fact at w with the target-anchor sweep whose
-    weights cancel the residual; certify the balanced union and subtract."""
-    graph = graph_of(self.nodes[node_id].conclusion)
-    t_kappa, t_kprime, t_orient = target
-    from .builders import _solve_pair
-
-    try:
-        probe = builders.build_ray_sweep(self.poly, t_kappa, t_kprime, w, 1, 1, t_orient)
-        res = _graph_residual(graph, w)
-        l1 = builders._dir_out(probe.leg1, w)
-        l2 = builders._dir_out(probe.leg2, w)
-        n1, n2 = _solve_pair(l1, l2, (-res[0], -res[1]))
-        tsweep = builders.build_ray_sweep(self.poly, t_kappa, t_kprime, w, n1, n2, t_orient)
-    except (ValueError, AssertionError):
-        return None
-    tgraph = tsweep.graph
-    union = graph.copy().union(tgraph)
-    if not union.entries:
-        return None  # paired a fact against its own negation
-    if check_balancing(union, self.poly) or not union.loops_pairwise_disjoint():
-        return None
-    try:
-        cert = builders.certify_flexible(union, self.poly, [probe, tsweep])
-    except (CertificationError, AssertionError):
-        return None
-    rea = self.axiom_rea(cert, flavor)
-    return self.subtract(rea, node_id)
-
-
-def _ray_weight_coords(rs_probe, graph: WeightedSegmentGraph) -> tuple[int, int]:
-    """Seed weights (m1, m2) of a ray-sweep-shaped graph, read off its legs."""
-    return graph.weight(rs_probe.leg1), graph.weight(rs_probe.leg2)
-
-
-def _facts_at_anchor(self, entries, w, target, flavor, need=2, rounds=3):
-    """BFS over anchor pairings until the target anchor holds ``need``
-    weight-independent composite facts."""
-    from .geometry import cross
-
-    probe = builders.build_ray_sweep(self.poly, target[0], target[1], w, 1, 1, target[2])
-    state: dict[tuple, list[int]] = {}
-    for anchor, nid in entries:
-        state.setdefault(anchor, []).append(nid)
-
-    def target_facts():
-        out = []
-        for nid in state.get(target, []):
-            g = graph_of(self.nodes[nid].conclusion)
-            out.append((nid, _ray_weight_coords(probe, g)))
-        return out
-
-    anchors = _all_anchors(self)
-    for _ in range(rounds):
-        got = target_facts()
-        vecs = [mv for _, mv in got]
-        if any(cross(v1, v2) != 0 for i, v1 in enumerate(vecs) for v2 in vecs[i + 1:]):
-            return got
-        for anchor in list(state):
-            for nid in list(state[anchor]):
-                for t in anchors:
-                    new = _pair_once(self, nid, w, t, flavor)
-                    if new is not None:
-                        g = graph_of(self.nodes[new].conclusion)
-                        known = [
-                            graph_of(self.nodes[x].conclusion).entries
-                            for x in state.get(t, [])
-                        ]
-                        if g.entries not in known:
-                            state.setdefault(t, []).append(new)
-        got = target_facts()
-        vecs = [mv for _, mv in got]
-        if any(cross(v1, v2) != 0 for i, v1 in enumerate(vecs) for v2 in vecs[i + 1:]):
-            return got
-    raise DerivationError("diad", "anchor transport did not reach independence")
-
-
-def _device_power_fact(self, rs, d: int, flavor) -> int:
-    """Composite fact for the d-th power of a ray sweep at its seed, by the
-    gamma combination algebra."""
-    from .intlinalg import solve_int
-
-    w = rs.v
-    anchor = (rs.kappa, rs.kappa_prime, rs.orientation)
-    gammas = _gamma_triple(self, w, d)
-    for x, gp in gammas:
-        pipeline_interior_d(self, gp, d, flavor)
-    entries = []
-    for x, _ in gammas:
-        nid, ray0 = _gamma_entry(self, x, w, flavor)
-        entries.append(((ray0.kappa, ray0.kappa_prime, ray0.orientation), nid))
-    facts = _facts_at_anchor(self, entries, w, anchor, flavor)
-    m1 = rs.graph.weight(rs.leg1)
-    m2 = rs.graph.weight(rs.leg2)
-    mat = [[mv[0] for _, mv in facts], [mv[1] for _, mv in facts]]
-    coeffs = solve_int(mat, [d * m1, d * m2])
-    if coeffs is None:
-        raise DerivationError("diad", "device power is not an integer combination")
-    total = None
-    for (nid, _), c in zip(facts, coeffs):
-        if c == 0:
-            continue
-        piece = self.power(nid, c)
-        total = piece if total is None else self.combine(total, piece)
-    if total is None:
-        raise DerivationError("diad", "empty combination")
-    got = graph_of(self.nodes[total].conclusion)
-    want = rs.graph.scaled(d)
-    if got.entries != want.entries:
-        raise DerivationError("diad", "gamma combination does not match the device power")
-    return total
-
-
-def pipeline_interior_dd(self, sigma: Segment, d: int, flavor=GEOMETRIC) -> int:
-    """d-th power of any segment twist when the adjoint is d-divisible
-    (with exponent-one bridges at the d-points)."""
-    sigma = seg(*sigma)
-    build = builders.build_interior_graph(self.poly, sigma)
-    devices = [build.notes["device_v"], build.notes["device_w"]]
-    comp = self.axiom_rea(build.certificate, flavor)
-    full_d = self.power(comp, d)
-    for dev in devices:
-        if dev.kind == "none":
-            continue
-        if dev.kind == "chain":
-            for s in dev.graph.entries:
-                full_d = self.absorb(full_d, s)
-            continue
-        fact = _device_power_fact(self, dev.ray, d, flavor)
-        full_d = self.subtract(full_d, fact)
-    return self.terminal(full_d, sigma)
-
-
-Engine.pipeline_interior_d = pipeline_interior_d
-Engine.pipeline_interior_dd = pipeline_interior_dd

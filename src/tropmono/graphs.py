@@ -5,8 +5,10 @@ A weighted graph is a finite set of primitive integer segments inside the
 polygon with nonzero integer weights.  It is balanced when at every vertex
 interior to the polygon the weighted outward primitive directions cancel,
 and admissible when on top of that it embeds in a unimodular regular
-subdivision; admissibility is certified by an explicit height witness whose
-replay is machine-checked.
+subdivision; admissibility is certified by an explicit height witness and
+the cells it induces.  ``AdmissibilityCertificate.verify`` is the one check
+of such a certificate (the ``admissible`` rule runs it once per node); it
+decides whether the cells come from the heights with ``verify_subdivision``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .subdivision import (
     subdivision_from_heights,
     trivial_subdivision,
     unimodular_refinement,
+    verify_subdivision,
 )
 
 
@@ -212,7 +215,7 @@ def bridges_at(poly: LatticePolygon, v: Point) -> list[Bridge]:
 @dataclass(frozen=True)
 class AdmissibilityCertificate:
     """Witness that a balanced graph embeds in a unimodular regular
-    subdivision: the height function plus the subdivision it induces.
+    subdivision: the height function and the cells it induces.
 
     ``unbalanced_ok`` lists vertices exempt from the balancing check; the
     one-sided ray-sweep graphs are unbalanced at their seed point by
@@ -221,16 +224,19 @@ class AdmissibilityCertificate:
     graph: WeightedSegmentGraph
     polygon: LatticePolygon
     witness: HeightFunction
-    subdivision: RegularSubdivision
+    cells: tuple[LatticePolygon, ...]
     unbalanced_ok: tuple[Point, ...] = ()
 
     def verify(self) -> bool:
-        replay = subdivision_from_heights(self.polygon, self.witness)
-        if set(replay.cells) != set(self.subdivision.cells):
+        """The one check of a certificate: the witness induces exactly
+        ``cells`` (by verify_subdivision), which are unimodular and contain
+        every graph edge, and the graph is balanced outside ``unbalanced_ok``.
+        Returns False or raises ValueError, so replay of any decoded
+        certificate stays total."""
+        sub_div = verify_subdivision(self.polygon, self.cells, self.witness)
+        if sub_div is None or not sub_div.is_unimodular():
             return False
-        if not replay.is_unimodular():
-            return False
-        edges = replay.edges()
+        edges = sub_div.edges()
         if not all(s in edges for s in self.graph.entries):
             return False
         if check_balancing(self.graph, self.polygon) - set(self.unbalanced_ok):
@@ -242,7 +248,7 @@ class AdmissibilityCertificate:
             "graph": self.graph.to_json(),
             "polygon": self.polygon.to_json(),
             "heights": self.witness.to_json(),
-            "cells": [c.to_json() for c in self.subdivision.cells],
+            "cells": [c.to_json() for c in self.cells],
         }
         if self.unbalanced_ok:
             out["unbalanced_ok"] = [list(p) for p in self.unbalanced_ok]
@@ -250,15 +256,13 @@ class AdmissibilityCertificate:
 
     @staticmethod
     def from_json(data) -> "AdmissibilityCertificate":
+        """Decode only; ``verify`` does the checking."""
         poly = LatticePolygon.from_json(data["polygon"])
         graph = WeightedSegmentGraph.from_json(data["graph"])
         hf = HeightFunction.from_json(data["heights"])
         cells = tuple(LatticePolygon.from_json(c) for c in data["cells"])
-        sub_div = subdivision_from_heights(poly, hf)
-        if set(sub_div.cells) != set(cells):
-            raise ValueError("certificate cells do not replay")
         allow = tuple(tuple(p) for p in data.get("unbalanced_ok", []))
-        return AdmissibilityCertificate(graph, poly, hf, sub_div, allow)
+        return AdmissibilityCertificate(graph, poly, hf, cells, allow)
 
 
 @dataclass(frozen=True)
@@ -280,18 +284,11 @@ class CertificationError(ValueError):
     pass
 
 
-def certify_admissible(
-    graph: WeightedSegmentGraph,
-    poly: LatticePolygon,
-    hint: Hint | None = None,
-    allow_unbalanced_at: frozenset[Point] = frozenset(),
-) -> AdmissibilityCertificate:
-    """Produce a machine-checked admissibility certificate for a balanced
-    weighted graph, or raise CertificationError.
-
-    The checker is sound but not complete: without a usable hint it only
-    tries the canonical refinement of the trivial subdivision.
-    """
+def check_certifiable(
+    graph: WeightedSegmentGraph, poly: LatticePolygon, allow_unbalanced_at=frozenset()
+) -> None:
+    """Raise CertificationError unless the graph is balanced (outside
+    ``allow_unbalanced_at``) and lies in the polygon."""
     bad = check_balancing(graph, poly) - set(allow_unbalanced_at)
     if bad:
         raise CertificationError(f"graph not balanced at {sorted(bad)}")
@@ -299,24 +296,56 @@ def certify_admissible(
         if not poly.contains_segment(s):
             raise CertificationError(f"edge {s} leaves the polygon")
 
-    if hint is None:
-        refined = unimodular_refinement(trivial_subdivision(poly))
-        if refined.edges().issuperset(graph.entries):
-            return AdmissibilityCertificate(
-                graph, poly, refined.witness, refined, tuple(sorted(allow_unbalanced_at))
-            )
-        raise CertificationError("no hint and the canonical refinement misses edges")
 
-    if hint.heights is not None:
-        region_sub = subdivision_from_heights(hint.region, hint.heights)
-        if hint.cells and set(region_sub.cells) != set(hint.cells):
-            raise CertificationError("hint heights do not induce the hint cells")
-    elif hint.cells:
-        needed = [s for s in graph.entries if hint.region.contains_segment(s)]
-        hf = regularity_heights_for(hint.region, hint.cells, required_edges=needed)
+def complete_certificate(
+    graph: WeightedSegmentGraph,
+    poly: LatticePolygon,
+    sub_div: RegularSubdivision,
+    allow_unbalanced_at=frozenset(),
+    stages=(),
+) -> AdmissibilityCertificate:
+    """Extend a subdivision carrying the graph through the polygons
+    ``stages`` to ``poly``, refine it to a unimodular one and check that no
+    graph edge was lost."""
+    for stage in (*stages, poly):
+        sub_div = extend_subdivision(stage, sub_div)
+    refined = unimodular_refinement(sub_div)
+    refined_edges = refined.edges()
+    lost = [s for s in graph.entries if s not in refined_edges]
+    if lost:
+        raise CertificationError(f"refinement lost edges {lost}")
+    return AdmissibilityCertificate(
+        graph, poly, refined.witness, refined.cells, tuple(sorted(allow_unbalanced_at))
+    )
+
+
+def certify_admissible(
+    graph: WeightedSegmentGraph,
+    poly: LatticePolygon,
+    hint: Hint | None = None,
+    allow_unbalanced_at: frozenset[Point] = frozenset(),
+) -> AdmissibilityCertificate:
+    """Produce an admissibility certificate for a balanced weighted graph,
+    or raise CertificationError; the ``admissible`` rule checks it.
+
+    The checker is sound but not complete: without a usable hint it only
+    tries the canonical refinement of the trivial subdivision.
+    """
+    check_certifiable(graph, poly, allow_unbalanced_at)
+    if hint is None:
+        return complete_certificate(graph, poly, trivial_subdivision(poly), allow_unbalanced_at)
+    if hint.cells:
+        hf = hint.heights
         if hf is None:
-            raise CertificationError("hint complex is not regular")
-        region_sub = subdivision_from_heights(hint.region, hf)
+            needed = [s for s in graph.entries if hint.region.contains_segment(s)]
+            hf = regularity_heights_for(hint.region, hint.cells, required_edges=needed)
+            if hf is None:
+                raise CertificationError("hint complex is not regular")
+        region_sub = verify_subdivision(hint.region, hint.cells, hf)
+        if region_sub is None:
+            raise CertificationError("hint heights do not induce the hint cells")
+    elif hint.heights is not None:
+        region_sub = subdivision_from_heights(hint.region, hint.heights)
     else:
         raise CertificationError("empty hint")
 
@@ -324,17 +353,7 @@ def certify_admissible(
     missing = [s for s in graph.entries if s not in region_edges]
     if missing:
         raise CertificationError(f"hint does not support edges {missing}")
-
-    extended = extend_subdivision(poly, region_sub)
-    refined = unimodular_refinement(extended)
-    cert = AdmissibilityCertificate(
-        graph, poly, refined.witness, refined, tuple(sorted(allow_unbalanced_at))
-    )
-    refined_edges = refined.edges()
-    lost = [s for s in graph.entries if s not in refined_edges]
-    if lost:
-        raise CertificationError(f"refinement lost edges {lost}")
-    return cert
+    return complete_certificate(graph, poly, region_sub, allow_unbalanced_at)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Regular (convex) subdivisions of lattice polygons from height functions.
 
-The core primitive is an exact lower-convex-hull computation on lifted
-lattice points (gift wrapping with integer arithmetic after clearing
-denominators).  On top of it sit the regularity decision procedure (exact
-LP), the extension of a subdivision of a subpolygon to the whole polygon,
-unimodular refinement by pulling (integer heights on one shared scale, using
-the same integer plane routine as the hull), and the dual tropical curve.
+Two primitives work on lifted lattice points with integer arithmetic after
+clearing denominators: ``subdivision_from_heights`` computes the lower
+convex hull (gift wrapping), and ``verify_subdivision`` is the one check
+that given cells are the subdivision induced by given heights (admissibility
+certificates, the regularity LP and pulling all use it).  On top of them sit
+the regularity decision procedure (exact LP), the extension of a
+subdivision of a subpolygon to the whole polygon, unimodular refinement by
+pulling (integer heights on one shared scale, using the same integer plane
+routine as the hull), and the dual tropical curve.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .geometry import (
     LatticePolygon,
     Point,
     Segment,
+    convex_hull,
     dot,
     lattice_length,
     lattice_points_on_segment,
@@ -95,8 +99,6 @@ def _norm_plane(plane):
 def _boundary_chain_edges(pts, h):
     """Directed seed edges of the lower hull over each boundary line of the
     projected hull, interior on the left."""
-    from .geometry import convex_hull
-
     hull = convex_hull(pts)
     if len(hull) < 3:
         raise SubdivisionError("support does not span a two-dimensional polygon")
@@ -217,7 +219,7 @@ def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivisio
     queue = list(seeds)
     boundary_keys = {(min(a, b), max(a, b)) for a, b in seeds}
     done_directed: set[tuple[Point, Point]] = set()
-    facets: dict[tuple, list[Point]] = {}
+    facets: dict[tuple, tuple[LatticePolygon, list[Point]]] = {}
 
     while queue:
         a, b = queue.pop()
@@ -236,34 +238,29 @@ def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivisio
         plane = _norm_plane(best_plane)
         if plane in facets:
             continue
-        on = [p for p in pts if _plane_val(plane, p, h) == 0]
+        on = []
         for p in pts:
-            if _plane_val(plane, p, h) < 0:
+            val = _plane_val(plane, p, h)
+            if val < 0:
                 raise AssertionError("gift wrapping produced a non-supporting plane")
-        facets[plane] = on
+            if val == 0:
+                on.append(p)
         cell = LatticePolygon(on)
         if cell.dimension != 2:
             raise AssertionError("degenerate facet")
+        facets[plane] = (cell, on)
         for u, w in cell.edges():
             key = (min(u, w), max(u, w))
             if key not in boundary_keys:
                 queue.append((w, u))
 
-    cells = []
-    planes = []
-    for plane, on in sorted(facets.items(), key=lambda kv: LatticePolygon(kv[1]).vertices):
-        cells.append(LatticePolygon(on))
-        planes.append(plane)
-    total = sum(c.area2() for c in cells)
-    if total != poly.area2():
+    ordered = sorted(facets.items(), key=lambda kv: kv[1][0].vertices)
+    cells = tuple(cell for _, (cell, _) in ordered)
+    if sum(c.area2() for c in cells) != poly.area2():
         raise AssertionError("facets do not tile the polygon")
-    used = set()
-    for plane in facets:
-        for p in pts:
-            if _plane_val(plane, p, h) == 0:
-                used.add(p)
+    used = {p for _, on in facets.values() for p in on}
     unused = tuple(sorted(set(pts) - used))
-    return RegularSubdivision(poly, tuple(cells), hf, tuple(planes), unused)
+    return RegularSubdivision(poly, cells, hf, tuple(plane for plane, _ in ordered), unused)
 
 
 def trivial_subdivision(poly: LatticePolygon) -> RegularSubdivision:
@@ -271,12 +268,15 @@ def trivial_subdivision(poly: LatticePolygon) -> RegularSubdivision:
 
 
 def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivision | None:
-    """Check directly that ``cells`` is the regular subdivision induced by
-    ``heights``: each lifted cell spans a supporting plane of the lifted
-    support touching exactly the cell's points, and the cells tile.
+    """The one check that ``cells`` is the regular subdivision of ``poly``
+    induced by ``heights``: the support spans ``poly``, no cell repeats,
+    each lifted cell spans a supporting plane of the lifted support touching
+    exactly the cell's points, and the cells' areas add up to the polygon's.
 
-    Equivalent to replaying through subdivision_from_heights but cheaper;
-    returns the assembled subdivision or None.
+    Each such cell is a lower facet, distinct facets have disjoint
+    interiors, so full area means every facet is listed (the standard
+    characterisation of a regular subdivision; De Loera, Rambau and Santos,
+    *Triangulations*, 2010).  Returns the assembled subdivision or None.
     """
     hf = heights if isinstance(heights, HeightFunction) else HeightFunction.of(heights)
     hmap = hf.as_dict()
@@ -285,7 +285,7 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
         return None
     h, _ = _cleared(hmap)
     cells = sorted(cells, key=lambda c: c.vertices)
-    if sum(c.area2() for c in cells) != poly.area2():
+    if len(set(cells)) != len(cells) or sum(c.area2() for c in cells) != poly.area2():
         return None
     planes = []
     used = set()
@@ -405,8 +405,7 @@ def regularity_heights_for(
                 raise AssertionError("inconsistent LP heights at a shared vertex")
             heights[v] = val
     hf = HeightFunction.of(heights)
-    replay = subdivision_from_heights(poly, hf)
-    if set(replay.cells) != set(cells):
+    if verify_subdivision(poly, cells, hf) is None:
         raise AssertionError("LP heights do not replay to the prescribed complex")
     return hf
 
@@ -416,9 +415,10 @@ def regularity_heights_for(
 # ---------------------------------------------------------------------------
 
 
-def extend_subdivision(
-    poly: LatticePolygon, inner: RegularSubdivision, max_doublings: int = 80
-) -> RegularSubdivision:
+_MAX_DOUBLINGS = 80
+
+
+def extend_subdivision(poly: LatticePolygon, inner: RegularSubdivision) -> RegularSubdivision:
     """Extend a regular subdivision of a subpolygon to all of ``poly``.
 
     New vertices of ``poly`` are lifted to a common height, doubled until the
@@ -437,7 +437,7 @@ def extend_subdivision(
     base = {p: v - lo + 1 for p, v in base.items()}  # positive values
     want_boundary = set(inner_poly.boundary_segments())
     height = max(base.values()) + 1
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         trial = dict(base)
         for v in new_vertices:
             trial[v] = height

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import tropmono
+from tropmono import builders, graphs, subdivision
 from tropmono.geometry import LatticePolygon, seg
 from tropmono.engine import (
     Engine,
@@ -109,13 +111,44 @@ def _digest(data) -> str:
         (T3, "6a89695aea2baf46bd572f90b147e49b972c5d9de79bfd8af9b95166088421f8"),
         (T4, "50d54b10c9fd62f50be054856673858d07d621c14d55835f3587d16fb185b434"),
         (SQ4, "dc1512df2e047a997e6cad7e0bb5774c29315423c2c68facc4917f77c38e299d"),
+        (T6, "8a3168932283c7c531ed7c95fcc342f7d64212c649d92917ed419236b7778e46"),
     ],
-    ids=["T3", "T4", "SQ4"],
+    ids=["T3", "T4", "SQ4", "T6"],
 )
 def test_certificate_bytes_golden(poly, digest):
     """Derived certificates are pinned byte for byte: changes to the
     arithmetic under the derivation must not change what it emits."""
     assert _digest(Engine(poly).derive_surjectivity()["certificate"]) == digest
+
+
+def test_replay_checks_each_witness_once(monkeypatch):
+    """Replay checks each admissibility certificate once, with
+    verify_subdivision, and never gift-wraps a witness."""
+    cert = Engine(T4).derive_surjectivity()["certificate"]
+    admissible = sum(1 for n in cert["nodes"] if n["rule"] == "admissible")
+    calls = {"verify": 0, "subdivision_from_heights": 0, "verify_subdivision": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(graphs.AdmissibilityCertificate, "verify", "verify")
+    for module in (subdivision, graphs, builders, tropmono):
+        counted(module, "subdivision_from_heights", "subdivision_from_heights")
+    for module in (subdivision, graphs):
+        counted(module, "verify_subdivision", "verify_subdivision")
+    assert replay_certificate(cert)
+    assert admissible > 0
+    assert calls == {
+        "verify": admissible,
+        "subdivision_from_heights": 0,
+        "verify_subdivision": admissible,
+    }
 
 
 def test_interior_d_and_dd_on_sq4():

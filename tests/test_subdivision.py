@@ -150,13 +150,28 @@ def test_dual_curve_examples():
 def test_duality_and_balancing_on_random_heights():
     t4 = LatticePolygon([(0, 0), (4, 0), (0, 4)])
     rng = random.Random(42)
+    order = random.Random(7)
     pts = t4.lattice_points()
+    repeats = 0
     for _ in range(60):
         h = {p: Fraction(rng.randint(0, 12)) for p in pts}
         s = subdivision_from_heights(t4, h)
         assert sum(c.area2() for c in s.cells) == t4.area2()
         replay = subdivision_from_heights(t4, s.witness)
         assert set(replay.cells) == set(s.cells)
+        # verify_subdivision agrees with the gift-wrap reference
+        cells = list(s.cells)
+        order.shuffle(cells)
+        checked = verify_subdivision(t4, cells, h)
+        assert checked == s
+        assert (checked.planes, checked.unused_support) == (s.planes, s.unused_support)
+        assert verify_subdivision(t4, cells[1:], h) is None
+        for i, c in enumerate(cells):
+            for j, other in enumerate(cells):
+                if i != j and c.area2() == other.area2():
+                    repeated = cells[:j] + [c] + cells[j + 1:]
+                    assert verify_subdivision(t4, repeated, h) is None
+                    repeats += 1
         curve = dual_tropical_curve(s)
         faces = s.one_faces()
         inner = sum(1 for _, o in faces if len(o) == 2)
@@ -164,6 +179,7 @@ def test_duality_and_balancing_on_random_heights():
         assert len(curve.vertices) == len(s.cells)
         assert len(curve.edges) == inner and len(curve.rays) == outer
         assert curve.check_balanced()
+    assert repeats > 0
 
 
 def test_subdivision_json_roundtrip():

@@ -24,6 +24,7 @@ from .geometry import (
     lattice_length,
     lattice_points_on_segment,
     orient,
+    point_from_json,
     primitive,
     primitive_segments_on,
     seg,
@@ -155,12 +156,6 @@ class RuleContext:
         return self._surface
 
 
-def _decode_point(x) -> Point:
-    if not (isinstance(x, list) and len(x) == 2 and all(type(c) is int for c in x)):
-        raise ValueError("expected a lattice point [x, y]")
-    return (x[0], x[1])
-
-
 def _seg_json(s: Segment) -> list:
     return [list(s[0]), list(s[1])]
 
@@ -168,7 +163,7 @@ def _seg_json(s: Segment) -> list:
 def _decode_segment(x) -> Segment:
     if not (isinstance(x, list) and len(x) == 2):
         raise ValueError("expected a segment [[x, y], [x, y]]")
-    return seg(_decode_point(x[0]), _decode_point(x[1]))
+    return seg(point_from_json(x[0]), point_from_json(x[1]))
 
 
 def _decode_int(x) -> int:
@@ -180,7 +175,7 @@ def _decode_int(x) -> int:
 # param kind -> (to JSON, from JSON); the kernel sees the decoded values.
 # from_json is looked up per call, so a rebound class attribute is honoured.
 CODECS = {
-    "point": (list, _decode_point),
+    "point": (list, point_from_json),
     "segment": (_seg_json, _decode_segment),
     "int": (int, _decode_int),
     "certificate": (

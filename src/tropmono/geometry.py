@@ -60,6 +60,14 @@ def is_primitive_segment(a: Point, b: Point) -> bool:
     return a != b and lattice_length(a, b) == 1
 
 
+def point_from_json(x) -> Point:
+    """A lattice point decoded from JSON: a list of exactly two ints (bools
+    and floats rejected); ValueError otherwise."""
+    if not (isinstance(x, list) and len(x) == 2 and all(type(c) is int for c in x)):
+        raise ValueError(f"expected a lattice point [x, y], got {x!r}")
+    return (x[0], x[1])
+
+
 def seg(a: Point, b: Point) -> Segment:
     """Canonical (sorted) primitive integer segment with endpoints a, b."""
     a = (int(a[0]), int(a[1]))
@@ -337,7 +345,7 @@ class LatticePolygon:
 
     @staticmethod
     def from_json(data: dict) -> "LatticePolygon":
-        return LatticePolygon([tuple(p) for p in data["vertices"]])
+        return LatticePolygon([point_from_json(p) for p in data["vertices"]])
 
 
 def polygon_from_vertices(points) -> LatticePolygon:

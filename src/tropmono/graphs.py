@@ -20,6 +20,7 @@ from .geometry import (
     Point,
     Segment,
     orient,
+    point_from_json,
     seg,
     seg_dir_from,
     segments_cross,
@@ -115,9 +116,13 @@ class WeightedSegmentGraph:
 
     @staticmethod
     def from_json(data) -> "WeightedSegmentGraph":
+        """Decode ``{"edges": [[[x, y], [x, y], weight], ...]}``: lattice
+        points and integer weights; ValueError otherwise."""
         g = WeightedSegmentGraph()
-        for a, b, m in data["edges"]:
-            g.add(seg(tuple(a), tuple(b)), m)
+        for edge in data["edges"]:
+            if not (isinstance(edge, list) and len(edge) == 3 and type(edge[2]) is int):
+                raise ValueError(f"expected an edge [[x, y], [x, y], weight], got {edge!r}")
+            g.add(seg(point_from_json(edge[0]), point_from_json(edge[1])), edge[2])
         return g
 
 
@@ -261,7 +266,7 @@ class AdmissibilityCertificate:
         graph = WeightedSegmentGraph.from_json(data["graph"])
         hf = HeightFunction.from_json(data["heights"])
         cells = tuple(LatticePolygon.from_json(c) for c in data["cells"])
-        allow = tuple(tuple(p) for p in data.get("unbalanced_ok", []))
+        allow = tuple(point_from_json(p) for p in data.get("unbalanced_ok", []))
         return AdmissibilityCertificate(graph, poly, hf, cells, allow)
 
 

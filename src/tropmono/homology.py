@@ -6,17 +6,24 @@ Loops: the A-cycle over every interior lattice point (its blow-up circle)
 and the double of every primitive integer segment.  Homology is computed
 two ways and cross-checked: cellularly (Smith normal form of the boundary
 maps of the explicit CW structure built from the canonical unimodular
-triangulation; cycle checks walk the sparse columns of d1) and through the symplectic calculus (A-classes are the
-circles, B-classes are doubles of lattice paths to the boundary; a segment
-double has no A-part and its B-coordinates are carried by its interior
-endpoints).  Dehn twists act by Picard-Lefschetz transvections.
+triangulation; cycle checks walk the sparse columns of d1) and through the
+symplectic calculus (A-classes are the circles, B-classes are doubles of
+lattice paths to the boundary; a segment double has no A-part and its
+B-coordinates are carried by its interior endpoints).  The cross-checks
+raise AssertionError explicitly, so they also hold under ``python -O``.
+Dehn twists act by Picard-Lefschetz transvections.
+
+Orders of twist groups mod a prime p come from a deterministic
+Schreier-Sims on the action on row vectors over F_p, with the standard
+basis as base (Seress, *Permutation Group Algorithms*, CUP 2003, ch. 4);
+no group element list is kept.  Standard library only.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from math import isqrt, prod
 
 from .geometry import (
     LatticePolygon,
@@ -24,7 +31,16 @@ from .geometry import (
     Segment,
     seg,
 )
-from .intlinalg import det_unimodular, kernel_basis, matmul, mat_vec, smith_normal_form, snf_diagonal
+from .intlinalg import (
+    IntSolver,
+    det_unimodular,
+    kernel_basis,
+    mat_vec,
+    matmul,
+    smith_normal_form,
+    snf_diagonal,
+)
+from .polygons import analyze
 from .subdivision import RegularSubdivision, trivial_subdivision, unimodular_refinement
 
 
@@ -60,8 +76,6 @@ class SurfaceModel:
     distinguished loops, symplectic basis and twist matrices."""
 
     def __init__(self, poly: LatticePolygon):
-        from .polygons import analyze
-
         analysis, _ = analyze(poly)
         if analysis.genus < 1:
             raise ValueError("genus zero surface has no twist calculus")
@@ -165,7 +179,8 @@ class SurfaceModel:
             for sheet in (0, 1):
                 j = self._side_idx[(e, sheet)]
                 col[j] = -residual[j]
-            assert any(col), "puncture cap with empty boundary"
+            if not any(col):
+                raise AssertionError("puncture cap with empty boundary")
             faces.append(col)
         self._d2_cols = faces
         # closedness and orientability sanity checks
@@ -175,9 +190,11 @@ class SurfaceModel:
         total = [0] * ne
         for col in faces:
             total = [x + y for x, y in zip(total, col)]
-        assert all(x == 0 for x in total), "face orientations are incoherent"
+        if any(total):
+            raise AssertionError("face orientations are incoherent")
         chi = nv - ne + len(faces)
-        assert chi == 2 - 2 * self.genus, f"Euler characteristic {chi}"
+        if chi != 2 - 2 * self.genus:
+            raise AssertionError(f"Euler characteristic {chi}")
         self.euler_characteristic = chi
 
     # -- homology -----------------------------------------------------------
@@ -190,8 +207,6 @@ class SurfaceModel:
         k = len(kb)
         # express boundaries in the cycle basis: solve K x = d2_col
         kt = [[kb[j][i] for j in range(k)] for i in range(ne)]
-        from .intlinalg import IntSolver
-
         self._ksolver = IntSolver(kt)
         cols = []
         for col in self._d2_cols:
@@ -203,9 +218,11 @@ class SurfaceModel:
         u, d, v = smith_normal_form(bmat)
         diag = snf_diagonal(d)
         r = sum(1 for x in diag if x)
-        assert all(abs(x) == 1 for x in diag if x), "torsion in surface homology"
+        if any(abs(x) > 1 for x in diag):
+            raise AssertionError("torsion in surface homology")
         self.h1_rank = k - r
-        assert self.h1_rank == 2 * self.genus, "H1 rank mismatch"
+        if self.h1_rank != 2 * self.genus:
+            raise AssertionError("H1 rank mismatch")
         self._proj_rows = u[r:]  # the rows onto the free rank-2g quotient
 
     def _is_cycle(self, entries) -> bool:
@@ -252,8 +269,6 @@ class SurfaceModel:
 
         def bfs_path(v):
             # prefer paths that avoid other interior points
-            from collections import deque
-
             for allow_interior in (False, True):
                 prev = {v: None}
                 dq = deque([v])
@@ -288,16 +303,14 @@ class SurfaceModel:
             self._b_paths[v] = path
             basis_vectors.append(self._cycle_class_raw(chain))
         mat = [[basis_vectors[j][i] for j in range(len(basis_vectors))] for i in range(self.h1_rank)]
-        assert det_unimodular(mat), "A/B classes do not span the cellular H1"
-        self._ab_matrix = mat
+        if not det_unimodular(mat):
+            raise AssertionError("A/B classes do not span the cellular H1")
+        self._absolver = IntSolver(mat)
 
     def _to_ab(self, raw: list[int]) -> list[int]:
-        from .intlinalg import IntSolver
-
-        if not hasattr(self, "_absolver"):
-            self._absolver = IntSolver(self._ab_matrix)
         x = self._absolver.solve(raw)
-        assert x is not None, "class does not lie in the A/B lattice"
+        if x is None:
+            raise AssertionError("class does not lie in the A/B lattice")
         return x
 
     def _validate_against_cw(self):
@@ -309,7 +322,8 @@ class SurfaceModel:
         for e in sorted(self.triangulation.edges()):
             coords = self._to_ab(self._cycle_class_raw(self._segment_chain(e)))
             a_part, b_part = coords[:g], coords[g:]
-            assert all(x == 0 for x in a_part), f"segment double {e} has an A-part"
+            if any(a_part):
+                raise AssertionError(f"segment double {e} has an A-part")
             expected = {}
             tail, head = e
             if tail in self.a_index:
@@ -322,12 +336,13 @@ class SurfaceModel:
             if not expected:
                 continue
             signs = {got[i] * expected[i] for i in got}
-            assert signs in ({1}, {-1}), f"incoherent endpoint signs for {e}"
+            if signs not in ({1}, {-1}):
+                raise AssertionError(f"incoherent endpoint signs for {e}")
             sign = signs.pop()
             if self._head_sign is None:
                 self._head_sign = sign
-            else:
-                assert self._head_sign == sign, "endpoint sign convention not global"
+            elif self._head_sign != sign:
+                raise AssertionError("endpoint sign convention not global")
         if self._head_sign is None:
             self._head_sign = 1
 
@@ -376,45 +391,133 @@ class SurfaceModel:
 
 
 # ---------------------------------------------------------------------------
-# subgroup enumeration over small fields
+# subgroup orders over prime fields (Schreier-Sims)
 # ---------------------------------------------------------------------------
 
 
+def _vec_mul(v, cols, p: int):
+    """Row vector v times the matrix with the given columns, over F_p."""
+    return tuple(sum(x * y for x, y in zip(v, col)) % p for col in cols)
+
+
+def _mul_mod(a, b, p: int):
+    """Product of two square matrices (tuples of row tuples) over F_p."""
+    cols = tuple(zip(*b))
+    return tuple(_vec_mul(row, cols, p) for row in a)
+
+
+def _inverse_mod(m, p: int):
+    """Inverse of a square matrix over F_p by Gauss-Jordan elimination;
+    ValueError if the matrix is singular mod p."""
+    n = len(m)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            raise ValueError(f"generator is singular mod {p}")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        f = pow(rows[c][c], -1, p)
+        pivot = rows[c] = [x * f % p for x in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], pivot)]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
 def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
-    """Order of the subgroup generated by the matrices modulo p, by BFS
-    closure (numpy-batched)."""
-    if not generators:
+    """Order of the group generated by the integer matrices reduced mod the
+    prime p, by deterministic Schreier-Sims (Seress, *Permutation Group
+    Algorithms*, CUP 2003, ch. 4).
+
+    The group acts on row vectors over F_p.  The base is the standard basis
+    e_1..e_n, which is always a base: only the identity fixes every basis
+    vector.  Level i holds strong generators fixing e_1..e_{i-1} and the
+    orbit of e_i under them, each orbit point x with a transversal element
+    u (e_i u = x) and its inverse; orbits grow on demand, so F_p^n is never
+    listed.  A level is complete when every Schreier generator u_x s
+    u_{xs}^-1 sifts to the identity through the deeper levels; one that does
+    not becomes a strong generator where it dropped out.  A Schreier
+    generator that sifted once keeps sifting, since transversal entries
+    are never replaced, so each is sifted until it passes once.  The order
+    is the product of the basic orbit lengths.
+
+    Generators are reduced mod p and deduplicated; ``[]`` gives 1.  The
+    running product of orbit lengths bounds the order from below, so
+    RuntimeError is raised as soon as it passes ``limit``.  ValueError if p
+    is not prime, the generators are not square matrices of one size, or one
+    is singular mod p.
+    """
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"modulus {p} is not prime")
+    gens = list(dict.fromkeys(tuple(tuple(x % p for x in row) for row in m) for m in generators))
+    if not gens:
         return 1
-    n = len(generators[0])
-    gens = []
-    seen_gen = set()
-    for gmat in generators:
-        arr = np.array(gmat, dtype=np.int64) % p
-        key = arr.tobytes()
-        if key not in seen_gen:
-            seen_gen.add(key)
-            gens.append(arr.astype(np.uint8))
-    ident = np.eye(n, dtype=np.uint8)
-    seen = {ident.tobytes()}
-    frontier = np.stack([ident])
-    total = 1
-    while len(frontier):
-        prods = []
-        for gmat in gens:
-            prod = np.einsum("bij,jk->bik", frontier.astype(np.int64), gmat.astype(np.int64)) % p
-            prods.append(prod.astype(np.uint8))
-        batch = np.concatenate(prods)
-        fresh = []
-        for mat in batch:
-            key = mat.tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(mat)
-        total += len(fresh)
-        if total > limit:
-            raise RuntimeError("subgroup closure exceeded the safety limit")
-        frontier = np.stack(fresh) if fresh else np.empty((0, n, n), dtype=np.uint8)
-    return total
+    n = len(gens[0])
+    if any(len(m) != n or any(len(row) != n for row in m) for m in gens):
+        raise ValueError("generators must be square matrices of one size")
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    strong: list[list[tuple]] = [[] for _ in range(n)]  # (s, s^-1, columns of s)
+    orbits = [{ident[i]: (ident, ident)} for i in range(n)]  # x -> (u, u^-1)
+    passed: list[set] = [set() for _ in range(n)]  # (x, k): Schreier generator sifted
+
+    def add_strong(h, first: int, last: int) -> None:
+        item = (h, _inverse_mod(h, p), tuple(zip(*h)))
+        for i in range(first, last + 1):
+            strong[i].append(item)
+            close_orbit(i)
+
+    def close_orbit(i: int) -> None:
+        orbit = orbits[i]
+        others = prod(len(o) for j, o in enumerate(orbits) if j != i)
+        queue = list(orbit)
+        for x in queue:
+            u, u_inv = orbit[x]
+            for s, s_inv, cols in strong[i]:
+                y = _vec_mul(x, cols, p)
+                if y not in orbit:
+                    orbit[y] = (_mul_mod(u, s, p), _mul_mod(s_inv, u_inv, p))
+                    if others * len(orbit) > limit:
+                        raise RuntimeError("subgroup order exceeded the safety limit")
+                    queue.append(y)
+
+    def sift(h, start: int):
+        """Strip h through levels start.. ; the level where it drops out, or n."""
+        for j in range(start, n):
+            x = h[j]  # e_j h
+            if x == ident[j]:
+                continue
+            entry = orbits[j].get(x)
+            if entry is None:
+                return h, j
+            h = _mul_mod(h, entry[1], p)
+        return h, n
+
+    def first_failure(i: int):
+        """Level that gained a strong generator while checking level i, or None."""
+        orbit = orbits[i]
+        for x, (u, _) in orbit.items():  # levels > i change, level i does not
+            for k, (s, _, cols) in enumerate(strong[i]):
+                if (x, k) in passed[i]:
+                    continue
+                g = _mul_mod(_mul_mod(u, s, p), orbit[_vec_mul(x, cols, p)][1], p)
+                h, j = sift(g, i + 1)
+                if j < n:
+                    add_strong(h, i + 1, j)
+                    return j
+                passed[i].add((x, k))
+        return None
+
+    for s in gens:
+        if s == ident:
+            continue
+        moved = next(i for i in range(n) if s[i] != ident[i])
+        add_strong(s, 0, moved)
+    i = n - 1
+    while i >= 0:
+        j = first_failure(i)
+        i = i - 1 if j is None else j
+    return prod(len(o) for o in orbits)
 
 
 def sp_order(g: int, q: int) -> int:

@@ -26,6 +26,7 @@ from .geometry import (
     lattice_length,
     lattice_points_on_segment,
     orient,
+    point_from_json,
     primitive,
     primitive_segments_on,
     sub,
@@ -63,7 +64,22 @@ class HeightFunction:
 
     @staticmethod
     def from_json(data) -> "HeightFunction":
-        return HeightFunction.of({(x, y): Fraction(n, d) for x, y, n, d in data})
+        """Decode ``[[x, y, num, den], ...]``: integer entries, nonzero
+        denominators, no point twice; ValueError otherwise."""
+        if not isinstance(data, list):
+            raise ValueError("heights must be a list of [x, y, num, den]")
+        values: dict[Point, Fraction] = {}
+        for entry in data:
+            if not (isinstance(entry, list) and len(entry) == 4):
+                raise ValueError(f"expected a height [x, y, num, den], got {entry!r}")
+            p = point_from_json(entry[:2])
+            num, den = entry[2], entry[3]
+            if type(num) is not int or type(den) is not int or den == 0:
+                raise ValueError(f"height of {p} is not a fraction of integers")
+            if p in values:
+                raise ValueError(f"height of {p} given twice")
+            values[p] = Fraction(num, den)
+        return HeightFunction(tuple(sorted(values.items())))
 
 
 def _cleared(heights: dict[Point, Fraction]) -> tuple[dict[Point, int], int]:

@@ -189,6 +189,45 @@ def test_minimal_subdag_replays():
     assert len(sub["nodes"]) < len(e.nodes)
 
 
+@pytest.fixture(scope="module")
+def t4_certificate():
+    return Engine(T4).derive_surjectivity()["certificate"]
+
+
+def _admissible_params(cert):
+    return next(n for n in cert["nodes"] if n["rule"] == "admissible")["params"]["certificate"]
+
+
+def _replace(items, i, f):
+    items[i] = f(items[i])
+
+
+# certificates that decoding used to coerce into valid ones with int()
+UNDECODABLE = {
+    "cell-half-integer-vertex": lambda c: _replace(
+        _admissible_params(c)["cells"][0]["vertices"], 1, lambda v: [v[0] + 0.5, v[1]]),
+    "cell-three-coordinates": lambda c: _replace(
+        _admissible_params(c)["cells"][0]["vertices"], 1, lambda v: v + [1]),
+    "heights-repeated-point": lambda c: _admissible_params(c)["heights"].append(
+        list(_admissible_params(c)["heights"][0])),
+    "graph-half-integer-point": lambda c: _replace(
+        _admissible_params(c)["graph"]["edges"][0], 0, lambda v: [v[0] + 0.5, v[1]]),
+    "graph-float-weight": lambda c: _replace(
+        _admissible_params(c)["graph"]["edges"][0], 2, float),
+    "polygon-bool-coordinate": lambda c: _replace(
+        c["polygon"]["vertices"], 0, lambda v: [bool(v[0]), v[1]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_strict_decoding_rejects_coercible_corruption(case, t4_certificate):
+    cert = json.loads(json.dumps(t4_certificate))
+    UNDECODABLE[case](cert)
+    assert json.dumps(cert) != json.dumps(t4_certificate)  # False == 0 and 1.0 == 1 in Python
+    with pytest.raises(ReplayError):
+        replay_certificate(cert)
+
+
 def corruptible_paths(obj, path=()):
     """Paths to the pinned integer fields of a certificate.
 

@@ -1,8 +1,13 @@
+import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tropmono.homology
 from tropmono.geometry import LatticePolygon, seg
 from tropmono.graphs import build_snake
 from tropmono.homology import (
@@ -85,13 +90,146 @@ def test_trivial_class_gives_identity_twist():
     assert m == [[1, 0], [0, 1]]
 
 
-def test_sl2_orders():
+def bfs_order(generators, p, cap):
+    """Oracle: the order of the group the matrices generate mod p, by
+    breadth-first closure from the identity under right multiplication
+    (every element kept); None once more than ``cap`` elements are seen."""
+    gen_cols = [list(zip(*(tuple(x % p for x in row) for row in m))) for m in generators]
+    n = len(generators[0])
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for cols in gen_cols:
+                b = tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols) for row in a)
+                if b not in seen:
+                    seen.add(b)
+                    fresh.append(b)
+                    if len(seen) > cap:
+                        return None
+        frontier = fresh
+    return len(seen)
+
+
+def sl2_twists():
     s = SurfaceModel(T3)
     ma = s.dehn_twist_matrix(Loop.acycle((1, 1)))
     mb = s.dehn_twist_matrix(Loop.of_segment(seg((0, 0), (1, 1))))
-    assert subgroup_order_mod_p([ma, mb], 2) == 6
-    assert subgroup_order_mod_p([ma, mb], 3) == 24
-    assert subgroup_order_mod_p([ma], 2) == 2
+    return ma, mb
+
+
+def snake_twists(poly):
+    """The twists of the snake chain, its A-cycles and its bridge."""
+    s = SurfaceModel(poly)
+    sn = build_snake(poly)
+    family = []
+    for i, c in enumerate(sn.chain):
+        family.append(Loop.of_segment(c))
+        family.append(Loop.acycle(sn.points[i + 1]))
+    family.append(Loop.of_segment(sn.bridge))
+    return [s.dehn_twist_matrix(l) for l in family]
+
+
+def all_twists(poly):
+    """Distinct twists of every A-cycle and of the double of every edge of
+    the canonical triangulation (boundary edges give the identity)."""
+    s = SurfaceModel(poly)
+    loops = [Loop.acycle(v) for v in s.interior_colex]
+    loops += [Loop.of_segment(e) for e in sorted(s.triangulation.edges())]
+    mats = []
+    for loop in loops:
+        m = s.dehn_twist_matrix(loop)
+        if m not in mats:
+            mats.append(m)
+    return mats
+
+
+def test_sl2_orders():
+    ma, mb = sl2_twists()
+    for gens, p, order in (([ma, mb], 2, 6), ([ma, mb], 3, 24), ([ma], 2, 2)):
+        assert subgroup_order_mod_p(gens, p) == order == bfs_order(gens, p, 10**4)
+    # SL(2, F_5) from the two elementary transvections
+    gens = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+    assert subgroup_order_mod_p(gens, 5) == 120 == bfs_order(gens, 5, 10**4)
+
+
+def test_subgroup_order_matches_bfs_on_seeded_twist_subsets():
+    """Seeded subsets of the T3 and T4 twists mod 2 and mod 3, in seeded
+    order with repeats (up to six mod 2, four mod 3); only subsets whose
+    closure stays under 2*10^4 elements are compared, and at least half of
+    each batch must be."""
+    rng = random.Random(23)
+    for poly in (T3, T4):
+        twists = all_twists(poly)
+        for p in (2, 3):
+            compared = 0
+            for _ in range(8):
+                gens = [rng.choice(twists) for _ in range(rng.randint(1, 6 if p == 2 else 4))]
+                oracle = bfs_order(gens, p, 2 * 10**4)
+                if oracle is not None:
+                    assert subgroup_order_mod_p(gens, p) == oracle, (gens, p)
+                    compared += 1
+            assert compared >= 4
+
+
+def test_sp6_f2_order_under_seeded_generator_orders():
+    mats = snake_twists(T4)
+    assert len(mats) == 7
+    for seed in range(20):
+        order = list(range(7))
+        random.Random(seed).shuffle(order)
+        assert subgroup_order_mod_p([mats[i] for i in order], 2) == sp_order(3, 2) == 1451520
+
+
+def test_subgroup_order_contract():
+    assert subgroup_order_mod_p([], 2) == 1
+    ma, mb = sl2_twists()
+    # reduced mod p and deduplicated: ma + 2 I equals ma mod 2
+    shifted = [[x + 2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(ma)]
+    assert subgroup_order_mod_p([ma, shifted, ma, mb], 2) == 6
+    assert subgroup_order_mod_p([[[1, 0], [0, 1]]], 3) == 1
+    with pytest.raises(ValueError, match="singular"):
+        subgroup_order_mod_p([ma, [[1, 1], [1, 3]]], 2)  # det 2
+    with pytest.raises(ValueError):
+        subgroup_order_mod_p([ma], 4)
+    with pytest.raises(ValueError):
+        subgroup_order_mod_p([ma, [[1]]], 2)
+    with pytest.raises(RuntimeError):
+        subgroup_order_mod_p(snake_twists(T4), 2, limit=1000)
+    assert subgroup_order_mod_p([ma, mb], 3, limit=24) == 24
+
+
+def test_subgroup_order_matches_sympy_permutation_group():
+    """Cross-check on the permutation action on F_p^n minus zero."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    t4 = snake_twists(T4)
+    for gens, p in ((t4, 2), (t4[:4], 3), (list(sl2_twists()), 3)):
+        n = len(gens[0])
+        points = [v for v in itertools.product(range(p), repeat=n) if any(v)]
+        index = {v: i for i, v in enumerate(points)}
+        perms = []
+        for m in gens:
+            cols = list(zip(*m))
+            image = [index[tuple(sum(x * y for x, y in zip(v, col)) % p for col in cols)] for v in points]
+            perms.append(combinatorics.Permutation(image))
+        assert subgroup_order_mod_p(gens, p) == combinatorics.PermutationGroup(perms).order()
+
+
+def test_cli_import_loads_no_numpy():
+    """tropmono has no third-party runtime dependency."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import tropmono.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_homology_checks_are_not_assert_statements():
+    """The SurfaceModel cross-checks raise explicitly, so python -O keeps them."""
+    tree = ast.parse(open(tropmono.homology.__file__).read())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
 def test_chain_rule_identity_on_snake_head():

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .geometry import LatticePolygon, seg
+from .geometry import LatticePolygon, point_from_json, seg
 from .polygons import SmoothnessError, analyze
 from .subdivision import (
     HeightFunction,
@@ -44,13 +44,11 @@ def _load_polygon(path: str) -> LatticePolygon:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        raw = [tuple(int(c) for c in p) for p in data["vertices"]]
+        raw = [point_from_json(p) for p in data["vertices"]]
         poly = LatticePolygon(raw)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read polygon: {exc}")
-    hull = {tuple(p) for p in poly.vertices}
-    if not set(raw) <= set(poly.lattice_points()):
-        raise InputError("vertex list is not convex")
+    hull = set(poly.vertices)
     for p in raw:
         if p not in hull and poly.side(p) != 0:
             raise InputError("vertex list is not convex")

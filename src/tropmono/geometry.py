@@ -2,7 +2,11 @@
 unimodular affine maps and convex lattice polygons.
 
 Everything here is integer arithmetic; no floats anywhere.  Points are plain
-``(x, y)`` tuples so they hash, sort and serialize trivially.
+``(x, y)`` tuples so they hash, sort and serialize trivially.  A
+two-dimensional polygon also carries its half-plane description (one
+primitive inward normal and offset per edge, built on first use): membership
+tests evaluate it, and lattice enumeration walks the columns between the
+half-planes, so it costs the number of points, not the bounding box.
 """
 
 from __future__ import annotations
@@ -227,7 +231,7 @@ class LatticePolygon:
     vertex, so equal polygons compare equal.
     """
 
-    __slots__ = ("vertices", "_lattice_cache")
+    __slots__ = ("vertices", "_lattice_cache", "_halfplanes")
 
     def __init__(self, points):
         hull = convex_hull(points)
@@ -236,6 +240,7 @@ class LatticePolygon:
             hull = hull[k:] + hull[:k]
         object.__setattr__(self, "vertices", tuple(hull))
         object.__setattr__(self, "_lattice_cache", None)
+        object.__setattr__(self, "_halfplanes", None)
 
     # -- basic structure ---------------------------------------------------
 
@@ -270,10 +275,30 @@ class LatticePolygon:
         v = self.vertices
         return abs(sum(cross(v[i], v[(i + 1) % len(v)]) for i in range(len(v))))
 
+    def halfplanes(self) -> tuple[tuple[int, int, int], ...]:
+        """``(a, b, c)`` per edge, in edge order, with ``(a, b)`` the
+        primitive inward normal: the polygon is the set of ``(x, y)`` with
+        ``a*x + b*y >= c`` for all of them.  Two-dimensional polygons only;
+        built on first use, so polygons never asked for it do not pay."""
+        hp = self._halfplanes
+        if hp is None:
+            if self.dimension != 2:
+                raise ValueError("half-planes need a two-dimensional polygon")
+            out = []
+            for (x0, y0), (x1, y1) in self.edges():
+                dx, dy = x1 - x0, y1 - y0
+                g = gcd(dx, dy)
+                a, b = -dy // g, dx // g  # left of a ccw edge
+                out.append((a, b, a * x0 + b * y0))
+            hp = tuple(out)
+            object.__setattr__(self, "_halfplanes", hp)
+        return hp
+
     # -- membership --------------------------------------------------------
 
-    def side(self, p: Point) -> int:
-        """+1 strictly inside, 0 on the boundary, -1 outside."""
+    def side(self, p) -> int:
+        """+1 strictly inside, 0 on the boundary, -1 outside.  The point may
+        have ``Fraction`` coordinates."""
         v = self.vertices
         if len(v) == 1:
             return 0 if p == v[0] else -1
@@ -281,12 +306,13 @@ class LatticePolygon:
             if orient(v[0], v[1], p) != 0:
                 return -1
             return 0 if dot(sub(p, v[0]), sub(p, v[1])) <= 0 else -1
+        x, y = p
         res = 1
-        for a, b in self.edges():
-            o = orient(a, b, p)
-            if o < 0:
+        for a, b, c in self._halfplanes or self.halfplanes():
+            s = a * x + b * y
+            if s < c:
                 return -1
-            if o == 0:
+            if s == c:
                 res = 0
         return res
 
@@ -299,17 +325,26 @@ class LatticePolygon:
     # -- lattice point enumeration -----------------------------------------
 
     def lattice_points(self) -> list[Point]:
-        """All lattice points of the polygon, sorted lexicographically."""
+        """All lattice points of the polygon, sorted lexicographically.
+
+        Each column x runs from the highest lower bound to the lowest upper
+        bound that the half-planes put on y, with exact integer ceil/floor.
+        """
         cache = self._lattice_cache
         if cache is None:
-            xs = [p[0] for p in self.vertices]
-            ys = [p[1] for p in self.vertices]
-            cache = sorted(
-                (x, y)
-                for x in range(min(xs), max(xs) + 1)
-                for y in range(min(ys), max(ys) + 1)
-                if self.side((x, y)) >= 0
-            )
+            v = self.vertices
+            if len(v) < 3:
+                cache = lattice_points_on_segment(v[0], v[-1])
+            else:
+                hp = self.halfplanes()
+                below = [(a, b, c) for a, b, c in hp if b > 0]  # y >= (c - a x) / b
+                above = [(a, b, c) for a, b, c in hp if b < 0]  # y <= (c - a x) / b
+                cache = []
+                # vertical edges (b == 0) bound only the x range itself
+                for x in range(min(p[0] for p in v), max(p[0] for p in v) + 1):
+                    lo = max(-((a * x - c) // b) for a, b, c in below)
+                    hi = min((c - a * x) // b for a, b, c in above)
+                    cache.extend((x, y) for y in range(lo, hi + 1))
             object.__setattr__(self, "_lattice_cache", cache)
         return list(cache)
 

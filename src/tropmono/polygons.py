@@ -7,13 +7,20 @@ geometric one is surjective iff the adjoint is a point or has no non-trivial
 root, the algebraic one tolerates odd root orders.  Genus-zero polygons are
 out of scope and the one-dimensional adjoint (hyperelliptic) case is
 reported as deferred.
+
+A verdict costs O(#edges), whatever the area: the adjoint is the polygon's
+half-planes moved in by one (see ``adjoint_polygon``), the genus comes from
+Pick's formula and the divisors from trial division of the root order.  No
+lattice point is enumerated on that path.  Internal consistency checks raise
+``AssertionError`` explicitly, so they also hold under ``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import gcd
+from fractions import Fraction
+from math import gcd, isqrt
 
 from .geometry import (
     LatticePolygon,
@@ -22,7 +29,6 @@ from .geometry import (
     add,
     cross,
     primitive,
-    smul,
     sub,
 )
 
@@ -46,23 +52,59 @@ def is_smooth(poly: LatticePolygon) -> bool:
     return True
 
 
+def _quotient(num, den):
+    """num / den exactly: an int when den divides num, else a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _clip(region: list, a: int, b: int, c: int) -> list:
+    """The part of a convex polygon (vertex list, possibly degenerate, exact
+    coordinates) where a*x + b*y >= c."""
+    out = []
+    for i, p in enumerate(region):
+        q = region[i - 1]
+        fp = a * p[0] + b * p[1] - c
+        fq = a * q[0] + b * q[1] - c
+        if (fq < 0 < fp) or (fp < 0 < fq):  # the crossing (fq p - fp q) / (fq - fp)
+            out.append(tuple(_quotient(fq * pc - fp * qc, fq - fp) for pc, qc in zip(p, q)))
+        if fp >= 0:
+            out.append(p)
+    return out
+
+
 def adjoint_polygon(poly: LatticePolygon) -> LatticePolygon | None:
-    """Convex hull of the interior lattice points; None when there are none."""
+    """Convex hull of the interior lattice points; None when there are none.
+
+    Computed without enumeration as Q, the intersection of the half-planes
+    <n_i, x> >= c_i + 1 (the polygon is <n_i, x> >= c_i with primitive
+    integer n_i, so c_i is an integer), by exact clipping of the polygon:
+
+    - every interior lattice point x has <n_i, x> > c_i, hence >= c_i + 1
+      since the values are integers, so it lies in Q;
+    - so an empty Q means there are no interior points;
+    - when every vertex of Q is integral, each vertex satisfies every
+      <n_i, x> > c_i, so it is an interior lattice point, and Q is the
+      hull of the interior lattice points.
+
+    Only when a vertex of Q is not integral are the interior points
+    enumerated.
+    """
     if poly.dimension != 2:
         raise ValueError("adjoint needs a two-dimensional polygon")
+    region = list(poly.vertices)
+    for a, b, c in poly.halfplanes():
+        region = _clip(region, a, b, c + 1)
+        if not region:
+            return None
+    if all(x.denominator == 1 and y.denominator == 1 for x, y in region):
+        return LatticePolygon(region)
     pts = poly.interior_points()
-    if not pts:
-        return None
-    return LatticePolygon(pts)
+    return LatticePolygon(pts) if pts else None
 
 
 def normal_fan_rays(poly: LatticePolygon) -> list[Point]:
     """Primitive outward normals of the edges, in edge order."""
-    rays = []
-    for a, b in poly.edges():
-        d = primitive(sub(b, a))
-        rays.append((d[1], -d[0]))  # outward normal of a ccw edge
-    return rays
+    return [(-a, -b) for a, b, _ in poly.halfplanes()]
 
 
 def self_intersections(poly: LatticePolygon) -> list[int]:
@@ -90,16 +132,17 @@ def self_intersections(poly: LatticePolygon) -> list[int]:
     return out
 
 
-def adjoint_edge_lengths_valid(poly: LatticePolygon) -> bool:
+def adjoint_edge_lengths_valid(
+    poly: LatticePolygon, adj: LatticePolygon | None = None
+) -> bool:
     """Cross-check: for each edge the adjoint edge with the same outward
-    normal has lattice length l - D^2 - 2 (0 meaning no such edge)."""
-    adj = adjoint_polygon(poly)
+    normal has lattice length l - D^2 - 2 (0 meaning no such edge).  ``adj``
+    is the adjoint of ``poly`` when the caller has built it already."""
+    if adj is None:
+        adj = adjoint_polygon(poly)
     if adj is None or adj.dimension != 2:
         return True
-    adj_by_normal = {}
-    for a, b in adj.edges():
-        d = primitive(sub(b, a))
-        adj_by_normal[(d[1], -d[0])] = gcd(abs(b[0] - a[0]), abs(b[1] - a[1]))
+    adj_by_normal = dict(zip(normal_fan_rays(adj), adj.edge_lengths()))
     lengths = poly.edge_lengths()
     selfints = self_intersections(poly)
     for ray, l, dsq in zip(normal_fan_rays(poly), lengths, selfints):
@@ -122,35 +165,35 @@ def root_order(adjoint: LatticePolygon | None) -> int:
     return g
 
 
+def divisors_from_2(n: int) -> list[int]:
+    """The divisors d >= 2 of n >= 1, ascending, by trial division to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if d * d != n]
+    return (small + large)[1:]
+
+
 def divisibility(adjoint: LatticePolygon) -> list[tuple[int, list[Point]]]:
     """All d >= 2 for which the homothety by 1/d at a vertex keeps the adjoint
     a lattice polygon, with the pulled-back lattice point sets.
 
-    The result does not depend on the chosen vertex; this is asserted.
+    These d are the divisors of the gcd of the coordinates of the vertex
+    differences, which is the gcd n of the edge lengths.  The homothety at a
+    vertex kappa pulls back the adjoint's lattice points congruent to kappa
+    mod d.  The set does not depend on the vertex: that holds iff every
+    vertex is congruent to kappa mod d, i.e. lies in the set, which is
+    checked.
     """
     if adjoint.dimension != 2:
         raise ValueError("divisibility needs a two-dimensional adjoint")
-    results = None
-    for kappa in adjoint.vertices:
-        g = 0
-        for v in adjoint.vertices:
-            d = sub(v, kappa)
-            g = gcd(g, gcd(abs(d[0]), abs(d[1])))
-        mine = []
-        for d in range(2, g + 1):
-            if g % d:
-                continue
-            scaled = LatticePolygon(
-                [add(kappa, (dx // d, dy // d)) for v in adjoint.vertices
-                 for dx, dy in [sub(v, kappa)]]
-            )
-            pts = [add(kappa, smul(d, sub(q, kappa))) for q in scaled.lattice_points()]
-            mine.append((d, sorted(pts)))
-        if results is None:
-            results = mine
-        else:
-            assert results == mine, "divisibility depends on the vertex"
-    return results or []
+    kx, ky = adjoint.vertices[0]
+    points = adjoint.lattice_points()
+    results = []
+    for d in divisors_from_2(root_order(adjoint)):
+        pts = [p for p in points if (p[0] - kx) % d == 0 and (p[1] - ky) % d == 0]
+        if not set(adjoint.vertices) <= set(pts):
+            raise AssertionError("divisibility depends on the vertex")
+        results.append((d, pts))
+    return results
 
 
 def divisible_points(adjoint: LatticePolygon, d: int) -> list[Point]:
@@ -230,8 +273,8 @@ class Verdict:
     reason: str = ""
 
     def __post_init__(self):
-        if self.mu is Surjectivity.YES:
-            assert self.algebraic_mu is Surjectivity.YES
+        if self.mu is Surjectivity.YES and self.algebraic_mu is not Surjectivity.YES:
+            raise AssertionError("a surjective geometric map forces a surjective algebraic one")
 
     def to_json(self) -> dict:
         out = {"mu": self.mu.value, "algebraic_mu": self.algebraic_mu.value}
@@ -276,8 +319,8 @@ def analyze(poly: LatticePolygon) -> tuple[PolygonAnalysis, Verdict]:
     if not is_smooth(poly):
         raise SmoothnessError("polygon not smooth")
     adj = adjoint_polygon(poly)
-    g = len(poly.interior_points())
-    b = len(poly.boundary_points())
+    b = sum(poly.edge_lengths())
+    g = (poly.area2() - b + 2) // 2  # Pick
     if adj is None:
         analysis = PolygonAnalysis(0, b, None, -1, 1, True)
         verdict = Verdict(
@@ -288,10 +331,11 @@ def analyze(poly: LatticePolygon) -> tuple[PolygonAnalysis, Verdict]:
     n = root_order(adj)
     divisors: tuple[int, ...] = ()
     if d == 2:
-        assert is_smooth(adj), "two-dimensional adjoint of a smooth polygon is smooth"
-        divisors = tuple(dd for dd, _ in divisibility(adj))
+        if not is_smooth(adj):
+            raise AssertionError("two-dimensional adjoint of a smooth polygon is not smooth")
+        divisors = tuple(divisors_from_2(n))  # the d of divisibility(adj)
     analysis = PolygonAnalysis(
-        g, b, adj, d, n, True, divisors, adjoint_edge_lengths_valid(poly)
+        g, b, adj, d, n, True, divisors, adjoint_edge_lengths_valid(poly, adj)
     )
     if d == 0:
         verdict = Verdict(Surjectivity.YES, Surjectivity.YES)

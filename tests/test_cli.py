@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -40,6 +41,44 @@ def test_invalid_inputs_exit_2(polyfile, capsys):
     nonsmooth = polyfile("ns.json", [[0, 0], [2, 0], [1, 2]])
     code, _ = run(capsys, ["analyze", nonsmooth])
     assert code == 2
+
+
+@pytest.mark.parametrize("vertex", [[4.7, 0], [4, 0, 9], [True, 0]],
+                         ids=["float", "three-coordinates", "bool"])
+def test_malformed_vertex_exit_2(vertex, polyfile, capsys):
+    path = polyfile("bad.json", [[0, 0], vertex, [0, 4]])
+    assert main(["verdict", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a lattice point" in captured.err
+
+
+# sha256 of the `tropmono analyze` output, pinned from the enumerating
+# implementation that the half-plane one replaced.
+ANALYZE_GOLDEN = {
+    "T3": ([[0, 0], [3, 0], [0, 3]],
+           "bd85536dc22f49924d4f58ba10b4d4eb52bdf6382acc085243535a0493f23d2f"),
+    "T4": ([[0, 0], [4, 0], [0, 4]],
+           "dffea2a4fe0f5b7e91297f17fc9746309bd1396f62a9dd2155f4cfdfd06d3121"),
+    "SQ4": ([[0, 0], [4, 0], [4, 4], [0, 4]],
+            "995790ba7313e08f51a7167df8908a161479f1e453b8fa2e93e20aac60ab175a"),
+    "T6": ([[0, 0], [6, 0], [0, 6]],
+           "9fb9ee7a6c05721f2b98690e3f90795dc0e7b53f6f64d5641455a2666945bb9a"),
+    "T300": ([[0, 0], [300, 0], [0, 300]],
+             "dd0b0173a5d1822cb661bd6556839d125fbe769b088d5bdc98145bf6d4b8209c"),
+    "R300x202": ([[0, 0], [300, 0], [300, 202], [0, 202]],
+                 "19893be8259595fb4b41ded39fbee9266b334ebc61c89358088768e2cff02d04"),
+    "HEX250": ([[1, 0], [250, 0], [250, 1], [1, 250], [0, 250], [0, 1]],
+               "fced8574d832494575e005b1e84f9f48780269723a7aeb5ced8a841963297dac"),
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYZE_GOLDEN))
+def test_analyze_output_golden(name, polyfile, capsys):
+    vertices, digest = ANALYZE_GOLDEN[name]
+    code, out = run(capsys, ["analyze", polyfile(f"{name}.json", vertices)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_certify_segment(polyfile, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,13 +7,16 @@ from tropmono.geometry import (
     LatticePolygon,
     UnimodularMap,
     convex_hull,
+    dot,
     lattice_points_on_segment,
+    orient,
     pick_check,
     polygon_from_vertices,
     primitive,
     primitive_segments_on,
     seg,
     segments_cross,
+    sub,
 )
 
 
@@ -108,3 +112,61 @@ def test_primitive():
     assert primitive((4, -6)) == (2, -3)
     with pytest.raises(ValueError):
         primitive((0, 0))
+
+
+def reference_side(poly, p):
+    """Membership by orientation against every edge, as before the
+    half-plane description."""
+    v = poly.vertices
+    if len(v) == 1:
+        return 0 if p == v[0] else -1
+    if len(v) == 2:
+        if orient(v[0], v[1], p) != 0:
+            return -1
+        return 0 if dot(sub(p, v[0]), sub(p, v[1])) <= 0 else -1
+    signs = [orient(a, b, p) for a, b in poly.edges()]
+    return -1 if min(signs) < 0 else (0 if 0 in signs else 1)
+
+
+def random_polygon(rng):
+    """Hulls of random points, with points and segments as well."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return LatticePolygon([(rng.randint(-5, 5), rng.randint(-5, 5))])
+    if kind == 1:
+        o = (rng.randint(-5, 5), rng.randint(-5, 5))
+        d = (rng.randint(-3, 3), rng.randint(-3, 3))
+        return LatticePolygon([(o[0] + t * d[0], o[1] + t * d[1]) for t in rng.sample(range(-3, 4), 2)])
+    pts = [(rng.randint(-7, 7), rng.randint(-6, 6)) for _ in range(rng.randint(3, 9))]
+    return LatticePolygon(pts)
+
+
+def test_row_walk_and_half_planes_match_bounding_box_reference():
+    rng = random.Random(11)
+    dims = {0: 0, 1: 0, 2: 0}
+    for _ in range(300):
+        poly = random_polygon(rng)
+        dims[poly.dimension] += 1
+        xs = [p[0] for p in poly.vertices]
+        ys = [p[1] for p in poly.vertices]
+        box = [(x, y) for x in range(min(xs) - 1, max(xs) + 2)
+               for y in range(min(ys) - 1, max(ys) + 2)]
+        assert poly.lattice_points() == [p for p in box if reference_side(poly, p) >= 0]
+        assert all(poly.side(p) == reference_side(poly, p) for p in box)
+        for _ in range(20):
+            q = (Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4))),
+                 Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4))))
+            assert poly.side(q) == reference_side(poly, q)
+        for a, b in poly.edges():  # Fraction points on the edges themselves
+            mid = (Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2))
+            assert poly.side(mid) == reference_side(poly, mid) == 0
+    assert min(dims.values()) >= 30
+
+
+def test_half_planes_are_primitive_inward_and_tight():
+    poly = LatticePolygon([(0, 0), (4, 0), (0, 6)])
+    assert poly.halfplanes() == ((0, 1, 0), (-3, -2, -12), (1, 0, 0))
+    for (a, b, c), (p, q) in zip(poly.halfplanes(), poly.edges()):
+        assert a * p[0] + b * p[1] == c == a * q[0] + b * q[1]
+    with pytest.raises(ValueError):
+        LatticePolygon([(0, 0), (2, 2)]).halfplanes()

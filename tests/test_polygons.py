@@ -1,15 +1,22 @@
+import ast
+import json
 import random
+from math import gcd
 
 import pytest
 
-from tropmono.geometry import LatticePolygon, UnimodularMap
+import tropmono.polygons
+from tropmono.cli import main
+from tropmono.geometry import LatticePolygon, UnimodularMap, lattice_length, primitive, sub
 from tropmono.polygons import (
     SmoothnessError,
     Surjectivity,
+    Verdict,
     adjoint_edge_lengths_valid,
     adjoint_polygon,
     analyze,
     divisibility,
+    divisors_from_2,
     is_smooth,
     normalize_at_vertex,
     root_order,
@@ -162,3 +169,135 @@ def test_normalize_already_normalized_is_identity():
     f, img = normalize_at_vertex(shifted, (0, 0))
     assert f.m == ((1, 0), (0, 1)) and f.t == (0, 0)
     assert img == shifted
+
+
+# -- enumeration oracle --------------------------------------------------------
+
+
+def adjoint_oracle(poly):
+    pts = poly.interior_points()
+    return LatticePolygon(pts) if pts else None
+
+
+def divisibility_oracle(adjoint):
+    """Per vertex kappa and d >= 2 dividing every vertex difference: the
+    lattice points of the adjoint shrunk by 1/d at kappa, scaled back up.
+    Every vertex must give the same list."""
+    results = None
+    for kx, ky in adjoint.vertices:
+        g = gcd(*(c for v in adjoint.vertices for c in (v[0] - kx, v[1] - ky)))
+        mine = []
+        for d in range(2, g + 1):
+            if g % d == 0:
+                scaled = LatticePolygon(
+                    [(kx + (v[0] - kx) // d, ky + (v[1] - ky) // d) for v in adjoint.vertices])
+                mine.append((d, sorted((kx + d * (q[0] - kx), ky + d * (q[1] - ky))
+                                       for q in scaled.lattice_points())))
+        assert results is None or results == mine
+        results = mine
+    return results
+
+
+def analysis_oracle_json(poly):
+    adj = adjoint_oracle(poly)
+    b = len(poly.boundary_points())
+    if adj is None:
+        return {"g": 0, "b": b, "d": -1, "n": 1, "smooth": True, "divisors": [],
+                "adjoint": None, "adjoint_lengths_valid": True}
+    divisors = [d for d, _ in divisibility_oracle(adj)] if adj.dimension == 2 else []
+    return {"g": len(poly.interior_points()), "b": b, "d": adj.dimension,
+            "n": root_order(adj), "smooth": True, "divisors": divisors,
+            "adjoint": adj.to_json(),
+            "adjoint_lengths_valid": adjoint_edge_lengths_valid(poly, adj)}
+
+
+def random_unimodular(rng):
+    m = ((1, 0), (0, 1))
+    for _ in range(3):
+        s = rng.randint(-2, 2)
+        e = rng.choice((((1, s), (0, 1)), ((1, 0), (s, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1))))
+        m = tuple(tuple(sum(e[i][k] * m[k][j] for k in range(2)) for j in range(2))
+                  for i in range(2))
+    return UnimodularMap(m, (rng.randint(-9, 9), rng.randint(-9, 9)))
+
+
+def random_smooth_polygon(rng):
+    """T_k or an a x b rectangle, up to three toric corner cuts (a cut of
+    size s < both edge lengths at a vertex with edge directions e1, e2
+    replaces it by v + s e1 and v + s e2, and keeps the polygon smooth), then
+    a random unimodular map."""
+    if rng.random() < 0.5:
+        k = rng.randint(1, 11)
+        verts = [(0, 0), (k, 0), (0, k)]
+    else:
+        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        verts = [(0, 0), (a, 0), (a, b), (0, b)]
+    poly = LatticePolygon(verts)
+    for _ in range(rng.randint(0, 3)):
+        v = poly.vertices
+        i = rng.randrange(len(v))
+        nxt, prev = v[(i + 1) % len(v)], v[i - 1]
+        m = min(lattice_length(v[i], nxt), lattice_length(v[i], prev))
+        if m < 2:
+            continue
+        s = rng.randint(1, m - 1)
+        e1, e2 = primitive(sub(nxt, v[i])), primitive(sub(prev, v[i]))
+        rest = [p for j, p in enumerate(v) if j != i]
+        poly = LatticePolygon(rest + [(v[i][0] + s * e[0], v[i][1] + s * e[1]) for e in (e1, e2)])
+    return poly.transform(random_unimodular(rng))
+
+
+def test_closed_form_analysis_matches_enumeration_on_seeded_smooth_polygons():
+    rng = random.Random(2024)
+    kinds = {"genus0": 0, "point": 0, "segment": 0, "2d": 0}
+    for _ in range(320):
+        poly = random_smooth_polygon(rng)
+        assert is_smooth(poly)
+        expected = analysis_oracle_json(poly)
+        assert adjoint_polygon(poly) == adjoint_oracle(poly)
+        assert analyze(poly)[0].to_json() == expected
+        adj = adjoint_oracle(poly)
+        if adj is not None and adj.dimension == 2:
+            assert divisibility(adj) == divisibility_oracle(adj)
+        kinds[{-1: "genus0", 0: "point", 1: "segment", 2: "2d"}[expected["d"]]] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_adjoint_matches_enumeration_on_non_smooth_polygons():
+    """Hulls of random points: here the moved-in half-planes often meet
+    off the lattice, and adjoint_polygon falls back to enumeration."""
+    rng = random.Random(99)
+    for _ in range(200):
+        poly = LatticePolygon([(rng.randint(0, 9), rng.randint(0, 7)) for _ in range(rng.randint(3, 8))])
+        if poly.dimension == 2:
+            assert adjoint_polygon(poly) == adjoint_oracle(poly)
+
+
+def test_divisors_from_2_by_trial_division():
+    for n in range(1, 400):
+        assert divisors_from_2(n) == [d for d in range(2, n + 1) if n % d == 0]
+
+
+def test_verdict_does_not_enumerate(tmp_path, capsys):
+    """T_k with k = 10^6 has about 5 * 10^11 lattice points, so this
+    finishes only if nothing enumerates them."""
+    k = 10**6
+    poly = LatticePolygon([(0, 0), (k, 0), (0, k)])
+    analysis, verdict = analyze(poly)
+    assert (analysis.genus, analysis.d, analysis.n) == ((k - 1) * (k - 2) // 2, 2, k - 3)
+    assert analysis.divisors == (757, 1321, 999997)  # 999997 = 757 * 1321
+    assert (verdict.mu, verdict.algebraic_mu) == (Surjectivity.NO, Surjectivity.YES)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [k, 0], [0, k]]}))
+    assert main(["verdict", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["g"], out["d"], out["n"], out["mu"]) == (analysis.genus, 2, k - 3, "not_surjective")
+
+
+def test_polygon_checks_are_not_assert_statements():
+    """The verdict invariant and the adjoint cross-checks raise explicitly,
+    so python -O keeps them."""
+    tree = ast.parse(open(tropmono.polygons.__file__).read())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    with pytest.raises(AssertionError):
+        Verdict(Surjectivity.YES, Surjectivity.NO)

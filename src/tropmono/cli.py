@@ -40,13 +40,21 @@ class InputError(ValueError):
     pass
 
 
-def _load_polygon(path: str) -> LatticePolygon:
+def _read_json(path: str, what: str):
+    """The parsed content of a JSON file; InputError if it cannot be read."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what}: {exc}")
+
+
+def _load_polygon(path: str) -> LatticePolygon:
+    data = _read_json(path, "polygon")
+    try:
         raw = [point_from_json(p) for p in data["vertices"]]
         poly = LatticePolygon(raw)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read polygon: {exc}")
     hull = set(poly.vertices)
     for p in raw:
@@ -93,8 +101,10 @@ def cmd_verdict(args) -> int:
 def cmd_subdivide(args) -> int:
     poly = _load_polygon(args.polygon)
     if args.heights:
-        with open(args.heights) as fh:
-            hf = HeightFunction.from_json(json.load(fh)["heights"])
+        data = _read_json(args.heights, "heights")
+        if not isinstance(data, dict) or "heights" not in data:
+            raise InputError('height file needs a "heights" entry')
+        hf = HeightFunction.from_json(data["heights"])
         sub_div = subdivision_from_heights(poly, hf)
     else:
         sub_div = trivial_subdivision(poly)
@@ -122,19 +132,24 @@ def cmd_graph(args) -> int:
     fam = args.family
     params = [int(x) for x in args.params.split(",")] if args.params else []
 
+    def num(i):
+        if i >= len(params):
+            raise InputError(f"family {fam} needs more than {len(params)} --params")
+        return params[i]
+
     def pt(i):
-        return (params[i], params[i + 1])
+        return (num(i), num(i + 1))
 
     if fam == "corner":
         res = builders.build_corner_graph(poly, pt(0))
     elif fam == "side":
         res = builders.build_side_graph(poly, (pt(0), pt(2)))
     elif fam == "propagation":
-        res = builders.build_propagation_graph(poly, pt(0), pt(2), params[4])
+        res = builders.build_propagation_graph(poly, pt(0), pt(2), num(4))
     elif fam == "gcd1":
-        res = builders.build_gcd1_graph(poly, pt(0), params[2], params[3], pt(4))
+        res = builders.build_gcd1_graph(poly, pt(0), num(2), num(3), pt(4))
     elif fam == "gcd2":
-        first, second = builders.build_gcd2_graphs(poly, pt(0), params[2], pt(3))
+        first, second = builders.build_gcd2_graphs(poly, pt(0), num(2), pt(3))
         out = {
             "schema": "1",
             "graphs": [first.graph.to_json(), second.graph.to_json()],
@@ -149,8 +164,8 @@ def cmd_graph(args) -> int:
         res = builders.build_gcdedges_graph(poly, pt(0), pt(2))
     elif fam == "raysweep":
         rs = builders.build_ray_sweep(
-            poly, pt(0), pt(2), pt(4), params[6], params[7],
-            "kk'" if args.swap is False else "k'k" if args.swap else "kk'",
+            poly, pt(0), pt(2), pt(4), num(6), num(7),
+            "k'k" if args.swap else "kk'",
         )
         cert = builders.certify_flexible(
             rs.graph, poly, [rs], allow_unbalanced_at=frozenset({rs.v})
@@ -162,7 +177,7 @@ def cmd_graph(args) -> int:
         return EXIT_OK
     elif fam == "divisible":
         rs = builders.build_divisible_ray_sweep(
-            poly, params[0], pt(1), pt(3), pt(5), params[7], params[8],
+            poly, num(0), pt(1), pt(3), pt(5), num(7), num(8),
             "k'k" if args.swap else "kk'",
         )
         cert = builders.certify_flexible(
@@ -237,8 +252,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.certificate) as fh:
-        data = json.load(fh)
+    data = _read_json(args.certificate, "certificate")
     if isinstance(data, dict) and "certificate" in data and "nodes" not in data:
         data = data["certificate"]
     replay_certificate(data)

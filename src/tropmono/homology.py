@@ -4,13 +4,14 @@ points, along the blow-up circles, with the boundary-edge punctures capped.
 
 Loops: the A-cycle over every interior lattice point (its blow-up circle)
 and the double of every primitive integer segment.  Homology is computed
-two ways and cross-checked: cellularly (Smith normal form of the boundary
-maps of the explicit CW structure built from the canonical unimodular
-triangulation; cycle checks walk the sparse columns of d1) and through the
-symplectic calculus (A-classes are the circles, B-classes are doubles of
-lattice paths to the boundary; a segment double has no A-part and its
-B-coordinates are carried by its interior endpoints).  The cross-checks
-raise AssertionError explicitly, so they also hold under ``python -O``.
+two ways and cross-checked: cellularly (a tree-cotree decomposition of the
+explicit CW structure built from the canonical unimodular triangulation,
+kept as sparse edge ends and face columns; no boundary matrix is formed)
+and through the symplectic calculus (A-classes are the circles, B-classes
+are doubles of lattice paths to the boundary; a segment double has no
+A-part and its B-coordinates are carried by its interior endpoints).  The
+cross-checks raise AssertionError explicitly, so they also hold under
+``python -O``.
 Dehn twists act by Picard-Lefschetz transvections.
 
 Orders of twist groups mod a prime p come from a deterministic
@@ -31,15 +32,7 @@ from .geometry import (
     Segment,
     seg,
 )
-from .intlinalg import (
-    IntSolver,
-    det_unimodular,
-    kernel_basis,
-    mat_vec,
-    matmul,
-    smith_normal_form,
-    snf_diagonal,
-)
+from .intlinalg import IntSolver, det_unimodular, mat_vec, matmul
 from .polygons import analyze
 from .subdivision import RegularSubdivision, trivial_subdivision, unimodular_refinement
 
@@ -71,6 +64,27 @@ def canonical_triangulation(poly: LatticePolygon) -> RegularSubdivision:
     return unimodular_refinement(trivial_subdivision(poly))
 
 
+def _bfs_tree(n: int, links: list[tuple[int, int, int]], what: str):
+    """BFS spanning tree from vertex 0 of the graph on range(n) with the
+    given (edge, end, end) links, neighbours in link order: the vertices in
+    visiting order and each one's edge to its parent (None at the root).
+    AssertionError if the graph is not connected."""
+    star: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, a, b in links:
+        star[a].append((j, b))
+        star[b].append((j, a))
+    parent = {0: None}
+    order = [0]
+    for a in order:
+        for j, b in star[a]:
+            if b not in parent:
+                parent[b] = j
+                order.append(b)
+    if len(order) != n:
+        raise AssertionError(f"{what} is not connected")
+    return order, parent
+
+
 class SurfaceModel:
     """The closed oriented genus-g surface over a smooth polygon with its
     distinguished loops, symplectic basis and twist matrices."""
@@ -98,101 +112,64 @@ class SurfaceModel:
     # -- CW structure -------------------------------------------------------
 
     def _build_cw(self):
+        """Nodes (p, e) for each end p of a triangulation edge e; cw edges
+        stored as (tail, head) nodes; faces as sparse {cw edge: +-1} columns."""
         T = self.triangulation
-        poly = self.polygon
         tris = [c.vertices for c in T.cells]
         edges = sorted(T.edges())
-        boundary_segs = set(poly.boundary_segments())
-        edge_index = {e: i for i, e in enumerate(edges)}
-        # cw vertices: (p, e)
         nodes = {}
         for e in edges:
             for p in e:
                 nodes.setdefault((p, e), len(nodes))
         self._nodes = nodes
-        # cw edges: sides (e, sheet) for sheet in (0, 1) and arcs (p, t)
-        cw_edges = []
+        # sides (e, sheet) for sheet in (0, 1) run from node(p, e) to
+        # node(q, e), with e = (p, q)
+        ends = []
         self._side_idx = {}
         for e in edges:
             for sheet in (0, 1):
-                self._side_idx[(e, sheet)] = len(cw_edges)
-                cw_edges.append(("side", e, sheet))
+                self._side_idx[(e, sheet)] = len(ends)
+                ends.append((nodes[(e[0], e)], nodes[(e[1], e)]))
+        # arcs (p, t) run from node(p, e_in) to node(p, e_out), where the ccw
+        # walk of t enters p along e_in and leaves along e_out
         self._arc_idx = {}
         self._tri_at = {}
         for ti, t in enumerate(tris):
             for k in range(3):
                 p = t[k]
                 self._tri_at.setdefault(p, []).append(ti)
-                self._arc_idx[(p, ti)] = len(cw_edges)
-                cw_edges.append(("arc", p, ti))
-        self._cw_edges = cw_edges
-        ne = len(cw_edges)
-        nv = len(nodes)
-        # boundary of a side (e, s): node(q, e) - node(p, e) with e = (p, q)
-        d1 = [[0] * ne for _ in range(nv)]
-        for e in edges:
-            for sheet in (0, 1):
-                j = self._side_idx[(e, sheet)]
-                d1[nodes[(e[0], e)]][j] -= 1
-                d1[nodes[(e[1], e)]][j] += 1
-        # boundary of an arc (p, t): node(p, e_out) - node(p, e_in) where the
-        # ccw walk of t enters p along e_in and leaves along e_out
-        for ti, t in enumerate(tris):
-            for k in range(3):
-                p = t[k]
-                prv = t[(k - 1) % 3]
-                nxt = t[(k + 1) % 3]
-                e_in = seg(prv, p)
-                e_out = seg(p, nxt)
-                j = self._arc_idx[(p, ti)]
-                d1[nodes[(p, e_out)]][j] += 1
-                d1[nodes[(p, e_in)]][j] -= 1
-        self._d1 = d1
-        self._d1_cols = [[(i, row[j]) for i, row in enumerate(d1) if row[j]] for j in range(ne)]
+                self._arc_idx[(p, ti)] = len(ends)
+                ends.append((nodes[(p, seg(t[k - 1], p))], nodes[(p, seg(p, t[(k + 1) % 3]))]))
+        self._ends = ends
         # faces: (t, sheet) walked ccw on sheet 0 and cw on sheet 1, plus one
         # cap per boundary edge closing the puncture
         faces = []
         for ti, t in enumerate(tris):
-            col = [0] * ne
-            for k in range(3):
-                p, q = t[k], t[(k + 1) % 3]
-                e = seg(p, q)
-                sgn = 1 if (p, q) == e else -1
-                col[self._side_idx[(e, 0)]] += sgn
-                col[self._arc_idx[(q, ti)]] += 1
-            faces.append(col)
-            col = [0] * ne
-            for k in range(3):
-                p, q = t[k], t[(k + 1) % 3]
-                e = seg(p, q)
-                sgn = 1 if (p, q) == e else -1
-                col[self._side_idx[(e, 1)]] -= sgn
-                col[self._arc_idx[(q, ti)]] -= 1
-            faces.append(col)
+            for sheet, orient in ((0, 1), (1, -1)):
+                col = {}
+                for k in range(3):
+                    p, q = t[k], t[(k + 1) % 3]
+                    e = seg(p, q)
+                    col[self._side_idx[(e, sheet)]] = orient if (p, q) == e else -orient
+                    col[self._arc_idx[(q, ti)]] = orient
+                faces.append(col)
         # caps close the punctures: each is a bigon whose orientation opposes
         # the residual of the triangle faces along its boundary edge
-        residual = [0] * ne
+        residual: dict[int, int] = {}
         for col in faces:
-            residual = [x + y for x, y in zip(residual, col)]
-        for e in sorted(boundary_segs):
-            col = [0] * ne
+            for j, c in col.items():
+                residual[j] = residual.get(j, 0) + c
+        for e in sorted(set(self.polygon.boundary_segments())):
+            col = {}
             for sheet in (0, 1):
                 j = self._side_idx[(e, sheet)]
-                col[j] = -residual[j]
-            if not any(col):
+                if residual.get(j):
+                    col[j] = -residual[j]
+            if not col:
                 raise AssertionError("puncture cap with empty boundary")
             faces.append(col)
-        self._d2_cols = faces
-        # closedness and orientability sanity checks
-        for col in faces:
-            if not self._is_cycle(enumerate(col)):
-                raise AssertionError("face boundary is not a cycle")
-        total = [0] * ne
-        for col in faces:
-            total = [x + y for x, y in zip(total, col)]
-        if any(total):
-            raise AssertionError("face orientations are incoherent")
-        chi = nv - ne + len(faces)
+        self._faces = faces
+        chi = len(nodes) - len(ends) + len(faces)
         if chi != 2 - 2 * self.genus:
             raise AssertionError(f"Euler characteristic {chi}")
         self.euler_characteristic = chi
@@ -200,57 +177,94 @@ class SurfaceModel:
     # -- homology -----------------------------------------------------------
 
     def _homology(self):
-        d1 = self._d1
-        ne = len(self._cw_edges)
-        kb = kernel_basis(d1)  # columns spanning the cycle space
-        self._cycle_basis = kb
-        k = len(kb)
-        # express boundaries in the cycle basis: solve K x = d2_col
-        kt = [[kb[j][i] for j in range(k)] for i in range(ne)]
-        self._ksolver = IntSolver(kt)
-        cols = []
-        for col in self._d2_cols:
-            x = self._ksolver.solve(col)
-            if x is None:
-                raise AssertionError("boundary is not a cycle?")
-            cols.append(x)
-        bmat = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
-        u, d, v = smith_normal_form(bmat)
-        diag = snf_diagonal(d)
-        r = sum(1 for x in diag if x)
-        if any(abs(x) > 1 for x in diag):
-            raise AssertionError("torsion in surface homology")
-        self.h1_rank = k - r
+        """H1 by a tree-cotree decomposition (Eppstein, "Dynamic generators
+        of topologically embedded graphs", SODA 2003; Erickson-Whittlesey,
+        "Greedy optimal homotopy and homology generators", SODA 2005).
+
+        T is a spanning tree of the 1-skeleton and C a spanning tree of the
+        dual graph (faces, adjacent across the cw edges not in T), both by
+        BFS in index order; L holds the leftover edges, and |L| = E - (V-1)
+        - (F-1) = 2 - chi = 2g.  Every edge lies on exactly two faces with
+        coefficient +-1, so a cycle z has unique face coefficients c with
+        c = 0 at the root of C that clear z' = z - d(c) on every C-edge:
+        one pass from the root to the leaves, in integers.  Then z -> z'|L
+        is an isomorphism H1 -> Z^L:
+
+        - well defined: it is linear, and faces are coherently oriented
+          (sum of d(f) = 0), so for z = d(w) the coefficients are
+          c = w - w_root and z' = 0;
+        - onto: the fundamental cycle of l in T has no C-edge, so c = 0
+          and it maps to e_l;
+        - one-to-one: if z'|L = 0, then z' is a cycle on the tree T, hence
+          0, and z = d(c) is a boundary.
+
+        So H1 is free of rank 2g, with no torsion or rank check.  Checked
+        here: closed faces, coherent orientation (every edge on exactly two
+        faces, with coefficients +1 and -1) and both trees spanning.
+        """
+        ends, faces = self._ends, self._faces
+        on_edge: list[list[tuple[int, int]]] = [[] for _ in ends]  # (face, coefficient)
+        for f, col in enumerate(faces):
+            if not self._is_cycle(col.items()):
+                raise AssertionError("face boundary is not a cycle")
+            for j, c in col.items():
+                on_edge[j].append((f, c))
+        for j, fc in enumerate(on_edge):
+            if sorted(c for _, c in fc) != [-1, 1]:
+                raise AssertionError(f"face orientations are incoherent at cw edge {j}: {fc}")
+        self._on_edge = on_edge
+        skeleton = [(j, tail, head) for j, (tail, head) in enumerate(ends)]
+        _, up = _bfs_tree(len(self._nodes), skeleton, "1-skeleton")
+        tree = set(up.values())
+        links = [(j, f, h) for j, ((f, _), (h, _)) in enumerate(on_edge) if j not in tree]
+        order, up = _bfs_tree(len(faces), links, "dual graph")
+        # (face, its C-edge to its parent, the edge's coefficient in the
+        # face), root to leaves
+        self._cotree = [(f, up[f], dict(on_edge[up[f]])[f]) for f in order[1:]]
+        self._leftover = sorted(set(range(len(ends))) - tree - set(up.values()))
+        self.h1_rank = len(self._leftover)
         if self.h1_rank != 2 * self.genus:
             raise AssertionError("H1 rank mismatch")
-        self._proj_rows = u[r:]  # the rows onto the free rank-2g quotient
 
     def _is_cycle(self, entries) -> bool:
         """Whether a 1-chain given by (edge, coefficient) pairs is closed."""
         img: dict[int, int] = {}
         for j, c in entries:
             if c:
-                for i, a in self._d1_cols[j]:
-                    img[i] = img.get(i, 0) + a * c
+                tail, head = self._ends[j]
+                img[tail] = img.get(tail, 0) - c
+                img[head] = img.get(head, 0) + c
         return not any(img.values())
 
     def _cycle_class_raw(self, chain: dict[int, int]) -> list[int]:
-        """Coordinates of a cellular 1-cycle in the rank-2g quotient."""
+        """Coordinates of a cellular 1-cycle on the leftover edges L: clear
+        the C-edges root to leaves (see ``_homology``), read off L."""
         if not self._is_cycle(chain.items()):
             raise AssertionError("chain is not a cycle")
-        vec = [chain.get(j, 0) for j in range(len(self._cw_edges))]
-        x = self._ksolver.solve(vec)
-        if x is None:
-            raise AssertionError("cycle does not lie in the cycle lattice")
-        return mat_vec(self._proj_rows, x)
+        coef = [0] * len(self._faces)
+
+        def reduced(j):  # z' = z - d(coef) on edge j
+            return chain.get(j, 0) - sum(coef[f] * c for f, c in self._on_edge[j])
+
+        for f, j, c in self._cotree:
+            coef[f] = reduced(j) * c  # coef[f] is still 0, and 1/c = c
+        return [reduced(j) for j in self._leftover]
 
     def _acycle_chain(self, v: Point) -> dict[int, int]:
         return {self._arc_idx[(v, ti)]: 1 for ti in self._tri_at[v]}
 
     def _segment_chain(self, s: Segment) -> dict[int, int]:
-        chain = {}
-        chain[self._side_idx[(s, 0)]] = 1
-        chain[self._side_idx[(s, 1)]] = -1
+        return {self._side_idx[(s, 0)]: 1, self._side_idx[(s, 1)]: -1}
+
+    def _path_chain(self, path: list[Point]) -> dict[int, int]:
+        """The double of a triangulation path: along it on sheet 0, back on
+        sheet 1."""
+        chain: dict[int, int] = {}
+        for a, b in zip(path, path[1:]):
+            e = seg(a, b)
+            sgn = 1 if (a, b) == e else -1
+            chain[self._side_idx[(e, 0)]] = chain.get(self._side_idx[(e, 0)], 0) + sgn
+            chain[self._side_idx[(e, 1)]] = chain.get(self._side_idx[(e, 1)], 0) - sgn
         return chain
 
     def _reference_paths(self):
@@ -265,7 +279,6 @@ class SurfaceModel:
             adj.setdefault(e[1], []).append(e[0])
         for p in adj:
             adj[p].sort()
-        interior = set(poly.interior_points())
 
         def bfs_path(v):
             # prefer paths that avoid other interior points
@@ -282,7 +295,7 @@ class SurfaceModel:
                     for w in adj[cur]:
                         if w in prev:
                             continue
-                        if w != v and w in interior and not allow_interior and poly.side(w) != 0:
+                        if w != v and w in self.a_index and not allow_interior:
                             continue
                         prev[w] = cur
                         dq.append(w)
@@ -294,14 +307,8 @@ class SurfaceModel:
             basis_vectors.append(self._cycle_class_raw(self._acycle_chain(v)))
         for v in self.interior_colex:
             path = bfs_path(v)
-            chain: dict[int, int] = {}
-            for a, b in zip(path, path[1:]):
-                e = seg(a, b)
-                sgn = 1 if (a, b) == e else -1
-                chain[self._side_idx[(e, 0)]] = chain.get(self._side_idx[(e, 0)], 0) + sgn
-                chain[self._side_idx[(e, 1)]] = chain.get(self._side_idx[(e, 1)], 0) - sgn
             self._b_paths[v] = path
-            basis_vectors.append(self._cycle_class_raw(chain))
+            basis_vectors.append(self._cycle_class_raw(self._path_chain(path)))
         mat = [[basis_vectors[j][i] for j in range(len(basis_vectors))] for i in range(self.h1_rank)]
         if not det_unimodular(mat):
             raise AssertionError("A/B classes do not span the cellular H1")
@@ -360,9 +367,6 @@ class SurfaceModel:
         s = loop.segment
         if not self.polygon.contains_segment(s):
             raise ValueError(f"{s} leaves the polygon")
-        if self.polygon.side(s[0]) == 0 and self.polygon.side(s[1]) == 0:
-            if s in set(self.polygon.boundary_segments()):
-                return out  # boundary segments double to cap boundaries
         tail, head = s
         if tail in self.a_index:
             out[g + self.a_index[tail]] -= self._head_sign
@@ -534,20 +538,12 @@ def sp_order(g: int, q: int) -> int:
 
 
 def pants_check(poly: LatticePolygon, sub_div: RegularSubdivision) -> bool:
-    """Cutting the punctured surface along the doubles of all subdivision
-    edges leaves one piece per 2-cell, each of Euler characteristic -1.
+    """Whether cutting the punctured surface along the doubles of all
+    subdivision edges leaves one pair of pants per 2-cell.
 
-    Computed cellularly on each piece: two sheets of the cell glued along
-    one blow-up arc per corner."""
-    if not sub_div.is_unimodular():
-        return False
-    for cell in sub_div.cells:
-        corners = len(cell.vertices)
-        # piece: 2 faces, 2*corners side edges, corners arcs, 2*corners nodes
-        chi = 2 * corners - (2 * corners + corners) + 2
-        if chi != -1:
-            return False
-        # connectivity: the two sheets are glued along at least one arc
-        if corners < 1:
-            return False
-    return True
+    Only a unimodular subdivision qualifies: a larger cell holds further
+    lattice points.  Its cells are then triangles, and the piece over a
+    cell with c corners (its two sheets glued along one blow-up arc per
+    corner: 2c nodes, 2c side edges, c arcs, 2 faces) is connected with
+    chi = 2c - 3c + 2 = 2 - c = -1.  So the check is unimodularity."""
+    return sub_div.is_unimodular()

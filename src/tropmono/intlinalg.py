@@ -1,6 +1,6 @@
 """Small exact integer linear algebra: Smith normal form with transformation
-matrices, integer kernels and integer linear solves.  Dense lists of ints;
-sized for cell complexes with a few hundred cells."""
+matrices, integer linear solves and a unimodularity test.  Dense lists of
+ints, for the small matrices of the symplectic calculus."""
 
 from __future__ import annotations
 
@@ -118,24 +118,6 @@ def smith_normal_form(a):
             u[t] = [-x for x in u[t]]
         t += 1
     return u, d, v
-
-
-def snf_diagonal(d):
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        out.append(d[i][i])
-    return out
-
-
-def kernel_basis(a):
-    """Integer basis of {x : a x = 0} as a list of column vectors."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    u, d, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(m, n)) if d[i][i])
-    return [[v[i][j] for i in range(n)] for j in range(r, n)]
 
 
 class IntSolver:

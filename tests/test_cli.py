@@ -53,6 +53,23 @@ def test_malformed_vertex_exit_2(vertex, polyfile, capsys):
     assert "expected a lattice point" in captured.err
 
 
+@pytest.mark.parametrize("case", ["replay-missing", "heights-missing", "heights-no-key", "short-params"])
+def test_unreadable_inputs_exit_2(case, polyfile, capsys, tmp_path):
+    poly = polyfile("t6.json", [[0, 0], [6, 0], [0, 6]])
+    nokey = tmp_path / "h.json"
+    nokey.write_text(json.dumps({"foo": 1}))
+    argv = {
+        "replay-missing": ["replay", str(tmp_path / "missing.json")],
+        "heights-missing": ["subdivide", poly, "--heights", str(tmp_path / "missing.json")],
+        "heights-no-key": ["subdivide", poly, "--heights", str(nokey)],
+        "short-params": ["graph", poly, "--family", "side", "--params", "1,1"],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+
+
 # sha256 of the `tropmono analyze` output, pinned from the enumerating
 # implementation that the half-plane one replaced.
 ANALYZE_GOLDEN = {

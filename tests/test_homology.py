@@ -18,7 +18,7 @@ from tropmono.homology import (
     sp_order,
     subgroup_order_mod_p,
 )
-from tropmono.intlinalg import mat_vec, matmul
+from tropmono.intlinalg import IntSolver, mat_vec, matmul, smith_normal_form
 from tropmono.subdivision import trivial_subdivision
 
 T3 = LatticePolygon([(0, 0), (3, 0), (0, 3)])
@@ -32,6 +32,65 @@ def test_genus_and_euler():
     assert s4.genus == 3 and s4.euler_characteristic == -4 and s4.h1_rank == 6
     sq = SurfaceModel(LatticePolygon([(0, 0), (4, 0), (4, 4), (0, 4)]))
     assert sq.genus == 9
+    s8 = SurfaceModel(LatticePolygon([(0, 0), (8, 0), (0, 8)]))
+    assert s8.genus == 21 and s8.euler_characteristic == -40 and s8.h1_rank == 42
+
+
+def dense_h1(s):
+    """Oracle: the dense Smith-normal-form route to H1 of the model's CW
+    complex.  A kernel basis of the dense d1, the face boundaries solved in
+    it, and the rows of the boundaries' Smith form that project onto the
+    free quotient; returns the map from a 1-cycle to its quotient
+    coordinates."""
+    ne = len(s._ends)
+    d1 = [[0] * ne for _ in s._nodes]
+    for j, (tail, head) in enumerate(s._ends):
+        d1[tail][j] -= 1
+        d1[head][j] += 1
+    _, d, v = smith_normal_form(d1)
+    r = sum(1 for i in range(min(len(d1), ne)) if d[i][i])
+    kernel = [[v[i][j] for j in range(r, ne)] for i in range(ne)]
+    cycles = IntSolver(kernel)
+    bounds = [cycles.solve([f.get(j, 0) for j in range(ne)]) for f in s._faces]
+    assert None not in bounds, "a face boundary is not a cycle"
+    u, d, _ = smith_normal_form([list(row) for row in zip(*bounds)])
+    diag = [d[i][i] for i in range(min(len(d), len(bounds)))]
+    assert all(abs(x) <= 1 for x in diag), "torsion"
+    proj = u[sum(1 for x in diag if x):]
+    assert len(proj) == 2 * s.genus
+
+    def raw(chain):
+        x = cycles.solve([chain.get(j, 0) for j in range(ne)])
+        assert x is not None
+        return mat_vec(proj, x)
+
+    return raw
+
+
+@pytest.mark.parametrize("poly", [
+    LatticePolygon([(0, 0), (k, 0), (0, k)]) for k in (3, 4, 5, 6)
+] + [
+    LatticePolygon([(0, 0), (k, 0), (k, k), (0, k)]) for k in (3, 4, 5)
+], ids=["T3", "T4", "T5", "T6", "SQ3", "SQ4", "SQ5"])
+def test_tree_cotree_matches_dense_smith_route(poly):
+    s = SurfaceModel(poly)
+    raw = dense_h1(s)
+    chains = [s._acycle_chain(v) for v in s.interior_colex]
+    chains += [s._path_chain(s._b_paths[v]) for v in s.interior_colex]
+    basis = IntSolver([list(col) for col in zip(*(raw(c) for c in chains))])
+    chains += [s._segment_chain(e) for e in sorted(s.triangulation.edges())]
+    for chain in chains:
+        assert basis.solve(raw(chain)) == s._to_ab(s._cycle_class_raw(chain))
+
+
+def test_incoherent_face_orientation_is_rejected():
+    class Flipped(SurfaceModel):
+        def _build_cw(self):
+            super()._build_cw()
+            self._faces[0] = {j: -c for j, c in self._faces[0].items()}
+
+    with pytest.raises(AssertionError, match="orientations are incoherent"):
+        Flipped(T4)
 
 
 def test_acycle_classes_are_basis_vectors():

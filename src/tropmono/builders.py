@@ -815,7 +815,7 @@ def build_interior_graph(poly: LatticePolygon, sigma: Segment) -> BuildResult:
             try:
                 cert = certify_flexible(graph, poly, sweeps, zero, one)
             except (CertificationError, AssertionError) as exc:
-                last_error = exc
+                last_error = str(exc)  # not exc: its traceback would pin these frames in a cycle
                 continue
             chase_at = v if poly.side(v) != 0 else w
             legs = dv.legs if chase_at == v else dw.legs
@@ -875,7 +875,7 @@ def build_leg_pair(
             try:
                 cert = certify_flexible(graph, poly, [main, companion])
             except (CertificationError, AssertionError) as exc:
-                last_error = exc
+                last_error = str(exc)
                 continue
             plan, recurse = _leg_pair_plan(poly, main, which)
             notes = {

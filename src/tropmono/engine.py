@@ -12,7 +12,7 @@ rule is written once, in the kernel ``apply``, which both the Engine and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -135,13 +135,23 @@ def graph_of(conclusion) -> WeightedSegmentGraph:
 class RuleContext:
     """What the rules read besides their params and premises: the polygon,
     its adjoint, loop keys (memoized: at most one per loop or segment of
-    the polygon), and a surface model built on first use."""
+    the polygon), a surface model built on first use, and the witness memo.
+
+    ``witnesses`` maps (polygon, heights, cells) of each admissibility
+    witness checked so far to the edge set of the unimodular subdivision
+    they were verified to form, or to None for a rejection; it lives as long
+    as the context, that is one derivation or one replay.  Replay stays
+    sound: the key is the whole decoded witness and ``verify_subdivision``
+    is a pure function of it, so a witness that differs in any height or
+    cell is checked on its own, and the graph's containment in the cells and
+    its balancing are checked at every node."""
 
     def __init__(self, poly: LatticePolygon, adjoint):
         self.poly = poly
         self.adjoint = adjoint
         self._surface: SurfaceModel | None = None
         self._keys: dict = {}
+        self.witnesses: dict = {}
 
     def key_of(self, obj) -> tuple:
         key = self._keys.get(obj)
@@ -245,7 +255,7 @@ def _admissible(ctx, p):
     cert = p["certificate"]
     _check(cert.polygon == ctx.poly, "certificate polygon mismatch")
     _check(not cert.unbalanced_ok, "graph not balanced everywhere")
-    _check(cert.verify(), "certificate failed verification")
+    _check(cert.verify(ctx.witnesses), "certificate failed verification")
     _check(cert.graph.loops_pairwise_disjoint(), "graph loops are not disjoint")
     return composite(GEOMETRIC, cert.graph)
 
@@ -397,7 +407,13 @@ _ANCHOR_ROUNDS = 3
 
 
 class Engine:
-    """Fact store plus rule applications over a fixed smooth polygon."""
+    """Fact store plus rule applications over a fixed smooth polygon.
+
+    Builder results are memoized for the life of the Engine (one
+    derivation), keyed by the builder's name and its arguments after the
+    polygon; the fixed-point loops ask for the same graphs pass after pass.
+    Every use still runs its plan through the rule kernel, so each use
+    emits its nodes and the certificate does not change."""
 
     def __init__(self, poly: LatticePolygon):
         self.poly = poly
@@ -408,6 +424,8 @@ class Engine:
         # (flavor, key) -> (exponent, node_id); exponents are positive ideal
         # generators, tightened by gcd as new facts arrive
         self.facts: dict[tuple, tuple[int, int]] = {}
+        self._builds: dict[tuple, object] = {}
+        self._cells: dict[LatticePolygon, LatticePolygon] = {}
 
     # -- infrastructure ------------------------------------------------------
 
@@ -420,6 +438,28 @@ class Engine:
         node = Node(len(self.nodes), rule, encoded, list(premises), conclusion)
         self.nodes.append(node)
         return node.id
+
+    def _build(self, name: str, *args):
+        """``builders.<name>(self.poly, *args)``, built once per distinct
+        ``args``; a builder that raises is called again next time.  The
+        builder is looked up at call time, so a rebound one is honoured."""
+        key = (name, args)
+        hit = self._builds.get(key)
+        if hit is None:
+            hit = self._builds[key] = self._share_cells(getattr(builders, name)(self.poly, *args))
+        return hit
+
+    def _share_cells(self, build):
+        """The build (or tuple of builds) with its certificate's cells swapped
+        for equal ones this Engine already holds: memoized certificates of
+        one polygon repeat most of their unimodular cells."""
+        if isinstance(build, tuple):
+            return tuple(map(self._share_cells, build))
+        cert = getattr(build, "certificate", None)
+        if cert is None:
+            return build
+        cells = tuple(self._cells.setdefault(c, c) for c in cert.cells)
+        return replace(build, certificate=replace(cert, cells=cells))
 
     def _apply_single(self, rule: str, params: dict, premises: list[int]) -> int:
         """Apply a rule concluding a single fact and enter it in the store."""
@@ -568,12 +608,12 @@ class Engine:
         hit = self.facts.get((GEOMETRIC, key))
         if hit is not None:
             return hit[1]
-        build = builders.build_corner_graph(self.poly, kappa)
+        build = self._build("build_corner_graph", kappa)
         return self.run_plan(build, GEOMETRIC)
 
     def pipeline_side(self, edge: tuple[Point, Point]) -> int:
         """Twists of every primitive segment on an adjoint edge."""
-        build = builders.build_side_graph(self.poly, edge)
+        build = self._build("build_side_graph", edge)
         chain = build.notes["chain"]
         if all(
             self.facts.get((GEOMETRIC, self.key_of(s))) is not None
@@ -592,19 +632,19 @@ class Engine:
     def pipeline_propagate(
         self, kappa: Point, kappa_prime: Point, a: int, flavor=GEOMETRIC
     ) -> int:
-        build = builders.build_propagation_graph(self.poly, kappa, kappa_prime, a)
+        build = self._build("build_propagation_graph", kappa, kappa_prime, a)
         return self.run_plan(build, flavor)
 
     def pipeline_gcd1(
         self, kappa: Point, m: int, l: int, known_toward: Point, flavor=GEOMETRIC
     ) -> int:
-        build = builders.build_gcd1_graph(self.poly, kappa, m, l, known_toward)
+        build = self._build("build_gcd1_graph", kappa, m, l, known_toward)
         return self.run_plan(build, flavor)
 
     def pipeline_gcd2(
         self, kappa: Point, m: int, known_toward: Point, flavor=GEOMETRIC
     ) -> tuple[int, int]:
-        first, second = builders.build_gcd2_graphs(self.poly, kappa, m, known_toward)
+        first, second = self._build("build_gcd2_graphs", kappa, m, known_toward)
         f1 = self.run_plan(first, flavor)
         f2 = self.run_plan(second, flavor)
         return f1, f2
@@ -645,7 +685,7 @@ class Engine:
                     # the other edge
                     try:
                         self.run_plan(
-                            builders.build_gcdedges_graph(self.poly, kappa, far),
+                            self._build("build_gcdedges_graph", kappa, far),
                             GEOMETRIC,
                         )
                     except (DerivationError, CertificationError, ValueError) as exc:
@@ -707,7 +747,7 @@ class Engine:
     ) -> int:
         if depth > 64:
             raise DerivationError("diamond", "leg recursion too deep")
-        build = builders.build_leg_pair(self.poly, kappa, kappa_prime, u, orientation, which)
+        build = self._build("build_leg_pair", kappa, kappa_prime, u, orientation, which)
         recurse = build.notes["recurse"]
         if recurse is not None:
             for sub_which in (1, 2):
@@ -724,7 +764,7 @@ class Engine:
         hit = self.fact(flavor, key)
         if hit is not None and hit[0] == 1:
             return hit[1]
-        build = builders.build_interior_graph(self.poly, sigma)
+        build = self._build("build_interior_graph", sigma)
         for dev in (build.notes["device_v"], build.notes["device_w"]):
             if dev.kind == "ray":
                 self.ensure_leg_facts(dev.ray, flavor)
@@ -963,7 +1003,7 @@ class Engine:
                     fid, comp = self.chase(comp, p)
                 return comp
             except DerivationError as exc:
-                last = exc
+                last = str(exc)  # not exc: its traceback would pin these frames in a cycle
         raise DerivationError("interior_d", f"devices failed: {last}")
 
     def pipeline_interior_d(self, sigma: Segment, d: int, flavor=GEOMETRIC) -> int:
@@ -994,7 +1034,7 @@ class Engine:
                         raise DerivationError("interior_d", "chase missed the segment")
                     return got[1]
                 except (DerivationError, CertificationError, ValueError, AssertionError) as exc:
-                    last_error = exc
+                    last_error = str(exc)
         raise DerivationError("interior_d", f"no usable configuration: {last_error}")
 
     def _gamma_triple(self, w: Point, d: int):
@@ -1052,7 +1092,7 @@ class Engine:
                     comp = self.absorb(comp, s)
                 return comp, dw.ray
             except DerivationError as exc:
-                last = exc
+                last = str(exc)
         raise DerivationError("diad", f"gamma entry failed: {last}")
 
     def _pair_once(self, node_id: int, w: Point, target, flavor) -> int | None:
@@ -1061,12 +1101,12 @@ class Engine:
         graph = graph_of(self.nodes[node_id].conclusion)
         t_kappa, t_kprime, t_orient = target
         try:
-            probe = builders.build_ray_sweep(self.poly, t_kappa, t_kprime, w, 1, 1, t_orient)
+            probe = self._build("build_ray_sweep", t_kappa, t_kprime, w, 1, 1, t_orient)
             res = _graph_residual(graph, w)
             l1 = builders._dir_out(probe.leg1, w)
             l2 = builders._dir_out(probe.leg2, w)
             n1, n2 = builders._solve_pair(l1, l2, (-res[0], -res[1]))
-            tsweep = builders.build_ray_sweep(self.poly, t_kappa, t_kprime, w, n1, n2, t_orient)
+            tsweep = self._build("build_ray_sweep", t_kappa, t_kprime, w, n1, n2, t_orient)
         except (ValueError, AssertionError):
             return None
         tgraph = tsweep.graph
@@ -1085,7 +1125,7 @@ class Engine:
     def _facts_at_anchor(self, entries, w, target, flavor):
         """BFS over anchor pairings until the target anchor holds two
         weight-independent composite facts, as (node id, seed weights) pairs."""
-        probe = builders.build_ray_sweep(self.poly, target[0], target[1], w, 1, 1, target[2])
+        probe = self._build("build_ray_sweep", target[0], target[1], w, 1, 1, target[2])
         state: dict[tuple, list[int]] = {}
         for anchor, nid in entries:
             state.setdefault(anchor, []).append(nid)
@@ -1159,7 +1199,7 @@ class Engine:
         """d-th power of any segment twist when the adjoint is d-divisible
         (with exponent-one bridges at the d-points)."""
         sigma = seg(*sigma)
-        build = builders.build_interior_graph(self.poly, sigma)
+        build = self._build("build_interior_graph", sigma)
         devices = [build.notes["device_v"], build.notes["device_w"]]
         comp = self.axiom_rea(build.certificate, flavor)
         full_d = self.power(comp, d)

@@ -232,17 +232,25 @@ class AdmissibilityCertificate:
     cells: tuple[LatticePolygon, ...]
     unbalanced_ok: tuple[Point, ...] = ()
 
-    def verify(self) -> bool:
+    def verify(self, checked: dict | None = None) -> bool:
         """The one check of a certificate: the witness induces exactly
         ``cells`` (by verify_subdivision), which are unimodular and contain
         every graph edge, and the graph is balanced outside ``unbalanced_ok``.
         Returns False or raises ValueError, so replay of any decoded
-        certificate stays total."""
-        sub_div = verify_subdivision(self.polygon, self.cells, self.witness)
-        if sub_div is None or not sub_div.is_unimodular():
-            return False
-        edges = sub_div.edges()
-        if not all(s in edges for s in self.graph.entries):
+        certificate stays total.
+
+        ``checked`` memoizes the witness part across certificates: it maps
+        (polygon, witness, cells) to the edges of the unimodular subdivision
+        they form, or to None; the graph is checked against them each time."""
+        key = (self.polygon, self.witness, self.cells)
+        if checked is None:
+            checked = {}
+        edges = checked.get(key, False)
+        if edges is False:
+            sub_div = verify_subdivision(self.polygon, self.cells, self.witness)
+            unimodular = sub_div is not None and sub_div.is_unimodular()
+            edges = checked[key] = sub_div.edges() if unimodular else None
+        if edges is None or not all(s in edges for s in self.graph.entries):
             return False
         if check_balancing(self.graph, self.polygon) - set(self.unbalanced_ok):
             return False
@@ -366,6 +374,12 @@ def certify_admissible(
 # ---------------------------------------------------------------------------
 
 
+def _ensure(ok, message: str) -> None:
+    """A snake invariant; raised explicitly, so python -O keeps it."""
+    if not ok:
+        raise AssertionError(message)
+
+
 @dataclass(frozen=True)
 class Snake:
     """A chain of primitive segments through all adjoint lattice points plus
@@ -379,20 +393,20 @@ class Snake:
 
     def validate(self, poly: LatticePolygon) -> None:
         adjoint = adjoint_polygon(poly)
-        assert adjoint is not None
+        _ensure(adjoint is not None, "genus zero polygon has no snake")
         v = self.points
         g = len(self.chain)
-        assert len(v) == g + 1
-        assert poly.side(v[0]) == 0, "v0 must be on the polygon boundary"
+        _ensure(len(v) == g + 1, "a snake has one more point than chain segments")
+        _ensure(poly.side(v[0]) == 0, "v0 must be on the polygon boundary")
         for p in v[1:]:
-            assert adjoint.side(p) >= 0, "chain points must be in the adjoint"
-        assert len(set(v)) == len(v)
+            _ensure(adjoint.side(p) >= 0, "chain points must be in the adjoint")
+        _ensure(len(set(v)) == len(v), "snake points repeat")
         for i, s in enumerate(self.chain):
-            assert set(s) == {v[i], v[i + 1]}
+            _ensure(set(s) == {v[i], v[i + 1]}, "chain segments must join consecutive points")
         anchor = v[2] if g >= 2 else v[1]
-        assert anchor in self.bridge
+        _ensure(anchor in self.bridge, "snake bridge misses its anchor")
         b = is_bridge(poly, adjoint, self.bridge)
-        assert b is not None and b.interior_end == anchor, "snake bridge invalid"
+        _ensure(b is not None and b.interior_end == anchor, "snake bridge invalid")
         all_segs = list(self.chain) + [self.bridge]
         for i in range(len(all_segs)):
             for j in range(i + 1, len(all_segs)):
@@ -448,7 +462,7 @@ def build_snake(poly: LatticePolygon) -> Snake:
     frame, image = normalize_at_vertex(poly, kappa)
     adj_img = adjoint_polygon(image)
     pts = sorted(adj_img.lattice_points(), key=lambda p: (p[1], p[0]))
-    assert pts[0] == (0, 0) and pts[1] == (1, 0), "colex order must start along the axis"
+    _ensure(pts[0] == (0, 0) and pts[1] == (1, 0), "colex order must start along the axis")
     chain_pts = [(-1, 0)] + pts
     chain = tuple(seg(chain_pts[i], chain_pts[i + 1]) for i in range(len(chain_pts) - 1))
     bridge = seg((0, -1), (1, 0))

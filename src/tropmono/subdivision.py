@@ -622,11 +622,14 @@ def dual_tropical_curve(sub_div: RegularSubdivision) -> TropicalCurve:
                 n = (-n[0], -n[1])
             rays.append((i, n, (u, w), weight))
     curve = TropicalCurve(tuple(verts), tuple(sorted(edges)), tuple(sorted(rays)))
-    assert curve.check_balanced(), "dual curve is not balanced"
+    if not curve.check_balanced():
+        raise AssertionError("dual curve is not balanced")
     # incidence-reversing duality: spans orthogonal
     for i, j, (u, w), _ in curve.edges:
         dv = (verts[j][0] - verts[i][0], verts[j][1] - verts[i][1])
-        assert dv[0] * (w[0] - u[0]) + dv[1] * (w[1] - u[1]) == 0
+        if dv[0] * (w[0] - u[0]) + dv[1] * (w[1] - u[1]) != 0:
+            raise AssertionError(f"dual edge of {(u, w)} is not orthogonal to it")
     for _, d, (u, w), _ in curve.rays:
-        assert d[0] * (w[0] - u[0]) + d[1] * (w[1] - u[1]) == 0
+        if d[0] * (w[0] - u[0]) + d[1] * (w[1] - u[1]) != 0:
+            raise AssertionError(f"dual ray of {(u, w)} is not orthogonal to it")
     return curve

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
@@ -121,11 +122,18 @@ def test_certificate_bytes_golden(poly, digest):
     assert _digest(Engine(poly).derive_surjectivity()["certificate"]) == digest
 
 
+def _witness_json(cert_json) -> str:
+    """The (polygon, heights, cells) part of an admissible node's
+    certificate, as canonical JSON."""
+    return json.dumps([cert_json[k] for k in ("polygon", "heights", "cells")], sort_keys=True)
+
+
 def test_replay_checks_each_witness_once(monkeypatch):
-    """Replay checks each admissibility certificate once, with
-    verify_subdivision, and never gift-wraps a witness."""
+    """Replay verifies every admissible node, runs verify_subdivision once
+    per distinct witness, and never gift-wraps a witness."""
     cert = Engine(T4).derive_surjectivity()["certificate"]
-    admissible = sum(1 for n in cert["nodes"] if n["rule"] == "admissible")
+    params = [n["params"]["certificate"] for n in cert["nodes"] if n["rule"] == "admissible"]
+    admissible, distinct = len(params), len({_witness_json(c) for c in params})
     calls = {"verify": 0, "subdivision_from_heights": 0, "verify_subdivision": 0}
 
     def counted(owner, name, key):
@@ -143,12 +151,143 @@ def test_replay_checks_each_witness_once(monkeypatch):
     for module in (subdivision, graphs):
         counted(module, "verify_subdivision", "verify_subdivision")
     assert replay_certificate(cert)
-    assert admissible > 0
+    assert (admissible, distinct) == (30, 9)
     assert calls == {
         "verify": admissible,
         "subdivision_from_heights": 0,
-        "verify_subdivision": admissible,
+        "verify_subdivision": distinct,
     }
+
+
+def _shared_witness(cert) -> tuple[int, int]:
+    """Indices of the first two admissible nodes that carry the same witness."""
+    seen = {}
+    for i, n in enumerate(cert["nodes"]):
+        if n["rule"] == "admissible":
+            key = _witness_json(n["params"]["certificate"])
+            if key in seen:
+                return seen[key], i
+            seen[key] = i
+    raise AssertionError("no witness is shared")
+
+
+def _rejected_at(cert, i):
+    return pytest.raises(
+        ReplayError, match=rf"^node {cert['nodes'][i]['id']} \(admissible\): certificate failed"
+    )
+
+
+def _decoded_witness(cert_json):
+    c = graphs.AdmissibilityCertificate.from_json(cert_json)
+    return subdivision.verify_subdivision(c.polygon, c.cells, c.witness)
+
+
+def test_witness_memo_checks_each_graph_against_the_cells(t4_certificate):
+    """A later node that reuses a verified witness still has its graph
+    checked against the cells: an edge outside them is rejected there,
+    while an edge inside them replays."""
+    _, second = _shared_witness(t4_certificate)
+    edges = _decoded_witness(t4_certificate["nodes"][second]["params"]["certificate"]).edges()
+    inside = outside = None
+    boundary = T4.boundary_points()
+    for p in boundary:
+        for q in boundary:
+            if p < q and gcd(q[0] - p[0], q[1] - p[1]) == 1:
+                if seg(p, q) in edges:
+                    inside = inside or seg(p, q)
+                else:
+                    outside = outside or seg(p, q)
+    assert inside is not None and outside is not None
+    for s, ok in ((inside, True), (outside, False)):
+        cert = json.loads(json.dumps(t4_certificate))
+        cert["nodes"] = cert["nodes"][:second + 1]
+        node = cert["nodes"][second]
+        edge = [list(s[0]), list(s[1]), 1]
+        node["params"]["certificate"]["graph"] = {"edges": [edge]}
+        node["conclusion"] = {"type": "composite", "flavor": GEOMETRIC, "edges": [edge]}
+        if ok:
+            assert replay_certificate(cert)
+        else:
+            with _rejected_at(cert, second):
+                replay_certificate(cert)
+
+
+def _corrupted_witnesses(cert_json):
+    """Copies of a witness with the height of an interior point raised far
+    above its cells or one cell vertex moved, each checked to be rejected
+    by verify_subdivision."""
+    height = json.loads(json.dumps(cert_json))
+    h = next(h for h in height["heights"] if T4.side(tuple(h[:2])) == 1)
+    h[2] += 1000 * h[3]
+    cell = json.loads(json.dumps(cert_json))
+    cell["cells"][0]["vertices"][0][0] += 1
+    for bad in (height, cell):
+        assert _decoded_witness(bad) is None
+    return {"height": height, "cell": cell}
+
+
+@pytest.mark.parametrize("what", ["height", "cell"])
+def test_witness_memo_rejects_a_corrupted_second_copy(what, t4_certificate):
+    """Only the second copy of a shared witness is corrupted: the first
+    node replays, the second fails, since the memo keys the whole witness."""
+    _, second = _shared_witness(t4_certificate)
+    cert = json.loads(json.dumps(t4_certificate))
+    params = cert["nodes"][second]["params"]
+    params["certificate"] = _corrupted_witnesses(params["certificate"])[what]
+    with _rejected_at(cert, second):
+        replay_certificate(cert)
+
+
+@pytest.mark.parametrize("what", ["height", "cell"])
+def test_witness_memo_rejects_a_corrupted_first_copy(what, t4_certificate):
+    """The first copy of a shared witness is corrupted: replay fails at
+    that first node, before the intact second copy is reached."""
+    first, _ = _shared_witness(t4_certificate)
+    cert = json.loads(json.dumps(t4_certificate))
+    params = cert["nodes"][first]["params"]
+    params["certificate"] = _corrupted_witnesses(params["certificate"])[what]
+    with _rejected_at(cert, first):
+        replay_certificate(cert)
+
+
+def test_build_memo_builds_each_argument_tuple_once(monkeypatch):
+    """An SQ4 derivation asks for some graphs more than once but calls each
+    builder once per distinct argument tuple; a fresh Engine builds again,
+    and both emit the same certificate bytes."""
+    names = [n for n in vars(builders) if n.startswith("build_") and callable(getattr(builders, n))]
+    calls, depth = [], [0]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if depth[0] == 0:  # builders calling builders are not the memo's concern
+                calls.append((name, args))
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(builders, name, counted(name, getattr(builders, name)))
+    requests = []
+    memo = Engine._build
+
+    def asked(self, name, *args):
+        requests.append((name, args))
+        return memo(self, name, *args)
+
+    monkeypatch.setattr(Engine, "_build", asked)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        requests.clear()
+        cert = Engine(SQ4).derive_surjectivity()["certificate"]
+        assert len(calls) == len(set(calls)) < len(requests)
+        assert set(calls) == {(name, (SQ4, *args)) for name, args in requests}
+        runs.append((list(calls), _digest(cert)))
+    assert runs[0] == runs[1]
 
 
 def test_interior_d_and_dd_on_sq4():

@@ -1,5 +1,9 @@
+import ast
+import dataclasses
+
 import pytest
 
+import tropmono.graphs
 from tropmono.geometry import LatticePolygon, seg
 from tropmono.graphs import (
     AdmissibilityCertificate,
@@ -100,6 +104,17 @@ def test_snakes():
     assert len(snsq.chain) == 9
     for sn, poly in ((sn4, T4), (sn6, T6), (snsq, SQ4)):
         sn.validate(poly)
+
+
+def test_snake_checks_are_not_assert_statements():
+    """Snake invariants raise AssertionError explicitly, so python -O keeps them."""
+    tree = ast.parse(open(tropmono.graphs.__file__).read())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    sn4 = build_snake(T4)
+    with pytest.raises(AssertionError):
+        dataclasses.replace(sn4, bridge=sn4.chain[0]).validate(T4)
+    with pytest.raises(AssertionError):
+        dataclasses.replace(sn4, points=sn4.points[:-1]).validate(T4)
 
 
 def test_snake_chain_through_all_adjoint_points():

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import tropmono.subdivision
 from tropmono.geometry import LatticePolygon, seg
 from tropmono.subdivision import (
     HeightFunction,
@@ -188,3 +190,10 @@ def test_subdivision_json_roundtrip():
     hf = HeightFunction.from_json(data["heights"])
     replay = subdivision_from_heights(USQ, hf)
     assert set(replay.cells) == set(s.cells)
+
+
+def test_dual_curve_checks_are_not_assert_statements():
+    """The dual-curve balancing and orthogonality checks raise explicitly,
+    so python -O keeps them."""
+    tree = ast.parse(open(tropmono.subdivision.__file__).read())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

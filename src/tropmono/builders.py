@@ -12,6 +12,12 @@ induce an arrangement subdivision of the convex hull of the graph; the
 heights sum of |line functional| is convex with breaks exactly on the lines,
 so it supports the graph.  The witness is then extended to the whole polygon
 and refined; all steps are replayed and checked.
+
+Every builder that certifies (corner, side, propagation, gcd1, gcd2,
+gcdedges, interior, leg pair) and ``certify_flexible`` take a keyword-only
+``certify`` with the signature of ``certify_graph``, its default, and run
+the line-arrangement recipe through it; the Engine passes its graph-keyed
+memo.  The ray sweeps certify nothing and take no ``certify``.
 """
 
 from __future__ import annotations
@@ -123,7 +129,9 @@ def corner_frame(poly: LatticePolygon, kappa: Point) -> UnimodularMap:
     raise ValueError(f"no polygon vertex adjacent to the adjoint vertex {kappa}")
 
 
-def build_corner_graph(poly: LatticePolygon, kappa: Point) -> BuildResult:
+def build_corner_graph(
+    poly: LatticePolygon, kappa: Point, *, certify=certify_graph
+) -> BuildResult:
     """Balanced graph on three bridges at an adjoint vertex whose twists are
     all isotopic; the net exponent is +1, so the composite collapses to the
     bridge twist itself."""
@@ -140,9 +148,11 @@ def build_corner_graph(poly: LatticePolygon, kappa: Point) -> BuildResult:
     graph.add(inv.apply_seg(seg((1, 1), (0, 1))), 1)
     for s in graph.entries:
         b = is_bridge(poly, adjoint, s)
-        assert b is not None and b.interior_end == kappa, "corner edges must be bridges"
-    assert not check_balancing(graph, poly)
-    cert = certify_graph(graph, poly)
+        if b is None or b.interior_end != kappa:
+            raise AssertionError("corner edges must be bridges")
+    if check_balancing(graph, poly):
+        raise AssertionError("corner graph must balance")
+    cert = certify(graph, poly)
     target = inv.apply_seg(seg((0, 0), (1, 1)))
     return BuildResult(graph, cert, (("collapse",),), target, 1, {"kappa": kappa})
 
@@ -173,7 +183,9 @@ def _frame_with_point_up(poly: LatticePolygon, kappa: Point, kappa_prime: Point)
     raise ValueError(f"{kappa_prime} is not next to {kappa} on the adjoint boundary")
 
 
-def build_side_graph(poly: LatticePolygon, edge: tuple[Point, Point]) -> BuildResult:
+def build_side_graph(
+    poly: LatticePolygon, edge: tuple[Point, Point], *, certify=certify_graph
+) -> BuildResult:
     """Weight-1 chain along an adjoint edge, extended one step past both
     ends to the polygon boundary."""
     adjoint = adjoint_polygon(poly)
@@ -183,17 +195,19 @@ def build_side_graph(poly: LatticePolygon, edge: tuple[Point, Point]) -> BuildRe
     f, img = _frame_with_edge_on_x(poly, kappa, xi)
     inv = f.inverse()
     l = f.apply(xi)[0]
-    assert f.apply(xi) == (l, 0) and l >= 1
-    assert img.side((-1, 0)) == 0 and img.side((l + 1, 0)) == 0, \
-        "chain endpoints must reach the boundary"
+    if f.apply(xi) != (l, 0) or l < 1:
+        raise AssertionError(f"{xi} is not on the positive x-axis of the frame")
+    if img.side((-1, 0)) != 0 or img.side((l + 1, 0)) != 0:
+        raise AssertionError("chain endpoints must reach the boundary")
     graph = WeightedSegmentGraph()
     chain = []
     for i in range(l + 2):
         s = inv.apply_seg(seg((i - 1, 0), (i, 0)))
         graph.add(s, 1)
         chain.append(s)
-    assert not check_balancing(graph, poly)
-    cert = certify_graph(graph, poly)
+    if check_balancing(graph, poly):
+        raise AssertionError("side graph must balance")
+    cert = certify(graph, poly)
     plan: list[Step] = [("absorb", chain[0]), ("absorb", chain[-1])]
     for i in range(l - 1):
         plan.append(("chase", inv.apply((i, 0))))
@@ -209,7 +223,7 @@ def build_side_graph(poly: LatticePolygon, edge: tuple[Point, Point]) -> BuildRe
 
 
 def build_propagation_graph(
-    poly: LatticePolygon, kappa: Point, kappa_prime: Point, a: int
+    poly: LatticePolygon, kappa: Point, kappa_prime: Point, a: int, *, certify=certify_graph
 ) -> BuildResult:
     """Transfer graph from a known bridge at the point next to a vertex on
     one adjoint edge to the bridge at distance ``a`` on the other edge.
@@ -245,8 +259,9 @@ def build_propagation_graph(
     c2 = inv.apply_seg(seg((0, 0), (-1, 0)))
     graph.add(c1, -a - 1)
     graph.add(c2, -2 * a)
-    assert not check_balancing(graph, poly), "propagation graph must balance"
-    cert = certify_graph(graph, poly)
+    if check_balancing(graph, poly):
+        raise AssertionError("propagation graph must balance")
+    cert = certify(graph, poly)
     plan: list[Step] = [("absorb", known), ("absorb", vseg)]
     plan += [("absorb", s) for s in hsegs]
     plan += [("absorb", c1), ("absorb", c2), ("chase", kappa_prime), ("terminal", target)]
@@ -266,7 +281,13 @@ def build_propagation_graph(
 
 
 def build_gcd1_graph(
-    poly: LatticePolygon, kappa: Point, m: int, l: int, known_toward: Point
+    poly: LatticePolygon,
+    kappa: Point,
+    m: int,
+    l: int,
+    known_toward: Point,
+    *,
+    certify=certify_graph,
 ) -> BuildResult:
     """From a known bridge at distance m on one adjoint edge at kappa,
     conclude the m/gcd(m,l)-th power at distance l on the other edge.
@@ -305,8 +326,9 @@ def build_gcd1_graph(
     c2 = inv.apply_seg(seg((0, 0), (-1, 0)))
     graph.add(c1, vw)
     graph.add(c2, hw)
-    assert not check_balancing(graph, poly), "gcd1 graph must balance"
-    cert = certify_graph(graph, poly)
+    if check_balancing(graph, poly):
+        raise AssertionError("gcd1 graph must balance")
+    cert = certify(graph, poly)
     plan: list[Step] = [("absorb", known)]
     plan += [("absorb", s) for s in hsegs + vsegs]
     plan += [("absorb", c1), ("absorb", c2)]
@@ -325,12 +347,12 @@ def build_gcd1_graph(
 
 
 def build_gcd2_graphs(
-    poly: LatticePolygon, kappa: Point, m: int, known_toward: Point
+    poly: LatticePolygon, kappa: Point, m: int, known_toward: Point, *, certify=certify_graph
 ) -> tuple[BuildResult, BuildResult]:
     """The two transfer graphs of the gcd step: the first is the propagation
     graph with a = m (vertical weight -m-1, horizontal -2m), the second the
     symmetric anti-diagonal graph (all chain weights -m-1)."""
-    first = build_propagation_graph(poly, kappa, known_toward, m)
+    first = build_propagation_graph(poly, kappa, known_toward, m, certify=certify)
 
     # The second graph starts from the conclusion of the first (a bridge at
     # distance m on the other edge) and transfers it back to distance m on
@@ -360,8 +382,9 @@ def build_gcd2_graphs(
     c2 = inv.apply_seg(seg((0, 0), (-1, 0)))
     graph.add(c1, -m - 1)
     graph.add(c2, -m - 1)
-    assert not check_balancing(graph, poly), "gcd2 second graph must balance"
-    cert = certify_graph(graph, poly)
+    if check_balancing(graph, poly):
+        raise AssertionError("gcd2 second graph must balance")
+    cert = certify(graph, poly)
     plan: list[Step] = [("absorb", known)]
     plan += [("absorb", s) for s in hsegs + vsegs]
     plan += [("absorb", c1), ("absorb", c2)]
@@ -380,7 +403,7 @@ def build_gcd2_graphs(
 
 
 def build_gcdedges_graph(
-    poly: LatticePolygon, kappa: Point, toward: Point
+    poly: LatticePolygon, kappa: Point, toward: Point, *, certify=certify_graph
 ) -> BuildResult:
     """Seed graph of the edge-gcd argument: from corner bridges alone it
     derives the l1-th power of the bridge at the point next to kappa on the
@@ -399,7 +422,8 @@ def build_gcdedges_graph(
     ly = 0
     while adj_img.side((0, ly + 1)) == 0:
         ly += 1
-    assert ly >= 1
+    if ly < 1:
+        raise AssertionError("no vertical adjoint edge at kappa")
     graph = WeightedSegmentGraph()
     known = inv.apply_seg(seg((0, -1), (lx, 0)))
     target = inv.apply_seg(seg((-1, 0), (0, 1)))
@@ -424,8 +448,9 @@ def build_gcdedges_graph(
     c2 = inv.apply_seg(seg((0, 0), (-1, 0)))
     graph.add(c1, -2)
     graph.add(c2, -2 * lx)
-    assert not check_balancing(graph, poly), "gcdedges graph must balance"
-    cert = certify_graph(graph, poly)
+    if check_balancing(graph, poly):
+        raise AssertionError("gcdedges graph must balance")
+    cert = certify(graph, poly)
     plan: list[Step] = [("absorb", known), ("absorb", vfoot)]
     plan += [("absorb", s) for s in hsegs + column]
     plan += [("absorb", c1), ("absorb", c2)]
@@ -462,7 +487,8 @@ def _sweep(v: Point, leg_target: Point, chain_end: Point) -> list[Point]:
             break
         area = tri.area2()
         if area_prev is not None:
-            assert area < area_prev, "sweep triangle area must strictly decrease"
+            if area >= area_prev:
+                raise AssertionError("sweep triangle area must strictly decrease")
         area_prev = area
         dir_b = primitive(sub(leg_target, cur))
         rho = cross(dir_b, sub(chain_end, cur))
@@ -481,7 +507,8 @@ def _sweep(v: Point, leg_target: Point, chain_end: Point) -> list[Point]:
             c = rho * cross(dw, db)
             if c > 0 or (c == 0 and abs(dw[0]) + abs(dw[1]) > abs(db[0]) + abs(db[1])):
                 best = w
-        assert best is not None
+        if best is None:
+            raise AssertionError("sweep found no next point")
         chain.append(best)
         cur = best
     return chain
@@ -490,10 +517,12 @@ def _sweep(v: Point, leg_target: Point, chain_end: Point) -> list[Point]:
 def _solve_pair(d1: Point, d2: Point, rhs: Point) -> tuple[int, int]:
     """Integer solution of x*d1 + y*d2 = rhs for a lattice basis (d1, d2)."""
     det = cross(d1, d2)
-    assert abs(det) == 1, f"{d1}, {d2} do not generate the lattice"
+    if abs(det) != 1:
+        raise AssertionError(f"{d1}, {d2} do not generate the lattice")
     x = cross(rhs, d2) * det
     y = cross(d1, rhs) * det
-    assert (x * d1[0] + y * d2[0], x * d1[1] + y * d2[1]) == rhs
+    if (x * d1[0] + y * d2[0], x * d1[1] + y * d2[1]) != rhs:
+        raise AssertionError(f"({x}, {y}) does not solve for {rhs}")
     return x, y
 
 
@@ -564,7 +593,8 @@ def _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation) -> RaySweep:
     f = _frame_with_point_up(poly, kappa, kappa_prime)[0]
     inv = f.inverse()
     vi = f.apply(v)
-    assert vi[0] % d == 0 and vi[1] % d == 0
+    if vi[0] % d or vi[1] % d:
+        raise AssertionError(f"{v} is not divisible by {d} in the frame")
     u = (vi[0] // d, vi[1] // d)
     if u == (0, 0):
         raise ValueError("seed point coincides with kappa")
@@ -616,7 +646,8 @@ def _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation) -> RaySweep:
     graph.add(inv.apply_seg(seg((0, 0), (-1, 0))), b2)
     graph.add(inv.apply_seg(seg((0, 0), (0, -1))), b3)
     bad = check_balancing(graph, poly)
-    assert bad <= {v}, f"ray sweep unbalanced beyond the seed: {bad}"
+    if not bad <= {v}:
+        raise AssertionError(f"ray sweep unbalanced beyond the seed: {bad}")
     return RaySweep(
         graph,
         v,
@@ -776,7 +807,9 @@ def end_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     return _chain_devices(poly, u, sigma_dir)
 
 
-def build_interior_graph(poly: LatticePolygon, sigma: Segment) -> BuildResult:
+def build_interior_graph(
+    poly: LatticePolygon, sigma: Segment, *, certify=certify_graph
+) -> BuildResult:
     """Admissible graph containing a given primitive segment with weight one,
     balanced by end devices; the deduction chases the segment at an interior
     end once the device legs are absorbed.
@@ -813,7 +846,7 @@ def build_interior_graph(poly: LatticePolygon, sigma: Segment) -> BuildResult:
                                 one.append(p)
             zero = [p for p in zero if poly.side(p) != 0]
             try:
-                cert = certify_flexible(graph, poly, sweeps, zero, one)
+                cert = certify_flexible(graph, poly, sweeps, zero, one, certify=certify)
             except (CertificationError, AssertionError) as exc:
                 last_error = str(exc)  # not exc: its traceback would pin these frames in a cycle
                 continue
@@ -837,6 +870,8 @@ def build_leg_pair(
     u: Point,
     orientation: str,
     which: int,
+    *,
+    certify=certify_graph,
 ) -> BuildResult:
     """Balanced pair deriving the twist of leg ``which`` (1: toward the leg
     target, 2: the first chain segment) of the sweep G at u, by pairing the
@@ -873,7 +908,7 @@ def build_leg_pair(
             if not graph.loops_pairwise_disjoint():
                 continue
             try:
-                cert = certify_flexible(graph, poly, [main, companion])
+                cert = certify_flexible(graph, poly, [main, companion], certify=certify)
             except (CertificationError, AssertionError) as exc:
                 last_error = str(exc)
                 continue
@@ -986,10 +1021,13 @@ def certify_flexible(
     zero_points=(),
     one_points=(),
     allow_unbalanced_at=frozenset(),
+    *,
+    certify=certify_graph,
 ) -> AdmissibilityCertificate:
-    """Try the line-arrangement recipe, then the staged fan recipe."""
+    """Try the line-arrangement recipe (through ``certify``), then the
+    staged fan recipe."""
     try:
-        return certify_graph(graph, poly, allow_unbalanced_at)
+        return certify(graph, poly, allow_unbalanced_at)
     except (CertificationError, AssertionError) as first:
         if not sweeps and not one_points:
             raise

@@ -144,7 +144,9 @@ class RuleContext:
     sound: the key is the whole decoded witness and ``verify_subdivision``
     is a pure function of it, so a witness that differs in any height or
     cell is checked on its own, and the graph's containment in the cells and
-    its balancing are checked at every node."""
+    its balancing are checked at every node.  ``shared`` holds one copy of
+    each segment, cell and polygon stored in ``witnesses`` and of each cell
+    of the Engine's memoized certificates."""
 
     def __init__(self, poly: LatticePolygon, adjoint):
         self.poly = poly
@@ -152,6 +154,7 @@ class RuleContext:
         self._surface: SurfaceModel | None = None
         self._keys: dict = {}
         self.witnesses: dict = {}
+        self.shared: dict = {}
 
     def key_of(self, obj) -> tuple:
         key = self._keys.get(obj)
@@ -255,7 +258,7 @@ def _admissible(ctx, p):
     cert = p["certificate"]
     _check(cert.polygon == ctx.poly, "certificate polygon mismatch")
     _check(not cert.unbalanced_ok, "graph not balanced everywhere")
-    _check(cert.verify(ctx.witnesses), "certificate failed verification")
+    _check(cert.verify(ctx.witnesses, ctx.shared), "certificate failed verification")
     _check(cert.graph.loops_pairwise_disjoint(), "graph loops are not disjoint")
     return composite(GEOMETRIC, cert.graph)
 
@@ -409,11 +412,25 @@ _ANCHOR_ROUNDS = 3
 class Engine:
     """Fact store plus rule applications over a fixed smooth polygon.
 
-    Builder results are memoized for the life of the Engine (one
-    derivation), keyed by the builder's name and its arguments after the
-    polygon; the fixed-point loops ask for the same graphs pass after pass.
-    Every use still runs its plan through the rule kernel, so each use
-    emits its nodes and the certificate does not change."""
+    Two memos live as long as the Engine, that is one derivation:
+
+    - ``_builds`` maps (builder name, arguments after the polygon) to the
+      builder's result; the fixed-point loops ask for the same graphs pass
+      after pass.
+    - ``_certs`` maps (the graph's entries as a frozenset, polygon,
+      ``allow_unbalanced_at`` as a frozenset) to the certificate
+      ``builders.certify_graph`` gives; builders with different arguments
+      often produce one graph (gcd1 with l = 1 and propagation with a = m,
+      for example), and ``_certify`` is the ``certify`` they are given.
+      Their cells go through ``ctx.shared``, which keeps one copy of each
+      cell: one polygon's certificates repeat most of their cells.
+
+    A call that raises stores nothing and runs again next time.  Certificates
+    stay byte-identical: ``certify_graph`` is a pure function of the key (the
+    region and heights come from the graph's entries alone), so a hit equals
+    what a fresh call would return, and every use still runs its plan
+    through the rule kernel, which emits its nodes and verifies every
+    ``admissible`` node.  No caller mutates a memoized result."""
 
     def __init__(self, poly: LatticePolygon):
         self.poly = poly
@@ -425,7 +442,7 @@ class Engine:
         # generators, tightened by gcd as new facts arrive
         self.facts: dict[tuple, tuple[int, int]] = {}
         self._builds: dict[tuple, object] = {}
-        self._cells: dict[LatticePolygon, LatticePolygon] = {}
+        self._certs: dict[tuple, AdmissibilityCertificate] = {}
 
     # -- infrastructure ------------------------------------------------------
 
@@ -441,25 +458,30 @@ class Engine:
 
     def _build(self, name: str, *args):
         """``builders.<name>(self.poly, *args)``, built once per distinct
-        ``args``; a builder that raises is called again next time.  The
+        ``args`` and certified through ``_certify`` (the ray sweep certifies
+        nothing); a builder that raises is called again next time.  The
         builder is looked up at call time, so a rebound one is honoured."""
         key = (name, args)
         hit = self._builds.get(key)
         if hit is None:
-            hit = self._builds[key] = self._share_cells(getattr(builders, name)(self.poly, *args))
+            extra = {} if name == "build_ray_sweep" else {"certify": self._certify}
+            hit = self._builds[key] = getattr(builders, name)(self.poly, *args, **extra)
         return hit
 
-    def _share_cells(self, build):
-        """The build (or tuple of builds) with its certificate's cells swapped
-        for equal ones this Engine already holds: memoized certificates of
-        one polygon repeat most of their unimodular cells."""
-        if isinstance(build, tuple):
-            return tuple(map(self._share_cells, build))
-        cert = getattr(build, "certificate", None)
+    def _certify(
+        self, graph: WeightedSegmentGraph, poly: LatticePolygon, allow_unbalanced_at=frozenset()
+    ) -> AdmissibilityCertificate:
+        """``builders.certify_graph``, run once per distinct graph, polygon
+        and exemption set, with its cells shared across certificates; a
+        certification that raises runs again next time.  Looked up at call
+        time, so a rebound one is honoured."""
+        key = (frozenset(graph.entries.items()), poly, frozenset(allow_unbalanced_at))
+        cert = self._certs.get(key)
         if cert is None:
-            return build
-        cells = tuple(self._cells.setdefault(c, c) for c in cert.cells)
-        return replace(build, certificate=replace(cert, cells=cells))
+            cert = builders.certify_graph(graph, poly, allow_unbalanced_at)
+            cells = tuple(self.ctx.shared.setdefault(c, c) for c in cert.cells)
+            cert = self._certs[key] = replace(cert, cells=cells)
+        return cert
 
     def _apply_single(self, rule: str, params: dict, premises: list[int]) -> int:
         """Apply a rule concluding a single fact and enter it in the store."""
@@ -981,7 +1003,9 @@ class Engine:
                                     one.append(p)
                 sweeps = [dev.ray for dev in (dx, dw) if dev.ray is not None]
                 try:
-                    cert = builders.certify_flexible(g, poly, sweeps, zero, one)
+                    cert = builders.certify_flexible(
+                        g, poly, sweeps, zero, one, certify=self._certify
+                    )
                 except (CertificationError, AssertionError):
                     continue
                 yield dx, dw, cert
@@ -1116,7 +1140,9 @@ class Engine:
         if check_balancing(union, self.poly) or not union.loops_pairwise_disjoint():
             return None
         try:
-            cert = builders.certify_flexible(union, self.poly, [probe, tsweep])
+            cert = builders.certify_flexible(
+                union, self.poly, [probe, tsweep], certify=self._certify
+            )
         except (CertificationError, AssertionError):
             return None
         rea = self.axiom_rea(cert, flavor)

@@ -234,11 +234,7 @@ class LatticePolygon:
     __slots__ = ("vertices", "_lattice_cache", "_halfplanes")
 
     def __init__(self, points):
-        hull = convex_hull(points)
-        if len(hull) >= 3:
-            k = hull.index(min(hull))
-            hull = hull[k:] + hull[:k]
-        object.__setattr__(self, "vertices", tuple(hull))
+        object.__setattr__(self, "vertices", tuple(convex_hull(points)))
         object.__setattr__(self, "_lattice_cache", None)
         object.__setattr__(self, "_halfplanes", None)
 

@@ -232,7 +232,7 @@ class AdmissibilityCertificate:
     cells: tuple[LatticePolygon, ...]
     unbalanced_ok: tuple[Point, ...] = ()
 
-    def verify(self, checked: dict | None = None) -> bool:
+    def verify(self, checked: dict | None = None, shared: dict | None = None) -> bool:
         """The one check of a certificate: the witness induces exactly
         ``cells`` (by verify_subdivision), which are unimodular and contain
         every graph edge, and the graph is balanced outside ``unbalanced_ok``.
@@ -241,15 +241,23 @@ class AdmissibilityCertificate:
 
         ``checked`` memoizes the witness part across certificates: it maps
         (polygon, witness, cells) to the edges of the unimodular subdivision
-        they form, or to None; the graph is checked against them each time."""
+        they form, or to None; the graph is checked against them each time.
+        ``shared`` maps each segment, cell and polygon stored in ``checked``
+        to itself, so entries that repeat one (most segments and cells of
+        one polygon's witnesses) hold a single copy."""
         key = (self.polygon, self.witness, self.cells)
         if checked is None:
             checked = {}
         edges = checked.get(key, False)
         if edges is False:
             sub_div = verify_subdivision(self.polygon, self.cells, self.witness)
-            unimodular = sub_div is not None and sub_div.is_unimodular()
-            edges = checked[key] = sub_div.edges() if unimodular else None
+            edges = None
+            if sub_div is not None and sub_div.is_unimodular():
+                pool = {} if shared is None else shared
+                edges = {pool.setdefault(s, s) for s in sub_div.edges()}
+                cells = tuple(pool.setdefault(c, c) for c in self.cells)
+                key = (pool.setdefault(self.polygon, self.polygon), self.witness, cells)
+            checked[key] = edges
         if edges is None or not all(s in edges for s in self.graph.entries):
             return False
         if check_balancing(self.graph, self.polygon) - set(self.unbalanced_ok):

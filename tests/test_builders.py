@@ -1,5 +1,11 @@
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 
+import tropmono
 from tropmono.geometry import LatticePolygon, add, seg, smul, sub
 from tropmono.graphs import check_balancing
 from tropmono.builders import (
@@ -175,3 +181,34 @@ def test_leg_pairs():
     lp2 = build_leg_pair(T6, (1, 1), (1, 2), (2, 2), "kk'", 2)
     assert lp2.target == seg((1, 1), (2, 2))
     assert lp2.certificate.verify()
+
+
+def test_no_library_module_uses_assert():
+    """Every check in src/tropmono raises explicitly, so python -O keeps it."""
+    src = os.path.dirname(tropmono.__file__)
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            if lines:
+                found[name] = lines
+    assert found == {}
+
+
+def test_solve_pair_rejects_a_non_basis_under_python_O():
+    """The lattice-basis check of the integer pair solver holds with
+    assert statements compiled out."""
+    code = (
+        "from tropmono.builders import _solve_pair\n"
+        "try:\n"
+        "    _solve_pair((1, 0), (1, 2), (0, 1))\n"
+        "except AssertionError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(tropmono.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False (1, 0), (1, 2) do not generate the lattice"

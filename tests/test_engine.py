@@ -258,12 +258,12 @@ def test_build_memo_builds_each_argument_tuple_once(monkeypatch):
     calls, depth = [], [0]
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             if depth[0] == 0:  # builders calling builders are not the memo's concern
                 calls.append((name, args))
             depth[0] += 1
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 depth[0] -= 1
 
@@ -288,6 +288,93 @@ def test_build_memo_builds_each_argument_tuple_once(monkeypatch):
         assert set(calls) == {(name, (SQ4, *args)) for name, args in requests}
         runs.append((list(calls), _digest(cert)))
     assert runs[0] == runs[1]
+
+
+def _count_certifications(monkeypatch) -> list:
+    """(graph entries, exemptions) of every certify_admissible call that
+    builders.certify_graph makes from now on."""
+    calls = []
+    original = builders.certify_admissible
+
+    def counted(graph, poly, hint=None, allow_unbalanced_at=frozenset()):
+        calls.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at)))
+        return original(graph, poly, hint, allow_unbalanced_at)
+
+    monkeypatch.setattr(builders, "certify_admissible", counted)
+    return calls
+
+
+def test_certify_memo_certifies_each_graph_once(monkeypatch):
+    """An SQ4 derivation asks for some graphs' certificates more than once
+    (builders with different arguments produce one graph) but certifies
+    each distinct (entries, exemptions) key once; a fresh Engine certifies
+    again, and both emit the same certificate bytes."""
+    calls = _count_certifications(monkeypatch)
+    requests = []
+    memo = Engine._certify
+
+    def asked(self, graph, poly, allow_unbalanced_at=frozenset()):
+        requests.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at)))
+        return memo(self, graph, poly, allow_unbalanced_at)
+
+    monkeypatch.setattr(Engine, "_certify", asked)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        requests.clear()
+        cert = Engine(SQ4).derive_surjectivity()["certificate"]
+        assert len(calls) == len(set(calls)) == len(set(requests)) < len(requests)
+        assert set(calls) == set(requests)
+        runs.append((list(calls), _digest(cert)))
+    assert runs[0] == runs[1]
+
+
+def test_certify_memo_keys_weights_and_exemptions(monkeypatch):
+    """Graphs on the same segments with other weights, and one graph with
+    another exemption set, are certified separately."""
+    calls = _count_certifications(monkeypatch)
+    e = Engine(T4)
+    g = builders.build_corner_graph(T4, (1, 1)).graph
+    doubled = g.scaled(2)
+    assert set(doubled.entries) == set(g.entries)
+    calls.clear()
+    assert e._certify(g, T4).graph == g
+    assert e._certify(doubled, T4).graph == doubled
+    assert e._certify(g, T4, frozenset({(1, 1)})).unbalanced_ok == ((1, 1),)
+    assert e._certify(g, T4).unbalanced_ok == ()
+    assert len(calls) == 3
+
+
+def test_certify_memo_does_not_store_failures(monkeypatch):
+    """A certification that raises runs again on the next request; the
+    first success is stored."""
+    calls = _count_certifications(monkeypatch)
+    original = builders.certify_graph
+    fail = [None]
+
+    def flaky(graph, poly, allow_unbalanced_at=frozenset()):
+        if fail:
+            fail.pop()
+            raise graphs.CertificationError("first attempt fails")
+        return original(graph, poly, allow_unbalanced_at)
+
+    monkeypatch.setattr(builders, "certify_graph", flaky)
+    e = Engine(T4)
+    g = builders.build_corner_graph(T4, (1, 1)).graph
+    calls.clear()
+    with pytest.raises(graphs.CertificationError):
+        e._certify(g, T4)
+    first = e._certify(g, T4)
+    assert e._certify(g, T4) is first
+    assert len(calls) == 1
+
+
+def test_witness_memo_stores_each_segment_once():
+    """Equal segments of different memoized witnesses are one object."""
+    e = Engine(T4)
+    e.derive_surjectivity()
+    segments = [s for edges in e.ctx.witnesses.values() if edges for s in edges]
+    assert len({id(s) for s in segments}) == len(set(segments)) < len(segments)
 
 
 def test_interior_d_and_dd_on_sq4():

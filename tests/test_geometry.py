@@ -40,6 +40,24 @@ def test_hull_is_ccw_from_lex_min():
     assert p.area2() == 50
 
 
+def test_convex_hull_starts_at_lex_min_point():
+    """LatticePolygon keeps the hull's order as is: a two-dimensional hull
+    already starts at the lex-min point, whatever the input order."""
+    rng = random.Random(29)
+    hulls = 0
+    for _ in range(3000):
+        pts = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(3, 12))]
+        rng.shuffle(pts)
+        hull = convex_hull(pts)
+        if len(hull) < 3:
+            continue
+        hulls += 1
+        assert hull[0] == min(pts)
+        k = rng.randrange(len(hull))
+        assert LatticePolygon(hull[k:] + hull[:k]).vertices == tuple(hull)
+    assert hulls > 2500
+
+
 def test_segment_canonicalization():
     assert seg((1, 1), (0, 0)) == ((0, 0), (1, 1))
     with pytest.raises(ValueError):

@@ -123,7 +123,7 @@ def composite(flavor, graph: WeightedSegmentGraph) -> dict:
 def graph_of(conclusion) -> WeightedSegmentGraph:
     g = WeightedSegmentGraph()
     for a, b, m in conclusion["edges"]:
-        g.add(seg(tuple(a), tuple(b)), m)
+        g.add((tuple(a), tuple(b)), m)
     return g
 
 
@@ -555,7 +555,8 @@ class Engine:
         if comp["type"] != "composite":
             raise DerivationError("absorb", "premise is not composite")
         segment = seg(*segment)
-        w = graph_of(comp).weight(segment)
+        edge = [list(segment[0]), list(segment[1])]
+        w = next((m for a, b, m in comp["edges"] if [a, b] == edge), 0)
         if w == 0:
             return comp_id
         exponent, fid = self.require(comp["flavor"], self.key_of(segment), "absorb")

@@ -44,7 +44,7 @@ def dot(a: Point, b: Point) -> int:
 
 def orient(a: Point, b: Point, c: Point) -> int:
     """Sign of twice the signed area of triangle abc (>0 for ccw)."""
-    return cross(sub(b, a), sub(c, a))
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def lattice_length(a: Point, b: Point) -> int:
@@ -60,10 +60,6 @@ def primitive(v: Point) -> Point:
     return (v[0] // g, v[1] // g)
 
 
-def is_primitive_segment(a: Point, b: Point) -> bool:
-    return a != b and lattice_length(a, b) == 1
-
-
 def point_from_json(x) -> Point:
     """A lattice point decoded from JSON: a list of exactly two ints (bools
     and floats rejected); ValueError otherwise."""
@@ -74,9 +70,11 @@ def point_from_json(x) -> Point:
 
 def seg(a: Point, b: Point) -> Segment:
     """Canonical (sorted) primitive integer segment with endpoints a, b."""
-    a = (int(a[0]), int(a[1]))
-    b = (int(b[0]), int(b[1]))
-    if not is_primitive_segment(a, b):
+    if not (type(a) is tuple and type(b) is tuple and len(a) == len(b) == 2
+            and type(a[0]) is type(a[1]) is type(b[0]) is type(b[1]) is int):
+        a = (int(a[0]), int(a[1]))
+        b = (int(b[0]), int(b[1]))
+    if gcd(a[0] - b[0], a[1] - b[1]) != 1:
         raise ValueError(f"not a primitive integer segment: {a}-{b}")
     return (a, b) if a < b else (b, a)
 
@@ -172,6 +170,23 @@ def convex_hull(points) -> list[Point]:
     return hull
 
 
+def _triangle(points):
+    """``tuple(convex_hull(points))`` for three non-collinear points given as
+    int 2-tuples or 2-lists in a list, tuple or set: sorted, then ordered
+    ccw from the lex-min one, with no hull run.  None for any other input."""
+    if type(points) not in (list, tuple, set) or len(points) != 3:
+        return None
+    pts = []
+    for p in points:
+        if type(p) not in (tuple, list) or len(p) != 2 or \
+                type(p[0]) is not int or type(p[1]) is not int:
+            return None
+        pts.append((p[0], p[1]))
+    a, b, c = sorted(pts)
+    o = orient(a, b, c)
+    return None if o == 0 else (a, b, c) if o > 0 else (a, c, b)
+
+
 @dataclass(frozen=True)
 class UnimodularMap:
     """Lattice-preserving affine map x -> M x + t with |det M| = 1."""
@@ -234,9 +249,8 @@ class LatticePolygon:
     __slots__ = ("vertices", "_lattice_cache", "_halfplanes")
 
     def __init__(self, points):
-        object.__setattr__(self, "vertices", tuple(convex_hull(points)))
-        object.__setattr__(self, "_lattice_cache", None)
-        object.__setattr__(self, "_halfplanes", None)
+        self.vertices = _triangle(points) or tuple(convex_hull(points))
+        self._lattice_cache = self._halfplanes = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -287,7 +301,7 @@ class LatticePolygon:
                 a, b = -dy // g, dx // g  # left of a ccw edge
                 out.append((a, b, a * x0 + b * y0))
             hp = tuple(out)
-            object.__setattr__(self, "_halfplanes", hp)
+            self._halfplanes = hp
         return hp
 
     # -- membership --------------------------------------------------------
@@ -341,7 +355,7 @@ class LatticePolygon:
                     lo = max(-((a * x - c) // b) for a, b, c in below)
                     hi = min((c - a * x) // b for a, b, c in above)
                     cache.extend((x, y) for y in range(lo, hi + 1))
-            object.__setattr__(self, "_lattice_cache", cache)
+            self._lattice_cache = cache
         return list(cache)
 
     def boundary_points(self) -> list[Point]:

@@ -4,11 +4,12 @@ Two primitives work on lifted lattice points with integer arithmetic after
 clearing denominators: ``subdivision_from_heights`` computes the lower
 convex hull (gift wrapping), and ``verify_subdivision`` is the one check
 that given cells are the subdivision induced by given heights (admissibility
-certificates, the regularity LP and pulling all use it).  On top of them sit
-the regularity decision procedure (exact LP), the extension of a
-subdivision of a subpolygon to the whole polygon, unimodular refinement by
-pulling (integer heights on one shared scale, using the same integer plane
-routine as the hull), and the dual tropical curve.
+certificates, the regularity LP and pulling all use it).  Both, and the
+cone check of pulling, find the lifted points on a plane with one scan,
+``_touching``.  On top of them sit the regularity decision procedure (exact
+LP), the extension of a subdivision of a subpolygon to the whole polygon,
+unimodular refinement by pulling (integer heights on one shared scale), and
+the dual tropical curve.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .geometry import (
     convex_hull,
     dot,
     lattice_length,
-    lattice_points_on_segment,
     orient,
     point_from_json,
     primitive,
@@ -55,9 +55,6 @@ class HeightFunction:
     @property
     def support(self) -> list[Point]:
         return [p for p, _ in self.values]
-
-    def shifted(self, c: Fraction) -> "HeightFunction":
-        return HeightFunction(tuple((p, v + c) for p, v in self.values))
 
     def to_json(self) -> list:
         return [[p[0], p[1], v.numerator, v.denominator] for p, v in self.values]
@@ -102,9 +99,18 @@ def _plane_through(a, b, c, h):
     return nx, ny, nz, d
 
 
-def _plane_val(plane, p, h) -> int:
+def _touching(plane, lifted) -> list[Point] | None:
+    """The integer plane scan: the points of ``lifted`` (``(x, y, h)``
+    triples) on ``plane``, or None if one of them lies below it."""
     nx, ny, nz, d = plane
-    return nx * p[0] + ny * p[1] + nz * h[p] - d
+    on = []
+    for x, y, z in lifted:
+        val = nx * x + ny * y + nz * z - d
+        if val < 0:
+            return None
+        if val == 0:
+            on.append((x, y))
+    return on
 
 
 def _norm_plane(plane):
@@ -170,14 +176,10 @@ class RegularSubdivision:
         out: set[Segment] = set()
         for c in self.cells:
             for a, b in c.edges():
-                out.update(primitive_segments_on(a, b))
-        return out
-
-    def vertices(self) -> set[Point]:
-        out: set[Point] = set()
-        for c in self.cells:
-            for a, b in c.edges():
-                out.update(lattice_points_on_segment(a, b))
+                if gcd(a[0] - b[0], a[1] - b[1]) == 1:
+                    out.add((a, b) if a < b else (b, a))
+                else:
+                    out.update(primitive_segments_on(a, b))
         return out
 
     def one_faces(self):
@@ -230,6 +232,7 @@ def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivisio
     if LatticePolygon(pts) != poly:
         raise SubdivisionError("support does not span the polygon")
     h, _ = _cleared(hmap)
+    lifted = [(x, y, h[x, y]) for x, y in pts]
 
     seeds = _boundary_chain_edges(pts, h)
     queue = list(seeds)
@@ -245,22 +248,16 @@ def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivisio
         cands = [p for p in pts if orient(a, b, p) > 0]
         if not cands:
             raise SubdivisionError(f"no facet on the left of {(a, b)}")
-        best = cands[0]
-        best_plane = _plane_through(a, b, best, h)
+        nx, ny, nz, d = _plane_through(a, b, cands[0], h)
         for c in cands[1:]:
-            if _plane_val(best_plane, c, h) < 0:
-                best = c
-                best_plane = _plane_through(a, b, best, h)
-        plane = _norm_plane(best_plane)
+            if nx * c[0] + ny * c[1] + nz * h[c] < d:
+                nx, ny, nz, d = _plane_through(a, b, c, h)
+        plane = _norm_plane((nx, ny, nz, d))
         if plane in facets:
             continue
-        on = []
-        for p in pts:
-            val = _plane_val(plane, p, h)
-            if val < 0:
-                raise AssertionError("gift wrapping produced a non-supporting plane")
-            if val == 0:
-                on.append(p)
+        on = _touching(plane, lifted)
+        if on is None:
+            raise AssertionError("gift wrapping produced a non-supporting plane")
         cell = LatticePolygon(on)
         if cell.dimension != 2:
             raise AssertionError("degenerate facet")
@@ -300,6 +297,7 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
     if LatticePolygon(pts) != poly:
         return None
     h, _ = _cleared(hmap)
+    lifted = [(x, y, h[x, y]) for x, y in pts]
     cells = sorted(cells, key=lambda c: c.vertices)
     if len(set(cells)) != len(cells) or sum(c.area2() for c in cells) != poly.area2():
         return None
@@ -310,14 +308,8 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
         if len(v) < 3 or any(q not in h for q in (v[0], v[1], v[2])):
             return None
         plane = _plane_through(v[0], v[1], v[2], h)
-        on = []
-        for p in pts:
-            val = _plane_val(plane, p, h)
-            if val < 0:
-                return None
-            if val == 0:
-                on.append(p)
-        if LatticePolygon(on) != c:
+        on = _touching(plane, lifted)
+        if on is None or LatticePolygon(on) != c:
             return None
         used.update(on)
         planes.append(_norm_plane(plane))
@@ -511,22 +503,16 @@ def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
                     h[q] *= m
                 planes = [(a * m, b * m, c, e * m) for a, b, c, e in planes]
                 old = h[p]
-            h[p] = int(drop * scale)
-            good = all(_plane_val(planes[i], p, h) > 0 for i in kept)
+            z = h[p] = int(drop * scale)
+            good = all(a * p[0] + b * p[1] + c * z > e for a, b, c, e in (planes[i] for i in kept))
             new_planes = []
             if good:
+                lifted = [(x, y, h[x, y]) for x, y in pts]
                 for cone in cones:
                     v = cone.vertices
                     plane = _plane_through(v[0], v[1], v[2], h)
-                    on = []
-                    for q in pts:
-                        val = _plane_val(plane, q, h)
-                        if val < 0:
-                            good = False
-                            break
-                        if val == 0:
-                            on.append(q)
-                    if not good or LatticePolygon(on) != cone:
+                    on = _touching(plane, lifted)
+                    if on is None or LatticePolygon(on) != cone:
                         good = False
                         break
                     new_planes.append(plane)

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import tropmono.geometry
+from tropmono.engine import Engine
 from tropmono.geometry import (
     LatticePolygon,
     UnimodularMap,
@@ -121,7 +124,7 @@ def test_boundary_segments_count_matches_boundary_points():
 
 
 def test_convex_hull_collinear_input():
-    assert convex_hull([(0, 0), (1, 1), (2, 2), (1, 0)]) == [(0, 0), (2, 2)] or True
+    assert convex_hull([(0, 0), (1, 1), (2, 2), (1, 0)]) == [(0, 0), (1, 0), (2, 2)]
     hull = convex_hull([(0, 0), (1, 0), (2, 0), (1, 1)])
     assert hull == [(0, 0), (2, 0), (1, 1)]
 
@@ -188,3 +191,107 @@ def test_half_planes_are_primitive_inward_and_tight():
         assert a * p[0] + b * p[1] == c == a * q[0] + b * q[1]
     with pytest.raises(ValueError):
         LatticePolygon([(0, 0), (2, 2)]).halfplanes()
+
+
+def _is_int_pair(p):
+    return type(p) in (tuple, list) and len(p) == 2 and all(type(c) is int for c in p)
+
+
+def _random_triple(rng):
+    """Three points of one of several shapes, with the exact coordinates
+    and containers the three-point path must accept or hand on."""
+    pts = [[rng.randint(-4, 4), rng.randint(-4, 4)] for _ in range(3)]
+    shape = rng.randrange(8)
+    if shape == 0:  # collinear
+        d = (rng.randint(-2, 2), rng.randint(-2, 2))
+        pts = [[pts[0][0] + k * d[0], pts[0][1] + k * d[1]] for k in rng.sample(range(-2, 3), 3)]
+    elif shape == 1:  # repeated
+        pts[2] = list(pts[rng.randrange(2)])
+    elif shape == 2:
+        pts[rng.randrange(3)][rng.randrange(2)] = rng.choice((True, False))
+    elif shape == 3:
+        pts[rng.randrange(3)][rng.randrange(2)] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+    elif shape == 4:
+        pts[rng.randrange(3)].append(rng.randint(-4, 4))
+    as_list = rng.random() < 0.2
+    return [list(p) if as_list else tuple(p) for p in pts]
+
+
+def test_three_point_polygons_match_convex_hull(monkeypatch):
+    """The three-point path gives exactly convex_hull's vertices, and it is
+    taken precisely for three non-collinear int 2-points in a list, tuple
+    or set; everything else goes through convex_hull."""
+    hulls = []
+    real_hull = tropmono.geometry.convex_hull
+    monkeypatch.setattr(tropmono.geometry, "convex_hull", lambda pts: hulls.append(1) or real_hull(pts))
+    rng = random.Random(83)
+    fast = slow = 0
+    for _ in range(2400):
+        pts = _random_triple(rng)
+        container = rng.choice((list, tuple, set, iter))
+        if container is set:
+            pts = [tuple(p) for p in pts]
+        expected = tuple(real_hull(pts))
+        hulls.clear()
+        vertices = LatticePolygon(container(pts)).vertices
+        assert vertices == expected
+        assert all(type(v) is tuple and all(type(c) is int for c in v) for v in vertices)
+        eligible = (container is not iter and len(set(map(tuple, pts))) == 3
+                    and all(map(_is_int_pair, pts)) and orient(*pts) != 0)
+        assert len(hulls) == (0 if eligible else 1), (container, pts)
+        fast += eligible
+        slow += not eligible
+    assert fast > 600 and slow > 1200
+
+
+def reference_seg(a, b):
+    """seg as it was: cast with int(), then require a primitive segment."""
+    a = (int(a[0]), int(a[1]))
+    b = (int(b[0]), int(b[1]))
+    if a == b or gcd(abs(a[0] - b[0]), abs(a[1] - b[1])) != 1:
+        raise ValueError("not primitive")
+    return (a, b) if a < b else (b, a)
+
+
+def test_seg_matches_int_cast_reference():
+    rng = random.Random(17)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        a, b = _random_triple(rng)[:2]
+        if rng.random() < 0.5:  # mostly primitive: a unit step from a
+            b = list(b)
+            b[:2] = [a[0] + rng.choice((-1, 0, 1)), a[1] + rng.choice((-1, 1))]
+            b = tuple(b) if rng.random() < 0.8 else b
+        try:
+            expected = reference_seg(a, b)
+        except ValueError:
+            with pytest.raises(ValueError):
+                seg(a, b)
+            outcomes[False] += 1
+            continue
+        got = seg(a, b)
+        assert got == expected
+        assert all(type(p) is tuple and all(type(c) is int for c in p) for p in got)
+        outcomes[True] += 1
+    assert min(outcomes.values()) > 500
+
+
+def test_derivation_builds_triangles_without_the_hull(monkeypatch):
+    """The three-point path carries the derivation's cells and trial cones:
+    a T4 derivation runs convex_hull for under a quarter of its polygons."""
+    calls = {"hull": 0, "polygon": 0}
+    real_hull, real_init = tropmono.geometry.convex_hull, LatticePolygon.__init__
+
+    def counting_hull(points):
+        calls["hull"] += 1
+        return real_hull(points)
+
+    def counting_init(self, points):
+        calls["polygon"] += 1
+        real_init(self, points)
+
+    monkeypatch.setattr(tropmono.geometry, "convex_hull", counting_hull)
+    monkeypatch.setattr(LatticePolygon, "__init__", counting_init)
+    Engine(LatticePolygon([(0, 0), (4, 0), (0, 4)])).derive_surjectivity()
+    assert calls["polygon"] > 500
+    assert 4 * calls["hull"] < calls["polygon"], calls

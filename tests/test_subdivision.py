@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import tropmono.subdivision
-from tropmono.geometry import LatticePolygon, seg
+from tropmono.geometry import LatticePolygon, primitive_segments_on, seg
 from tropmono.subdivision import (
     HeightFunction,
     SubdivisionError,
@@ -197,3 +197,71 @@ def test_dual_curve_checks_are_not_assert_statements():
     so python -O keeps them."""
     tree = ast.parse(open(tropmono.subdivision.__file__).read())
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def random_subdivisions(rng, count):
+    """Regular subdivisions of hulls of random points under random integer
+    heights, every third one refined to a triangulation."""
+    out = []
+    while len(out) < count:
+        poly = LatticePolygon([(rng.randint(-3, 4), rng.randint(-3, 3)) for _ in range(rng.randint(3, 7))])
+        if poly.dimension < 2:
+            continue
+        sub_div = subdivision_from_heights(poly, {p: rng.randint(0, 6) for p in poly.lattice_points()})
+        out.append(unimodular_refinement(sub_div) if len(out) % 3 == 0 else sub_div)
+    return out
+
+
+def test_edges_match_primitive_segment_reference():
+    rng = random.Random(61)
+    long_edges = 0
+    for sub_div in random_subdivisions(rng, 90):
+        expected = set()
+        for c in sub_div.cells:
+            for a, b in c.edges():
+                expected.update(primitive_segments_on(a, b))
+                long_edges += len(primitive_segments_on(a, b)) > 1
+        assert sub_div.edges() == expected
+    assert long_edges > 50
+
+
+def reference_touching(plane, pts, h):
+    """The per-point plane scan as written before ``_touching``."""
+    nx, ny, nz, d = plane
+    on = []
+    for p in pts:
+        val = nx * p[0] + ny * p[1] + nz * h[p] - d
+        if val < 0:
+            return None
+        if val == 0:
+            on.append(p)
+    return on
+
+
+def test_touching_matches_plane_value_loop():
+    """On planes through three lifted points (supporting or not) and on
+    random planes, ``_touching`` agrees with the old loop."""
+    touching, plane_through = tropmono.subdivision._touching, tropmono.subdivision._plane_through
+    rng = random.Random(67)
+    seen = {"below": 0, "on": 0}
+    for _ in range(1500):
+        pts = sorted({(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 12))})
+        h = {p: rng.randint(-4, 4) for p in pts}
+        a, b, c = rng.sample(pts, 3) if len(pts) >= 3 else (pts * 3)[:3]
+        if rng.random() < 0.5:  # lift the rest: a supporting plane if abc is ccw
+            h = {p: v if p in (a, b, c) else v + rng.randint(0, 40) for p, v in h.items()}
+        plane = plane_through(a, b, c, h)
+        if rng.random() < 0.3:
+            plane = tuple(rng.randint(-3, 3) for _ in range(4))
+        lifted = [(x, y, h[x, y]) for x, y in pts]
+        expected = reference_touching(plane, pts, h)
+        assert touching(plane, lifted) == expected
+        seen["below" if expected is None else "on"] += 1
+    for sub_div in random_subdivisions(rng, 30):  # the facet planes support
+        h, _ = tropmono.subdivision._cleared(sub_div.witness.as_dict())
+        lifted = [(x, y, h[x, y]) for x, y in h]
+        for plane, cell in zip(sub_div.planes, sub_div.cells):
+            on = touching(plane, lifted)
+            assert on == reference_touching(plane, list(h), h)
+            assert LatticePolygon(on) == cell
+    assert min(seen.values()) > 300

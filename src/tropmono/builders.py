@@ -16,14 +16,14 @@ and refined; all steps are replayed and checked.
 Every builder that certifies (corner, side, propagation, gcd1, gcd2,
 gcdedges, interior, leg pair) and ``certify_flexible`` take a keyword-only
 ``certify`` with the signature of ``certify_graph``, its default, and run
-the line-arrangement recipe through it; the Engine passes its graph-keyed
-memo.  The ray sweeps certify nothing and take no ``certify``.
+both recipes (line arrangement, and staged fans given a ``fan_plan``)
+through it; the Engine passes its graph-keyed memo.  The ray sweeps certify
+nothing and take no ``certify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .geometry import (
@@ -101,8 +101,12 @@ def certify_graph(
     graph: WeightedSegmentGraph,
     poly: LatticePolygon,
     allow_unbalanced_at=frozenset(),
+    fans=None,
 ) -> AdmissibilityCertificate:
-    """Certify via the line-arrangement recipe."""
+    """Certify via the line-arrangement recipe, or via the staged fan
+    recipe of ``fans`` (a ``fan_plan``) when given."""
+    if fans is not None:
+        return certify_fans(graph, poly, fans, allow_unbalanced_at)
     region = LatticePolygon(graph.vertices())
     if region.dimension < 2:
         region = poly
@@ -971,31 +975,38 @@ def _seg_on_chain(main: RaySweep, s: Segment) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def fan_plan(sweeps, zero_points=(), one_points=()) -> tuple:
+    """What the staged fan recipe reads from ray sweeps plus flat pieces, as
+    a hashable value: the region heights (the chains and ``zero_points`` at
+    0, the leg targets and ``one_points`` at 1) and the two batches of
+    boundary anchors."""
+    heights = dict.fromkeys(zero_points, 0)
+    for rs in sweeps:
+        heights.update(dict.fromkeys(rs.chain, 0))
+    heights.update(dict.fromkeys([rs.leg_target for rs in sweeps] + list(one_points), 1))
+    return (
+        tuple(sorted(heights.items())),
+        tuple(sorted({rs.alpha for rs in sweeps})),
+        tuple(sorted({rs.alpha_prime for rs in sweeps})),
+    )
+
+
 def certify_fans(
     graph: WeightedSegmentGraph,
     poly: LatticePolygon,
-    sweeps,
-    zero_points=(),
-    one_points=(),
+    plan: tuple,
     allow_unbalanced_at=frozenset(),
 ) -> AdmissibilityCertificate:
     """Certify a union of ray sweeps (plus optional flat pieces) by the
-    staged construction: lift the chains to 0 and the leg targets to 1 on
-    the convex hull, then adjoin the boundary anchors batch by batch and
-    extend, refine and check."""
+    staged construction of ``plan`` (a ``fan_plan``): lift the chains to 0
+    and the leg targets to 1 on the convex hull, then adjoin the boundary
+    anchors batch by batch and extend, refine and check."""
     check_certifiable(graph, poly, allow_unbalanced_at)
-    zero: set[Point] = set(zero_points)
-    apex: set[Point] = set()
-    for rs in sweeps:
-        zero.update(rs.chain)
-        apex.add(rs.leg_target)
-    heights = {p: Fraction(0) for p in zero}
-    for p in set(apex) | set(one_points):
-        heights[p] = Fraction(1)
-    region = LatticePolygon(list(heights))
+    heights, *batches = plan
+    region = LatticePolygon([p for p, _ in heights])
     if region.dimension != 2:
         raise CertificationError("fan region degenerate")
-    sub_div = subdivision_from_heights(region, heights)
+    sub_div = subdivision_from_heights(region, dict(heights))
     inside = [s for s in graph.entries if region.contains_segment(s)]
     region_edges = sub_div.edges()
     missing = [s for s in inside if s not in region_edges]
@@ -1003,10 +1014,7 @@ def certify_fans(
         raise CertificationError(f"fan heights miss edges {missing}")
     stages = []
     current = region
-    for batch in (
-        sorted({rs.alpha for rs in sweeps}),
-        sorted({rs.alpha_prime for rs in sweeps}),
-    ):
+    for batch in batches:
         new_pts = [p for p in batch if current.side(p) < 0]
         if new_pts:
             current = LatticePolygon(list(current.vertices) + new_pts)
@@ -1024,16 +1032,16 @@ def certify_flexible(
     *,
     certify=certify_graph,
 ) -> AdmissibilityCertificate:
-    """Try the line-arrangement recipe (through ``certify``), then the
-    staged fan recipe."""
+    """Try the line-arrangement recipe, then the staged fan recipe, both
+    through ``certify``."""
     try:
         return certify(graph, poly, allow_unbalanced_at)
     except (CertificationError, AssertionError) as first:
         if not sweeps and not one_points:
             raise
         try:
-            return certify_fans(
-                graph, poly, sweeps, zero_points, one_points, allow_unbalanced_at
+            return certify(
+                graph, poly, allow_unbalanced_at, fans=fan_plan(sweeps, zero_points, one_points)
             )
         except (CertificationError, AssertionError):
             raise first

@@ -418,18 +418,21 @@ class Engine:
       builder's result; the fixed-point loops ask for the same graphs pass
       after pass.
     - ``_certs`` maps (the graph's entries as a frozenset, polygon,
-      ``allow_unbalanced_at`` as a frozenset) to the certificate
-      ``builders.certify_graph`` gives; builders with different arguments
+      ``allow_unbalanced_at`` as a frozenset, fan plan or None) to the
+      certificate ``builders.certify_graph`` gives, or to the
+      ``CertificationError`` it raised; builders with different arguments
       often produce one graph (gcd1 with l = 1 and propagation with a = m,
       for example), and ``_certify`` is the ``certify`` they are given.
       Their cells go through ``ctx.shared``, which keeps one copy of each
       cell: one polygon's certificates repeat most of their cells.
 
-    A call that raises stores nothing and runs again next time.  Certificates
-    stay byte-identical: ``certify_graph`` is a pure function of the key (the
-    region and heights come from the graph's entries alone), so a hit equals
-    what a fresh call would return, and every use still runs its plan
-    through the rule kernel, which emits its nodes and verifies every
+    A build that raises stores nothing and runs again next time; a
+    certification that raises ``CertificationError`` raises it again on
+    every later request.  Certificates stay byte-identical:
+    ``certify_graph`` is a pure function of the key (the region and heights
+    come from the graph's entries and the fan plan alone), so a hit equals
+    what a fresh call would return or raise, and every use still runs its
+    plan through the rule kernel, which emits its nodes and verifies every
     ``admissible`` node.  No caller mutates a memoized result."""
 
     def __init__(self, poly: LatticePolygon):
@@ -442,7 +445,7 @@ class Engine:
         # generators, tightened by gcd as new facts arrive
         self.facts: dict[tuple, tuple[int, int]] = {}
         self._builds: dict[tuple, object] = {}
-        self._certs: dict[tuple, AdmissibilityCertificate] = {}
+        self._certs: dict[tuple, AdmissibilityCertificate | CertificationError] = {}
 
     # -- infrastructure ------------------------------------------------------
 
@@ -469,18 +472,30 @@ class Engine:
         return hit
 
     def _certify(
-        self, graph: WeightedSegmentGraph, poly: LatticePolygon, allow_unbalanced_at=frozenset()
+        self,
+        graph: WeightedSegmentGraph,
+        poly: LatticePolygon,
+        allow_unbalanced_at=frozenset(),
+        fans=None,
     ) -> AdmissibilityCertificate:
-        """``builders.certify_graph``, run once per distinct graph, polygon
-        and exemption set, with its cells shared across certificates; a
-        certification that raises runs again next time.  Looked up at call
-        time, so a rebound one is honoured."""
-        key = (frozenset(graph.entries.items()), poly, frozenset(allow_unbalanced_at))
+        """``builders.certify_graph``, run once per distinct graph, polygon,
+        exemption set and fan plan, with its cells shared across
+        certificates; a ``CertificationError`` is stored and raised again
+        (as a new instance of the same type and message).
+        Looked up at call time, so a rebound one is honoured."""
+        key = (frozenset(graph.entries.items()), poly, frozenset(allow_unbalanced_at), fans)
         cert = self._certs.get(key)
         if cert is None:
-            cert = builders.certify_graph(graph, poly, allow_unbalanced_at)
+            try:
+                cert = builders.certify_graph(graph, poly, allow_unbalanced_at, fans)
+            except CertificationError as exc:
+                # a copy without traceback: the raised one's frames hold self
+                self._certs[key] = type(exc)(*exc.args)
+                raise
             cells = tuple(self.ctx.shared.setdefault(c, c) for c in cert.cells)
             cert = self._certs[key] = replace(cert, cells=cells)
+        elif isinstance(cert, CertificationError):
+            raise type(cert)(*cert.args)
         return cert
 
     def _apply_single(self, rule: str, params: dict, premises: list[int]) -> int:

@@ -4,9 +4,11 @@ Two primitives work on lifted lattice points with integer arithmetic after
 clearing denominators: ``subdivision_from_heights`` computes the lower
 convex hull (gift wrapping), and ``verify_subdivision`` is the one check
 that given cells are the subdivision induced by given heights (admissibility
-certificates, the regularity LP and pulling all use it).  Both, and the
-cone check of pulling, find the lifted points on a plane with one scan,
-``_touching``.  On top of them sit the regularity decision procedure (exact
+certificates, the regularity LP and pulling all use it).  Gift wrapping and
+the check of non-unimodular cells find the lifted points on a plane with one
+scan, ``_touching``; unimodular triangulations, extension heights and pull
+trials are decided by local folds instead, each with its proof of agreement
+with the scan.  On top of them sit the regularity decision procedure (exact
 LP), the extension of a subdivision of a subpolygon to the whole polygon,
 unimodular refinement by pulling (integer heights on one shared scale), and
 the dual tropical curve.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 
 from .geometry import (
@@ -83,8 +86,8 @@ def _cleared(heights: dict[Point, Fraction]) -> tuple[dict[Point, int], int]:
     """Integer heights on the scale of the lcm of the denominators, and that scale."""
     denom = 1
     for v in heights.values():
-        denom = lcm(denom, Fraction(v).denominator)
-    return {p: int(Fraction(v) * denom) for p, v in heights.items()}, denom
+        denom = lcm(denom, v.denominator)
+    return {p: v.numerator * (denom // v.denominator) for p, v in heights.items()}, denom
 
 
 def _plane_through(a, b, c, h):
@@ -203,13 +206,6 @@ class RegularSubdivision:
         nx, ny, nz, d = self.planes[cell_idx]
         return Fraction(d - nx * p[0] - ny * p[1], nz)
 
-    def evaluate(self, p: Point) -> Fraction:
-        """Value of the piecewise-linear witness function at a lattice point."""
-        for i, c in enumerate(self.cells):
-            if c.side(p) >= 0:
-                return self.plane_value(i, p)
-        raise ValueError(f"{p} outside the subdivided polygon")
-
     def to_json(self) -> dict:
         pts = self.witness.support
         index = {p: i for i, p in enumerate(pts)}
@@ -290,6 +286,21 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
     interiors, so full area means every facet is listed (the standard
     characterisation of a regular subdivision; De Loera, Rambau and Santos,
     *Triangulations*, 2010).  Returns the assembled subdivision or None.
+
+    When every cell is a unimodular triangle, local folds (``_folds``)
+    replace the scans and decide the same.  Folds imply the scans: shared
+    edges cancel in the boundary of the 2-chain of ccw cells, so it is k
+    times the boundary cycle of ``poly``, and k (the number of cells over a
+    generic point inside; 0 outside) is 1 by the area sum.  So the cells
+    tile ``poly``, face to face as primitive edges hold no inner lattice
+    point, and every lattice point is a vertex (none unused).  A continuous
+    piecewise-linear function on a convex domain, strictly convex across
+    every interior edge, exceeds each cell's affine piece off the cell: along
+    a segment from inside the cell to an outside point, avoiding other
+    vertices, the convex difference is 0 until the first crossed edge and
+    positive just past it.  So each plane touches exactly its three points.
+    The scans imply the folds: the cells are then a triangulation, and the
+    far vertex of a neighbour is a support point off the cell.
     """
     hf = heights if isinstance(heights, HeightFunction) else HeightFunction.of(heights)
     hmap = hf.as_dict()
@@ -297,24 +308,61 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
     if LatticePolygon(pts) != poly:
         return None
     h, _ = _cleared(hmap)
-    lifted = [(x, y, h[x, y]) for x, y in pts]
     cells = sorted(cells, key=lambda c: c.vertices)
-    if len(set(cells)) != len(cells) or sum(c.area2() for c in cells) != poly.area2():
+    areas = [c.area2() for c in cells]
+    if len(set(cells)) != len(cells) or sum(areas) != poly.area2():
         return None
+    if all(a == 1 and len(c.vertices) == 3 for a, c in zip(areas, cells)):
+        planes = _folds(poly, cells, h)
+        if planes is None:
+            return None
+        unused = ()
+    else:
+        lifted = [(x, y, h[x, y]) for x, y in pts]
+        planes = []
+        used = set()
+        for c in cells:
+            v = c.vertices
+            if len(v) < 3 or any(q not in h for q in (v[0], v[1], v[2])):
+                return None
+            plane = _plane_through(v[0], v[1], v[2], h)
+            on = _touching(plane, lifted)
+            if on is None or LatticePolygon(on) != c:
+                return None
+            used.update(on)
+            planes.append(plane)
+        unused = tuple(sorted(set(pts) - used))
+    return RegularSubdivision(poly, tuple(cells), hf, tuple(map(_norm_plane, planes)), unused)
+
+
+def _folds(poly: LatticePolygon, cells, h) -> list | None:
+    """The planes of the unimodular triangles ``cells`` (in order) if every
+    vertex has a height in ``h``, each directed ccw edge occurs once, every
+    unmatched edge is a primitive boundary segment of ``poly`` and every
+    matched edge is a strict fold; None otherwise.  See
+    ``verify_subdivision`` for why this is the plane scan's verdict."""
+    left: dict[tuple[Point, Point], tuple[Point, int]] = {}  # edge -> (far vertex, cell)
     planes = []
-    used = set()
     for c in cells:
-        v = c.vertices
-        if len(v) < 3 or any(q not in h for q in (v[0], v[1], v[2])):
+        a, b, e = c.vertices
+        if a not in h or b not in h or e not in h:
             return None
-        plane = _plane_through(v[0], v[1], v[2], h)
-        on = _touching(plane, lifted)
-        if on is None or LatticePolygon(on) != c:
-            return None
-        used.update(on)
-        planes.append(_norm_plane(plane))
-    unused = tuple(sorted(set(pts) - used))
-    return RegularSubdivision(poly, tuple(cells), hf, tuple(planes), unused)
+        for edge, far in (((a, b), e), ((b, e), a), ((e, a), b)):
+            if edge in left:
+                return None
+            left[edge] = (far, len(planes))
+        planes.append(_plane_through(a, b, e, h))
+    boundary = set(poly.boundary_segments())
+    for (u, w), (_, i) in left.items():
+        other = left.get((w, u))
+        if other is None:
+            if ((u, w) if u < w else (w, u)) not in boundary:
+                return None
+        elif u < w:
+            (qx, qy), nx, ny, nz, d = other[0], *planes[i]
+            if nx * qx + ny * qy + nz * h[qx, qy] <= d:
+                return None
+    return planes
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +477,13 @@ _MAX_DOUBLINGS = 80
 def extend_subdivision(poly: LatticePolygon, inner: RegularSubdivision) -> RegularSubdivision:
     """Extend a regular subdivision of a subpolygon to all of ``poly``.
 
-    New vertices of ``poly`` are lifted to a common height, doubled until the
-    inner subdivision reappears untouched and the boundary of the subpolygon
-    is supported; each attempt is checked by replaying the heights.
+    New vertices of ``poly`` are lifted to a common height H, doubled until
+    every new vertex lies strictly above every inner cell's plane; those
+    heights are gift-wrapped once.  This is exactly when the inner cells
+    reappear: each inner plane then still supports the lift and touches the
+    same points, and a reappearing cell's plane is the inner one, which the
+    new vertices (outside the cell) lie off.  The inner cells tile the
+    subpolygon, so its primitive boundary segments stay edges.
     """
     inner_poly = inner.polygon
     for v in inner_poly.vertices:
@@ -443,16 +495,13 @@ def extend_subdivision(poly: LatticePolygon, inner: RegularSubdivision) -> Regul
     base = inner.witness.as_dict()
     lo = min(base.values())
     base = {p: v - lo + 1 for p, v in base.items()}  # positive values
-    want_boundary = set(inner_poly.boundary_segments())
+    b, scale = _cleared(base)
+    planes = [_plane_through(*c.vertices[:3], b) for c in inner.cells]
     height = max(base.values()) + 1
     for _ in range(_MAX_DOUBLINGS):
-        trial = dict(base)
-        for v in new_vertices:
-            trial[v] = height
-        sub_div = subdivision_from_heights(poly, trial)
-        got = set(sub_div.cells)
-        if all(c in got for c in inner.cells) and want_boundary <= sub_div.edges():
-            return sub_div
+        z = int(height * scale)
+        if all(nx * x + ny * y + nz * z > d for nx, ny, nz, d in planes for x, y in new_vertices):
+            return subdivision_from_heights(poly, {**base, **dict.fromkeys(new_vertices, height)})
         height *= 2
     raise SubdivisionError("extension height search did not converge")
 
@@ -462,38 +511,44 @@ def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
 
     Pulls every lattice point in lexicographic order.  Each pull lowers the
     point slightly below the current lifted surface (the exact rational drop
-    is halved until the incremental supporting-plane checks pass) and cones
-    the cells containing it.  Heights are integers on one shared ``scale``:
-    when a drop needs a finer denominator, the scale, every height and every
-    kept plane's (nx, ny, d) are multiplied by the missing factor, which
-    changes no sign.  The final witness is re-verified globally.
+    is halved until ``_pull`` accepts it) and cones the cells containing it.
+    Heights are integers on one shared ``scale``: when a drop needs a finer
+    denominator, the scale, every height and every plane's (nx, ny, d) are
+    multiplied by the missing factor, which changes no sign.  ``where`` maps
+    each point not yet pulled to the cells containing it (``inside`` is the
+    inverse) and ``owner`` each directed ccw cell edge to the cell on its
+    left.  The final witness is re-verified globally.
     """
     if sub_div.is_unimodular():
         return sub_div
     poly = sub_div.polygon
-    pts = poly.lattice_points()
-    h, scale = _cleared({p: sub_div.evaluate(p) for p in pts})
-    cells: list[LatticePolygon] = list(sub_div.cells)
-    planes = [_plane_through(c.vertices[0], c.vertices[1], c.vertices[2], h) for c in cells]
+    cells: dict[int, LatticePolygon] = dict(enumerate(sub_div.cells))
+    where, inside, owner, seed = {}, {}, {}, {}
+    for i, c in cells.items():
+        inside[i] = c.lattice_points()
+        for q in inside[i]:
+            where.setdefault(q, []).append(i)
+            if q not in seed:  # the surface is continuous: any cell gives it
+                seed[q] = sub_div.plane_value(i, q)
+        owner.update(dict.fromkeys(c.edges(), i))
+    h, scale = _cleared(seed)
+    planes = {i: _plane_through(*c.vertices[:3], h) for i, c in cells.items()}
+    fresh = count(len(cells))
     eps = Fraction(1)
 
-    for p in pts:
-        affected = [i for i, c in enumerate(cells) if c.side(p) >= 0]
-        if all(
-            len(cells[i].vertices) == 3 and p in cells[i].vertices for i in affected
-        ):
+    for p in poly.lattice_points():
+        affected = where.pop(p)
+        if all(len(cells[i].vertices) == 3 and p in cells[i].vertices for i in affected):
             continue  # pulling is a combinatorial no-op
-        kept = [i for i in range(len(cells)) if i not in affected]
-        cones = []
-        for i in affected:
-            for u, w in cells[i].edges():
-                if orient(u, w, p) == 0 and dot(sub(p, u), sub(p, w)) <= 0:
-                    continue
-                cones.append(LatticePolygon([p, u, w]))
+        cones = [
+            (u, w)
+            for i in affected
+            for u, w in cells[i].edges()
+            if orient(u, w, p) != 0 or dot(sub(p, u), sub(p, w)) > 0
+        ]
         nx, ny, nz, d = planes[affected[0]]
         nu = Fraction(d - nx * p[0] - ny * p[1], nz * scale)
         old = h[p]
-        ok = False
         for _ in range(400):
             drop = nu - eps
             if scale % drop.denominator:
@@ -501,37 +556,75 @@ def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
                 scale *= m
                 for q in h:
                     h[q] *= m
-                planes = [(a * m, b * m, c, e * m) for a, b, c, e in planes]
+                planes = {i: (a * m, b * m, c, e * m) for i, (a, b, c, e) in planes.items()}
                 old = h[p]
-            z = h[p] = int(drop * scale)
-            good = all(a * p[0] + b * p[1] + c * z > e for a, b, c, e in (planes[i] for i in kept))
-            new_planes = []
-            if good:
-                lifted = [(x, y, h[x, y]) for x, y in pts]
-                for cone in cones:
-                    v = cone.vertices
-                    plane = _plane_through(v[0], v[1], v[2], h)
-                    on = _touching(plane, lifted)
-                    if on is None or LatticePolygon(on) != cone:
-                        good = False
-                        break
-                    new_planes.append(plane)
-            if good:
-                cells = [cells[i] for i in kept] + cones
-                planes = [planes[i] for i in kept] + new_planes
-                ok = True
+            h[p] = int(drop * scale)
+            new_planes = _pull(p, h, cones, [planes.get(owner.get((w, u))) for u, w in cones])
+            if new_planes is not None:
                 break
             h[p] = old
             eps /= 2
-        if not ok:
+        else:
             raise SubdivisionError("pulling drop search did not converge")
 
-    result = verify_subdivision(poly, cells, {q: Fraction(v, scale) for q, v in h.items()})
+        star = dict.fromkeys(q for i in affected for q in inside.pop(i) if q in where)
+        for i in affected:
+            del planes[i]
+            for e in cells.pop(i).edges():
+                del owner[e]
+        new = []
+        for (u, w), plane in zip(cones, new_planes):
+            k = next(fresh)
+            cells[k], planes[k], inside[k] = LatticePolygon([p, u, w]), plane, []
+            owner[p, u] = owner[u, w] = owner[w, p] = k
+            new.append((k, u, w))
+        for q in star:
+            here = [i for i in where[q] if i not in affected]
+            for k, u, w in new:
+                if orient(p, u, q) >= 0 and orient(u, w, q) >= 0 and orient(w, p, q) >= 0:
+                    here.append(k)
+                    inside[k].append(q)
+            where[q] = here
+
+    result = verify_subdivision(poly, list(cells.values()), {q: Fraction(v, scale) for q, v in h.items()})
     if result is None:
         raise AssertionError("pulled witness failed global verification")
     if not result.is_unimodular():
         raise AssertionError("pulling left a fat cell")
     return result
+
+
+def _pull(p: Point, h, cones, across) -> list | None:
+    """The planes of the cones ``(u, w)`` (ccw triangles p, u, w) of a pull
+    trial at height ``h[p]``, or None if the trial fails: ``p`` must lie
+    strictly above each plane in ``across`` (the cell across each cone's link
+    edge, None on the boundary), and each spoke shared by two cones must be
+    a strict fold.
+
+    This is the scans' verdict (p strictly above every kept plane, each
+    cone's plane below the lift and touching just the cone's points).  The
+    scans imply the folds: a neighbouring cone's far vertex is off the cone.
+    Conversely the current cells are the regular subdivision of the current
+    heights, every lattice point on or above its surface, and lowering h(p)
+    replaces the surface only on p's star, by cones below it that meet it
+    on the link.  Folds across spokes, link edges and between kept cells
+    (strict by regularity) make the new surface strictly convex across every
+    interior edge, so, as in ``verify_subdivision``, each piece lies strictly
+    below it off its cell.
+    """
+    x, y, z = p[0], p[1], h[p]
+    for plane in across:
+        if plane is not None and plane[0] * x + plane[1] * y + plane[2] * z <= plane[3]:
+            return None
+    planes = [_plane_through(p, u, w, h) for u, w in cones]
+    start = {u: i for i, (u, _) in enumerate(cones)}  # the cone with spoke p -> u
+    for u, w in cones:  # the spoke w -> p, shared with the cone starting at w
+        i = start.get(w)
+        if i is not None:
+            nx, ny, nz, d = planes[i]
+            if nx * u[0] + ny * u[1] + nz * h[u] <= d:
+                return None
+    return planes
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from math import gcd
 
 import pytest
@@ -106,14 +108,17 @@ def _digest(data) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+CERTIFICATE_DIGESTS = {
+    "T3": "6a89695aea2baf46bd572f90b147e49b972c5d9de79bfd8af9b95166088421f8",
+    "T4": "50d54b10c9fd62f50be054856673858d07d621c14d55835f3587d16fb185b434",
+    "SQ4": "dc1512df2e047a997e6cad7e0bb5774c29315423c2c68facc4917f77c38e299d",
+    "T6": "8a3168932283c7c531ed7c95fcc342f7d64212c649d92917ed419236b7778e46",
+}
+
+
 @pytest.mark.parametrize(
     "poly, digest",
-    [
-        (T3, "6a89695aea2baf46bd572f90b147e49b972c5d9de79bfd8af9b95166088421f8"),
-        (T4, "50d54b10c9fd62f50be054856673858d07d621c14d55835f3587d16fb185b434"),
-        (SQ4, "dc1512df2e047a997e6cad7e0bb5774c29315423c2c68facc4917f77c38e299d"),
-        (T6, "8a3168932283c7c531ed7c95fcc342f7d64212c649d92917ed419236b7778e46"),
-    ],
+    [(poly, CERTIFICATE_DIGESTS[name]) for name, poly in (("T3", T3), ("T4", T4), ("SQ4", SQ4), ("T6", T6))],
     ids=["T3", "T4", "SQ4", "T6"],
 )
 def test_certificate_bytes_golden(poly, digest):
@@ -313,9 +318,9 @@ def test_certify_memo_certifies_each_graph_once(monkeypatch):
     requests = []
     memo = Engine._certify
 
-    def asked(self, graph, poly, allow_unbalanced_at=frozenset()):
+    def asked(self, graph, poly, allow_unbalanced_at=frozenset(), fans=None):
         requests.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at)))
-        return memo(self, graph, poly, allow_unbalanced_at)
+        return memo(self, graph, poly, allow_unbalanced_at, fans)
 
     monkeypatch.setattr(Engine, "_certify", asked)
     runs = []
@@ -345,28 +350,70 @@ def test_certify_memo_keys_weights_and_exemptions(monkeypatch):
     assert len(calls) == 3
 
 
-def test_certify_memo_does_not_store_failures(monkeypatch):
-    """A certification that raises runs again on the next request; the
-    first success is stored."""
-    calls = _count_certifications(monkeypatch)
-    original = builders.certify_graph
-    fail = [None]
+def test_certify_memo_stores_failures(monkeypatch):
+    """A certification that raises CertificationError runs once: every later
+    request raises the same error again, for either recipe.  The memo keeps
+    a copy without the traceback, whose frames would hold the Engine."""
+    runs = []
 
-    def flaky(graph, poly, allow_unbalanced_at=frozenset()):
-        if fail:
-            fail.pop()
-            raise graphs.CertificationError("first attempt fails")
-        return original(graph, poly, allow_unbalanced_at)
+    def failing(graph, poly, allow_unbalanced_at=frozenset(), fans=None):
+        runs.append(fans)
+        raise graphs.CertificationError(f"attempt with fans={fans!r} fails")
 
-    monkeypatch.setattr(builders, "certify_graph", flaky)
+    monkeypatch.setattr(builders, "certify_graph", failing)
     e = Engine(T4)
     g = builders.build_corner_graph(T4, (1, 1)).graph
-    calls.clear()
-    with pytest.raises(graphs.CertificationError):
-        e._certify(g, T4)
-    first = e._certify(g, T4)
-    assert e._certify(g, T4) is first
-    assert len(calls) == 1
+    plan = builders.fan_plan([], [(0, 0), (1, 1)], [(2, 0)])
+    for fans in (None, plan):
+        errors = []
+        for _ in range(3):
+            with pytest.raises(graphs.CertificationError) as info:
+                e._certify(g, T4, fans=fans)
+            errors.append(info.value)
+        assert {(type(err), str(err)) for err in errors} == {
+            (graphs.CertificationError, f"attempt with fans={fans!r} fails")
+        }
+    stored = [v for v in e._certs.values() if isinstance(v, graphs.CertificationError)]
+    assert len(stored) == 2 and all(err.__traceback__ is None for err in stored)
+    assert runs == [None, plan]
+
+
+def test_certify_memo_runs_each_failing_certification_once_on_t6(monkeypatch):
+    """The T6 derivation asks again for certifications that failed (one
+    union graph from several leg-pair arguments, and its staged fan
+    fallbacks); each distinct request runs once."""
+    runs = []
+    original = builders.certify_graph
+
+    def counted(graph, poly, allow_unbalanced_at=frozenset(), fans=None):
+        try:
+            return original(graph, poly, allow_unbalanced_at, fans)
+        except graphs.CertificationError:
+            runs.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at), fans))
+            raise
+
+    monkeypatch.setattr(builders, "certify_graph", counted)
+    e = Engine(T6)
+    e.derive_surjectivity()
+    failed = [k for k, v in e._certs.items() if isinstance(v, graphs.CertificationError)]
+    assert len(runs) == len(set(runs)) == len(failed) >= 2
+    assert any(fans is not None for _, _, fans in runs)
+
+
+def test_engine_is_freed_without_the_cycle_collector():
+    """A T6 derivation, whose memo stores failed certifications, leaves no
+    reference cycle through the Engine: it is freed as soon as it is
+    dropped, so repeated derivations do not pile up until a collection."""
+    gc.disable()
+    try:
+        e = Engine(T6)
+        e.derive_surjectivity()
+        assert any(isinstance(v, graphs.CertificationError) for v in e._certs.values())
+        ref = weakref.ref(e)
+        del e
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_witness_memo_stores_each_segment_once():
@@ -554,12 +601,13 @@ def test_hyperelliptic_reports_deferred():
 OPTIMIZED_REPLAY = """
 import random, sys
 sys.path[:0] = [{tests!r}, {src!r}]
-from test_engine import T3, T4, corruptible_paths, corruption_survives
+from test_engine import T3, T4, _digest, corruptible_paths, corruption_survives
 from tropmono.engine import Engine, replay_certificate
 
 survivors = 0
 for poly in (T3, T4):
     cert = Engine(poly).derive_surjectivity()["certificate"]
+    print(_digest(cert))
     replay_certificate(cert)
     replay_certificate(cert)
     paths = corruptible_paths(cert)
@@ -572,9 +620,11 @@ print(__debug__, survivors)
 
 def test_soundness_under_python_O():
     """Derivation, replay and corruption rejection with assert statements
-    compiled out: the rule kernel's checks do not rest on assert."""
+    compiled out: the rule kernel's checks do not rest on assert, and the
+    T3 and T4 certificates keep their pinned bytes."""
     tests = os.path.dirname(os.path.abspath(__file__))
     code = OPTIMIZED_REPLAY.format(tests=tests, src=os.path.join(os.path.dirname(tests), "src"))
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "0"]
+    digests = [CERTIFICATE_DIGESTS["T3"], CERTIFICATE_DIGESTS["T4"]]
+    assert proc.stdout.split() == digests + ["False", "0"]

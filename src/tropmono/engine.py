@@ -690,7 +690,10 @@ class Engine:
     def pipeline_gcdedges(self) -> None:
         """Powers of bridge twists everywhere: derive (tau_b)^s for every
         bridge class, s the gcd of the adjoint edge lengths, by iterating
-        the corner/side/gcd transfers to a fixed point."""
+        the corner/side/gcd transfers to a fixed point.  A gcd2 spreading
+        that fails is skipped and counted; if a class misses its exponent,
+        the DerivationError lists every class's exponent on the adjoint
+        boundary cycle, how the loop ended and that count."""
         adj = self.adjoint
         self.ensure_acycles()
         for v in adj.vertices:
@@ -706,7 +709,9 @@ class Engine:
         def neighbors(kappa):
             return builders._neighbors_on_boundary(adj, kappa)
 
-        for _ in range(8 * len(cyc)):
+        failed_gcd2 = 0
+        rounds = 8 * len(cyc)
+        for done in range(1, rounds + 1):
             before = {p: exp_at(p) for p in cyc}
             for kappa in verts:
                 for far in verts:
@@ -759,17 +764,24 @@ class Engine:
                         try:
                             self.pipeline_gcd2(kappa, e, kprime)
                         except (DerivationError, CertificationError, ValueError):
-                            pass
+                            failed_gcd2 += 1
             after = {p: exp_at(p) for p in cyc}
             if after == before and all(after.values()):
+                ended = f"fixed point after {done} rounds"
                 break
+        else:
+            ended = f"no fixed point in {rounds} rounds"
         s = self.analysis.n
         for p in cyc:
             got = exp_at(p)
             if got != (1 if p in verts else s):
                 if got == 0 or s % got:
+                    exponents = ", ".join(f"{q}: {exp_at(q)}" for q in cyc)
                     raise DerivationError(
-                        "gcdedges", f"bridge class at {p} reached exponent {got}, want {s}"
+                        "gcdedges",
+                        f"bridge class at {p} reached exponent {got}, want {s}; {ended}, "
+                        f"exponents on the adjoint boundary cycle {{{exponents}}}; "
+                        f"{failed_gcd2} gcd2 spreadings failed",
                     )
 
     # -- ray-sweep leg facts ----------------------------------------------------

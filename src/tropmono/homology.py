@@ -17,7 +17,8 @@ Dehn twists act by Picard-Lefschetz transvections.
 Orders of twist groups mod a prime p come from a deterministic
 Schreier-Sims on the action on row vectors over F_p, with the standard
 basis as base (Seress, *Permutation Group Algorithms*, CUP 2003, ch. 4);
-no group element list is kept.  Standard library only.
+no group element list is kept, and each row vector is one int with its
+entries in fixed-width bit slots.  Standard library only.
 """
 
 from __future__ import annotations
@@ -399,20 +400,9 @@ class SurfaceModel:
 # ---------------------------------------------------------------------------
 
 
-def _vec_mul(v, cols, p: int):
-    """Row vector v times the matrix with the given columns, over F_p."""
-    return tuple(sum(x * y for x, y in zip(v, col)) % p for col in cols)
-
-
-def _mul_mod(a, b, p: int):
-    """Product of two square matrices (tuples of row tuples) over F_p."""
-    cols = tuple(zip(*b))
-    return tuple(_vec_mul(row, cols, p) for row in a)
-
-
 def _inverse_mod(m, p: int):
-    """Inverse of a square matrix over F_p by Gauss-Jordan elimination;
-    ValueError if the matrix is singular mod p."""
+    """Inverse of a square matrix over F_p by Gauss-Jordan elimination, as a
+    list of rows; ValueError if the matrix is singular mod p."""
     n = len(m)
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     for c in range(n):
@@ -426,7 +416,41 @@ def _inverse_mod(m, p: int):
             f = rows[r][c]
             if r != c and f:
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], pivot)]
-    return tuple(tuple(row[n:]) for row in rows)
+    return [row[n:] for row in rows]
+
+
+def _packing(n: int, p: int):
+    """``(pack, unpack, vec_mul)`` for n x n matrices over F_p on packed
+    rows: ``pack`` takes rows of entries in 0..p-1 to a tuple of row ints,
+    ``unpack`` takes them back to lists, and ``vec_mul(x, rows)`` is the
+    packed row x times the packed matrix.  The layout, and why no slot
+    carries and the reduction is exact, are in ``subgroup_order_mod_p``."""
+    c = (n * (p - 1) ** 2).bit_length()
+    b = 2 * c + 1
+    t = c + p.bit_length()
+    bm = -(-(1 << t) // p)
+    low = (1 << b) - 1
+    qmask = sum(((1 << (b - t)) - 1) << (k * b) for k in range(n))
+
+    def pack(rows):
+        return tuple([sum(x << (k * b) for k, x in enumerate(row)) for row in rows])
+
+    def unpack(h):
+        return [[(x >> (k * b)) & low for k in range(n)] for x in h]
+
+    def vec_mul(x, rows):
+        """Packed x times the matrix with packed ``rows``, over F_p."""
+        acc = 0
+        for row in rows:
+            xk = x & low
+            if xk:
+                acc += xk * row
+            x >>= b
+            if not x:
+                break
+        return acc - p * (((acc * bm) >> t) & qmask)
+
+    return pack, unpack, vec_mul
 
 
 def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
@@ -446,27 +470,63 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
     are never replaced, so each is sifted until it passes once.  The order
     is the product of the basic orbit lengths.
 
+    Packed rows.  A row vector x over F_p is one int, entry x_k in bits
+    [k*b, (k+1)*b), and a matrix is the tuple of its rows, so row i of h is
+    e_i h.  With c the bit length of n*(p-1)^2, the slot width is
+    b = 2c + 1.  Then x M is the int sum of x_k * (row k of M) over the
+    nonzero x_k, reduced slot by slot.
+    - No carry.  Slot k of the sum is sum_j x_j M_jk <= n*(p-1)^2 < 2^c,
+      below 2^b, so each slot holds its own dot product.
+    - Reduction (Barrett).  With t = c + bitlen(p) and m = ceil(2^t / p),
+      write m*p = 2^t + r with 0 <= r < p.  For 0 <= a < 2^c with
+      a = q*p + s, 0 <= s < p: a*m / 2^t = q + s/p + a*r / (p * 2^t), and
+      a*r < 2^c * p <= 2^t, so the fraction part stays below
+      (s + 1) / p <= 1: floor(a*m / 2^t) = q = floor(a / p) exactly, for
+      every slot value below 2^c.  Since p >= 2^(bitlen(p)-1), m <= 2^(c+1),
+      so a*m < 2^(2c+1) = 2^b: multiplying the packed sum by m keeps every
+      slot's product a*m inside its own slot.  As c >= bitlen(p - 1) >=
+      bitlen(p) - 1, b >= t.  Shifted right by t, slot k's
+      quotient floor(a*m / 2^t) < 2^(b-t) lands in the low b - t bits of
+      slot k, and the bits that slot k+1 sheds fall into the top t bits of
+      slot k, so masking each slot to b - t bits leaves exactly the
+      quotients.  Subtracting p times them takes each slot to a mod p with
+      no borrow.  One routine for every prime.
+    Packing is one-to-one on reduced matrices, so the orbits, transversals,
+    ``passed`` sets and sifts do the same work in the same order as on
+    tuples of tuples.  Inverses are computed unpacked, once per strong
+    generator.
+
     Generators are reduced mod p and deduplicated; ``[]`` gives 1.  The
     running product of orbit lengths bounds the order from below, so
     RuntimeError is raised as soon as it passes ``limit``.  ValueError if p
-    is not prime, the generators are not square matrices of one size, or one
-    is singular mod p.
+    is not prime, an entry is not an int (bools excluded), the generators
+    are not square matrices of one size, or one is singular mod p.
     """
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"modulus {p} is not prime")
-    gens = list(dict.fromkeys(tuple(tuple(x % p for x in row) for row in m) for m in generators))
-    if not gens:
+    generators = list(generators)
+    for idx, m in enumerate(generators):
+        bad = next((x for row in m for x in row if type(x) is bool or not isinstance(x, int)), None)
+        if bad is not None:
+            raise ValueError(f"generator {idx} has entry {bad!r}, not an int")
+    if not generators:
         return 1
-    n = len(gens[0])
-    if any(len(m) != n or any(len(row) != n for row in m) for m in gens):
+    n = len(generators[0])
+    if any(len(m) != n or any(len(row) != n for row in m) for m in generators):
         raise ValueError("generators must be square matrices of one size")
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    strong: list[list[tuple]] = [[] for _ in range(n)]  # (s, s^-1, columns of s)
+    pack, unpack, vec_mul = _packing(n, p)
+
+    def mul(a, rows):
+        return tuple([vec_mul(x, rows) for x in a])
+
+    gens = list(dict.fromkeys(pack([[x % p for x in row] for row in m]) for m in generators))
+    ident = pack([[int(i == j) for j in range(n)] for i in range(n)])
+    strong: list[list[tuple]] = [[] for _ in range(n)]  # (s, s^-1)
     orbits = [{ident[i]: (ident, ident)} for i in range(n)]  # x -> (u, u^-1)
     passed: list[set] = [set() for _ in range(n)]  # (x, k): Schreier generator sifted
 
     def add_strong(h, first: int, last: int) -> None:
-        item = (h, _inverse_mod(h, p), tuple(zip(*h)))
+        item = (h, pack(_inverse_mod(unpack(h), p)))
         for i in range(first, last + 1):
             strong[i].append(item)
             close_orbit(i)
@@ -477,10 +537,10 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
         queue = list(orbit)
         for x in queue:
             u, u_inv = orbit[x]
-            for s, s_inv, cols in strong[i]:
-                y = _vec_mul(x, cols, p)
+            for s, s_inv in strong[i]:
+                y = vec_mul(x, s)
                 if y not in orbit:
-                    orbit[y] = (_mul_mod(u, s, p), _mul_mod(s_inv, u_inv, p))
+                    orbit[y] = (mul(u, s), mul(s_inv, u_inv))
                     if others * len(orbit) > limit:
                         raise RuntimeError("subgroup order exceeded the safety limit")
                     queue.append(y)
@@ -494,17 +554,17 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
             entry = orbits[j].get(x)
             if entry is None:
                 return h, j
-            h = _mul_mod(h, entry[1], p)
+            h = mul(h, entry[1])
         return h, n
 
     def first_failure(i: int):
         """Level that gained a strong generator while checking level i, or None."""
         orbit = orbits[i]
         for x, (u, _) in orbit.items():  # levels > i change, level i does not
-            for k, (s, _, cols) in enumerate(strong[i]):
+            for k, (s, _) in enumerate(strong[i]):
                 if (x, k) in passed[i]:
                     continue
-                g = _mul_mod(_mul_mod(u, s, p), orbit[_vec_mul(x, cols, p)][1], p)
+                g = mul(mul(u, s), orbit[vec_mul(x, s)][1])
                 h, j = sift(g, i + 1)
                 if j < n:
                     add_strong(h, i + 1, j)

@@ -156,13 +156,16 @@ class RegularSubdivision:
     """A regular subdivision of a polygon together with its height witness.
 
     ``cells`` are the two-dimensional faces, ``planes`` the integer
-    supporting planes of the lifted cells (parallel data)."""
+    supporting planes of the lifted cells (parallel data).  ``unimodular``
+    is whether every cell is a unimodular triangle, when the constructor
+    already measured the cells; None means ``is_unimodular`` measures."""
 
     polygon: LatticePolygon
     cells: tuple[LatticePolygon, ...]
     witness: HeightFunction
     planes: tuple[tuple[int, int, int, int], ...]
     unused_support: tuple[Point, ...]
+    unimodular: bool | None = None
 
     def __eq__(self, other):
         return (
@@ -200,6 +203,8 @@ class RegularSubdivision:
         return faces
 
     def is_unimodular(self) -> bool:
+        if self.unimodular is not None:
+            return self.unimodular
         return all(len(c.vertices) == 3 and c.area2() == 1 for c in self.cells)
 
     def plane_value(self, cell_idx: int, p: Point) -> Fraction:
@@ -265,11 +270,13 @@ def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivisio
 
     ordered = sorted(facets.items(), key=lambda kv: kv[1][0].vertices)
     cells = tuple(cell for _, (cell, _) in ordered)
-    if sum(c.area2() for c in cells) != poly.area2():
+    areas = [c.area2() for c in cells]
+    if sum(areas) != poly.area2():
         raise AssertionError("facets do not tile the polygon")
     used = {p for _, on in facets.values() for p in on}
     unused = tuple(sorted(set(pts) - used))
-    return RegularSubdivision(poly, cells, hf, tuple(plane for plane, _ in ordered), unused)
+    unimodular = all(a == 1 and len(c.vertices) == 3 for a, c in zip(areas, cells))
+    return RegularSubdivision(poly, cells, hf, tuple(plane for plane, _ in ordered), unused, unimodular)
 
 
 def trivial_subdivision(poly: LatticePolygon) -> RegularSubdivision:
@@ -312,7 +319,8 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
     areas = [c.area2() for c in cells]
     if len(set(cells)) != len(cells) or sum(areas) != poly.area2():
         return None
-    if all(a == 1 and len(c.vertices) == 3 for a, c in zip(areas, cells)):
+    unimodular = all(a == 1 and len(c.vertices) == 3 for a, c in zip(areas, cells))
+    if unimodular:
         planes = _folds(poly, cells, h)
         if planes is None:
             return None
@@ -332,7 +340,7 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
             used.update(on)
             planes.append(plane)
         unused = tuple(sorted(set(pts) - used))
-    return RegularSubdivision(poly, tuple(cells), hf, tuple(map(_norm_plane, planes)), unused)
+    return RegularSubdivision(poly, tuple(cells), hf, tuple(map(_norm_plane, planes)), unused, unimodular)
 
 
 def _folds(poly: LatticePolygon, cells, h) -> list | None:

@@ -628,3 +628,34 @@ def test_soundness_under_python_O():
     assert proc.returncode == 0, proc.stderr
     digests = [CERTIFICATE_DIGESTS["T3"], CERTIFICATE_DIGESTS["T4"]]
     assert proc.stdout.split() == digests + ["False", "0"]
+
+
+def test_gcdedges_failure_lists_every_bridge_exponent(monkeypatch):
+    """R4x6 (adjoint 2 x 4, n = 2) stalls in gcdedges: the bridge class at
+    (2, 1) keeps exponent 4, the length of the other adjoint edge.  The
+    error names it and gives the exponent of every class on the adjoint
+    boundary cycle and the count of failed gcd2 spreadings.  Once the
+    transfers reach the gcd of the edge lengths, this polygon should derive
+    and replay instead."""
+    rect = LatticePolygon([(0, 0), (4, 0), (4, 6), (0, 6)])
+    with pytest.raises(DerivationError) as info:
+        Engine(rect).derive_surjectivity()
+    err = info.value
+    assert err.rule == "gcdedges"
+    assert err.message.startswith("bridge class at (2, 1) reached exponent 4, want 2;")
+    listed = err.message.split("{")[1].split("}")[0]
+    exponents = {}
+    for item in listed.split(", ("):
+        point, exp = item.strip("(").split("): ")
+        exponents[tuple(int(x) for x in point.split(", "))] = int(exp)
+    assert list(exponents) == adjoint_boundary_cycle(adjoint_polygon(rect))
+    assert exponents[2, 1] == exponents[2, 5] == 4
+    assert all(exponents[v] == 1 for v in ((1, 1), (3, 1), (3, 5), (1, 5)))
+    assert "fixed point after" in err.message and err.message.endswith("0 gcd2 spreadings failed")
+
+    def refuse(self, kappa, m, known_toward, flavor=GEOMETRIC):
+        raise DerivationError("gcd", "refused")
+
+    monkeypatch.setattr(Engine, "pipeline_gcd2", refuse)
+    with pytest.raises(DerivationError, match=r"gcdedges.*; [1-9]\d* gcd2 spreadings failed$"):
+        Engine(rect).derive_surjectivity()

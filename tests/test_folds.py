@@ -83,7 +83,12 @@ def same_verdict(poly, cells, heights):
     else:
         assert got == want
         assert (got.planes, got.unused_support, got.witness) == (want.planes, want.unused_support, want.witness)
+        assert got.unimodular is measured_unimodular(got)
     return got
+
+
+def measured_unimodular(sub_div):
+    return all(len(c.vertices) == 3 and c.area2() == 1 for c in sub_div.cells)
 
 
 def scan_refinement(sub_div, tally):
@@ -193,6 +198,7 @@ def wrap_extension(poly, inner, tally):
 def same_subdivision(got, want):
     assert got == want
     assert (got.witness, got.planes, got.unused_support) == (want.witness, want.planes, want.unused_support)
+    assert got.unimodular is measured_unimodular(got)
 
 
 # ---------------------------------------------------------------------------
@@ -415,3 +421,35 @@ def test_local_paths_do_not_fall_back_to_scans(monkeypatch):
     Engine(SQ4).derive_surjectivity()
     assert scans == {"_touching": 0, "side": 0}
     assert grown[0] > 10
+
+
+def test_built_and_verified_subdivisions_know_if_they_are_unimodular(monkeypatch):
+    """``subdivision_from_heights`` and ``verify_subdivision`` measure every
+    cell once, so ``is_unimodular`` on what they return measures nothing
+    again; a subdivision assembled by hand still measures."""
+    rng = random.Random(31)
+    measured = [0]
+    real_area2 = LatticePolygon.area2
+
+    def area2(self):
+        measured[0] += 1
+        return real_area2(self)
+
+    monkeypatch.setattr(LatticePolygon, "area2", area2)
+    answers = set()
+    for _ in range(30):
+        poly = LatticePolygon([(rng.randint(-3, 4), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))])
+        if poly.dimension < 2:
+            continue
+        heights = {p: Fraction(rng.randint(0, 6), rng.choice([1, 2])) for p in poly.lattice_points()}
+        for sub_div in (subdivision_from_heights(poly, heights), unimodular_refinement(trivial_subdivision(poly))):
+            again = verify_subdivision(poly, sub_div.cells, sub_div.witness)
+            for s in (sub_div, again):
+                measured[0] = 0
+                answers.add(s.is_unimodular())
+                assert measured[0] == 0
+                assert s.is_unimodular() is measured_unimodular(s)
+    assert answers == {True, False}
+    by_hand = RegularSubdivision(again.polygon, again.cells, again.witness, again.planes, again.unused_support)
+    measured[0] = 0
+    assert by_hand.is_unimodular() and measured[0] == len(by_hand.cells)

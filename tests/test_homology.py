@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from tropmono.graphs import build_snake
 from tropmono.homology import (
     Loop,
     SurfaceModel,
+    _packing,
     canonical_triangulation,
     pants_check,
     sp_order,
@@ -162,7 +164,7 @@ def bfs_order(generators, p, cap):
         fresh = []
         for a in frontier:
             for cols in gen_cols:
-                b = tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols) for row in a)
+                b = tuple(_vec_mul(row, cols, p) for row in a)
                 if b not in seen:
                     seen.add(b)
                     fresh.append(b)
@@ -170,6 +172,197 @@ def bfs_order(generators, p, cap):
                         return None
         frontier = fresh
     return len(seen)
+
+
+def _vec_mul(v, cols, p):
+    """Row vector v times the matrix with the given columns, over F_p."""
+    return tuple(sum(x * y for x, y in zip(v, col)) % p for col in cols)
+
+
+def _mul_mod(a, b, p):
+    """Product of two square matrices (tuples of row tuples) over F_p."""
+    cols = tuple(zip(*b))
+    return tuple(_vec_mul(row, cols, p) for row in a)
+
+
+def dense_order(generators, p, limit=5_000_000, checked=None):
+    """Oracle: the Schreier-Sims of ``subgroup_order_mod_p`` on tuples of row
+    tuples, with the dense kernel above, in the same order of work.  Every
+    running product of orbit lengths compared with ``limit`` is appended to
+    ``checked``.  Singular generators raise from the shared ``_inverse_mod``."""
+    gens = list(dict.fromkeys(tuple(tuple(x % p for x in row) for row in m) for m in generators))
+    if not gens:
+        return 1
+    n = len(gens[0])
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    strong = [[] for _ in range(n)]  # (s, s^-1, columns of s)
+    orbits = [{ident[i]: (ident, ident)} for i in range(n)]  # x -> (u, u^-1)
+    passed = [set() for _ in range(n)]  # (x, k): Schreier generator sifted
+
+    def add_strong(h, first, last):
+        inv = tuple(map(tuple, tropmono.homology._inverse_mod(h, p)))
+        item = (h, inv, tuple(zip(*h)))
+        for i in range(first, last + 1):
+            strong[i].append(item)
+            close_orbit(i)
+
+    def close_orbit(i):
+        orbit = orbits[i]
+        others = math.prod(len(o) for j, o in enumerate(orbits) if j != i)
+        queue = list(orbit)
+        for x in queue:
+            u, u_inv = orbit[x]
+            for s, s_inv, cols in strong[i]:
+                y = _vec_mul(x, cols, p)
+                if y not in orbit:
+                    orbit[y] = (_mul_mod(u, s, p), _mul_mod(s_inv, u_inv, p))
+                    if checked is not None:
+                        checked.append(others * len(orbit))
+                    if others * len(orbit) > limit:
+                        raise RuntimeError("subgroup order exceeded the safety limit")
+                    queue.append(y)
+
+    def sift(h, start):
+        for j in range(start, n):
+            x = h[j]
+            if x == ident[j]:
+                continue
+            entry = orbits[j].get(x)
+            if entry is None:
+                return h, j
+            h = _mul_mod(h, entry[1], p)
+        return h, n
+
+    def first_failure(i):
+        orbit = orbits[i]
+        for x, (u, _) in orbit.items():
+            for k, (s, _, cols) in enumerate(strong[i]):
+                if (x, k) in passed[i]:
+                    continue
+                g = _mul_mod(_mul_mod(u, s, p), orbit[_vec_mul(x, cols, p)][1], p)
+                h, j = sift(g, i + 1)
+                if j < n:
+                    add_strong(h, i + 1, j)
+                    return j
+                passed[i].add((x, k))
+        return None
+
+    for s in gens:
+        if s == ident:
+            continue
+        moved = next(i for i in range(n) if s[i] != ident[i])
+        add_strong(s, 0, moved)
+    i = n - 1
+    while i >= 0:
+        j = first_failure(i)
+        i = i - 1 if j is None else j
+    return math.prod(len(o) for o in orbits)
+
+
+def outcome(order_fn, gens, p, **kw):
+    """The order, or the type of the exception raised."""
+    try:
+        return order_fn(gens, p, **kw)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def random_generators(rng, n, p):
+    """One to three n x n matrices mod p: dense random ones, transvections,
+    signed permutations and -(J + I), p - 1 off the diagonal and p - 2 on it
+    (nonsingular unless p divides n + 1), mixed so that some closures stay
+    small."""
+    def dense():
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+
+    def transvection():
+        i, j = rng.sample(range(n), 2)
+        m = [[int(r == c) for c in range(n)] for r in range(n)]
+        m[i][j] = rng.randrange(1, p)
+        return m
+
+    def signed_permutation():
+        perm = rng.sample(range(n), n)
+        return [[(rng.choice((1, p - 1)) if c == perm[r] else 0) for c in range(n)] for r in range(n)]
+
+    def all_minus_one():
+        return [[p - 1 - (r == c) for c in range(n)] for r in range(n)]
+
+    kinds = (dense, transvection, signed_permutation, all_minus_one)
+    return [rng.choice(kinds)() for _ in range(rng.randint(1, 3))]
+
+
+def test_packed_vec_mul_matches_dense_kernel_on_worst_case_slots():
+    """Every slot at its largest sum n*(p-1)^2 (all entries p - 1), and seeded
+    random rows, up to p = 101 and n = 6."""
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7, 11, 101):
+        for n in range(1, 7):
+            pack, unpack, vec_mul = _packing(n, p)
+            top = [[p - 1] * n for _ in range(n)]
+            mats = [top] + [[[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(6)]
+            for m in mats:
+                rows = pack(m)
+                assert unpack(rows) == m
+                cols = tuple(zip(*m))
+                for v in [[p - 1] * n] + [[rng.randrange(p) for _ in range(n)] for _ in range(6)]:
+                    (x,) = pack([v])
+                    assert unpack([vec_mul(x, rows)]) == [list(_vec_mul(v, cols, p))]
+
+
+def test_packed_kernel_matches_dense_oracle_and_bfs():
+    """Seeded generator sets for p in {2, 3, 5, 7, 11} and n in {2, 3, 4},
+    plus dense ones mod 101 in dimension 6: the same order or the same
+    exception as the dense oracle (at a limit that keeps the oracle fast),
+    and the BFS order wherever the closure is small enough to list."""
+    rng = random.Random(41)
+    listed = 0
+    for p in (2, 3, 5, 7, 11):
+        for n in (2, 3, 4):
+            for _ in range(6):
+                gens = random_generators(rng, n, p)
+                got = outcome(subgroup_order_mod_p, gens, p, limit=10**4)
+                assert got == outcome(dense_order, gens, p, limit=10**4), (gens, p)
+                if isinstance(got, int) and got <= 5000:
+                    assert got == bfs_order(gens, p, 5000), (gens, p)
+                    listed += 1
+    assert listed >= 20
+    for _ in range(3):
+        gens = random_generators(rng, 6, 101)
+        assert outcome(subgroup_order_mod_p, gens, 101, limit=10**4) == outcome(
+            dense_order, gens, 101, limit=10**4)
+    minus = [[100 - (r == c) for c in range(6)] for r in range(6)]
+    assert subgroup_order_mod_p([minus], 101) == dense_order([minus], 101) == bfs_order([minus], 101, 10**4)
+
+
+def test_limit_fires_where_the_dense_oracle_fires(monkeypatch):
+    """Sweep ``limit`` over every running product of orbit lengths the
+    oracle compares (and one below each): both kernels raise RuntimeError
+    at the same limits, after the same number of strong generators."""
+    inverses = []
+    real_inverse = tropmono.homology._inverse_mod
+
+    def counted(m, p):
+        inverses.append(p)
+        return real_inverse(m, p)
+
+    monkeypatch.setattr(tropmono.homology, "_inverse_mod", counted)
+    elementary = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+                  [[1, 0, 0], [0, 1, 0], [1, 0, 1]]]
+    t4 = snake_twists(T4)
+    sets = [(list(sl2_twists()), 3), ([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], 5), (t4[:3], 3),
+            (t4[:5], 2), (elementary, 3), (elementary[:2], 7)]
+    for gens, p in sets:
+        checked = []
+        order = dense_order(gens, p, checked=checked)
+        assert checked and max(checked) == order
+        for limit in sorted({v + d for v in checked for d in (-1, 0)}):
+            results = []
+            for order_fn in (dense_order, subgroup_order_mod_p):
+                inverses.clear()
+                results.append((outcome(order_fn, gens, p, limit=limit), len(inverses)))
+            assert results[0] == results[1], (gens, p, limit)
+            assert (results[1][0] is RuntimeError) == (limit < order)
 
 
 def sl2_twists():
@@ -255,6 +448,12 @@ def test_subgroup_order_contract():
         subgroup_order_mod_p([ma], 4)
     with pytest.raises(ValueError):
         subgroup_order_mod_p([ma, [[1]]], 2)
+    with pytest.raises(ValueError, match="generator 1 .*1.0"):
+        subgroup_order_mod_p([ma, [[1.0, 0], [0, 1]]], 2)
+    with pytest.raises(ValueError, match="generator 2 .*True"):
+        subgroup_order_mod_p([ma, mb, [[1, True], [0, 1]]], 3)
+    with pytest.raises(ValueError, match="generator 0 .*'1'"):
+        subgroup_order_mod_p([[["1", 0], [0, 1]]], 5)
     with pytest.raises(RuntimeError):
         subgroup_order_mod_p(snake_twists(T4), 2, limit=1000)
     assert subgroup_order_mod_p([ma, mb], 3, limit=24) == 24
@@ -271,7 +470,7 @@ def test_subgroup_order_matches_sympy_permutation_group():
         perms = []
         for m in gens:
             cols = list(zip(*m))
-            image = [index[tuple(sum(x * y for x, y in zip(v, col)) % p for col in cols)] for v in points]
+            image = [index[_vec_mul(v, cols, p)] for v in points]
             perms.append(combinatorics.Permutation(image))
         assert subgroup_order_mod_p(gens, p) == combinatorics.PermutationGroup(perms).order()
 

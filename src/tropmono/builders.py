@@ -14,11 +14,16 @@ so it supports the graph.  The witness is then extended to the whole polygon
 and refined; all steps are replayed and checked.
 
 Every builder that certifies (corner, side, propagation, gcd1, gcd2,
-gcdedges, interior, leg pair) and ``certify_flexible`` take a keyword-only
-``certify`` with the signature of ``certify_graph``, its default, and run
-both recipes (line arrangement, and staged fans given a ``fan_plan``)
-through it; the Engine passes its graph-keyed memo.  The ray sweeps certify
-nothing and take no ``certify``.
+gcdedges, interior, leg pair), ``device_pairs`` and ``certify_flexible``
+take a keyword-only ``certify`` with the signature of ``certify_graph``, its
+default, and run both recipes (line arrangement, and staged fans given a
+``fan_plan``) through it; the Engine passes its graph-keyed memo.  The ray
+sweeps certify nothing and take no ``certify``.
+
+The transfer graphs are drawn in a frame and mapped back by ``_framed``;
+the interior graphs and the engine's divisible pipelines search end-device
+pairs with ``device_pairs``, and every sweep whose seed weights must cancel
+a given residual comes from ``cancelling_sweep``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .geometry import (
     primitive,
     primitive_segments_on,
     seg,
+    seg_dir_from,
     smul,
     sub,
 )
@@ -55,6 +61,7 @@ from .graphs import (
     check_certifiable,
     complete_certificate,
     is_bridge,
+    residual,
 )
 from .subdivision import HeightFunction, subdivision_from_heights
 
@@ -133,6 +140,41 @@ def corner_frame(poly: LatticePolygon, kappa: Point) -> UnimodularMap:
     raise ValueError(f"no polygon vertex adjacent to the adjoint vertex {kappa}")
 
 
+def _framed(poly, f, name, edges, plan, target, exponent=1, notes=None, *, certify):
+    """The BuildResult of a graph drawn in the frame ``f``: ``edges`` are
+    (segment, weight) pairs, and ``plan`` and ``target`` name segments and
+    points, all in frame coordinates.  Everything is mapped back once, the
+    graph must balance, and it is certified through ``certify``."""
+    inv = f.inverse()
+    graph = WeightedSegmentGraph()
+    for s, m in edges:
+        graph.add(inv.apply_seg(s), m)
+    if check_balancing(graph, poly):
+        raise AssertionError(f"{name} graph must balance")
+    cert = certify(graph, poly)
+    steps = tuple(
+        (kind, *(inv.apply(a) if kind == "chase" else inv.apply_seg(a) for a in arg))
+        for kind, *arg in plan
+    )
+    return BuildResult(graph, cert, steps, inv.apply_seg(target), exponent, notes or {})
+
+
+def _run(a: Point, b: Point, weight: int) -> list:
+    """The unit segments of [a, b], from a, as (segment, weight) pairs."""
+    return [(s, weight) for s in primitive_segments_on(a, b)]
+
+
+def _closings(vertical: int, horizontal: int) -> list:
+    """The two edges closing a transfer graph at the frame corner, toward
+    (0, -1) and (-1, 0), with the vertical and the horizontal weight."""
+    return [(seg((0, 0), (0, -1)), vertical), (seg((0, 0), (-1, 0)), horizontal)]
+
+
+def _absorbs(edges) -> list:
+    """Plan steps absorbing the (segment, weight) pairs, in order."""
+    return [("absorb", s) for s, _ in edges]
+
+
 def build_corner_graph(
     poly: LatticePolygon, kappa: Point, *, certify=certify_graph
 ) -> BuildResult:
@@ -144,21 +186,17 @@ def build_corner_graph(
         raise ValueError("genus zero")
     if kappa not in adjoint.vertices:
         raise ValueError(f"{kappa} is not a vertex of the adjoint")
-    f = corner_frame(poly, kappa)
-    inv = f.inverse()
-    graph = WeightedSegmentGraph()
-    graph.add(inv.apply_seg(seg((0, 0), (1, 1))), -1)
-    graph.add(inv.apply_seg(seg((1, 1), (1, 0))), 1)
-    graph.add(inv.apply_seg(seg((1, 1), (0, 1))), 1)
-    for s in graph.entries:
+    diagonal = seg((0, 0), (1, 1))
+    edges = [(diagonal, -1), (seg((1, 1), (1, 0)), 1), (seg((1, 1), (0, 1)), 1)]
+    res = _framed(
+        poly, corner_frame(poly, kappa), "corner", edges, [("collapse",)], diagonal,
+        certify=certify,
+    )
+    for s in res.graph.entries:
         b = is_bridge(poly, adjoint, s)
         if b is None or b.interior_end != kappa:
             raise AssertionError("corner edges must be bridges")
-    if check_balancing(graph, poly):
-        raise AssertionError("corner graph must balance")
-    cert = certify(graph, poly)
-    target = inv.apply_seg(seg((0, 0), (1, 1)))
-    return BuildResult(graph, cert, (("collapse",),), target, 1, {"kappa": kappa})
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -197,28 +235,19 @@ def build_side_graph(
     if kappa not in adjoint.vertices or xi not in adjoint.vertices:
         raise ValueError("side graphs are anchored at an adjoint edge")
     f, img = _frame_with_edge_on_x(poly, kappa, xi)
-    inv = f.inverse()
     l = f.apply(xi)[0]
     if f.apply(xi) != (l, 0) or l < 1:
         raise AssertionError(f"{xi} is not on the positive x-axis of the frame")
     if img.side((-1, 0)) != 0 or img.side((l + 1, 0)) != 0:
         raise AssertionError("chain endpoints must reach the boundary")
-    graph = WeightedSegmentGraph()
-    chain = []
-    for i in range(l + 2):
-        s = inv.apply_seg(seg((i - 1, 0), (i, 0)))
-        graph.add(s, 1)
-        chain.append(s)
-    if check_balancing(graph, poly):
-        raise AssertionError("side graph must balance")
-    cert = certify(graph, poly)
-    plan: list[Step] = [("absorb", chain[0]), ("absorb", chain[-1])]
-    for i in range(l - 1):
-        plan.append(("chase", inv.apply((i, 0))))
-    plan.append(("terminal", chain[l]))
-    return BuildResult(
-        graph, cert, tuple(plan), chain[l], 1, {"chain": tuple(chain), "frame": f}
+    chain = _run((-1, 0), (l + 1, 0), 1)
+    plan = _absorbs([chain[0], chain[-1]]) + [("chase", (i, 0)) for i in range(l - 1)]
+    target = chain[l][0]
+    res = _framed(
+        poly, f, "side", chain, plan + [("terminal", target)], target, certify=certify
     )
+    res.notes["chain"] = tuple(res.graph.entries)  # the graph is the chain, in order
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -241,42 +270,17 @@ def build_propagation_graph(
     if a < 1:
         raise ValueError("a must be positive")
     f, img = _frame_with_point_up(poly, kappa, kappa_prime)
-    inv = f.inverse()
-    adj_img = adjoint_polygon(img)
-    if adj_img.side((a, 0)) != 0:
+    if adjoint_polygon(img).side((a, 0)) != 0:
         raise ValueError("target point must lie on the adjoint edge")
-    graph = WeightedSegmentGraph()
-    target = inv.apply_seg(seg((0, -1), (a, 0)))
-    delta = inv.apply_seg(seg((0, 1), (a, 0)))
-    graph.add(target, 1)
-    graph.add(delta, 1)
-    vseg = inv.apply_seg(seg((0, 0), (0, 1)))
-    graph.add(vseg, -a - 1)
-    hsegs = []
-    for i in range(1, a + 1):
-        s = inv.apply_seg(seg((i - 1, 0), (i, 0)))
-        graph.add(s, -2 * a)
-        hsegs.append(s)
-    known = inv.apply_seg(seg((-1, 0), (0, 1)))
-    graph.add(known, a)
-    c1 = inv.apply_seg(seg((0, 0), (0, -1)))
-    c2 = inv.apply_seg(seg((0, 0), (-1, 0)))
-    graph.add(c1, -a - 1)
-    graph.add(c2, -2 * a)
-    if check_balancing(graph, poly):
-        raise AssertionError("propagation graph must balance")
-    cert = certify(graph, poly)
-    plan: list[Step] = [("absorb", known), ("absorb", vseg)]
-    plan += [("absorb", s) for s in hsegs]
-    plan += [("absorb", c1), ("absorb", c2), ("chase", kappa_prime), ("terminal", target)]
-    return BuildResult(
-        graph,
-        cert,
-        tuple(plan),
-        target,
-        1,
-        {"known": known, "frame": f, "weights": {"horizontal": -2 * a, "vertical": -a - 1}},
-    )
+    hw, vw = -2 * a, -a - 1
+    target = seg((0, -1), (a, 0))
+    known, vertical = (seg((-1, 0), (0, 1)), a), (seg((0, 0), (0, 1)), vw)
+    horizontal, closings = _run((0, 0), (a, 0), hw), _closings(vw, hw)
+    edges = [(target, 1), (seg((0, 1), (a, 0)), 1), vertical, *horizontal, known, *closings]
+    plan = _absorbs([known, vertical, *horizontal, *closings])
+    plan += [("chase", (0, 1)), ("terminal", target)]
+    notes = {"weights": {"horizontal": hw, "vertical": vw}}
+    return _framed(poly, f, "propagation", edges, plan, target, 1, notes, certify=certify)
 
 
 # ---------------------------------------------------------------------------
@@ -300,53 +304,30 @@ def build_gcd1_graph(
     -(l m/(m^l) + l/(m^l)); the diagonal chain joins the two anchor points
     with weight 1.
     """
-    g = gcd(m, l)
     f, img = _frame_with_edge_on_x(poly, kappa, known_toward)
-    inv = f.inverse()
+    return _gcd_transfer(poly, f, img, m, l, "gcd1", certify)
+
+
+def _gcd_transfer(poly, f, img, m, l, name, certify) -> BuildResult:
+    """The gcd transfer in the frame ``f`` (image ``img`` of the polygon):
+    from the bridge at (m, 0) to the bridge at (0, l), along the diagonal
+    chain from (m, 0) to (0, l)."""
     adj_img = adjoint_polygon(img)
     if adj_img.side((m, 0)) != 0 or adj_img.side((0, l)) != 0:
         raise ValueError("distances exceed the adjoint edges")
-    graph = WeightedSegmentGraph()
-    known = inv.apply_seg(seg((0, -1), (m, 0)))
-    target = inv.apply_seg(seg((-1, 0), (0, l)))
-    graph.add(known, l // g)
-    graph.add(target, m // g)
+    g = gcd(m, l)
     hw = -(m * l // g + m // g)
     vw = -(l * m // g + l // g)
-    hsegs, vsegs = [], []
-    for i in range(1, m + 1):
-        s = inv.apply_seg(seg((i - 1, 0), (i, 0)))
-        graph.add(s, hw)
-        hsegs.append(s)
-    for j in range(1, l + 1):
-        s = inv.apply_seg(seg((0, j - 1), (0, j)))
-        graph.add(s, vw)
-        vsegs.append(s)
-    diag = primitive_segments_on((m, 0), (0, l))
-    diag_orig = [inv.apply_seg(s) for s in diag]
-    for s in diag_orig:
-        graph.add(s, 1)
-    c1 = inv.apply_seg(seg((0, 0), (0, -1)))
-    c2 = inv.apply_seg(seg((0, 0), (-1, 0)))
-    graph.add(c1, vw)
-    graph.add(c2, hw)
-    if check_balancing(graph, poly):
-        raise AssertionError("gcd1 graph must balance")
-    cert = certify(graph, poly)
-    plan: list[Step] = [("absorb", known)]
-    plan += [("absorb", s) for s in hsegs + vsegs]
-    plan += [("absorb", c1), ("absorb", c2)]
-    chase_pts = lattice_points_on_segment((m, 0), (0, l))[:-1]
-    plan += [("chase", inv.apply(p)) for p in chase_pts[:-1]]
-    # last diagonal segment chased at its point, then the target remains
-    plan += [("chase", inv.apply(chase_pts[-1])), ("terminal", target)]
-    return BuildResult(
-        graph,
-        cert,
-        tuple(plan),
-        target,
-        m // g,
-        {"known": known, "frame": f, "weights": {"horizontal": hw, "vertical": vw}},
+    known, target = (seg((0, -1), (m, 0)), l // g), seg((-1, 0), (0, l))
+    runs = _run((0, 0), (m, 0), hw) + _run((0, 0), (0, l), vw)
+    closings = _closings(vw, hw)
+    edges = [known, (target, m // g), *runs, *_run((m, 0), (0, l), 1), *closings]
+    plan = _absorbs([known, *runs, *closings])
+    plan += [("chase", p) for p in lattice_points_on_segment((m, 0), (0, l))[:-1]]
+    notes = {"weights": {"horizontal": hw, "vertical": vw}}
+    return _framed(
+        poly, f, name, edges, plan + [("terminal", target)], target, m // g, notes,
+        certify=certify,
     )
 
 
@@ -357,53 +338,11 @@ def build_gcd2_graphs(
     graph with a = m (vertical weight -m-1, horizontal -2m), the second the
     symmetric anti-diagonal graph (all chain weights -m-1)."""
     first = build_propagation_graph(poly, kappa, known_toward, m, certify=certify)
-
     # The second graph starts from the conclusion of the first (a bridge at
     # distance m on the other edge) and transfers it back to distance m on
     # the original edge; same frame as the first graph.
     f, img = _frame_with_point_up(poly, kappa, known_toward)
-    inv = f.inverse()
-    adj_img = adjoint_polygon(img)
-    if adj_img.side((m, 0)) != 0 or adj_img.side((0, m)) != 0:
-        raise ValueError("m exceeds an adjoint edge")
-    graph = WeightedSegmentGraph()
-    known = inv.apply_seg(seg((0, -1), (m, 0)))
-    target = inv.apply_seg(seg((-1, 0), (0, m)))
-    graph.add(known, 1)
-    graph.add(target, 1)
-    hsegs, vsegs = [], []
-    for i in range(1, m + 1):
-        s = inv.apply_seg(seg((i - 1, 0), (i, 0)))
-        graph.add(s, -m - 1)
-        hsegs.append(s)
-        s = inv.apply_seg(seg((0, i - 1), (0, i)))
-        graph.add(s, -m - 1)
-        vsegs.append(s)
-    anti = [inv.apply_seg(s) for s in primitive_segments_on((m, 0), (0, m))]
-    for s in anti:
-        graph.add(s, 1)
-    c1 = inv.apply_seg(seg((0, 0), (0, -1)))
-    c2 = inv.apply_seg(seg((0, 0), (-1, 0)))
-    graph.add(c1, -m - 1)
-    graph.add(c2, -m - 1)
-    if check_balancing(graph, poly):
-        raise AssertionError("gcd2 second graph must balance")
-    cert = certify(graph, poly)
-    plan: list[Step] = [("absorb", known)]
-    plan += [("absorb", s) for s in hsegs + vsegs]
-    plan += [("absorb", c1), ("absorb", c2)]
-    chase_pts = lattice_points_on_segment((m, 0), (0, m))[:-1]
-    plan += [("chase", inv.apply(p)) for p in chase_pts]
-    plan += [("terminal", target)]
-    second = BuildResult(
-        graph,
-        cert,
-        tuple(plan),
-        target,
-        1,
-        {"known": known, "frame": f, "weights": {"horizontal": -m - 1, "vertical": -m - 1}},
-    )
-    return first, second
+    return first, _gcd_transfer(poly, f, img, m, m, "gcd2 second", certify)
 
 
 def build_gcdedges_graph(
@@ -416,7 +355,6 @@ def build_gcdedges_graph(
     weight l1 - 1 up to the boundary.
     """
     f, img = _frame_with_edge_on_x(poly, kappa, toward)
-    inv = f.inverse()
     adj_img = adjoint_polygon(img)
     xi = f.apply(toward)
     lx = xi[0]
@@ -428,45 +366,17 @@ def build_gcdedges_graph(
         ly += 1
     if ly < 1:
         raise AssertionError("no vertical adjoint edge at kappa")
-    graph = WeightedSegmentGraph()
-    known = inv.apply_seg(seg((0, -1), (lx, 0)))
-    target = inv.apply_seg(seg((-1, 0), (0, 1)))
-    diag = inv.apply_seg(seg((lx, 0), (0, 1)))
-    graph.add(known, 1)
-    graph.add(target, lx)
-    graph.add(diag, 1)
-    hsegs = []
-    for i in range(1, lx + 1):
-        s = inv.apply_seg(seg((i - 1, 0), (i, 0)))
-        graph.add(s, -2 * lx)
-        hsegs.append(s)
-    vfoot = inv.apply_seg(seg((0, 0), (0, 1)))
-    graph.add(vfoot, -2)
-    column = []
-    if lx > 1:
-        for j in range(1, ly + 1):
-            s = inv.apply_seg(seg((0, j), (0, j + 1)))
-            graph.add(s, lx - 1)
-            column.append(s)
-    c1 = inv.apply_seg(seg((0, 0), (0, -1)))
-    c2 = inv.apply_seg(seg((0, 0), (-1, 0)))
-    graph.add(c1, -2)
-    graph.add(c2, -2 * lx)
-    if check_balancing(graph, poly):
-        raise AssertionError("gcdedges graph must balance")
-    cert = certify(graph, poly)
-    plan: list[Step] = [("absorb", known), ("absorb", vfoot)]
-    plan += [("absorb", s) for s in hsegs + column]
-    plan += [("absorb", c1), ("absorb", c2)]
-    plan += [("chase", toward), ("terminal", target)]
-    return BuildResult(
-        graph,
-        cert,
-        tuple(plan),
-        target,
-        lx,
-        {"known": known, "frame": f, "weights": {"horizontal": -2 * lx, "vertical": -2}},
-    )
+    hw, vw = -2 * lx, -2
+    target = seg((-1, 0), (0, 1))
+    known, foot = (seg((0, -1), (lx, 0)), 1), (seg((0, 0), (0, 1)), vw)
+    horizontal, closings = _run((0, 0), (lx, 0), hw), _closings(vw, hw)
+    column = _run((0, 1), (0, ly + 1), lx - 1) if lx > 1 else []
+    diagonal = (seg((lx, 0), (0, 1)), 1)
+    edges = [known, (target, lx), diagonal, *horizontal, foot, *column, *closings]
+    plan = _absorbs([known, foot, *horizontal, *column, *closings])
+    plan += [("chase", xi), ("terminal", target)]
+    notes = {"weights": {"horizontal": hw, "vertical": vw}}
+    return _framed(poly, f, "gcdedges", edges, plan, target, lx, notes, certify=certify)
 
 
 # ---------------------------------------------------------------------------
@@ -630,22 +540,14 @@ def _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation) -> RaySweep:
             rhs = (-w2 * d_prev[0], -w2 * d_prev[1])
             w1, w2 = _solve_pair(d1, d2, rhs)
 
-    def residual(at: Point) -> Point:
-        acc = (0, 0)
-        for s, m in graph.entries.items():
-            so = (f.apply(s[0]), f.apply(s[1]))
-            if at in so:
-                dd = primitive(sub(so[0] if at == so[1] else so[1], at))
-                acc = (acc[0] + m * dd[0], acc[1] + m * dd[1])
-        return acc
-
     # close at (0, d): the bridge to (-1, 0) and the column toward kappa
-    r = residual((0, d))
+    # (residuals are read in the frame)
+    r = f.apply_vector(residual(graph, inv.apply((0, d))))
     b1, col = _solve_pair(primitive((-1, -d)), (0, -1), neg(r))
     graph.add(inv.apply_seg(seg((0, d), (-1, 0))), b1)
     for s in primitive_segments_on((0, 0), (0, d)):
         graph.add(inv.apply_seg(s), col)
-    r = residual((0, 0))
+    r = f.apply_vector(residual(graph, kappa))
     b2, b3 = _solve_pair((-1, 0), (0, -1), neg(r))
     graph.add(inv.apply_seg(seg((0, 0), (-1, 0))), b2)
     graph.add(inv.apply_seg(seg((0, 0), (0, -1))), b3)
@@ -746,10 +648,6 @@ def _on_edge(a: Point, b: Point, p: Point) -> bool:
     return orient(a, b, p) == 0 and dot(sub(p, a), sub(p, b)) <= 0
 
 
-def _dir_out(s: Segment, v: Point) -> Point:
-    return primitive(sub(s[1] if v == s[0] else s[0], v))
-
-
 def _chain_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     """Candidate chain+bridge devices at an adjoint-boundary end."""
     adjoint = adjoint_polygon(poly)
@@ -768,7 +666,7 @@ def _chain_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
             if poly.side(omega) != 0:
                 continue
             for br in bridges_at(poly, u):
-                bdir = _dir_out(br.segment, u)
+                bdir = seg_dir_from(br.segment, u)
                 if abs(cross(e, bdir)) != 1:
                     continue
                 c, beta = _solve_pair(e, bdir, neg(sigma_dir))
@@ -783,6 +681,18 @@ def _chain_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     return out
 
 
+def cancelling_sweep(poly: LatticePolygon, anchors: tuple, u: Point, r: Point) -> RaySweep:
+    """The ray sweep at ``anchors`` (kappa, kappa', orientation) seeded at u
+    whose two legs cancel ``r`` there: its residual at u is -r.  The leg
+    directions do not depend on the weights, so they are read off the sweep
+    with weights (1, 1) and the weights solved for."""
+    kappa, kappa_prime, orientation = anchors
+    probe = build_ray_sweep(poly, kappa, kappa_prime, u, 1, 1, orientation)
+    l1, l2 = seg_dir_from(probe.leg1, u), seg_dir_from(probe.leg2, u)
+    m1, m2 = _solve_pair(l1, l2, neg(r))
+    return build_ray_sweep(poly, kappa, kappa_prime, u, m1, m2, orientation)
+
+
 def _ray_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     """Candidate ray-sweep devices at an adjoint-interior end."""
     adjoint = adjoint_polygon(poly)
@@ -791,14 +701,10 @@ def _ray_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
         for kappa_prime in _neighbors_on_boundary(adjoint, kappa):
             for orientation in ("k'k", "kk'"):
                 try:
-                    probe = build_ray_sweep(poly, kappa, kappa_prime, u, 1, 1, orientation)
-                    l1 = _dir_out(probe.leg1, u)
-                    l2 = _dir_out(probe.leg2, u)
-                    m1, m2 = _solve_pair(l1, l2, neg(sigma_dir))
-                    rs = build_ray_sweep(poly, kappa, kappa_prime, u, m1, m2, orientation)
+                    rs = cancelling_sweep(poly, (kappa, kappa_prime, orientation), u, sigma_dir)
                 except (ValueError, AssertionError):
                     continue
-                out.append(EndDevice("ray", rs.graph, (probe.leg1, probe.leg2), rs))
+                out.append(EndDevice("ray", rs.graph, (rs.leg1, rs.leg2), rs))
     return out
 
 
@@ -811,6 +717,45 @@ def end_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     return _chain_devices(poly, u, sigma_dir)
 
 
+def device_pairs(poly: LatticePolygon, x: Point, w: Point, *, certify=certify_graph, keep=None):
+    """The certified graphs made of the weight-one chain [x, w] and one end
+    device at each end, in search order: yields (device at x, device at w,
+    graph, certificate).  Pairs that ``keep`` (if given) rejects, that
+    change the chain's weights, or that leave the graph unbalanced, with
+    crossing loops or uncertified, are skipped; the generator returns the
+    message of the last certification error."""
+    pieces = primitive_segments_on(x, w)
+    devices_w = end_devices(poly, w, primitive(sub(x, w)))
+    last_error = None
+    for dx in end_devices(poly, x, primitive(sub(w, x))):
+        for dw in devices_w:
+            if keep is not None and not keep(dx, dw):
+                continue
+            graph = WeightedSegmentGraph({s: 1 for s in pieces}).union(dx.graph).union(dw.graph)
+            if any(graph.weight(s) != 1 for s in pieces):
+                continue
+            if check_balancing(graph, poly) or not graph.loops_pairwise_disjoint():
+                continue
+            zero = [p for p in lattice_points_on_segment(x, w) if poly.side(p) != 0]
+            one = []
+            for dev in (dx, dw):
+                if dev.kind == "chain":
+                    for s in dev.graph.entries:
+                        for p in s:
+                            if poly.side(p) != 0:
+                                zero.append(p)
+                            elif p not in one:
+                                one.append(p)
+            sweeps = [dev.ray for dev in (dx, dw) if dev.ray is not None]
+            try:
+                cert = certify_flexible(graph, poly, sweeps, zero, one, certify=certify)
+            except (CertificationError, AssertionError) as exc:
+                last_error = str(exc)  # not exc: its traceback would pin these frames in a cycle
+                continue
+            yield dx, dw, graph, cert
+    return last_error
+
+
 def build_interior_graph(
     poly: LatticePolygon, sigma: Segment, *, certify=certify_graph
 ) -> BuildResult:
@@ -818,48 +763,24 @@ def build_interior_graph(
     balanced by end devices; the deduction chases the segment at an interior
     end once the device legs are absorbed.
 
-    The configuration (anchor vertices of the end devices) is searched
-    deterministically; candidates whose pieces cross or fail certification
-    are discarded.
+    The configuration (the end devices) is the first pair ``device_pairs``
+    finds.
     """
     sigma = seg(*sigma)
     v, w = sigma
     if poly.side(v) == 0 and poly.side(w) == 0:
         raise ValueError("both ends on the polygon boundary")
-    dev_v = end_devices(poly, v, sub(w, v))
-    dev_w = end_devices(poly, w, sub(v, w))
-    last_error = None
-    for dv in dev_v:
-        for dw in dev_w:
-            graph = WeightedSegmentGraph({sigma: 1}).union(dv.graph).union(dw.graph)
-            if graph.weight(sigma) != 1:
-                continue
-            if check_balancing(graph, poly):
-                continue
-            if not graph.loops_pairwise_disjoint():
-                continue
-            sweeps = [d.ray for d in (dv, dw) if d.ray is not None]
-            zero, one = list(sigma), []
-            for d in (dv, dw):
-                if d.kind == "chain":
-                    for s in d.graph.entries:
-                        zero.extend(s)
-                    for s in d.graph.entries:
-                        for p in s:
-                            if poly.side(p) == 0 and p not in one:
-                                one.append(p)
-            zero = [p for p in zero if poly.side(p) != 0]
-            try:
-                cert = certify_flexible(graph, poly, sweeps, zero, one, certify=certify)
-            except (CertificationError, AssertionError) as exc:
-                last_error = str(exc)  # not exc: its traceback would pin these frames in a cycle
-                continue
-            chase_at = v if poly.side(v) != 0 else w
-            legs = dv.legs if chase_at == v else dw.legs
-            plan = tuple(("absorb", s) for s in legs) + (("chase", chase_at),)
-            notes = {"device_v": dv, "device_w": dw, "chase_at": chase_at}
-            return BuildResult(graph, cert, plan, sigma, 1, notes)
-    raise CertificationError(f"no interior configuration for {sigma}: {last_error}")
+    try:
+        dv, dw, graph, cert = next(device_pairs(poly, v, w, certify=certify))
+    except StopIteration as done:
+        raise CertificationError(
+            f"no interior configuration for {sigma}: {done.value}"
+        ) from None
+    chase_at = v if poly.side(v) != 0 else w
+    legs = dv.legs if chase_at == v else dw.legs
+    plan = tuple(("absorb", s) for s in legs) + (("chase", chase_at),)
+    notes = {"device_v": dv, "device_w": dw, "chase_at": chase_at}
+    return BuildResult(graph, cert, plan, sigma, 1, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +805,7 @@ def build_leg_pair(
     m1, m2 = (1, 0) if which == 1 else (0, 1)
     main = build_ray_sweep(poly, kappa, kappa_prime, u, m1, m2, orientation)
     target = main.leg1 if which == 1 else main.leg2
-    tdir = _dir_out(target, u)
+    tdir = seg_dir_from(target, u)
     last_error = None
     for xi, xi_prime in [
         _pair_anchors(adjoint, kappa, kappa_prime, orientation)
@@ -897,11 +818,7 @@ def build_leg_pair(
             continue
         for co in ("kk'", "k'k"):
             try:
-                probe = build_ray_sweep(poly, xi, xi_prime, u, 1, 1, co)
-                n1, n2 = _solve_pair(
-                    _dir_out(probe.leg1, u), _dir_out(probe.leg2, u), neg(tdir)
-                )
-                companion = build_ray_sweep(poly, xi, xi_prime, u, n1, n2, co)
+                companion = cancelling_sweep(poly, (xi, xi_prime, co), u, tdir)
             except (ValueError, AssertionError):
                 continue
             graph = main.graph.union(companion.graph)

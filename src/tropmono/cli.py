@@ -162,24 +162,14 @@ def cmd_graph(args) -> int:
         return EXIT_OK
     elif fam == "gcdedges":
         res = builders.build_gcdedges_graph(poly, pt(0), pt(2))
-    elif fam == "raysweep":
-        rs = builders.build_ray_sweep(
-            poly, pt(0), pt(2), pt(4), num(6), num(7),
-            "k'k" if args.swap else "kk'",
-        )
-        cert = builders.certify_flexible(
-            rs.graph, poly, [rs], allow_unbalanced_at=frozenset({rs.v})
-        )
-        out = {"schema": "1", "graph": rs.graph.to_json(),
-               "chain": [list(p) for p in rs.chain],
-               "certificate": cert.to_json()}
-        _emit(out, args.out)
-        return EXIT_OK
-    elif fam == "divisible":
-        rs = builders.build_divisible_ray_sweep(
-            poly, num(0), pt(1), pt(3), pt(5), num(7), num(8),
-            "k'k" if args.swap else "kk'",
-        )
+    elif fam in ("raysweep", "divisible"):
+        orientation = "k'k" if args.swap else "kk'"
+        if fam == "raysweep":
+            rs = builders.build_ray_sweep(poly, pt(0), pt(2), pt(4), num(6), num(7), orientation)
+        else:
+            rs = builders.build_divisible_ray_sweep(
+                poly, num(0), pt(1), pt(3), pt(5), num(7), num(8), orientation
+            )
         cert = builders.certify_flexible(
             rs.graph, poly, [rs], allow_unbalanced_at=frozenset({rs.v})
         )

@@ -37,6 +37,7 @@ from .graphs import (
     build_snake,
     check_balancing,
     is_bridge,
+    residual,
     CertificationError,
 )
 from . import builders
@@ -396,15 +397,6 @@ def _chain_rule_square(ctx, p, f1, fv, f2):
     return out
 
 
-def _graph_residual(graph: WeightedSegmentGraph, at: Point) -> Point:
-    acc = (0, 0)
-    for s, m in graph.entries.items():
-        if at in s:
-            d = primitive(sub(s[1] if at == s[0] else s[0], at))
-            acc = (acc[0] + m * d[0], acc[1] + m * d[1])
-    return acc
-
-
 # pairing rounds of the anchor transport in Engine._facts_at_anchor
 _ANCHOR_ROUNDS = 3
 
@@ -461,14 +453,14 @@ class Engine:
 
     def _build(self, name: str, *args):
         """``builders.<name>(self.poly, *args)``, built once per distinct
-        ``args`` and certified through ``_certify`` (the ray sweep certifies
-        nothing); a builder that raises is called again next time.  The
-        builder is looked up at call time, so a rebound one is honoured."""
+        ``args`` and certified through ``_certify``; a builder that raises is
+        called again next time.  The builder is looked up at call time, so a
+        rebound one is honoured."""
         key = (name, args)
         hit = self._builds.get(key)
         if hit is None:
-            extra = {} if name == "build_ray_sweep" else {"certify": self._certify}
-            hit = self._builds[key] = getattr(builders, name)(self.poly, *args, **extra)
+            builder = getattr(builders, name)
+            hit = self._builds[key] = builder(self.poly, *args, certify=self._certify)
         return hit
 
     def _certify(
@@ -1000,49 +992,26 @@ class Engine:
                     out.append((kappa, kprime, orientation))
         return out
 
-    def _device_certificates(self, x: Point, w: Point, keep=None):
-        """Certified graphs made of the weight-one chain [x, w] and a pair of end
-        devices at x and w that overlap neither the chain nor each other, in
-        search order: yields (device at x, device at w, certificate)."""
-        poly = self.poly
+    def _device_pairs(self, x: Point, w: Point, also=None):
+        """``builders.device_pairs`` for the chain [x, w], certified through
+        ``_certify``, keeping only device pairs that pass ``also`` (if given)
+        and overlap neither the chain nor each other."""
         pieces = primitive_segments_on(x, w)
-        base = WeightedSegmentGraph({s: 1 for s in pieces})
-        devices_w = builders.end_devices(poly, w, primitive(sub(x, w)))
-        for dx in builders.end_devices(poly, x, primitive(sub(w, x))):
-            for dw in devices_w:
-                if keep is not None and not keep(dx, dw):
-                    continue
-                if any(dx.graph.weight(s) or dw.graph.weight(s) for s in pieces):
-                    continue
-                if any(dx.graph.weight(s) for s in dw.graph.entries):
-                    continue
-                g = base.union(dx.graph).union(dw.graph)
-                if check_balancing(g, poly) or not g.loops_pairwise_disjoint():
-                    continue
-                zero = [p for p in lattice_points_on_segment(x, w) if poly.side(p) != 0]
-                one = []
-                for dev in (dx, dw):
-                    if dev.kind == "chain":
-                        for s in dev.graph.entries:
-                            for p in s:
-                                if poly.side(p) != 0:
-                                    zero.append(p)
-                                elif p not in one:
-                                    one.append(p)
-                sweeps = [dev.ray for dev in (dx, dw) if dev.ray is not None]
-                try:
-                    cert = builders.certify_flexible(
-                        g, poly, sweeps, zero, one, certify=self._certify
-                    )
-                except (CertificationError, AssertionError):
-                    continue
-                yield dx, dw, cert
+
+        def keep(dx, dw) -> bool:
+            if also is not None and not also(dx, dw):
+                return False
+            if any(dx.graph.weight(s) or dw.graph.weight(s) for s in pieces):
+                return False
+            return not any(dx.graph.weight(s) for s in dw.graph.entries)
+
+        return builders.device_pairs(self.poly, x, w, certify=self._certify, keep=keep)
 
     def _chain_chase(self, u: Point, w: Point, flavor) -> int:
         """Weight-one chain [u, w] balanced by end devices; chasing from the
         d-point u yields an exponent-one fact for every primitive piece."""
         last = None
-        for dv, dw, cert in self._device_certificates(u, w):
+        for dv, dw, _, cert in self._device_pairs(u, w):
             if dv.kind == "ray":
                 self.ensure_leg_facts(dv.ray, flavor)
             try:
@@ -1135,7 +1104,7 @@ class Engine:
         [x, w] and the device at the d-point x from an interior_d graph; the
         x-side must be strippable edge by edge."""
         last = None
-        for dx, dw, cert in self._device_certificates(
+        for dx, dw, _, cert in self._device_pairs(
             x, w, lambda dx, dw: dx.kind != "ray" and dw.kind == "ray"
         ):
             try:
@@ -1151,26 +1120,17 @@ class Engine:
         """Pair a composite ray fact at w with the target-anchor sweep whose
         weights cancel the residual; certify the balanced union and subtract."""
         graph = graph_of(self.nodes[node_id].conclusion)
-        t_kappa, t_kprime, t_orient = target
         try:
-            probe = self._build("build_ray_sweep", t_kappa, t_kprime, w, 1, 1, t_orient)
-            res = _graph_residual(graph, w)
-            l1 = builders._dir_out(probe.leg1, w)
-            l2 = builders._dir_out(probe.leg2, w)
-            n1, n2 = builders._solve_pair(l1, l2, (-res[0], -res[1]))
-            tsweep = self._build("build_ray_sweep", t_kappa, t_kprime, w, n1, n2, t_orient)
+            tsweep = builders.cancelling_sweep(self.poly, target, w, residual(graph, w))
         except (ValueError, AssertionError):
             return None
-        tgraph = tsweep.graph
-        union = graph.copy().union(tgraph)
+        union = graph.union(tsweep.graph)
         if not union.entries:
             return None  # paired a fact against its own negation
         if check_balancing(union, self.poly) or not union.loops_pairwise_disjoint():
             return None
         try:
-            cert = builders.certify_flexible(
-                union, self.poly, [probe, tsweep], certify=self._certify
-            )
+            cert = builders.certify_flexible(union, self.poly, [tsweep], certify=self._certify)
         except (CertificationError, AssertionError):
             return None
         rea = self.axiom_rea(cert, flavor)
@@ -1179,7 +1139,7 @@ class Engine:
     def _facts_at_anchor(self, entries, w, target, flavor):
         """BFS over anchor pairings until the target anchor holds two
         weight-independent composite facts, as (node id, seed weights) pairs."""
-        probe = self._build("build_ray_sweep", target[0], target[1], w, 1, 1, target[2])
+        probe = builders.build_ray_sweep(self.poly, target[0], target[1], w, 1, 1, target[2])
         state: dict[tuple, list[int]] = {}
         for anchor, nid in entries:
             state.setdefault(anchor, []).append(nid)

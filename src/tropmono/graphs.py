@@ -126,21 +126,21 @@ class WeightedSegmentGraph:
         return g
 
 
-def check_balancing(graph: WeightedSegmentGraph, poly: LatticePolygon) -> set[Point]:
-    """Vertices interior to the polygon where the weighted outward primitive
-    directions do not cancel."""
-    bad = set()
-    for v in graph.vertices():
-        if poly.side(v) != 1:
-            continue
-        acc = (0, 0)
-        for s in graph.edges_at(v):
+def residual(graph: WeightedSegmentGraph, v: Point) -> Point:
+    """The sum of the weighted outward primitive directions of the edges at
+    v; the graph is balanced at v when it is (0, 0)."""
+    x = y = 0
+    for s, m in graph.entries.items():
+        if v in s:
             d = seg_dir_from(s, v)
-            m = graph.entries[s]
-            acc = (acc[0] + m * d[0], acc[1] + m * d[1])
-        if acc != (0, 0):
-            bad.add(v)
-    return bad
+            x += m * d[0]
+            y += m * d[1]
+    return x, y
+
+
+def check_balancing(graph: WeightedSegmentGraph, poly: LatticePolygon) -> set[Point]:
+    """Vertices interior to the polygon where the graph is not balanced."""
+    return {v for v in graph.vertices() if poly.side(v) == 1 and residual(graph, v) != (0, 0)}
 
 
 # ---------------------------------------------------------------------------

@@ -606,12 +606,11 @@ def _pull(p: Point, h, cones, across) -> list | None:
     """The planes of the cones ``(u, w)`` (ccw triangles p, u, w) of a pull
     trial at height ``h[p]``, or None if the trial fails: ``p`` must lie
     strictly above each plane in ``across`` (the cell across each cone's link
-    edge, None on the boundary), and each spoke shared by two cones must be
-    a strict fold.
+    edge, None on the boundary), so that every link edge is a strict fold.
 
     This is the scans' verdict (p strictly above every kept plane, each
     cone's plane below the lift and touching just the cone's points).  The
-    scans imply the folds: a neighbouring cone's far vertex is off the cone.
+    scans imply the test, since the cells across the link are kept.
     Conversely the current cells are the regular subdivision of the current
     heights, every lattice point on or above its surface, and lowering h(p)
     replaces the surface only on p's star, by cones below it that meet it
@@ -619,20 +618,32 @@ def _pull(p: Point, h, cones, across) -> list | None:
     (strict by regularity) make the new surface strictly convex across every
     interior edge, so, as in ``verify_subdivision``, each piece lies strictly
     below it off its cell.
+
+    The spokes need no test: once the link edges are strict folds, so is
+    every spoke.  Let f be the current surface, S the star of p (the cells
+    containing it), δ = f(p) - h[p] > 0, and λ the function on S that is 1
+    at p, 0 on the link and affine on each cone.  Each cone lies in one
+    cell, where f is affine, so the new surface on S is f - δλ.  Take a
+    spoke pu between the cones over the link edges tu and uw, and let θ be
+    the angle t-u-w on p's side.
+    - θ <= 180°: λ is concave across pu and f convex, one of them strictly.
+      If pu runs inside one cell, u is a corner of it and θ < 180°, so λ is
+      strictly concave; otherwise pu lies on an edge between two cells,
+      where f folds strictly.
+    - θ > 180°: u is interior (the polygon is convex).  Around u the jumps of
+      the gradient add up to zero, so sum c_e e = 0 over the edge directions
+      e at u, where c_e > 0 exactly when the fold across e is strict.  Every
+      edge at u but the spoke is a link edge or a kept edge, hence strict,
+      and lies in the closed sector from uw to ut outside the two cones, of
+      angle 360° - θ < 180°.  Their terms add up to a nonzero vector in that
+      sector, and the spoke's term cancels it along u -> p, which points out
+      of the sector; so its c_e > 0.
     """
     x, y, z = p[0], p[1], h[p]
     for plane in across:
         if plane is not None and plane[0] * x + plane[1] * y + plane[2] * z <= plane[3]:
             return None
-    planes = [_plane_through(p, u, w, h) for u, w in cones]
-    start = {u: i for i, (u, _) in enumerate(cones)}  # the cone with spoke p -> u
-    for u, w in cones:  # the spoke w -> p, shared with the cone starting at w
-        i = start.get(w)
-        if i is not None:
-            nx, ny, nz, d = planes[i]
-            if nx * u[0] + ny * u[1] + nz * h[u] <= d:
-                return None
-    return planes
+    return [_plane_through(p, u, w, h) for u, w in cones]
 
 
 # ---------------------------------------------------------------------------

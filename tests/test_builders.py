@@ -6,9 +6,11 @@ import sys
 import pytest
 
 import tropmono
-from tropmono.geometry import LatticePolygon, add, seg, smul, sub
-from tropmono.graphs import check_balancing
+from tropmono.geometry import LatticePolygon, add, neg, seg, smul, sub
+from tropmono.graphs import WeightedSegmentGraph, check_balancing, residual
+from tropmono.polygons import adjoint_polygon
 from tropmono.builders import (
+    _neighbors_on_boundary,
     build_corner_graph,
     build_divisible_ray_sweep,
     build_gcd1_graph,
@@ -19,6 +21,7 @@ from tropmono.builders import (
     build_propagation_graph,
     build_ray_sweep,
     build_side_graph,
+    cancelling_sweep,
     certify_flexible,
 )
 
@@ -212,3 +215,35 @@ def test_solve_pair_rejects_a_non_basis_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False (1, 0), (1, 2) do not generate the lattice"
+
+
+R5x6 = LatticePolygon([(0, 0), (5, 0), (5, 6), (0, 6)])
+
+
+def test_residual_sums_weighted_directions():
+    g = WeightedSegmentGraph({seg((0, 0), (1, 0)): 2, seg((0, 0), (0, 1)): -1, seg((0, 0), (1, 1)): 1})
+    assert residual(g, (0, 0)) == (3, 0)
+    assert residual(g, (1, 0)) == (-2, 0)
+    assert residual(g, (5, 5)) == (0, 0)
+
+
+@pytest.mark.parametrize("poly, built", [(T6, 48), (R5x6, 384)], ids=["T6", "R5x6"])
+def test_cancelling_sweep_cancels_r_at_the_seed(poly, built):
+    """For every anchor triple and every seed inside the adjoint, the sweep
+    that cancels r has residual -r at the seed and balances elsewhere."""
+    adjoint = adjoint_polygon(poly)
+    count = 0
+    for u in adjoint.interior_points():
+        for kappa in adjoint.vertices:
+            for kappa_prime in _neighbors_on_boundary(adjoint, kappa):
+                for orientation in ("kk'", "k'k"):
+                    anchors = (kappa, kappa_prime, orientation)
+                    for r in ((1, 0), (0, 1), (-1, -1), (2, -3)):
+                        try:
+                            rs = cancelling_sweep(poly, anchors, u, r)
+                        except (ValueError, AssertionError):
+                            continue
+                        assert residual(rs.graph, u) == neg(r)
+                        assert check_balancing(rs.graph, poly) <= {u}
+                        count += 1
+    assert count == built

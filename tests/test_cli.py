@@ -150,6 +150,32 @@ def test_graph_families(polyfile, capsys):
     assert code == 0
 
 
+# sha256 of the `tropmono graph` output of the two sweep families, pinned
+# before their branches of the command were merged.
+SWEEP_GOLDEN = {
+    ("T6", "raysweep", "1,1,1,2,2,2,1,1", False):
+        "5385ec025faa2016a9a48e416229f4144c6d2eaad5a697f65a3087d9f124404f",
+    ("T6", "raysweep", "1,1,1,2,2,2,1,1", True):
+        "6101a5603892426ac11a2fbaccddb9e651c4323376b01ccc1c2ee305b2d04e68",
+    ("T6", "divisible", "3,1,1,1,2,4,1,1,1", False):
+        "f955ac9826224a058e2917158288ae649e280be1fdaa99413340ee565d1ab067",
+    ("SQ4", "divisible", "2,1,1,1,2,3,3,1,1", False):
+        "0f37c504612821a6c7786b4280fe8a5511041fe1d9b6c3461eb36c00479204ef",
+    ("SQ4", "divisible", "2,1,1,1,2,3,3,1,1", True):
+        "7a6f7487caf74003443a523ef491f0beb05ce094ff40e33b15292c8fb857df35",
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_sweep_graph_output_golden(case, polyfile, capsys):
+    name, family, params, swap = case
+    path = polyfile(f"{name}.json", ANALYZE_GOLDEN[name][0])
+    argv = ["graph", path, "--family", family, "--params", params] + ["--swap"] * swap
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_GOLDEN[case]
+
+
 def test_verdict_out_file(polyfile, capsys, tmp_path):
     path = polyfile("sq4.json", [[0, 0], [4, 0], [4, 4], [0, 4]])
     dest = tmp_path / "verdict.json"

@@ -431,7 +431,12 @@ def test_interior_d_and_dd_on_sq4():
     assert e.nodes[nid].conclusion["exponent"] == 1
     nid2 = e.pipeline_interior_dd(seg((2, 1), (2, 2)), 2)
     assert e.nodes[nid2].conclusion["exponent"] == 2
-    assert replay_certificate(e.export_certificate())
+    cert = e.export_certificate()
+    assert replay_certificate(cert)
+    # pinned from the search before device pairs and cancelling sweeps were
+    # shared with the builders (1150 nodes)
+    assert len(cert["nodes"]) == 1150
+    assert _digest(cert) == "42168708967668584f18dcee6dd9fa845668cd39bf1828feebbb3bf288e57c0e"
 
 
 def test_interior_d_rejects_missed_line():

@@ -109,16 +109,18 @@ def certify_graph(
     poly: LatticePolygon,
     allow_unbalanced_at=frozenset(),
     fans=None,
+    **memo,
 ) -> AdmissibilityCertificate:
     """Certify via the line-arrangement recipe, or via the staged fan
-    recipe of ``fans`` (a ``fan_plan``) when given."""
+    recipe of ``fans`` (a ``fan_plan``) when given.  ``memo`` (``checked``
+    and ``shared``) goes to ``complete_certificate``."""
     if fans is not None:
-        return certify_fans(graph, poly, fans, allow_unbalanced_at)
+        return certify_fans(graph, poly, fans, allow_unbalanced_at, **memo)
     region = LatticePolygon(graph.vertices())
     if region.dimension < 2:
         region = poly
     hint = Hint(region, None, HeightFunction.of(arrangement_heights(graph, region)))
-    return certify_admissible(graph, poly, hint, allow_unbalanced_at)
+    return certify_admissible(graph, poly, hint, allow_unbalanced_at, **memo)
 
 
 # ---------------------------------------------------------------------------
@@ -723,18 +725,24 @@ def device_pairs(poly: LatticePolygon, x: Point, w: Point, *, certify=certify_gr
     graph, certificate).  Pairs that ``keep`` (if given) rejects, that
     change the chain's weights, or that leave the graph unbalanced, with
     crossing loops or uncertified, are skipped; the generator returns the
-    message of the last certification error."""
+    message of the last certification error or, when no pair reached
+    certification, how many pairs were skipped for which reason."""
     pieces = primitive_segments_on(x, w)
     devices_w = end_devices(poly, w, primitive(sub(x, w)))
-    last_error = None
+    last_error, tried = None, 0
+    skipped = {"filtered out": 0, "change the chain's weights": 0,
+               "are unbalanced or have crossing loops": 0}
     for dx in end_devices(poly, x, primitive(sub(w, x))):
         for dw in devices_w:
             if keep is not None and not keep(dx, dw):
+                skipped["filtered out"] += 1
                 continue
             graph = WeightedSegmentGraph({s: 1 for s in pieces}).union(dx.graph).union(dw.graph)
             if any(graph.weight(s) != 1 for s in pieces):
+                skipped["change the chain's weights"] += 1
                 continue
             if check_balancing(graph, poly) or not graph.loops_pairwise_disjoint():
+                skipped["are unbalanced or have crossing loops"] += 1
                 continue
             zero = [p for p in lattice_points_on_segment(x, w) if poly.side(p) != 0]
             one = []
@@ -747,12 +755,17 @@ def device_pairs(poly: LatticePolygon, x: Point, w: Point, *, certify=certify_gr
                             elif p not in one:
                                 one.append(p)
             sweeps = [dev.ray for dev in (dx, dw) if dev.ray is not None]
+            tried += 1
             try:
                 cert = certify_flexible(graph, poly, sweeps, zero, one, certify=certify)
             except (CertificationError, AssertionError) as exc:
                 last_error = str(exc)  # not exc: its traceback would pin these frames in a cycle
                 continue
             yield dx, dw, graph, cert
+    if not tried:
+        why = ", ".join(f"{k} {reason}" for reason, k in skipped.items() if k)
+        return (f"no end-device pair reached certification "
+                f"({sum(skipped.values())} pairs{': ' + why if why else ''})")
     return last_error
 
 
@@ -913,6 +926,7 @@ def certify_fans(
     poly: LatticePolygon,
     plan: tuple,
     allow_unbalanced_at=frozenset(),
+    **memo,
 ) -> AdmissibilityCertificate:
     """Certify a union of ray sweeps (plus optional flat pieces) by the
     staged construction of ``plan`` (a ``fan_plan``): lift the chains to 0
@@ -936,7 +950,7 @@ def certify_fans(
         if new_pts:
             current = LatticePolygon(list(current.vertices) + new_pts)
             stages.append(current)
-    return complete_certificate(graph, poly, sub_div, allow_unbalanced_at, stages)
+    return complete_certificate(graph, poly, sub_div, allow_unbalanced_at, stages, **memo)
 
 
 def certify_flexible(

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 invalid input (non-convex, non-smooth, bad JSON),
 3 certification or derivation failure.
+
+Each command imports the layers it runs: ``analyze`` and ``verdict`` load
+only ``geometry`` and ``polygons``, and ``main`` catches the errors of the
+others through ``tropmono.errors``, which imports nothing.
 """
 
 from __future__ import annotations
@@ -10,26 +14,9 @@ import argparse
 import json
 import sys
 
+from .errors import CertificationError, DerivationError, ReplayError, SmoothnessError
 from .geometry import LatticePolygon, point_from_json, seg
-from .polygons import SmoothnessError, analyze
-from .subdivision import (
-    HeightFunction,
-    dual_tropical_curve,
-    subdivision_from_heights,
-    trivial_subdivision,
-    unimodular_refinement,
-)
-from .graphs import CertificationError, build_snake
-from .engine import (
-    Engine,
-    DerivationError,
-    GEOMETRIC,
-    HOMOLOGICAL,
-    replay_certificate,
-    ReplayError,
-)
-from .homology import Loop, SurfaceModel
-from . import builders
+from .polygons import analyze
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -99,6 +86,14 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
+    from .subdivision import (
+        HeightFunction,
+        dual_tropical_curve,
+        subdivision_from_heights,
+        trivial_subdivision,
+        unimodular_refinement,
+    )
+
     poly = _load_polygon(args.polygon)
     if args.heights:
         data = _read_json(args.heights, "heights")
@@ -119,6 +114,8 @@ def cmd_subdivide(args) -> int:
 
 
 def cmd_snake(args) -> int:
+    from .graphs import build_snake
+
     poly = _load_polygon(args.polygon)
     analyze(poly)
     sn = build_snake(poly)
@@ -127,6 +124,8 @@ def cmd_snake(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import builders
+
     poly = _load_polygon(args.polygon)
     analyze(poly)
     fam = args.family
@@ -190,6 +189,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .engine import GEOMETRIC, HOMOLOGICAL, Engine
+
     poly = _load_polygon(args.polygon)
     sigma = _parse_segment(args.segment)
     engine = Engine(poly)
@@ -220,6 +221,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .homology import Loop, SurfaceModel
+
     poly = _load_polygon(args.polygon)
     analyze(poly)
     surf = SurfaceModel(poly)
@@ -242,6 +245,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .engine import replay_certificate
+
     data = _read_json(args.certificate, "certificate")
     if isinstance(data, dict) and "certificate" in data and "nodes" not in data:
         data = data["certificate"]

@@ -38,25 +38,14 @@ from .graphs import (
     check_balancing,
     is_bridge,
     residual,
-    CertificationError,
 )
+from .errors import CertificationError, DerivationError, ReplayError
 from . import builders
 from .homology import Loop, SurfaceModel, canonical_triangulation
 from .intlinalg import matmul, solve_int
 
 GEOMETRIC = "geometric"
 HOMOLOGICAL = "homological"
-
-
-class DerivationError(RuntimeError):
-    def __init__(self, rule: str, message: str):
-        super().__init__(f"[{rule}] {message}")
-        self.rule = rule
-        self.message = message
-
-
-class ReplayError(ValueError):
-    pass
 
 
 def loop_key(poly: LatticePolygon, adjoint, obj) -> tuple:
@@ -141,7 +130,10 @@ class RuleContext:
     ``witnesses`` maps (polygon, heights, cells) of each admissibility
     witness checked so far to the edge set of the unimodular subdivision
     they were verified to form, or to None for a rejection; it lives as long
-    as the context, that is one derivation or one replay.  Replay stays
+    as the context, that is one derivation or one replay.  In a derivation
+    ``Engine._certify`` passes it to ``complete_certificate``, which enters
+    each witness that the refinement verified, so the ``admissible`` rule
+    does not verify it a second time.  Replay stays
     sound: the key is the whole decoded witness and ``verify_subdivision``
     is a pure function of it, so a witness that differs in any height or
     cell is checked on its own, and the graph's containment in the cells and
@@ -479,7 +471,10 @@ class Engine:
         cert = self._certs.get(key)
         if cert is None:
             try:
-                cert = builders.certify_graph(graph, poly, allow_unbalanced_at, fans)
+                cert = builders.certify_graph(
+                    graph, poly, allow_unbalanced_at, fans,
+                    checked=self.ctx.witnesses, shared=self.ctx.shared,
+                )
             except CertificationError as exc:
                 # a copy without traceback: the raised one's frames hold self
                 self._certs[key] = type(exc)(*exc.args)

@@ -11,7 +11,7 @@ half-planes, so it costs the number of points, not the bounding box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 Point = tuple[int, int]
@@ -187,16 +187,16 @@ def _triangle(points):
     return None if o == 0 else (a, b, c) if o > 0 else (a, c, b)
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
+class UnimodularMap(namedtuple("UnimodularMap", "m t")):
     """Lattice-preserving affine map x -> M x + t with |det M| = 1."""
 
-    m: tuple[tuple[int, int], tuple[int, int]]
-    t: Point = (0, 0)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, m: tuple[tuple[int, int], tuple[int, int]], t: Point = (0, 0)):
+        self = super().__new__(cls, m, t)
         if abs(self.det()) != 1:
-            raise ValueError(f"matrix {self.m} is not unimodular")
+            raise ValueError(f"matrix {m} is not unimodular")
+        return self
 
     def det(self) -> int:
         (a, b), (c, d) = self.m

@@ -25,6 +25,7 @@ from .geometry import (
     seg_dir_from,
     segments_cross,
 )
+from .errors import CertificationError
 from .polygons import adjoint_polygon, normalize_at_vertex
 from .subdivision import (
     HeightFunction,
@@ -251,13 +252,8 @@ class AdmissibilityCertificate:
         edges = checked.get(key, False)
         if edges is False:
             sub_div = verify_subdivision(self.polygon, self.cells, self.witness)
-            edges = None
-            if sub_div is not None and sub_div.is_unimodular():
-                pool = {} if shared is None else shared
-                edges = {pool.setdefault(s, s) for s in sub_div.edges()}
-                cells = tuple(pool.setdefault(c, c) for c in self.cells)
-                key = (pool.setdefault(self.polygon, self.polygon), self.witness, cells)
-            checked[key] = edges
+            unimodular = sub_div is not None and sub_div.is_unimodular()
+            edges = _remember(checked, shared, key, sub_div.edges() if unimodular else None)
         if edges is None or not all(s in edges for s in self.graph.entries):
             return False
         if check_balancing(self.graph, self.polygon) - set(self.unbalanced_ok):
@@ -286,6 +282,21 @@ class AdmissibilityCertificate:
         return AdmissibilityCertificate(graph, poly, hf, cells, allow)
 
 
+def _remember(checked: dict, shared: dict | None, key: tuple, edges: set | None) -> set | None:
+    """Enter the witness ``key`` = (polygon, heights, cells) in the memo
+    ``checked`` of ``AdmissibilityCertificate.verify``: ``edges`` are those
+    of the unimodular subdivision ``verify_subdivision`` found it to form,
+    None for a rejection.  An accepted witness's polygon, cells and edges
+    go through the pool ``shared``.  Returns the stored edges."""
+    if edges is not None:
+        pool = {} if shared is None else shared
+        polygon, witness, cells = key
+        edges = {pool.setdefault(s, s) for s in edges}
+        key = (pool.setdefault(polygon, polygon), witness, tuple(pool.setdefault(c, c) for c in cells))
+    checked[key] = edges
+    return edges
+
+
 @dataclass(frozen=True)
 class Hint:
     """A supporting subdivision of a subregion containing the graph.
@@ -299,10 +310,6 @@ class Hint:
     region: LatticePolygon
     cells: tuple[LatticePolygon, ...] | None = None
     heights: HeightFunction | None = None
-
-
-class CertificationError(ValueError):
-    pass
 
 
 def check_certifiable(
@@ -324,10 +331,20 @@ def complete_certificate(
     sub_div: RegularSubdivision,
     allow_unbalanced_at=frozenset(),
     stages=(),
+    *,
+    checked: dict | None = None,
+    shared: dict | None = None,
 ) -> AdmissibilityCertificate:
     """Extend a subdivision carrying the graph through the polygons
     ``stages`` to ``poly``, refine it to a unimodular one and check that no
-    graph edge was lost."""
+    graph edge was lost.
+
+    When the refinement pulled, it ended by verifying its witness with
+    ``verify_subdivision``; the witness then goes into ``checked`` (the memo
+    of ``AdmissibilityCertificate.verify``, pooled through ``shared``), so
+    the ``admissible`` rule of the same derivation does not verify it again.
+    A subdivision that was unimodular already has not been verified and is
+    not entered."""
     for stage in (*stages, poly):
         sub_div = extend_subdivision(stage, sub_div)
     refined = unimodular_refinement(sub_div)
@@ -335,6 +352,8 @@ def complete_certificate(
     lost = [s for s in graph.entries if s not in refined_edges]
     if lost:
         raise CertificationError(f"refinement lost edges {lost}")
+    if checked is not None and refined is not sub_div:
+        _remember(checked, shared, (poly, refined.witness, refined.cells), refined_edges)
     return AdmissibilityCertificate(
         graph, poly, refined.witness, refined.cells, tuple(sorted(allow_unbalanced_at))
     )
@@ -345,16 +364,20 @@ def certify_admissible(
     poly: LatticePolygon,
     hint: Hint | None = None,
     allow_unbalanced_at: frozenset[Point] = frozenset(),
+    **memo,
 ) -> AdmissibilityCertificate:
     """Produce an admissibility certificate for a balanced weighted graph,
     or raise CertificationError; the ``admissible`` rule checks it.
+    ``memo`` (``checked`` and ``shared``) goes to ``complete_certificate``.
 
     The checker is sound but not complete: without a usable hint it only
     tries the canonical refinement of the trivial subdivision.
     """
     check_certifiable(graph, poly, allow_unbalanced_at)
     if hint is None:
-        return complete_certificate(graph, poly, trivial_subdivision(poly), allow_unbalanced_at)
+        return complete_certificate(
+            graph, poly, trivial_subdivision(poly), allow_unbalanced_at, **memo
+        )
     if hint.cells:
         hf = hint.heights
         if hf is None:
@@ -374,7 +397,7 @@ def certify_admissible(
     missing = [s for s in graph.entries if s not in region_edges]
     if missing:
         raise CertificationError(f"hint does not support edges {missing}")
-    return complete_certificate(graph, poly, region_sub, allow_unbalanced_at)
+    return complete_certificate(graph, poly, region_sub, allow_unbalanced_at, **memo)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ lattice point is enumerated on that path.  Internal consistency checks raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 from math import gcd, isqrt
 
+from .errors import SmoothnessError
 from .geometry import (
     LatticePolygon,
     Point,
@@ -31,10 +31,6 @@ from .geometry import (
     primitive,
     sub,
 )
-
-
-class SmoothnessError(ValueError):
-    pass
 
 
 def is_smooth(poly: LatticePolygon) -> bool:
@@ -53,8 +49,13 @@ def is_smooth(poly: LatticePolygon) -> bool:
 
 
 def _quotient(num, den):
-    """num / den exactly: an int when den divides num, else a Fraction."""
-    return num // den if num % den == 0 else Fraction(num, den)
+    """num / den exactly: an int when den divides num, else a Fraction
+    (imported here: a verdict with an integral adjoint needs none)."""
+    if num % den == 0:
+        return num // den
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 def _clip(region: list, a: int, b: int, c: int) -> list:
@@ -266,15 +267,13 @@ class Surjectivity(str, Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    mu: Surjectivity
-    algebraic_mu: Surjectivity
-    reason: str = ""
+class Verdict(namedtuple("Verdict", "mu algebraic_mu reason")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mu is Surjectivity.YES and self.algebraic_mu is not Surjectivity.YES:
+    def __new__(cls, mu: Surjectivity, algebraic_mu: Surjectivity, reason: str = ""):
+        if mu is Surjectivity.YES and algebraic_mu is not Surjectivity.YES:
             raise AssertionError("a surjective geometric map forces a surjective algebraic one")
+        return super().__new__(cls, mu, algebraic_mu, reason)
 
     def to_json(self) -> dict:
         out = {"mu": self.mu.value, "algebraic_mu": self.algebraic_mu.value}
@@ -283,16 +282,17 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class PolygonAnalysis:
-    genus: int
-    boundary: int
-    adjoint: LatticePolygon | None
-    d: int  # dimension of the adjoint (-1 when empty)
-    n: int  # largest root order (1 by convention when d == 0)
-    smooth: bool
-    divisors: tuple[int, ...] = field(default=())
-    adjoint_lengths_valid: bool = True
+class PolygonAnalysis(namedtuple(
+    "PolygonAnalysis",
+    "genus boundary adjoint d n smooth divisors adjoint_lengths_valid",
+    defaults=((), True),
+)):
+    """genus, boundary lattice points, adjoint (None when empty), its
+    dimension d (-1 when empty), the largest root order n (1 by convention
+    when d == 0), smoothness, the divisors d >= 2 of n and the adjoint
+    edge-length cross-check."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -348,7 +348,19 @@ def _folds(poly: LatticePolygon, cells, h) -> list | None:
     vertex has a height in ``h``, each directed ccw edge occurs once, every
     unmatched edge is a primitive boundary segment of ``poly`` and every
     matched edge is a strict fold; None otherwise.  See
-    ``verify_subdivision`` for why this is the plane scan's verdict."""
+    ``verify_subdivision`` for why this is the plane scan's verdict.
+
+    The boundary test alone also rejects a directed edge that occurs twice,
+    given what ``verify_subdivision`` checks first (the cells' areas add up
+    to the polygon's and their vertices lie in it).  For the unit square
+    with the ccw triangles (0,0),(1,0),(1,1) and (0,0),(1,0),(0,1), which
+    share (0,0)->(1,0), the diagonal (1,1)->(0,0) is unmatched and not on
+    the boundary.  In general, let n(x) count the cells over a generic
+    point x.  Where n = 0 meets n >= 1 inside the polygon, a cell edge has
+    a cell on one side only, so it is unmatched and not a boundary segment.
+    So n >= 1 on the polygon, the area sum makes n = 1, and two cells left
+    of one directed edge would overlap.  The once-check stays: it is one
+    lookup, and it does not lean on the area sum."""
     left: dict[tuple[Point, Point], tuple[Point, int]] = {}  # edge -> (far vertex, cell)
     planes = []
     for c in cells:

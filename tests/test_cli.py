@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -225,3 +228,54 @@ def test_malformed_certificate_is_a_named_replay_error(case, t3_certificate, cap
     path.write_text(json.dumps(cert))
     assert main(["replay", str(path)]) == 3
     assert names in capsys.readouterr().err
+
+
+R3X2 = [[0, 0], [3, 0], [3, 2], [0, 2]]
+
+
+def test_certify_without_a_device_pair_names_the_cause(polyfile, capsys):
+    """On the hyperelliptic 3 x 2 rectangle every end-device pair of the
+    segment (1,1)-(2,1) changes its weight, and the error says so."""
+    path = polyfile("r3x2.json", R3X2)
+    assert main(["certify", path, "--segment", "1,1,2,1"]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "certification failed: no interior configuration for ((1, 1), (2, 1)): "
+        "no end-device pair reached certification (64 pairs: 64 change the chain's weights)\n"
+    )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_exit_codes_in_fresh_processes(flags, t3_certificate, polyfile, capsys, tmp_path):
+    """The exit-code mapping runs before any layer is loaded; it holds in a
+    fresh interpreter, with and without python -O."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+
+    def fresh(*argv):
+        return subprocess.run(
+            [sys.executable, *flags, "-c", "import sys; from tropmono.cli import main; sys.exit(main())",
+             *argv], capture_output=True, text=True, env=env)
+
+    t3 = polyfile("t3.json", [[0, 0], [3, 0], [0, 3]])
+    _, want = run(capsys, ["verdict", t3])
+    got = fresh("verdict", t3)
+    assert (got.returncode, got.stdout, got.stderr) == (0, want, "")
+
+    got = fresh("verdict", polyfile("ns.json", [[0, 0], [2, 0], [1, 2]]))
+    assert (got.returncode, got.stdout) == (2, "")
+    assert got.stderr == "invalid input: polygon not smooth\n"
+
+    cert = json.loads(json.dumps(t3_certificate))
+    cert["nodes"][0]["conclusion"]["exponent"] = 2
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    got = fresh("replay", str(path))
+    assert (got.returncode, got.stdout) == (3, "")
+    assert got.stderr.startswith("certification failed: ")
+
+    got = fresh("certify", polyfile("r3x2.json", R3X2), "--segment", "1,1,2,1")
+    assert (got.returncode, got.stdout) == (3, "")
+    assert "no end-device pair reached certification" in got.stderr

@@ -151,7 +151,9 @@ def test_replay_checks_each_witness_once(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(graphs.AdmissibilityCertificate, "verify", "verify")
-    for module in (subdivision, graphs, builders, tropmono):
+    # the package first: it resolves the name on first access, from the
+    # module binding, which must not be a wrapper yet
+    for module in (tropmono, subdivision, graphs, builders):
         counted(module, "subdivision_from_heights", "subdivision_from_heights")
     for module in (subdivision, graphs):
         counted(module, "verify_subdivision", "verify_subdivision")
@@ -301,9 +303,9 @@ def _count_certifications(monkeypatch) -> list:
     calls = []
     original = builders.certify_admissible
 
-    def counted(graph, poly, hint=None, allow_unbalanced_at=frozenset()):
+    def counted(graph, poly, hint=None, allow_unbalanced_at=frozenset(), **memo):
         calls.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at)))
-        return original(graph, poly, hint, allow_unbalanced_at)
+        return original(graph, poly, hint, allow_unbalanced_at, **memo)
 
     monkeypatch.setattr(builders, "certify_admissible", counted)
     return calls
@@ -356,7 +358,7 @@ def test_certify_memo_stores_failures(monkeypatch):
     a copy without the traceback, whose frames would hold the Engine."""
     runs = []
 
-    def failing(graph, poly, allow_unbalanced_at=frozenset(), fans=None):
+    def failing(graph, poly, allow_unbalanced_at=frozenset(), fans=None, **memo):
         runs.append(fans)
         raise graphs.CertificationError(f"attempt with fans={fans!r} fails")
 
@@ -385,9 +387,9 @@ def test_certify_memo_runs_each_failing_certification_once_on_t6(monkeypatch):
     runs = []
     original = builders.certify_graph
 
-    def counted(graph, poly, allow_unbalanced_at=frozenset(), fans=None):
+    def counted(graph, poly, allow_unbalanced_at=frozenset(), fans=None, **memo):
         try:
-            return original(graph, poly, allow_unbalanced_at, fans)
+            return original(graph, poly, allow_unbalanced_at, fans, **memo)
         except graphs.CertificationError:
             runs.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at), fans))
             raise
@@ -398,6 +400,33 @@ def test_certify_memo_runs_each_failing_certification_once_on_t6(monkeypatch):
     failed = [k for k, v in e._certs.items() if isinstance(v, graphs.CertificationError)]
     assert len(runs) == len(set(runs)) == len(failed) >= 2
     assert any(fans is not None for _, _, fans in runs)
+
+
+def test_derivation_verifies_each_witness_once(monkeypatch):
+    """The refinement verifies the witness it builds, and the admissible
+    rule of the same derivation finds it checked; replay still verifies
+    every distinct witness of the certificate.  ``seen`` holds (polygon,
+    heights, cells) of every verify_subdivision call, from either caller."""
+    seen = []
+    original = subdivision.verify_subdivision
+
+    def counted(poly, cells, heights):
+        hf = heights if isinstance(heights, subdivision.HeightFunction) \
+            else subdivision.HeightFunction.of(heights)
+        seen.append((poly, hf, frozenset(cells)))
+        return original(poly, cells, heights)
+
+    monkeypatch.setattr(subdivision, "verify_subdivision", counted)
+    monkeypatch.setattr(graphs, "verify_subdivision", counted)
+    cert = Engine(SQ4).derive_surjectivity()["certificate"]
+    assert len(seen) == len(set(seen)) > 0
+    witnesses = {
+        json.dumps(node["params"]["certificate"]["heights"], sort_keys=True)
+        for node in cert["nodes"] if node["rule"] == "admissible"
+    }
+    seen.clear()
+    assert replay_certificate(cert)
+    assert len(seen) == len(set(seen)) == len(witnesses)
 
 
 def test_engine_is_freed_without_the_cycle_collector():

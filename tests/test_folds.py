@@ -370,6 +370,19 @@ def test_corrupted_witness_is_rejected(what, derived):
         replay_certificate(data)
 
 
+def test_cells_sharing_a_directed_edge_are_rejected():
+    """Distinct unimodular triangles whose areas add up to the unit
+    square's but which share the directed edge (0,0)->(1,0): ``_folds``
+    and ``verify_subdivision`` reject them, whatever the heights."""
+    square = LatticePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    cells = [LatticePolygon([(0, 0), (1, 0), (1, 1)]), LatticePolygon([(0, 0), (1, 0), (0, 1)])]
+    assert sum(c.area2() for c in cells) == square.area2()
+    for top in (-1, 0, 1, 5):
+        hmap = {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): top}
+        assert tropmono.subdivision._folds(square, cells, hmap) is None
+        assert same_verdict(square, cells, hmap) is None
+
+
 # ---------------------------------------------------------------------------
 # the local paths are the ones taken
 # ---------------------------------------------------------------------------

@@ -475,13 +475,34 @@ def test_subgroup_order_matches_sympy_permutation_group():
         assert subgroup_order_mod_p(gens, p) == combinatorics.PermutationGroup(perms).order()
 
 
-def test_cli_import_loads_no_numpy():
-    """tropmono has no third-party runtime dependency."""
+# modules that neither the CLI's import nor a verdict may load: the layers
+# a verdict does not run, and the standard modules they would bring
+NOT_ON_THE_VERDICT_PATH = (
+    "tropmono.subdivision", "tropmono.graphs", "tropmono.builders", "tropmono.engine",
+    "tropmono.homology", "tropmono.intlinalg", "tropmono.linprog",
+    "dataclasses", "inspect", "fractions", "numpy",
+)
+
+
+def test_cli_import_loads_no_numpy(tmp_path):
+    """tropmono has no third-party runtime dependency, and the CLI loads a
+    layer only for a command that runs it: after ``import tropmono.cli``,
+    and after a verdict on T3, a fresh interpreter holds none of
+    NOT_ON_THE_VERDICT_PATH."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = f"import sys; sys.path.insert(0, {src!r}); import tropmono.cli; print('numpy' in sys.modules)"
+    poly = tmp_path / "t3.json"
+    poly.write_text('{"vertices": [[0, 0], [3, 0], [0, 3]]}')
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import tropmono.cli\n"
+        f"names = {NOT_ON_THE_VERDICT_PATH!r}\n"
+        "print(sorted(set(names) & set(sys.modules)), file=sys.stderr)\n"
+        f"code = tropmono.cli.main(['verdict', {str(poly)!r}])\n"
+        "print(code, sorted(set(names) & set(sys.modules)), file=sys.stderr)\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stderr.splitlines() == ["[]", "0 []"]
+    assert '"mu": "surjective"' in proc.stdout
 
 
 def test_homology_checks_are_not_assert_statements():

@@ -188,13 +188,24 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    from .engine import GEOMETRIC, HOMOLOGICAL, Engine
+def cmd_derive(args) -> int:
+    from .engine import Engine
 
     poly = _load_polygon(args.polygon)
+    _emit(Engine(poly).derive_surjectivity(), args.out)
+    return EXIT_OK
+
+
+def cmd_certify(args) -> int:
+    poly = _load_polygon(args.polygon)
     sigma = _parse_segment(args.segment)
+    # no builder reaches the hyperelliptic case: say so before loading them
+    if analyze(poly)[0].d == 1:
+        raise DerivationError("certify", "hyperelliptic case deferred")
+    from .engine import GEOMETRIC, HOMOLOGICAL, Engine
+
     engine = Engine(poly)
-    report = engine.derive_surjectivity()
+    engine.derive_surjectivity()
     flavor = HOMOLOGICAL if args.homological else GEOMETRIC
     key = engine.key_of(sigma)
     got = engine.fact(flavor, key)
@@ -289,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default="", help="comma-separated integers")
     p.add_argument("--swap", action="store_true", help="swap sweep orientation")
     p.set_defaults(func=cmd_graph)
+    p = sub.add_parser("derive", help="verdict report with its certificate")
+    common(p)
+    p.set_defaults(func=cmd_derive)
     p = sub.add_parser("certify", help="certificate for a segment twist power")
     common(p)
     p.add_argument("--segment", required=True, help="x1,y1,x2,y2")

@@ -40,7 +40,6 @@ from .graphs import (
     residual,
 )
 from .errors import CertificationError, DerivationError, ReplayError
-from . import builders
 from .homology import Loop, SurfaceModel, canonical_triangulation
 from .intlinalg import matmul, solve_int
 
@@ -448,6 +447,8 @@ class Engine:
         ``args`` and certified through ``_certify``; a builder that raises is
         called again next time.  The builder is looked up at call time, so a
         rebound one is honoured."""
+        from . import builders
+
         key = (name, args)
         hit = self._builds.get(key)
         if hit is None:
@@ -467,6 +468,8 @@ class Engine:
         certificates; a ``CertificationError`` is stored and raised again
         (as a new instance of the same type and message).
         Looked up at call time, so a rebound one is honoured."""
+        from . import builders
+
         key = (frozenset(graph.entries.items()), poly, frozenset(allow_unbalanced_at), fans)
         cert = self._certs.get(key)
         if cert is None:
@@ -681,6 +684,8 @@ class Engine:
         that fails is skipped and counted; if a class misses its exponent,
         the DerivationError lists every class's exponent on the adjoint
         boundary cycle, how the loop ended and that count."""
+        from . import builders
+
         adj = self.adjoint
         self.ensure_acycles()
         for v in adj.vertices:
@@ -840,8 +845,8 @@ class Engine:
     # -- the full decision procedure ----------------------------------------------
 
     def derive_surjectivity(self) -> dict:
-        """Run the derivation matching the verdict and return a report with
-        the certificate DAG."""
+        """Run the derivation matching the verdict and return a report whose
+        certificate is the sub-DAG that the verdict's ``claims`` reach."""
         verdict = self.verdict
         report = {
             "schema": "1",
@@ -867,7 +872,7 @@ class Engine:
                 "acycle": list(kappa),
                 "bridge": [list(snake.bridge[0]), list(snake.bridge[1])],
             }
-            report["certificate"] = self.export_certificate()
+            report["certificate"] = self._claimed_subdag()
             return report
         # d == 2
         self.pipeline_gcdedges()
@@ -894,13 +899,15 @@ class Engine:
                 "n": n,
                 "reason": "adjoint admits a root of even order",
             }
-        report["certificate"] = self.export_certificate()
+        report["certificate"] = self._claimed_subdag()
         return report
 
     def homological_bridges(self, snake) -> None:
         """Exponent-one homological facts for every bridge class: the snake
         head's chain rule gives the square at the bridge anchor, the odd gcd
         power reduces it to one, and the propagation graphs spread it."""
+        from . import builders
+
         s1, s2 = snake.chain[0], snake.chain[1]
         v1 = snake.points[1]
         anchor = snake.points[2]
@@ -958,15 +965,36 @@ class Engine:
     # -- certificates ---------------------------------------------------------
 
     def export_certificate(self) -> dict:
+        """The certificate of every node the derivation recorded."""
         return {
             "schema": "1",
             "polygon": self.poly.to_json(),
             "nodes": [n.to_json() for n in self.nodes],
         }
 
-    def minimal_subdag(self, node_id: int) -> dict:
+    def _claimed_subdag(self) -> dict:
+        """The certificate of the nodes holding the facts ``claims`` lists;
+        DerivationError if the store lacks one or holds it with an exponent
+        that does not divide the claimed one."""
+        roots = []
+        for flavor, key, exponent in claims(self):
+            hit = self.facts.get((flavor, key))
+            if hit is None and flavor == HOMOLOGICAL:
+                hit = self.facts.get((GEOMETRIC, key))
+            if hit is None:
+                raise DerivationError("claims", f"missing fact {flavor} {key}")
+            if exponent % hit[0]:
+                raise DerivationError(
+                    "claims", f"{flavor} {key} has exponent {hit[0]}, claimed {exponent}"
+                )
+            roots.append(hit[1])
+        return self.minimal_subdag(*roots)
+
+    def minimal_subdag(self, *roots: int) -> dict:
+        """The certificate of the given nodes: them and, transitively, their
+        premises, in id order."""
         keep = set()
-        stack = [node_id]
+        stack = list(roots)
         while stack:
             i = stack.pop()
             if i in keep:
@@ -979,6 +1007,8 @@ class Engine:
     # -- divisible pipelines (powers of twists under a d-divisible adjoint) -----
 
     def _all_anchors(self):
+        from . import builders
+
         adj = self.adjoint
         out = []
         for kappa in adj.vertices:
@@ -991,6 +1021,8 @@ class Engine:
         """``builders.device_pairs`` for the chain [x, w], certified through
         ``_certify``, keeping only device pairs that pass ``also`` (if given)
         and overlap neither the chain nor each other."""
+        from . import builders
+
         pieces = primitive_segments_on(x, w)
 
         def keep(dx, dw) -> bool:
@@ -1114,6 +1146,8 @@ class Engine:
     def _pair_once(self, node_id: int, w: Point, target, flavor) -> int | None:
         """Pair a composite ray fact at w with the target-anchor sweep whose
         weights cancel the residual; certify the balanced union and subtract."""
+        from . import builders
+
         graph = graph_of(self.nodes[node_id].conclusion)
         try:
             tsweep = builders.cancelling_sweep(self.poly, target, w, residual(graph, w))
@@ -1134,6 +1168,8 @@ class Engine:
     def _facts_at_anchor(self, entries, w, target, flavor):
         """BFS over anchor pairings until the target anchor holds two
         weight-independent composite facts, as (node id, seed weights) pairs."""
+        from . import builders
+
         probe = builders.build_ray_sweep(self.poly, target[0], target[1], w, 1, 1, target[2])
         state: dict[tuple, list[int]] = {}
         for anchor, nid in entries:
@@ -1226,6 +1262,58 @@ class Engine:
 
 pipeline_interior_d = Engine.pipeline_interior_d
 pipeline_interior_dd = Engine.pipeline_interior_dd
+
+
+# ---------------------------------------------------------------------------
+# verdict claims
+# ---------------------------------------------------------------------------
+
+
+def claims(engine: Engine) -> list[tuple[str, tuple, int]]:
+    """The facts a verdict certificate proves, as (flavor, key, exponent):
+    the exponent-th power of the twist along the loop lies in the image of
+    the geometric (flavor geometric) or the algebraic (homological)
+    monodromy.
+
+    - d = 0: the A-cycle at the adjoint point kappa and the snake's bridge,
+      geometric, exponent 1.
+    - n = 1: the snake chain, the A-cycles at the snake's interior points
+      and the snake's bridge, geometric, exponent 1: a Humphries-type
+      generating family of the mapping class group.
+    - odd n > 1: the same loops, homological, exponent 1 (the geometric
+      monodromy is obstructed, the algebraic one is not).
+    - even n: both maps are obstructed and no generating family is claimed.
+      The claim is what ``pipeline_gcdedges`` proves: every bridge class on
+      the adjoint boundary cycle, geometric, with exponent 1 at the adjoint
+      vertices and n elsewhere.
+    - genus 0 and d = 1 (deferred): nothing.
+
+    A stored fact meets a claim when its exponent divides the claimed one;
+    a geometric fact also meets the homological claim on its loop, since it
+    implies its projection.  Reads the Engine's polygon and analysis and
+    records no node."""
+    a = engine.analysis
+    if a.genus == 0 or a.d == 1:
+        return []
+    snake = build_snake(engine.poly)
+    if a.d == 0:
+        return [
+            (GEOMETRIC, ("acycle", engine.adjoint.vertices[0]), 1),
+            (GEOMETRIC, engine.key_of(snake.bridge), 1),
+        ]
+    if a.n % 2 == 1:
+        flavor = GEOMETRIC if a.n == 1 else HOMOLOGICAL
+        keys = [engine.key_of(s) for s in snake.chain]
+        keys += [("acycle", p) for p in snake.points[1:]]
+        keys.append(engine.key_of(snake.bridge))
+        return [(flavor, key, 1) for key in keys]
+    from . import builders
+
+    verts = set(engine.adjoint.vertices)
+    return [
+        (GEOMETRIC, ("bridge", p), 1 if p in verts else a.n)
+        for p in builders.adjoint_boundary_cycle(engine.adjoint)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .geometry import (
     primitive_segments_on,
     sub,
 )
-from .linprog import solve_lp
 
 
 class SubdivisionError(ValueError):
@@ -424,8 +423,11 @@ def regularity_heights_for(
     the margin is maximized (capped at 1) and the complex is regular iff the
     optimum is positive.  On success returns heights that replay to exactly
     the given complex; on failure returns None (with a Farkas certificate
-    checked internally).
+    checked internally).  Imports the LP on first call, so a caller that
+    never asks for regularity does not load it.
     """
+    from .linprog import solve_lp
+
     cells = list(cells)
     faces = validate_complex(poly, cells)
     covered = set()

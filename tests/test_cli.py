@@ -9,7 +9,10 @@ import pytest
 
 from tropmono.cli import main
 from tropmono.engine import Engine, ReplayError, replay_certificate
-from tropmono.geometry import LatticePolygon
+from tropmono.geometry import LatticePolygon, seg
+from tropmono.graphs import CertificationError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture()
@@ -233,19 +236,75 @@ def test_malformed_certificate_is_a_named_replay_error(case, t3_certificate, cap
 R3X2 = [[0, 0], [3, 0], [3, 2], [0, 2]]
 
 
-def test_certify_without_a_device_pair_names_the_cause(polyfile, capsys):
+def test_certify_without_a_device_pair_names_the_cause():
     """On the hyperelliptic 3 x 2 rectangle every end-device pair of the
-    segment (1,1)-(2,1) changes its weight, and the error says so."""
-    path = polyfile("r3x2.json", R3X2)
-    assert main(["certify", path, "--segment", "1,1,2,1"]) == 3
-    err = capsys.readouterr().err
-    assert err == (
-        "certification failed: no interior configuration for ((1, 1), (2, 1)): "
-        "no end-device pair reached certification (64 pairs: 64 change the chain's weights)\n"
+    segment (1,1)-(2,1) changes its weight, and the error says so.  The
+    ``certify`` command stops before this search (see the next test)."""
+    engine = Engine(LatticePolygon([tuple(p) for p in R3X2]))
+    with pytest.raises(CertificationError) as info:
+        engine.derive_segment(seg((1, 1), (2, 1)))
+    assert str(info.value) == (
+        "no interior configuration for ((1, 1), (2, 1)): "
+        "no end-device pair reached certification (64 pairs: 64 change the chain's weights)"
     )
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# tropmono.cli.main in a fresh interpreter; prints its exit code and the
+# tropmono modules it loaded
+LOADED = """
+import json, sys
+sys.path.insert(0, {src!r})
+from tropmono.cli import main
+code = main({argv!r})
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tropmono."))]))
+"""
+
+
+def _loaded(*argv) -> tuple[int, list[str]]:
+    proc = subprocess.run([sys.executable, "-c", LOADED.format(src=SRC, argv=list(argv))],
+                          capture_output=True, text=True)
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_certify_says_at_once_that_the_hyperelliptic_case_is_deferred(polyfile, capsys):
+    """On a d = 1 polygon ``certify`` exits 3 naming the deferred case,
+    before it loads the engine or any builder."""
+    path = polyfile("r3x2.json", R3X2)
+    assert main(["certify", path, "--segment", "1,1,2,1"]) == 3
+    assert capsys.readouterr().err == "certification failed: [certify] hyperelliptic case deferred\n"
+    code, modules = _loaded("certify", path, "--segment", "1,1,2,1")
+    assert code == 3 and "tropmono.engine" not in modules and "tropmono.builders" not in modules
+
+
+def test_replay_loads_neither_builders_nor_the_lp(t3_certificate, tmp_path):
+    """Replay runs the rule kernel and the witness checks: it loads the
+    engine but neither the graph builders nor the LP."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(t3_certificate))
+    code, modules = _loaded("replay", str(path))
+    assert code == 0 and "tropmono.engine" in modules
+    assert "tropmono.builders" not in modules and "tropmono.linprog" not in modules
+
+
+def test_derive_writes_a_report_that_replays(polyfile, capsys, tmp_path):
+    """``derive`` writes derive_surjectivity's report; ``replay`` takes the
+    file as it is.  Genus 0 and the deferred d = 1 case exit 0 with a null
+    certificate, which replay rejects."""
+    path = tmp_path / "t4.report.json"
+    code, _ = run(capsys, ["derive", polyfile("t4.json", [[0, 0], [4, 0], [0, 4]]),
+                           "--out", str(path)])
+    assert code == 0
+    want = Engine(LatticePolygon([(0, 0), (4, 0), (0, 4)])).derive_surjectivity()
+    assert json.loads(path.read_text()) == json.loads(json.dumps(want))
+    code, out = run(capsys, ["replay", str(path)])
+    assert code == 0 and json.loads(out) == {"schema": "1", "replay": "ok"}
+    for name, vertices in (("t2.json", [[0, 0], [2, 0], [0, 2]]), ("r3x2.json", R3X2)):
+        code, out = run(capsys, ["derive", polyfile(name, vertices)])
+        assert code == 0 and json.loads(out)["certificate"] is None
+        report = tmp_path / f"{name}.report.json"
+        report.write_text(out)
+        assert main(["replay", str(report)]) == 3
+        assert "certificate has no node list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -278,4 +337,4 @@ def test_exit_codes_in_fresh_processes(flags, t3_certificate, polyfile, capsys, 
 
     got = fresh("certify", polyfile("r3x2.json", R3X2), "--segment", "1,1,2,1")
     assert (got.returncode, got.stdout) == (3, "")
-    assert "no end-device pair reached certification" in got.stderr
+    assert got.stderr == "certification failed: [certify] hyperelliptic case deferred\n"

@@ -20,6 +20,8 @@ from tropmono.engine import (
     HOMOLOGICAL,
     Node,
     ReplayError,
+    claims,
+    key_to_json,
     replay_certificate,
     single,
 )
@@ -116,15 +118,135 @@ CERTIFICATE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "poly, digest",
-    [(poly, CERTIFICATE_DIGESTS[name]) for name, poly in (("T3", T3), ("T4", T4), ("SQ4", SQ4), ("T6", T6))],
-    ids=["T3", "T4", "SQ4", "T6"],
-)
-def test_certificate_bytes_golden(poly, digest):
+# the certificates of derive_surjectivity's reports: the sub-DAGs the claims reach
+REPORT_DIGESTS = {
+    "T3": "22712072b24a4b48370d239ee134a878646ee1288ed92544f4d431be0830be10",
+    "T4": "de7d57abfe4f20b0c44d5baac4ac403a1d0e6635350b6d4b0554bfec1c2f75d2",
+    "SQ4": "bb8e462045ab21d8a69cef404bc8cb880b94b71de1d5906702d007d86f98bcac",
+    "T6": "4f5da6fbd0cac88be1545c25007ef96322d2da638a7a64dc4d3e658eda2865f7",
+}
+
+POLYGONS = {"T3": T3, "T4": T4, "SQ4": SQ4, "T6": T6}
+
+
+def _derived(poly) -> Engine:
+    e = Engine(poly)
+    e.derive_surjectivity()
+    return e
+
+
+@pytest.mark.parametrize("name", list(POLYGONS))
+def test_certificate_bytes_golden(name):
     """Derived certificates are pinned byte for byte: changes to the
-    arithmetic under the derivation must not change what it emits."""
-    assert _digest(Engine(poly).derive_surjectivity()["certificate"]) == digest
+    arithmetic under the derivation must not change what it emits.  The
+    whole DAG keeps the digests pinned before the report exported the
+    claimed sub-DAG, so the claims added no node; the report's sub-DAG is
+    pinned too, so it re-derives byte for byte."""
+    e = Engine(POLYGONS[name])
+    report = e.derive_surjectivity()
+    assert _digest(e.export_certificate()) == CERTIFICATE_DIGESTS[name]
+    assert _digest(report["certificate"]) == REPORT_DIGESTS[name]
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """name -> (Engine after derive_surjectivity, its report)."""
+    out = {}
+    for name, poly in POLYGONS.items():
+        e = Engine(poly)
+        out[name] = (e, e.derive_surjectivity())
+    return out
+
+
+def _points(data) -> list:
+    return [tuple(p) for p in data]
+
+
+@pytest.mark.parametrize("name", list(POLYGONS))
+def test_claims_follow_the_verdict(name, reports):
+    """d = 0: the A-cycle and bridge generators; odd n: the snake's chain,
+    interior A-cycles and bridge, geometric for n = 1 and homological
+    otherwise; even n: the gcdedges bridge powers.  Listing them records
+    no node."""
+    e, report = reports[name]
+    count = len(e.nodes)
+    got = claims(e)
+    assert len(e.nodes) == count
+    n = report["analysis"]["n"]
+    if report["analysis"]["d"] == 0:
+        gens = report["generators"]
+        want = [(GEOMETRIC, ("acycle", tuple(gens["acycle"])), 1),
+                (GEOMETRIC, e.key_of(seg(*_points(gens["bridge"]))), 1)]
+    elif n % 2:
+        snake = report["snake"]
+        loops = [e.key_of(seg(*_points(s))) for s in snake["chain"]]
+        loops += [("acycle", p) for p in _points(snake["points"])[1:]]
+        loops.append(e.key_of(seg(*_points(snake["bridge"]))))
+        want = [(GEOMETRIC if n == 1 else HOMOLOGICAL, key, 1) for key in loops]
+    else:
+        verts = set(e.adjoint.vertices)
+        want = [(GEOMETRIC, ("bridge", p), 1 if p in verts else n)
+                for p in adjoint_boundary_cycle(e.adjoint)]
+    assert got == want
+
+
+@pytest.mark.parametrize("name", list(POLYGONS))
+def test_report_certificate_concludes_every_claim(name, reports):
+    """Each claimed fact is the conclusion of an exported node: the same
+    loop, the claimed flavor (or geometric, which implies the homological
+    claim) and an exponent dividing the claimed one."""
+    e, report = reports[name]
+    cert = report["certificate"]
+    singles = [n["conclusion"] for n in cert["nodes"] if n["conclusion"]["type"] == "single"]
+    for flavor, key, exponent in claims(e):
+        flavors = (flavor, GEOMETRIC) if flavor == HOMOLOGICAL else (flavor,)
+        assert any(
+            c["key"] == key_to_json(key) and c["flavor"] in flavors and exponent % c["exponent"] == 0
+            for c in singles
+        ), (flavor, key, exponent)
+
+
+@pytest.mark.parametrize("name", list(POLYGONS))
+def test_report_certificate_is_the_claims_premise_closure(name, reports):
+    """The report's nodes are the full export's nodes, unchanged and in
+    order, that the nodes concluding claimed facts reach through premises:
+    every node no other exported node uses concludes a claimed fact, and
+    nothing outside its premise closure is exported.  It replays."""
+    e, report = reports[name]
+    cert = report["certificate"]
+    full = e.export_certificate()["nodes"]
+    ids = [n["id"] for n in cert["nodes"]]
+    assert cert["nodes"] == [n for n in full if n["id"] in set(ids)]
+    used = {j for n in cert["nodes"] for j in n["premises"]}
+    keys = {(flavor, json.dumps(key_to_json(key))) for flavor, key, _ in claims(e)}
+    closure, stack = set(), [i for i in ids if i not in used]
+    for i in stack:
+        c = full[i]["conclusion"]
+        flavors = (c["flavor"], HOMOLOGICAL) if c["flavor"] == GEOMETRIC else (c["flavor"],)
+        assert c["type"] == "single"
+        assert any((f, json.dumps(c["key"])) in keys for f in flavors), c
+    while stack:
+        i = stack.pop()
+        if i not in closure:
+            closure.add(i)
+            stack.extend(full[i]["premises"])
+    assert closure == set(ids)
+    assert replay_certificate(json.loads(json.dumps(cert)))
+
+
+def test_missing_or_weaker_claimed_fact_is_a_derivation_error(monkeypatch):
+    """The report is exported only when the store holds every claimed fact
+    with an exponent dividing the claimed one."""
+    from tropmono import engine
+
+    claimed = claims(_derived(SQ4))
+    assert (GEOMETRIC, ("bridge", (2, 1)), 2) in claimed
+    monkeypatch.setattr(engine, "claims", lambda e: claimed + [(GEOMETRIC, ("bridge", (2, 1)), 3)])
+    with pytest.raises(DerivationError, match=r"\[claims\] .*\(2, 1\).* exponent 2, claimed 3$"):
+        Engine(SQ4).derive_surjectivity()
+    monkeypatch.setattr(engine, "claims", lambda e: claimed + [(HOMOLOGICAL, ("acycle", (9, 9)), 1)])
+    with pytest.raises(DerivationError, match=r"\[claims\] missing fact homological"):
+        Engine(SQ4).derive_surjectivity()
 
 
 def _witness_json(cert_json) -> str:
@@ -136,7 +258,7 @@ def _witness_json(cert_json) -> str:
 def test_replay_checks_each_witness_once(monkeypatch):
     """Replay verifies every admissible node, runs verify_subdivision once
     per distinct witness, and never gift-wraps a witness."""
-    cert = Engine(T4).derive_surjectivity()["certificate"]
+    cert = _derived(T4).export_certificate()
     params = [n["params"]["certificate"] for n in cert["nodes"] if n["rule"] == "admissible"]
     admissible, distinct = len(params), len({_witness_json(c) for c in params})
     calls = {"verify": 0, "subdivision_from_heights": 0, "verify_subdivision": 0}
@@ -290,7 +412,7 @@ def test_build_memo_builds_each_argument_tuple_once(monkeypatch):
     for _ in range(2):
         calls.clear()
         requests.clear()
-        cert = Engine(SQ4).derive_surjectivity()["certificate"]
+        cert = _derived(SQ4).export_certificate()
         assert len(calls) == len(set(calls)) < len(requests)
         assert set(calls) == {(name, (SQ4, *args)) for name, args in requests}
         runs.append((list(calls), _digest(cert)))
@@ -329,7 +451,7 @@ def test_certify_memo_certifies_each_graph_once(monkeypatch):
     for _ in range(2):
         calls.clear()
         requests.clear()
-        cert = Engine(SQ4).derive_surjectivity()["certificate"]
+        cert = _derived(SQ4).export_certificate()
         assert len(calls) == len(set(calls)) == len(set(requests)) < len(requests)
         assert set(calls) == set(requests)
         runs.append((list(calls), _digest(cert)))
@@ -418,7 +540,7 @@ def test_derivation_verifies_each_witness_once(monkeypatch):
 
     monkeypatch.setattr(subdivision, "verify_subdivision", counted)
     monkeypatch.setattr(graphs, "verify_subdivision", counted)
-    cert = Engine(SQ4).derive_surjectivity()["certificate"]
+    cert = _derived(SQ4).export_certificate()
     assert len(seen) == len(set(seen)) > 0
     witnesses = {
         json.dumps(node["params"]["certificate"]["heights"], sort_keys=True)
@@ -498,7 +620,7 @@ def test_minimal_subdag_replays():
 
 @pytest.fixture(scope="module")
 def t4_certificate():
-    return Engine(T4).derive_surjectivity()["certificate"]
+    return _derived(T4).export_certificate()
 
 
 def _admissible_params(cert):
@@ -635,12 +757,12 @@ def test_hyperelliptic_reports_deferred():
 OPTIMIZED_REPLAY = """
 import random, sys
 sys.path[:0] = [{tests!r}, {src!r}]
-from test_engine import T3, T4, _digest, corruptible_paths, corruption_survives
-from tropmono.engine import Engine, replay_certificate
+from test_engine import T3, T4, _derived, _digest, corruptible_paths, corruption_survives
+from tropmono.engine import replay_certificate
 
 survivors = 0
 for poly in (T3, T4):
-    cert = Engine(poly).derive_surjectivity()["certificate"]
+    cert = _derived(poly).export_certificate()
     print(_digest(cert))
     replay_certificate(cert)
     replay_certificate(cert)

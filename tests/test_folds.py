@@ -230,7 +230,9 @@ def derived():
     try:
         out = {}
         for name, poly in (("T4", T4), ("SQ4", SQ4), ("T6", T6)):
-            cert = Engine(poly).derive_surjectivity()["certificate"]
+            engine = Engine(poly)
+            engine.derive_surjectivity()
+            cert = engine.export_certificate()
             witnesses = {}
             for node in cert["nodes"]:
                 if node["rule"] == "admissible":

@@ -3,9 +3,9 @@ pipelines: corner, side, propagation, ray sweeps, interior, the gcd family,
 even-bridge and the divisible variants.
 
 Every figure referenced by the sources is lost; the graphs here are
-reconstructed from the stated weights plus the balancing conditions and each
-comes with a deduction plan (the absorb/chase order that the engine replays)
-and an admissibility certificate.
+reconstructed from the stated weights plus the balancing conditions.  Each
+comes with an admissibility certificate and names its target segment; the
+engine's peeler reads the deduction off the graph itself.
 
 Certification strategy: the segments of each graph, extended to full lines,
 induce an arrangement subdivision of the convex hull of the graph; the
@@ -65,18 +65,12 @@ from .graphs import (
 )
 from .subdivision import HeightFunction, subdivision_from_heights
 
-# A deduction step: ("absorb", segment) removes a known edge, ("chase", v)
-# chases the unique remaining edge at v, ("terminal", segment) reads off the
-# last edge, ("collapse",) merges a single-isotopy-class composite.
-Step = tuple
-
 
 @dataclass(frozen=True)
 class BuildResult:
     graph: WeightedSegmentGraph
     certificate: AdmissibilityCertificate | None
-    plan: tuple[Step, ...]
-    target: Segment | None  # segment whose twist power the plan concludes
+    target: Segment | None  # segment whose twist power the graph yields
     target_exponent: int = 1
     notes: dict = field(default_factory=dict)
 
@@ -142,11 +136,11 @@ def corner_frame(poly: LatticePolygon, kappa: Point) -> UnimodularMap:
     raise ValueError(f"no polygon vertex adjacent to the adjoint vertex {kappa}")
 
 
-def _framed(poly, f, name, edges, plan, target, exponent=1, notes=None, *, certify):
+def _framed(poly, f, name, edges, target, exponent=1, notes=None, *, certify):
     """The BuildResult of a graph drawn in the frame ``f``: ``edges`` are
-    (segment, weight) pairs, and ``plan`` and ``target`` name segments and
-    points, all in frame coordinates.  Everything is mapped back once, the
-    graph must balance, and it is certified through ``certify``."""
+    (segment, weight) pairs and ``target`` a segment, in frame coordinates.
+    Everything is mapped back once, the graph must balance, and it is
+    certified through ``certify``."""
     inv = f.inverse()
     graph = WeightedSegmentGraph()
     for s, m in edges:
@@ -154,11 +148,7 @@ def _framed(poly, f, name, edges, plan, target, exponent=1, notes=None, *, certi
     if check_balancing(graph, poly):
         raise AssertionError(f"{name} graph must balance")
     cert = certify(graph, poly)
-    steps = tuple(
-        (kind, *(inv.apply(a) if kind == "chase" else inv.apply_seg(a) for a in arg))
-        for kind, *arg in plan
-    )
-    return BuildResult(graph, cert, steps, inv.apply_seg(target), exponent, notes or {})
+    return BuildResult(graph, cert, inv.apply_seg(target), exponent, notes or {})
 
 
 def _run(a: Point, b: Point, weight: int) -> list:
@@ -170,11 +160,6 @@ def _closings(vertical: int, horizontal: int) -> list:
     """The two edges closing a transfer graph at the frame corner, toward
     (0, -1) and (-1, 0), with the vertical and the horizontal weight."""
     return [(seg((0, 0), (0, -1)), vertical), (seg((0, 0), (-1, 0)), horizontal)]
-
-
-def _absorbs(edges) -> list:
-    """Plan steps absorbing the (segment, weight) pairs, in order."""
-    return [("absorb", s) for s, _ in edges]
 
 
 def build_corner_graph(
@@ -190,10 +175,7 @@ def build_corner_graph(
         raise ValueError(f"{kappa} is not a vertex of the adjoint")
     diagonal = seg((0, 0), (1, 1))
     edges = [(diagonal, -1), (seg((1, 1), (1, 0)), 1), (seg((1, 1), (0, 1)), 1)]
-    res = _framed(
-        poly, corner_frame(poly, kappa), "corner", edges, [("collapse",)], diagonal,
-        certify=certify,
-    )
+    res = _framed(poly, corner_frame(poly, kappa), "corner", edges, diagonal, certify=certify)
     for s in res.graph.entries:
         b = is_bridge(poly, adjoint, s)
         if b is None or b.interior_end != kappa:
@@ -243,11 +225,7 @@ def build_side_graph(
     if img.side((-1, 0)) != 0 or img.side((l + 1, 0)) != 0:
         raise AssertionError("chain endpoints must reach the boundary")
     chain = _run((-1, 0), (l + 1, 0), 1)
-    plan = _absorbs([chain[0], chain[-1]]) + [("chase", (i, 0)) for i in range(l - 1)]
-    target = chain[l][0]
-    res = _framed(
-        poly, f, "side", chain, plan + [("terminal", target)], target, certify=certify
-    )
+    res = _framed(poly, f, "side", chain, chain[l][0], certify=certify)
     res.notes["chain"] = tuple(res.graph.entries)  # the graph is the chain, in order
     return res
 
@@ -279,10 +257,8 @@ def build_propagation_graph(
     known, vertical = (seg((-1, 0), (0, 1)), a), (seg((0, 0), (0, 1)), vw)
     horizontal, closings = _run((0, 0), (a, 0), hw), _closings(vw, hw)
     edges = [(target, 1), (seg((0, 1), (a, 0)), 1), vertical, *horizontal, known, *closings]
-    plan = _absorbs([known, vertical, *horizontal, *closings])
-    plan += [("chase", (0, 1)), ("terminal", target)]
     notes = {"weights": {"horizontal": hw, "vertical": vw}}
-    return _framed(poly, f, "propagation", edges, plan, target, 1, notes, certify=certify)
+    return _framed(poly, f, "propagation", edges, target, 1, notes, certify=certify)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +300,8 @@ def _gcd_transfer(poly, f, img, m, l, name, certify) -> BuildResult:
     runs = _run((0, 0), (m, 0), hw) + _run((0, 0), (0, l), vw)
     closings = _closings(vw, hw)
     edges = [known, (target, m // g), *runs, *_run((m, 0), (0, l), 1), *closings]
-    plan = _absorbs([known, *runs, *closings])
-    plan += [("chase", p) for p in lattice_points_on_segment((m, 0), (0, l))[:-1]]
     notes = {"weights": {"horizontal": hw, "vertical": vw}}
-    return _framed(
-        poly, f, name, edges, plan + [("terminal", target)], target, m // g, notes,
-        certify=certify,
-    )
+    return _framed(poly, f, name, edges, target, m // g, notes, certify=certify)
 
 
 def build_gcd2_graphs(
@@ -375,10 +346,8 @@ def build_gcdedges_graph(
     column = _run((0, 1), (0, ly + 1), lx - 1) if lx > 1 else []
     diagonal = (seg((lx, 0), (0, 1)), 1)
     edges = [known, (target, lx), diagonal, *horizontal, foot, *column, *closings]
-    plan = _absorbs([known, foot, *horizontal, *column, *closings])
-    plan += [("chase", xi), ("terminal", target)]
     notes = {"weights": {"horizontal": hw, "vertical": vw}}
-    return _framed(poly, f, "gcdedges", edges, plan, target, lx, notes, certify=certify)
+    return _framed(poly, f, "gcdedges", edges, target, lx, notes, certify=certify)
 
 
 # ---------------------------------------------------------------------------
@@ -695,19 +664,30 @@ def cancelling_sweep(poly: LatticePolygon, anchors: tuple, u: Point, r: Point) -
     return build_ray_sweep(poly, kappa, kappa_prime, u, m1, m2, orientation)
 
 
+def _cancelling_sweeps(poly: LatticePolygon, anchors, u: Point, r: Point):
+    """``cancelling_sweep`` at each (kappa, kappa', orientation) of
+    ``anchors`` in turn, skipping the anchors where it does not exist."""
+    for a in anchors:
+        try:
+            rs = cancelling_sweep(poly, a, u, r)
+        except (ValueError, AssertionError):
+            continue
+        yield rs
+
+
 def _ray_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     """Candidate ray-sweep devices at an adjoint-interior end."""
     adjoint = adjoint_polygon(poly)
-    out = []
-    for kappa in adjoint.vertices:
-        for kappa_prime in _neighbors_on_boundary(adjoint, kappa):
-            for orientation in ("k'k", "kk'"):
-                try:
-                    rs = cancelling_sweep(poly, (kappa, kappa_prime, orientation), u, sigma_dir)
-                except (ValueError, AssertionError):
-                    continue
-                out.append(EndDevice("ray", rs.graph, (rs.leg1, rs.leg2), rs))
-    return out
+    anchors = [
+        (kappa, kappa_prime, orientation)
+        for kappa in adjoint.vertices
+        for kappa_prime in _neighbors_on_boundary(adjoint, kappa)
+        for orientation in ("k'k", "kk'")
+    ]
+    return [
+        EndDevice("ray", rs.graph, (rs.leg1, rs.leg2), rs)
+        for rs in _cancelling_sweeps(poly, anchors, u, sigma_dir)
+    ]
 
 
 def end_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
@@ -719,62 +699,72 @@ def end_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     return _chain_devices(poly, u, sigma_dir)
 
 
+class _Tally:
+    """The rejected candidates of one search (``noun``) counted by outcome,
+    in the order of the checks, and the last certification error."""
+
+    def __init__(self, noun: str, unit_weights: str, *earlier: str):
+        self.noun, self.unit_weights, self.last_error = noun, unit_weights, None
+        self.counts = dict.fromkeys(
+            (*earlier, unit_weights, "are unbalanced or have crossing loops", "fail certification"), 0
+        )
+
+    def __str__(self):
+        why = ", ".join(f"{k} {outcome}" for outcome, k in self.counts.items() if k)
+        return f"({sum(self.counts.values())} {self.noun}{': ' + why if why else ''})"
+
+
+def _certified(graph, poly, unit, tally: _Tally, sweeps, zero=(), one=(), *, certify):
+    """The certificate of one candidate graph of a search, or None, counted
+    in ``tally``, when a segment of ``unit`` lost weight one, the graph is
+    unbalanced or has crossing loops, or ``certify_flexible`` (with the ray
+    ``sweeps`` and the fan heights ``zero`` and ``one``) fails."""
+    if any(graph.weight(s) != 1 for s in unit):
+        outcome = tally.unit_weights
+    elif check_balancing(graph, poly) or not graph.loops_pairwise_disjoint():
+        outcome = "are unbalanced or have crossing loops"
+    else:
+        try:
+            return certify_flexible(graph, poly, sweeps, zero, one, certify=certify)
+        except (CertificationError, AssertionError) as exc:
+            tally.last_error = str(exc)  # not exc: its traceback would pin these frames in a cycle
+            outcome = "fail certification"
+    tally.counts[outcome] += 1
+    return None
+
+
 def device_pairs(poly: LatticePolygon, x: Point, w: Point, *, certify=certify_graph, keep=None):
     """The certified graphs made of the weight-one chain [x, w] and one end
     device at each end, in search order: yields (device at x, device at w,
-    graph, certificate).  Pairs that ``keep`` (if given) rejects, that
-    change the chain's weights, or that leave the graph unbalanced, with
-    crossing loops or uncertified, are skipped; the generator returns the
-    message of the last certification error or, when no pair reached
-    certification, how many pairs were skipped for which reason."""
+    graph, certificate).  Pairs that ``keep`` (if given) rejects are
+    skipped, and the others go through ``_certified``; the generator
+    returns the last certification error (or that no pair reached
+    certification) and how many pairs were rejected for which reason."""
     pieces = primitive_segments_on(x, w)
     devices_w = end_devices(poly, w, primitive(sub(x, w)))
-    last_error, tried = None, 0
-    skipped = {"filtered out": 0, "change the chain's weights": 0,
-               "are unbalanced or have crossing loops": 0}
+    tally = _Tally("pairs", "change the chain's weights", "filtered out")
     for dx in end_devices(poly, x, primitive(sub(w, x))):
         for dw in devices_w:
             if keep is not None and not keep(dx, dw):
-                skipped["filtered out"] += 1
+                tally.counts["filtered out"] += 1
                 continue
             graph = WeightedSegmentGraph({s: 1 for s in pieces}).union(dx.graph).union(dw.graph)
-            if any(graph.weight(s) != 1 for s in pieces):
-                skipped["change the chain's weights"] += 1
-                continue
-            if check_balancing(graph, poly) or not graph.loops_pairwise_disjoint():
-                skipped["are unbalanced or have crossing loops"] += 1
-                continue
-            zero = [p for p in lattice_points_on_segment(x, w) if poly.side(p) != 0]
-            one = []
-            for dev in (dx, dw):
-                if dev.kind == "chain":
-                    for s in dev.graph.entries:
-                        for p in s:
-                            if poly.side(p) != 0:
-                                zero.append(p)
-                            elif p not in one:
-                                one.append(p)
+            ends = [p for dev in (dx, dw) if dev.kind == "chain" for s in dev.graph.entries for p in s]
+            zero = [p for p in lattice_points_on_segment(x, w) + ends if poly.side(p) != 0]
+            one = [p for p in dict.fromkeys(ends) if poly.side(p) == 0]
             sweeps = [dev.ray for dev in (dx, dw) if dev.ray is not None]
-            tried += 1
-            try:
-                cert = certify_flexible(graph, poly, sweeps, zero, one, certify=certify)
-            except (CertificationError, AssertionError) as exc:
-                last_error = str(exc)  # not exc: its traceback would pin these frames in a cycle
-                continue
-            yield dx, dw, graph, cert
-    if not tried:
-        why = ", ".join(f"{k} {reason}" for reason, k in skipped.items() if k)
-        return (f"no end-device pair reached certification "
-                f"({sum(skipped.values())} pairs{': ' + why if why else ''})")
-    return last_error
+            cert = _certified(graph, poly, pieces, tally, sweeps, zero, one, certify=certify)
+            if cert is not None:
+                yield dx, dw, graph, cert
+    return f"{tally.last_error or 'no end-device pair reached certification'} {tally}"
 
 
 def build_interior_graph(
     poly: LatticePolygon, sigma: Segment, *, certify=certify_graph
 ) -> BuildResult:
     """Admissible graph containing a given primitive segment with weight one,
-    balanced by end devices; the deduction chases the segment at an interior
-    end once the device legs are absorbed.
+    balanced by end devices; the segment's twist is peeled off it once the
+    device legs have facts.
 
     The configuration (the end devices) is the first pair ``device_pairs``
     finds.
@@ -789,11 +779,7 @@ def build_interior_graph(
         raise CertificationError(
             f"no interior configuration for {sigma}: {done.value}"
         ) from None
-    chase_at = v if poly.side(v) != 0 else w
-    legs = dv.legs if chase_at == v else dw.legs
-    plan = tuple(("absorb", s) for s in legs) + (("chase", chase_at),)
-    notes = {"device_v": dv, "device_w": dw, "chase_at": chase_at}
-    return BuildResult(graph, cert, plan, sigma, 1, notes)
+    return BuildResult(graph, cert, sigma, 1, {"device_v": dv, "device_w": dw})
 
 
 # ---------------------------------------------------------------------------
@@ -810,94 +796,32 @@ def build_leg_pair(
     which: int,
     *,
     certify=certify_graph,
-) -> BuildResult:
-    """Balanced pair deriving the twist of leg ``which`` (1: toward the leg
-    target, 2: the first chain segment) of the sweep G at u, by pairing the
-    degenerate sweep with a companion sweep at different anchors."""
+):
+    """The balanced pairs deriving the twist of leg ``which`` (1: toward the
+    leg target, 2: the first chain segment) of the sweep G at u, in search
+    order: the degenerate sweep, weight one on that leg alone, united with
+    each companion sweep at other anchors that ``_certified`` passes.
+    ``notes["recurse"]`` is the sweep's next chain point when the pair holds
+    the sweep's tail there (leg 2 of a sweep of more than one step), else
+    None.  The generator returns why no other companion is left."""
     adjoint = adjoint_polygon(poly)
     m1, m2 = (1, 0) if which == 1 else (0, 1)
     main = build_ray_sweep(poly, kappa, kappa_prime, u, m1, m2, orientation)
     target = main.leg1 if which == 1 else main.leg2
-    tdir = seg_dir_from(target, u)
-    last_error = None
-    for xi, xi_prime in [
-        _pair_anchors(adjoint, kappa, kappa_prime, orientation)
-    ] + [
-        (x, xp)
-        for x in adjoint.vertices
-        for xp in _neighbors_on_boundary(adjoint, x)
-    ]:
-        if xi == kappa and xi_prime == kappa_prime:
-            continue
-        for co in ("kk'", "k'k"):
-            try:
-                companion = cancelling_sweep(poly, (xi, xi_prime, co), u, tdir)
-            except (ValueError, AssertionError):
-                continue
-            graph = main.graph.union(companion.graph)
-            if graph.weight(target) != 1:
-                continue
-            if check_balancing(graph, poly):
-                continue
-            if not graph.loops_pairwise_disjoint():
-                continue
-            try:
-                cert = certify_flexible(graph, poly, [main, companion], certify=certify)
-            except (CertificationError, AssertionError) as exc:
-                last_error = str(exc)
-                continue
-            plan, recurse = _leg_pair_plan(poly, main, which)
-            notes = {
-                "main": main,
-                "companion": companion,
-                "recurse": recurse,
-                "anchors": (kappa, kappa_prime, orientation),
-            }
-            return BuildResult(graph, cert, plan, target, 1, notes)
-    raise CertificationError(
-        f"no companion for leg {which} of sweep at {u}: {last_error}"
-    )
-
-
-def _leg_pair_plan(poly: LatticePolygon, main: RaySweep, which: int):
-    """Absorb/chase order extracting the leg fact from the pair composite.
-
-    For which == 1 the degenerate sweep is the single leg [u, B]: absorb the
-    closings and peel the leg from the far end.  For which == 2 it is the
-    chain [u, v'_1] plus the sweep tail at v'_1: the tail legs are absorbed
-    (their facts come from recursion at v'_1) and the chain is peeled."""
-    u = main.v
-    closings = [s for s in main.graph.entries if u not in s and not _seg_on_chain(main, s)]
-    plan: list[Step] = [("absorb", s) for s in closings]
-    recurse = None
-    if which == 1:
-        pts = lattice_points_on_segment(u, main.leg_target)
-        for p in reversed(pts[1:]):
-            plan.append(("chase", p))
-    else:
-        chain = main.chain
-        v1 = chain[1]
-        if len(chain) > 2:
-            # absorb the sweep tail at v'_1: all segments of its first leg
-            # and of the chain piece toward v'_2 (facts from recursion)
-            for s in primitive_segments_on(v1, main.leg_target):
-                plan.append(("absorb", s))
-            for s in primitive_segments_on(v1, chain[2]):
-                plan.append(("absorb", s))
-            recurse = v1
-        pts = lattice_points_on_segment(u, v1)
-        for p in reversed(pts[1:]):
-            plan.append(("chase", p))
-    return tuple(plan), recurse
-
-
-def _seg_on_chain(main: RaySweep, s: Segment) -> bool:
-    chain_segs = set()
-    for k in range(len(main.chain) - 1):
-        chain_segs.update(primitive_segments_on(main.chain[k], main.chain[k + 1]))
-    for k in range(len(main.chain) - 1):
-        chain_segs.update(primitive_segments_on(main.chain[k], main.leg_target))
-    return s in chain_segs
+    recurse = main.chain[1] if which == 2 and len(main.chain) > 2 else None
+    pairs = [_pair_anchors(adjoint, kappa, kappa_prime, orientation)] + [
+        (x, xp) for x in adjoint.vertices for xp in _neighbors_on_boundary(adjoint, x)
+    ]
+    anchors = [(*pair, co) for pair in pairs if pair != (kappa, kappa_prime)
+               for co in ("kk'", "k'k")]
+    tally = _Tally("companions", "change the target's weight")
+    for companion in _cancelling_sweeps(poly, anchors, u, seg_dir_from(target, u)):
+        graph = main.graph.union(companion.graph)
+        cert = _certified(graph, poly, [target], tally, [main, companion], certify=certify)
+        if cert is not None:
+            yield BuildResult(graph, cert, target, 1, {"recurse": recurse, "companion": companion})
+    return (f"no companion for leg {which} of sweep at {u}: "
+            f"{tally.last_error or 'none reached certification'} {tally}")
 
 
 # ---------------------------------------------------------------------------

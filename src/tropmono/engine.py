@@ -20,6 +20,7 @@ from .geometry import (
     LatticePolygon,
     Point,
     Segment,
+    add,
     cross,
     lattice_length,
     lattice_points_on_segment,
@@ -28,6 +29,7 @@ from .geometry import (
     primitive,
     primitive_segments_on,
     seg,
+    smul,
     sub,
 )
 from .polygons import adjoint_polygon, analyze, divisible_points
@@ -393,13 +395,16 @@ _ANCHOR_ROUNDS = 3
 
 
 class Engine:
-    """Fact store plus rule applications over a fixed smooth polygon.
+    """Fact store plus rule applications over a fixed smooth polygon.  A
+    builder's graph yields its target's fact through ``peel``, which reads
+    the deduction off the composite; the builders write no plans.
 
     Two memos live as long as the Engine, that is one derivation:
 
     - ``_builds`` maps (builder name, arguments after the polygon) to the
       builder's result; the fixed-point loops ask for the same graphs pass
-      after pass.
+      after pass.  The leg-pair search is a generator and is not memoized:
+      ``derive_leg`` runs it until a pair peels.
     - ``_certs`` maps (the graph's entries as a frozenset, polygon,
       ``allow_unbalanced_at`` as a frozenset, fan plan or None) to the
       certificate ``builders.certify_graph`` gives, or to the
@@ -414,8 +419,8 @@ class Engine:
     every later request.  Certificates stay byte-identical:
     ``certify_graph`` is a pure function of the key (the region and heights
     come from the graph's entries and the fan plan alone), so a hit equals
-    what a fresh call would return or raise, and every use still runs its
-    plan through the rule kernel, which emits its nodes and verifies every
+    what a fresh call would return or raise, and every use still peels
+    through the rule kernel, which emits its nodes and verifies every
     ``admissible`` node.  No caller mutates a memoized result."""
 
     def __init__(self, poly: LatticePolygon):
@@ -516,20 +521,22 @@ class Engine:
         self.facts[(flavor, key)] = (g, nid)
         return nid
 
+    def _stored(self, flavor, key) -> tuple[int, int] | None:
+        """The stored (exponent, node) for a key; for a homological key
+        without one, that of the geometric fact, whose projection ``fact``
+        records."""
+        hit = self.facts.get((flavor, key))
+        if hit is None and flavor == HOMOLOGICAL:
+            hit = self.facts.get((GEOMETRIC, key))
+        return hit
+
     def fact(self, flavor, key) -> tuple[int, int] | None:
         """(exponent, node) for a key, materializing homological projections
         of geometric facts on demand."""
-        hit = self.facts.get((flavor, key))
-        if hit is not None:
-            return hit
-        if flavor == HOMOLOGICAL:
-            geo = self.facts.get((GEOMETRIC, key))
-            if geo is not None:
-                e, nid = geo
-                pid = self._apply("project", {}, [nid])
-                self.facts[(HOMOLOGICAL, key)] = (e, pid)
-                return (e, pid)
-        return None
+        hit = self._stored(flavor, key)
+        if hit is not None and (flavor, key) not in self.facts:
+            hit = self.facts[(flavor, key)] = (hit[0], self._apply("project", {}, [hit[1]]))
+        return hit
 
     def require(self, flavor, key, rule="require") -> tuple[int, int]:
         got = self.fact(flavor, key)
@@ -568,14 +575,16 @@ class Engine:
         params = {"segment": segment, "times": w // exponent}
         return self._apply("absorb", params, [comp_id, fid])
 
-    def chase(self, comp_id: int, vertex: Point) -> tuple[int, int]:
-        """Both halves of R3: the lone edge's twist and the remainder."""
+    def chase(self, comp_id: int, vertex: Point) -> tuple[int, int | None]:
+        """Both halves of R3: the lone edge's twist and the remainder, or
+        None for the remainder when the lone edge was the composite's last."""
         vertex = (int(vertex[0]), int(vertex[1]))
-        flavor = self.nodes[comp_id].conclusion["flavor"]
-        _, aid = self.require(flavor, ("acycle", vertex), "chase")
+        comp = self.nodes[comp_id].conclusion
+        _, aid = self.require(comp["flavor"], ("acycle", vertex), "chase")
         fid = self._apply_single("chase", {"vertex": vertex}, [comp_id, aid])
-        rid = self._apply("chase_remainder", {"vertex": vertex}, [comp_id, aid])
-        return fid, rid
+        if len(comp["edges"]) == 1:
+            return fid, None
+        return fid, self._apply("chase_remainder", {"vertex": vertex}, [comp_id, aid])
 
     def collapse(self, comp_id: int) -> int:
         return self._apply_single("collapse", {}, [comp_id])
@@ -609,24 +618,102 @@ class Engine:
         params = {"sigma1": s1, "v1": tuple(v1), "sigma2": s2, "sigma": seg(*sigma)}
         return self._apply_single("chain_rule_square", params, prem)
 
-    # -- plan execution -------------------------------------------------------
+    # -- peeling ---------------------------------------------------------------
+
+    def peel(self, comp_id: int, target: Segment) -> int:
+        """The node of the fact for ``target``'s class that the composite
+        ``comp_id`` yields by the kernel's rules.  A local mirror of the
+        composite follows every step; each round takes the first of:
+
+        1. ``terminal``, when only the target is left (it needs no A-cycle
+           premise, unlike a chase);
+        2. chase the target, if it is the lone +-1 edge at one of its
+           interior ends and the A-cycle there has exponent one;
+        3. chase any other such lone edge, vertices in lexicographic order;
+        4. absorb the lexicographically first edge of another class whose
+           stored fact divides its weight;
+        5. ``collapse``, when every edge is in the target's class.
+
+        Chases come first, since an absorb pulls the absorbed fact's whole
+        ancestry into all that cites the result.  A chase or absorb removes
+        one edge and only adds facts, so what it enables stays enabled: the
+        order decides which nodes are recorded, not whether the target's
+        fact is reached.  With that fact the peel goes on until stuck, so
+        every edge it can reach gets its fact (``pipeline_side`` needs them
+        all).  Stuck before, it raises DerivationError("peel") naming the
+        edges of other classes that have no stored fact."""
+        target = seg(*target)
+        tkey = self.key_of(target)
+        comp = self.nodes[comp_id].conclusion
+        flavor, g = comp["flavor"], graph_of(comp)
+        at: dict[Point, set] = {}
+        for s in g.entries:
+            for p in s:
+                at.setdefault(p, set()).add(s)
+
+        def exponent(key) -> int | None:
+            hit = self._stored(flavor, key)
+            return hit and hit[0]
+
+        def lone(v: Point) -> Segment | None:
+            """The edge at v if it is the only one, of weight +-1, and v is
+            interior with an exponent-one A-cycle."""
+            if len(at[v]) != 1 or self.poly.side(v) != 1:
+                return None
+            (s,) = at[v]
+            return s if abs(g.entries[s]) == 1 and exponent(("acycle", v)) == 1 else None
+
+        def absorbable(s: Segment) -> bool:
+            e = None if self.key_of(s) == tkey else exponent(self.key_of(s))
+            return e is not None and g.entries[s] % e == 0
+
+        got = None
+        while g.entries:
+            if got is None and g.entries.keys() == {target}:
+                return self.terminal(comp_id, target)
+            ends = target if target in g.entries else ()
+            v = next((v for v in ends if lone(v) == target), None)
+            if v is None:
+                v = next((v for v in sorted(at) if lone(v)), None)
+            if v is not None:
+                s = lone(v)
+                fid, comp_id = self.chase(comp_id, v)
+                if self.key_of(s) == tkey:
+                    got = fid
+            else:
+                s = next((s for s in sorted(g.entries) if absorbable(s)), None)
+                if s is None:
+                    break
+                comp_id = self.absorb(comp_id, s)
+            g.add(s, -g.entries[s])
+            for p in s:
+                at[p].discard(s)
+        if got is None and g.entries and all(self.key_of(s) == tkey for s in g.entries):
+            return self.collapse(comp_id)
+        if got is None:
+            missing = [s for s in sorted(g.entries)
+                       if self.key_of(s) != tkey and exponent(self.key_of(s)) is None]
+            raise DerivationError(
+                "peel", f"stuck before the fact for {target} with {len(g)} edges left; "
+                f"no fact for {missing}"
+            )
+        return got
 
     def run_plan(self, build: "builders.BuildResult", flavor=GEOMETRIC) -> int:
-        """Derive the target fact of a builder by replaying its plan."""
-        comp_id = self.axiom_rea(build.certificate, flavor)
-        for step in build.plan:
-            kind = step[0]
-            if kind == "absorb":
-                comp_id = self.absorb(comp_id, step[1])
-            elif kind == "chase":
-                fid, comp_id = self.chase(comp_id, step[1])
-            elif kind == "terminal":
-                return self.terminal(comp_id, step[1])
-            elif kind == "collapse":
-                return self.collapse(comp_id)
-            else:
-                raise DerivationError("plan", f"unknown step {kind}")
-        return comp_id
+        """The fact for a builder's target: its admissible graph, peeled."""
+        return self.peel(self.axiom_rea(build.certificate, flavor), build.target)
+
+    def _peel_or_undo(self, cert: AdmissibilityCertificate, target: Segment, flavor) -> int:
+        """``peel`` of the admissible graph of ``cert``, for searches that try
+        one candidate after another: a peel that gets stuck leaves no node
+        and no fact behind."""
+        mark, facts = len(self.nodes), dict(self.facts)
+        try:
+            return self.peel(self.axiom_rea(cert, flavor), target)
+        except DerivationError:
+            del self.nodes[mark:]
+            self.facts = facts
+            raise
 
     # -- pipelines -------------------------------------------------------------
 
@@ -642,11 +729,7 @@ class Engine:
     def pipeline_side(self, edge: tuple[Point, Point]) -> int:
         """Twists of every primitive segment on an adjoint edge."""
         build = self._build("build_side_graph", edge)
-        chain = build.notes["chain"]
-        if all(
-            self.facts.get((GEOMETRIC, self.key_of(s))) is not None
-            for s in chain[1:-1]
-        ):
+        if all((GEOMETRIC, self.key_of(s)) in self.facts for s in build.notes["chain"][1:-1]):
             return self.facts[(GEOMETRIC, self.key_of(build.target))][1]
         self.pipeline_corner(edge[0])
         self.pipeline_corner(edge[1])
@@ -677,13 +760,37 @@ class Engine:
         f2 = self.run_plan(second, flavor)
         return f1, f2
 
+    def _adjoint_edges_at(self, kappa: Point) -> list[tuple[Point, int]]:
+        """(far vertex, lattice length) of each adjoint edge at the adjoint
+        vertex kappa, in the order of the adjoint's vertex list."""
+        verts = self.adjoint.vertices
+        i = verts.index(kappa)
+        return [(verts[j], lattice_length(kappa, verts[j]))
+                for j in sorted({(i - 1) % len(verts), (i + 1) % len(verts)})]
+
     def pipeline_gcdedges(self) -> None:
         """Powers of bridge twists everywhere: derive (tau_b)^s for every
         bridge class, s the gcd of the adjoint edge lengths, by iterating
-        the corner/side/gcd transfers to a fixed point.  A gcd2 spreading
-        that fails is skipped and counted; if a class misses its exponent,
-        the DerivationError lists every class's exponent on the adjoint
-        boundary cycle, how the loop ended and that count."""
+        the corner/side/gcd transfers to a fixed point.
+
+        Why this reaches s.  At an adjoint vertex kappa with edges E and F,
+        let D(E) hold the distances along E whose bridge class has exponent
+        one; E's length is in it (corner graphs).  The gcd1 transfer from
+        mm in D(E) gives the point at distance l on F the exponent
+        mm / gcd(mm, l): every multiple of mm joins D(F), and the point next
+        to kappa on F gets a divisor e of gcd D(E).  If e is at most both
+        lengths, the gcd2 pair puts e into D(E) and D(F).  So the spacing of
+        D comes down, at each vertex, to a divisor of the gcd of its two
+        edge lengths, passes along each edge (a multiple of the spacing at
+        both ends), and around the boundary cycle comes down to s; the point
+        at distance l then gets s / gcd(s, l).  Seeding from the far vertex
+        alone does not do: on the 4 x 6 rectangle it leaves exponent 4 at
+        (2, 1).
+
+        A failed gcd1 seed from an interior point or gcd2 spreading is
+        skipped and counted; if a class misses its exponent, the
+        DerivationError lists every class's exponent on the adjoint boundary
+        cycle, how the loop ended and both counts."""
         from . import builders
 
         adj = self.adjoint
@@ -698,61 +805,36 @@ class Engine:
             hit = self.facts.get((GEOMETRIC, ("bridge", p)))
             return hit[0] if hit else 0
 
-        def neighbors(kappa):
-            return builders._neighbors_on_boundary(adj, kappa)
-
-        failed_gcd2 = 0
+        failed_seeds = failed_gcd2 = 0
         rounds = 8 * len(cyc)
         for done in range(1, rounds + 1):
             before = {p: exp_at(p) for p in cyc}
             for kappa in verts:
-                for far in verts:
-                    if far == kappa:
-                        continue
-                    d = sub(far, kappa)
-                    if primitive(d) not in [
-                        primitive(sub(q, kappa)) for q in neighbors(kappa)
-                    ]:
-                        continue
-                    # far is the other end of an adjoint edge at kappa
-                    m = lattice_length(kappa, far)
-                    # seed graph: exponent l_x at the distance-one point of
-                    # the other edge
+                edges = self._adjoint_edges_at(kappa)
+                for far, m in edges:
+                    # seed graph: exponent m at the distance-one point of F
                     try:
-                        self.run_plan(
-                            self._build("build_gcdedges_graph", kappa, far),
-                            GEOMETRIC,
-                        )
+                        self.run_plan(self._build("build_gcdedges_graph", kappa, far), GEOMETRIC)
                     except (DerivationError, CertificationError, ValueError) as exc:
                         raise DerivationError("gcdedges", str(exc))
-                    # gcd1 from the far vertex toward every point of the
-                    # other edge
-                    for knext in neighbors(kappa):
-                        if primitive(sub(knext, kappa)) == primitive(d):
-                            continue
-                        ly = lattice_length(
-                            kappa,
-                            next(
-                                fv
-                                for fv in verts
-                                if fv != kappa
-                                and primitive(sub(fv, kappa)) == primitive(sub(knext, kappa))
-                            ),
-                        )
-                        for l in range(1, ly + 1):
-                            self.pipeline_gcd1(kappa, m, l, far)
+                    # gcd1 toward every point of F from the far vertex and
+                    # from every exponent-one point before it
+                    step = primitive(sub(far, kappa))
+                    ly = next(length for other, length in edges if other != far)
+                    for l in range(1, ly + 1):
+                        self.pipeline_gcd1(kappa, m, l, far)
+                        for mm in range(1, m):
+                            if exp_at(add(kappa, smul(mm, step))) != 1:
+                                continue
+                            try:
+                                self.pipeline_gcd1(kappa, mm, l, far)
+                            except (DerivationError, CertificationError, ValueError):
+                                failed_seeds += 1
                 # gcd2 spreading with the current exponents
-                for kprime in neighbors(kappa):
+                shortest = min(length for _, length in edges)
+                for kprime in builders._neighbors_on_boundary(adj, kappa):
                     e = exp_at(kprime)
-                    if e == 0:
-                        continue
-                    lengths = []
-                    for fv in verts:
-                        if fv != kappa and primitive(sub(fv, kappa)) in (
-                            primitive(sub(q, kappa)) for q in neighbors(kappa)
-                        ):
-                            lengths.append(lattice_length(kappa, fv))
-                    if e <= min(lengths):
+                    if 0 < e <= shortest:
                         try:
                             self.pipeline_gcd2(kappa, e, kprime)
                         except (DerivationError, CertificationError, ValueError):
@@ -773,6 +855,7 @@ class Engine:
                         "gcdedges",
                         f"bridge class at {p} reached exponent {got}, want {s}; {ended}, "
                         f"exponents on the adjoint boundary cycle {{{exponents}}}; "
+                        f"{failed_seeds} gcd1 seeds failed; "
                         f"{failed_gcd2} gcd2 spreadings failed",
                     )
 
@@ -787,16 +870,33 @@ class Engine:
     def derive_leg(
         self, kappa, kappa_prime, u, orientation, which, flavor, depth=0
     ) -> int:
+        """The fact for leg ``which`` of the sweep at u, from the first of
+        ``builders.build_leg_pair``'s certified pairs whose union peels.  A
+        pair that does not peel leaves no node and no fact behind."""
+        from . import builders
+
         if depth > 64:
             raise DerivationError("diamond", "leg recursion too deep")
-        build = self._build("build_leg_pair", kappa, kappa_prime, u, orientation, which)
-        recurse = build.notes["recurse"]
-        if recurse is not None:
-            for sub_which in (1, 2):
-                self.derive_leg(
-                    kappa, kappa_prime, recurse, orientation, sub_which, flavor, depth + 1
-                )
-        return self.run_plan(build, flavor)
+        pairs = builders.build_leg_pair(
+            self.poly, kappa, kappa_prime, u, orientation, which, certify=self._certify
+        )
+        last = None
+        while True:
+            try:
+                build = next(pairs)
+            except StopIteration as done:
+                why = done.value if last is None else f"{done.value}; none peels: {last}"
+                raise DerivationError("diamond", why) from None
+            recurse = build.notes["recurse"]
+            if last is None and recurse is not None:  # the same for every pair: once
+                for sub_which in (1, 2):
+                    self.derive_leg(
+                        kappa, kappa_prime, recurse, orientation, sub_which, flavor, depth + 1
+                    )
+            try:
+                return self._peel_or_undo(build.certificate, build.target, flavor)
+            except DerivationError as exc:
+                last = str(exc)  # not exc: its traceback would pin these frames in a cycle
 
     # -- interior segments -------------------------------------------------------
 
@@ -908,19 +1008,15 @@ class Engine:
         power reduces it to one, and the propagation graphs spread it."""
         from . import builders
 
-        s1, s2 = snake.chain[0], snake.chain[1]
-        v1 = snake.points[1]
-        anchor = snake.points[2]
-        key = ("bridge", anchor)
+        key = ("bridge", snake.points[2])
         # the projected geometric power lands in the store first, so the
         # chain rule's square combines with the odd exponent to one
         self.fact(HOMOLOGICAL, key)
-        self.chain_rule_square(s1, v1, s2, snake.bridge)
+        self.chain_rule_square(snake.chain[0], snake.points[1], snake.chain[1], snake.bridge)
         e, _ = self.require(HOMOLOGICAL, key, "homological_bridges")
         if e != 1:
-            raise DerivationError(
-                "homological_bridges", f"anchor exponent {e} after the chain rule"
-            )
+            raise DerivationError("homological_bridges",
+                                  f"anchor exponent {e} after the chain rule")
         # spread around the adjoint boundary by propagation to a fixed point
         adj = self.adjoint
         cyc = builders.adjoint_boundary_cycle(adj)
@@ -932,23 +1028,12 @@ class Engine:
                     got = self.fact(HOMOLOGICAL, ("bridge", kprime))
                     if got is None or got[0] != 1:
                         continue
-                    far = next(
-                        fv
-                        for fv in sorted(verts)
-                        if fv != kappa
-                        and primitive(sub(fv, kappa)) != primitive(sub(kprime, kappa))
-                        and primitive(sub(fv, kappa))
-                        in [
-                            primitive(sub(q, kappa))
-                            for q in builders._neighbors_on_boundary(adj, kappa)
-                        ]
-                    )
-                    lx = lattice_length(kappa, far)
+                    # the other adjoint edge at kappa
+                    far, lx = next((far, length) for far, length in self._adjoint_edges_at(kappa)
+                                   if primitive(sub(far, kappa)) != primitive(sub(kprime, kappa)))
                     for a in range(1, lx):
-                        tkey = ("bridge", builders._frame_with_point_up(
-                            self.poly, kappa, kprime
-                        )[0].inverse().apply((a, 0)))
-                        cur = self.fact(HOMOLOGICAL, tkey)
+                        point = add(kappa, smul(a, primitive(sub(far, kappa))))
+                        cur = self.fact(HOMOLOGICAL, ("bridge", point))
                         if cur is not None and cur[0] == 1:
                             continue
                         self.pipeline_propagate(kappa, kprime, a, HOMOLOGICAL)
@@ -958,9 +1043,8 @@ class Engine:
         for p in cyc:
             got = self.fact(HOMOLOGICAL, ("bridge", p))
             if got is None or got[0] != 1:
-                raise DerivationError(
-                    "homological_bridges", f"bridge at {p} not reduced to exponent 1"
-                )
+                raise DerivationError("homological_bridges",
+                                      f"bridge at {p} not reduced to exponent 1")
 
     # -- certificates ---------------------------------------------------------
 
@@ -978,9 +1062,7 @@ class Engine:
         that does not divide the claimed one."""
         roots = []
         for flavor, key, exponent in claims(self):
-            hit = self.facts.get((flavor, key))
-            if hit is None and flavor == HOMOLOGICAL:
-                hit = self.facts.get((GEOMETRIC, key))
+            hit = self._stored(flavor, key)
             if hit is None:
                 raise DerivationError("claims", f"missing fact {flavor} {key}")
             if exponent % hit[0]:
@@ -1034,22 +1116,15 @@ class Engine:
 
         return builders.device_pairs(self.poly, x, w, certify=self._certify, keep=keep)
 
-    def _chain_chase(self, u: Point, w: Point, flavor) -> int:
-        """Weight-one chain [u, w] balanced by end devices; chasing from the
-        d-point u yields an exponent-one fact for every primitive piece."""
+    def _chain_chase(self, u: Point, w: Point, sigma: Segment, flavor) -> int:
+        """The fact for sigma from the weight-one chain [u, w] through it,
+        balanced by end devices: the first device pair whose graph peels."""
         last = None
         for dv, dw, _, cert in self._device_pairs(u, w):
             if dv.kind == "ray":
                 self.ensure_leg_facts(dv.ray, flavor)
             try:
-                comp = self.axiom_rea(cert, flavor)
-                for s in dv.legs:
-                    comp = self.absorb(comp, s)
-                for p in lattice_points_on_segment(u, w)[:-1]:
-                    if self.poly.side(p) == 0:
-                        raise DerivationError("interior_d", "chain touches the boundary")
-                    fid, comp = self.chase(comp, p)
-                return comp
+                return self._peel_or_undo(cert, sigma, flavor)
             except DerivationError as exc:
                 last = str(exc)  # not exc: its traceback would pin these frames in a cycle
         raise DerivationError("interior_d", f"devices failed: {last}")
@@ -1076,11 +1151,10 @@ class Engine:
                 if u == w:
                     continue
                 try:
-                    self._chain_chase(u, w, flavor)
-                    got = self.fact(flavor, self.key_of(sigma))
-                    if got is None or got[0] != 1:
+                    nid = self._chain_chase(u, w, sigma, flavor)
+                    if self.nodes[nid].conclusion["exponent"] != 1:
                         raise DerivationError("interior_d", "chase missed the segment")
-                    return got[1]
+                    return nid
                 except (DerivationError, CertificationError, ValueError, AssertionError) as exc:
                     last_error = str(exc)
         raise DerivationError("interior_d", f"no usable configuration: {last_error}")

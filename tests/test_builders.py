@@ -163,7 +163,8 @@ def test_interior_graph_rejects_boundary_pair():
 def test_interior_graph_polygon_boundary_end():
     # one end on the polygon boundary: no balancing needed there
     res = build_interior_graph(T4, seg((1, 1), (0, 1)))
-    assert res.notes["chase_at"] == (1, 1)
+    assert res.target == ((0, 1), (1, 1))
+    assert res.notes["device_v"].kind == "none"
     assert res.certificate.verify()
 
 
@@ -177,11 +178,11 @@ def test_interior_graph_deep_interior():
 
 
 def test_leg_pairs():
-    lp1 = build_leg_pair(T6, (1, 1), (1, 2), (2, 2), "kk'", 1)
+    lp1 = next(build_leg_pair(T6, (1, 1), (1, 2), (2, 2), "kk'", 1))
     assert lp1.target == seg((1, 2), (2, 2))
     assert check_balancing(lp1.graph, T6) == set()
     assert lp1.certificate.verify()
-    lp2 = build_leg_pair(T6, (1, 1), (1, 2), (2, 2), "kk'", 2)
+    lp2 = next(build_leg_pair(T6, (1, 1), (1, 2), (2, 2), "kk'", 2))
     assert lp2.target == seg((1, 1), (2, 2))
     assert lp2.certificate.verify()
 

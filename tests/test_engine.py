@@ -12,7 +12,7 @@ import pytest
 
 import tropmono
 from tropmono import builders, graphs, subdivision
-from tropmono.geometry import LatticePolygon, seg
+from tropmono.geometry import LatticePolygon, lattice_length, seg
 from tropmono.engine import (
     Engine,
     DerivationError,
@@ -112,18 +112,18 @@ def _digest(data) -> str:
 
 CERTIFICATE_DIGESTS = {
     "T3": "6a89695aea2baf46bd572f90b147e49b972c5d9de79bfd8af9b95166088421f8",
-    "T4": "50d54b10c9fd62f50be054856673858d07d621c14d55835f3587d16fb185b434",
-    "SQ4": "dc1512df2e047a997e6cad7e0bb5774c29315423c2c68facc4917f77c38e299d",
-    "T6": "8a3168932283c7c531ed7c95fcc342f7d64212c649d92917ed419236b7778e46",
+    "T4": "3106e5fa143cd2a116fc972f063cafab1b11e83d6832699c5054649fb3dd3c5d",
+    "SQ4": "ba06731996ced362b2bedbf321607aa1c832408a5fee19a3f7a04c0082ee29cb",
+    "T6": "c14e907afe49806a7f72035420241055b3fc5a3d4020084361b43e182c157348",
 }
 
 
 # the certificates of derive_surjectivity's reports: the sub-DAGs the claims reach
 REPORT_DIGESTS = {
     "T3": "22712072b24a4b48370d239ee134a878646ee1288ed92544f4d431be0830be10",
-    "T4": "de7d57abfe4f20b0c44d5baac4ac403a1d0e6635350b6d4b0554bfec1c2f75d2",
-    "SQ4": "bb8e462045ab21d8a69cef404bc8cb880b94b71de1d5906702d007d86f98bcac",
-    "T6": "4f5da6fbd0cac88be1545c25007ef96322d2da638a7a64dc4d3e658eda2865f7",
+    "T4": "ad3799aea0fae066caa3f1e3e054853ecdf77086013af0895b13b376978e9c25",
+    "SQ4": "986f550527b7f24a18bfe1b1762955f89f87a1180dbc3038c520d3c7684f359c",
+    "T6": "6b25cab235ce63911b42e3b78d76d1f9b72013edab04e9823b9365beaad6d084",
 }
 
 POLYGONS = {"T3": T3, "T4": T4, "SQ4": SQ4, "T6": T6}
@@ -138,10 +138,12 @@ def _derived(poly) -> Engine:
 @pytest.mark.parametrize("name", list(POLYGONS))
 def test_certificate_bytes_golden(name):
     """Derived certificates are pinned byte for byte: changes to the
-    arithmetic under the derivation must not change what it emits.  The
-    whole DAG keeps the digests pinned before the report exported the
-    claimed sub-DAG, so the claims added no node; the report's sub-DAG is
-    pinned too, so it re-derives byte for byte."""
+    arithmetic under the derivation must not change what it emits.  Both
+    the whole DAG and the report's claimed sub-DAG are pinned, so each
+    re-derives byte for byte.  T3 keeps the digests it had before the
+    peeler replaced the hand-written deduction plans (its one composite
+    collapses); T4, SQ4 and T6 were re-pinned then, since the peeler
+    records its nodes in another order."""
     e = Engine(POLYGONS[name])
     report = e.derive_surjectivity()
     assert _digest(e.export_certificate()) == CERTIFICATE_DIGESTS[name]
@@ -584,10 +586,10 @@ def test_interior_d_and_dd_on_sq4():
     assert e.nodes[nid2].conclusion["exponent"] == 2
     cert = e.export_certificate()
     assert replay_certificate(cert)
-    # pinned from the search before device pairs and cancelling sweeps were
-    # shared with the builders (1150 nodes)
-    assert len(cert["nodes"]) == 1150
-    assert _digest(cert) == "42168708967668584f18dcee6dd9fa845668cd39bf1828feebbb3bf288e57c0e"
+    # pinned when the peeler replaced the hand-written deduction plans
+    # (1150 nodes before)
+    assert len(cert["nodes"]) == 1172
+    assert _digest(cert) == "b40f4ba37e90c8a58f4d3e9c81784878e6a1125643593271afc6eb1da80f1ac8"
 
 
 def test_interior_d_rejects_missed_line():
@@ -787,13 +789,21 @@ def test_soundness_under_python_O():
 
 
 def test_gcdedges_failure_lists_every_bridge_exponent(monkeypatch):
-    """R4x6 (adjoint 2 x 4, n = 2) stalls in gcdedges: the bridge class at
-    (2, 1) keeps exponent 4, the length of the other adjoint edge.  The
-    error names it and gives the exponent of every class on the adjoint
-    boundary cycle and the count of failed gcd2 spreadings.  Once the
-    transfers reach the gcd of the edge lengths, this polygon should derive
-    and replay instead."""
+    """R4x6 (adjoint 2 x 4, n = 2) derives only through the gcd1 seeds from
+    the exponent-one points inside the far edge.  Refusing those seeds
+    forces the stall it had before them: the bridge class at (2, 1) keeps
+    exponent 4, the length of the other adjoint edge.  The error names it
+    and gives the exponent of every class on the adjoint boundary cycle,
+    the count of failed gcd1 seeds and that of failed gcd2 spreadings."""
     rect = LatticePolygon([(0, 0), (4, 0), (4, 6), (0, 6)])
+    gcd1 = Engine.pipeline_gcd1
+
+    def refuse_seeds(self, kappa, m, l, known_toward, flavor=GEOMETRIC):
+        if m < lattice_length(kappa, known_toward):
+            raise DerivationError("gcd", "refused")
+        return gcd1(self, kappa, m, l, known_toward, flavor)
+
+    monkeypatch.setattr(Engine, "pipeline_gcd1", refuse_seeds)
     with pytest.raises(DerivationError) as info:
         Engine(rect).derive_surjectivity()
     err = info.value
@@ -807,7 +817,8 @@ def test_gcdedges_failure_lists_every_bridge_exponent(monkeypatch):
     assert list(exponents) == adjoint_boundary_cycle(adjoint_polygon(rect))
     assert exponents[2, 1] == exponents[2, 5] == 4
     assert all(exponents[v] == 1 for v in ((1, 1), (3, 1), (3, 5), (1, 5)))
-    assert "fixed point after" in err.message and err.message.endswith("0 gcd2 spreadings failed")
+    assert "fixed point after" in err.message
+    assert err.message.endswith("; 16 gcd1 seeds failed; 0 gcd2 spreadings failed")
 
     def refuse(self, kappa, m, known_toward, flavor=GEOMETRIC):
         raise DerivationError("gcd", "refused")

@@ -49,7 +49,13 @@ from .geometry import (
     smul,
     sub,
 )
-from .polygons import adjoint_polygon, divisible_points, normalize_at_vertex
+from .polygons import (
+    adjoint_boundary_cycle,
+    adjoint_polygon,
+    divisible_points,
+    neighbors_on_boundary,
+    normalize_at_vertex,
+)
 from .graphs import (
     AdmissibilityCertificate,
     CertificationError,
@@ -103,18 +109,19 @@ def certify_graph(
     poly: LatticePolygon,
     allow_unbalanced_at=frozenset(),
     fans=None,
-    **memo,
+    *,
+    checked=None,
 ) -> AdmissibilityCertificate:
     """Certify via the line-arrangement recipe, or via the staged fan
-    recipe of ``fans`` (a ``fan_plan``) when given.  ``memo`` (``checked``
-    and ``shared``) goes to ``complete_certificate``."""
+    recipe of ``fans`` (a ``fan_plan``) when given.  ``checked`` goes to
+    ``complete_certificate``."""
     if fans is not None:
-        return certify_fans(graph, poly, fans, allow_unbalanced_at, **memo)
+        return certify_fans(graph, poly, fans, allow_unbalanced_at, checked=checked)
     region = LatticePolygon(graph.vertices())
     if region.dimension < 2:
         region = poly
     hint = Hint(region, None, HeightFunction.of(arrangement_heights(graph, region)))
-    return certify_admissible(graph, poly, hint, allow_unbalanced_at, **memo)
+    return certify_admissible(graph, poly, hint, allow_unbalanced_at, checked=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -544,23 +551,8 @@ def _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation) -> RaySweep:
 
 
 # ---------------------------------------------------------------------------
-# adjoint boundary navigation
+# anchors of companion sweeps
 # ---------------------------------------------------------------------------
-
-
-def adjoint_boundary_cycle(adjoint: LatticePolygon) -> list[Point]:
-    """Boundary lattice points of the adjoint in ccw cyclic order."""
-    out = []
-    for a, b in adjoint.edges():
-        pts = lattice_points_on_segment(a, b)
-        out.extend(pts[:-1])
-    return out
-
-
-def _neighbors_on_boundary(adjoint: LatticePolygon, p: Point) -> tuple[Point, Point]:
-    cyc = adjoint_boundary_cycle(adjoint)
-    i = cyc.index(p)
-    return cyc[(i - 1) % len(cyc)], cyc[(i + 1) % len(cyc)]
 
 
 def _pair_anchors(
@@ -681,7 +673,7 @@ def _ray_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     anchors = [
         (kappa, kappa_prime, orientation)
         for kappa in adjoint.vertices
-        for kappa_prime in _neighbors_on_boundary(adjoint, kappa)
+        for kappa_prime in neighbors_on_boundary(adjoint, kappa)
         for orientation in ("k'k", "kk'")
     ]
     return [
@@ -810,7 +802,7 @@ def build_leg_pair(
     target = main.leg1 if which == 1 else main.leg2
     recurse = main.chain[1] if which == 2 and len(main.chain) > 2 else None
     pairs = [_pair_anchors(adjoint, kappa, kappa_prime, orientation)] + [
-        (x, xp) for x in adjoint.vertices for xp in _neighbors_on_boundary(adjoint, x)
+        (x, xp) for x in adjoint.vertices for xp in neighbors_on_boundary(adjoint, x)
     ]
     anchors = [(*pair, co) for pair in pairs if pair != (kappa, kappa_prime)
                for co in ("kk'", "k'k")]
@@ -850,7 +842,8 @@ def certify_fans(
     poly: LatticePolygon,
     plan: tuple,
     allow_unbalanced_at=frozenset(),
-    **memo,
+    *,
+    checked=None,
 ) -> AdmissibilityCertificate:
     """Certify a union of ray sweeps (plus optional flat pieces) by the
     staged construction of ``plan`` (a ``fan_plan``): lift the chains to 0
@@ -874,7 +867,7 @@ def certify_fans(
         if new_pts:
             current = LatticePolygon(list(current.vertices) + new_pts)
             stages.append(current)
-    return complete_certificate(graph, poly, sub_div, allow_unbalanced_at, stages, **memo)
+    return complete_certificate(graph, poly, sub_div, allow_unbalanced_at, stages, checked=checked)
 
 
 def certify_flexible(

@@ -12,8 +12,10 @@ rule is written once, in the kernel ``apply``, which both the Engine and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .geometry import (
@@ -22,7 +24,6 @@ from .geometry import (
     Segment,
     add,
     cross,
-    lattice_length,
     lattice_points_on_segment,
     orient,
     point_from_json,
@@ -32,7 +33,14 @@ from .geometry import (
     smul,
     sub,
 )
-from .polygons import adjoint_polygon, analyze, divisible_points
+from .polygons import (
+    adjoint_boundary_cycle,
+    adjoint_edges_at,
+    adjoint_polygon,
+    analyze,
+    divisible_points,
+    neighbors_on_boundary,
+)
 from .graphs import (
     AdmissibilityCertificate,
     WeightedSegmentGraph,
@@ -138,9 +146,7 @@ class RuleContext:
     sound: the key is the whole decoded witness and ``verify_subdivision``
     is a pure function of it, so a witness that differs in any height or
     cell is checked on its own, and the graph's containment in the cells and
-    its balancing are checked at every node.  ``shared`` holds one copy of
-    each segment, cell and polygon stored in ``witnesses`` and of each cell
-    of the Engine's memoized certificates."""
+    its balancing are checked at every node."""
 
     def __init__(self, poly: LatticePolygon, adjoint):
         self.poly = poly
@@ -148,7 +154,6 @@ class RuleContext:
         self._surface: SurfaceModel | None = None
         self._keys: dict = {}
         self.witnesses: dict = {}
-        self.shared: dict = {}
 
     def key_of(self, obj) -> tuple:
         key = self._keys.get(obj)
@@ -252,7 +257,7 @@ def _admissible(ctx, p):
     cert = p["certificate"]
     _check(cert.polygon == ctx.poly, "certificate polygon mismatch")
     _check(not cert.unbalanced_ok, "graph not balanced everywhere")
-    _check(cert.verify(ctx.witnesses, ctx.shared), "certificate failed verification")
+    _check(cert.verify(ctx.witnesses), "certificate failed verification")
     _check(cert.graph.loops_pairwise_disjoint(), "graph loops are not disjoint")
     return composite(GEOMETRIC, cert.graph)
 
@@ -399,29 +404,20 @@ class Engine:
     builder's graph yields its target's fact through ``peel``, which reads
     the deduction off the composite; the builders write no plans.
 
-    Two memos live as long as the Engine, that is one derivation:
-
-    - ``_builds`` maps (builder name, arguments after the polygon) to the
-      builder's result; the fixed-point loops ask for the same graphs pass
-      after pass.  The leg-pair search is a generator and is not memoized:
-      ``derive_leg`` runs it until a pair peels.
-    - ``_certs`` maps (the graph's entries as a frozenset, polygon,
-      ``allow_unbalanced_at`` as a frozenset, fan plan or None) to the
-      certificate ``builders.certify_graph`` gives, or to the
-      ``CertificationError`` it raised; builders with different arguments
-      often produce one graph (gcd1 with l = 1 and propagation with a = m,
-      for example), and ``_certify`` is the ``certify`` they are given.
-      Their cells go through ``ctx.shared``, which keeps one copy of each
-      cell: one polygon's certificates repeat most of their cells.
-
-    A build that raises stores nothing and runs again next time; a
-    certification that raises ``CertificationError`` raises it again on
-    every later request.  Certificates stay byte-identical:
-    ``certify_graph`` is a pure function of the key (the region and heights
-    come from the graph's entries and the fan plan alone), so a hit equals
-    what a fresh call would return or raise, and every use still peels
-    through the rule kernel, which emits its nodes and verifies every
-    ``admissible`` node.  No caller mutates a memoized result."""
+    One memo lives as long as the Engine, that is one derivation: ``_certs``
+    maps (the graph's entries as a frozenset, polygon,
+    ``allow_unbalanced_at`` as a frozenset, fan plan or None) to the
+    certificate ``builders.certify_graph`` gives, or to the
+    ``CertificationError`` it raised.  The leg-pair and device-pair searches
+    meet one union graph from several arguments, and ``_certify`` is the
+    ``certify`` every builder is given.  A certification that raises
+    ``CertificationError`` raises it again on every later request.
+    Certificates stay byte-identical: ``certify_graph`` is a pure function
+    of the key (the region and heights come from the graph's entries and
+    the fan plan alone), so a hit equals what a fresh call would return or
+    raise, and every use still peels through the rule kernel, which emits
+    its nodes and verifies every ``admissible`` node.  No caller mutates a
+    memoized certificate."""
 
     def __init__(self, poly: LatticePolygon):
         self.poly = poly
@@ -432,7 +428,6 @@ class Engine:
         # (flavor, key) -> (exponent, node_id); exponents are positive ideal
         # generators, tightened by gcd as new facts arrive
         self.facts: dict[tuple, tuple[int, int]] = {}
-        self._builds: dict[tuple, object] = {}
         self._certs: dict[tuple, AdmissibilityCertificate | CertificationError] = {}
 
     # -- infrastructure ------------------------------------------------------
@@ -448,18 +443,12 @@ class Engine:
         return node.id
 
     def _build(self, name: str, *args):
-        """``builders.<name>(self.poly, *args)``, built once per distinct
-        ``args`` and certified through ``_certify``; a builder that raises is
-        called again next time.  The builder is looked up at call time, so a
-        rebound one is honoured."""
+        """``builders.<name>(self.poly, *args)``, certified through
+        ``_certify``.  The builder is looked up at call time, so a rebound
+        one is honoured."""
         from . import builders
 
-        key = (name, args)
-        hit = self._builds.get(key)
-        if hit is None:
-            builder = getattr(builders, name)
-            hit = self._builds[key] = builder(self.poly, *args, certify=self._certify)
-        return hit
+        return getattr(builders, name)(self.poly, *args, certify=self._certify)
 
     def _certify(
         self,
@@ -469,9 +458,8 @@ class Engine:
         fans=None,
     ) -> AdmissibilityCertificate:
         """``builders.certify_graph``, run once per distinct graph, polygon,
-        exemption set and fan plan, with its cells shared across
-        certificates; a ``CertificationError`` is stored and raised again
-        (as a new instance of the same type and message).
+        exemption set and fan plan; a ``CertificationError`` is stored and
+        raised again (as a new instance of the same type and message).
         Looked up at call time, so a rebound one is honoured."""
         from . import builders
 
@@ -479,16 +467,13 @@ class Engine:
         cert = self._certs.get(key)
         if cert is None:
             try:
-                cert = builders.certify_graph(
-                    graph, poly, allow_unbalanced_at, fans,
-                    checked=self.ctx.witnesses, shared=self.ctx.shared,
+                cert = self._certs[key] = builders.certify_graph(
+                    graph, poly, allow_unbalanced_at, fans, checked=self.ctx.witnesses
                 )
             except CertificationError as exc:
                 # a copy without traceback: the raised one's frames hold self
                 self._certs[key] = type(exc)(*exc.args)
                 raise
-            cells = tuple(self.ctx.shared.setdefault(c, c) for c in cert.cells)
-            cert = self._certs[key] = replace(cert, cells=cells)
         elif isinstance(cert, CertificationError):
             raise type(cert)(*cert.args)
         return cert
@@ -760,18 +745,62 @@ class Engine:
         f2 = self.run_plan(second, flavor)
         return f1, f2
 
-    def _adjoint_edges_at(self, kappa: Point) -> list[tuple[Point, int]]:
-        """(far vertex, lattice length) of each adjoint edge at the adjoint
-        vertex kappa, in the order of the adjoint's vertex list."""
-        verts = self.adjoint.vertices
-        i = verts.index(kappa)
-        return [(verts[j], lattice_length(kappa, verts[j]))
-                for j in sorted({(i - 1) % len(verts), (i + 1) % len(verts)})]
+    def _bridge_exponent(self, flavor, p: Point) -> int | None:
+        """The stored exponent of the bridge class at p, or None."""
+        hit = self._stored(flavor, ("bridge", p))
+        return hit and hit[0]
+
+    def _edge_pairs(self):
+        """(kappa, far end, direction and length of E, direction and length
+        of F) for each adjoint vertex kappa and each order (E, F) of the two
+        adjoint edges at it."""
+        for kappa in self.adjoint.vertices:
+            (x, lx), (y, ly) = adjoint_edges_at(self.adjoint, kappa)
+            dx, dy = primitive(sub(x, kappa)), primitive(sub(y, kappa))
+            yield kappa, x, dx, lx, dy, ly
+            yield kappa, y, dy, ly, dx, lx
+
+    def _lower_bridges(self, flavor, moves) -> tuple[int, Counter]:
+        """Run the bridge transfers that ``moves()`` yields, pass after pass,
+        until a pass lowers no exponent on the adjoint boundary cycle.
+
+        A move is (kind, targets, e, run): ``run()`` builds and peels one
+        transfer graph, concluding the e-th power of the bridge twist at each
+        point of ``targets``, e in closed form (seed l_x, gcd1 m/gcd(m, l),
+        gcd2 and propagation 1).  ``moves()`` reads the store as it goes, so a
+        move sees what the moves before it concluded.  A move runs only if e
+        is not a multiple of some target's stored exponent, or a target has
+        none: exactly when ``_record_single`` changes the store.  So no
+        transfer graph is built, certified or recorded for a fact the store
+        already implies.
+
+        The loop ends without a cap: a pass is followed by another only if
+        it lowered a stored exponent to a proper divisor or gave a class its
+        first fact (a homological one may replace the geometric fallback of
+        ``_stored`` once), and there are finitely many classes, each with a
+        positive integer exponent (Kildall's worklist argument).  A move that
+        raises DerivationError, CertificationError or ValueError is skipped
+        and counted by kind.  Returns the number of passes and the counts."""
+        cyc = adjoint_boundary_cycle(self.adjoint)
+        failed: Counter = Counter()
+        passes, lowered = 0, True
+        while lowered:
+            passes += 1
+            before = [self._bridge_exponent(flavor, p) for p in cyc]
+            for kind, targets, e, run in moves():
+                if all((x := self._bridge_exponent(flavor, p)) and e % x == 0 for p in targets):
+                    continue
+                try:
+                    run()
+                except (DerivationError, CertificationError, ValueError):
+                    failed[kind] += 1
+            lowered = [self._bridge_exponent(flavor, p) for p in cyc] != before
+        return passes, failed
 
     def pipeline_gcdedges(self) -> None:
         """Powers of bridge twists everywhere: derive (tau_b)^s for every
-        bridge class, s the gcd of the adjoint edge lengths, by iterating
-        the corner/side/gcd transfers to a fixed point.
+        bridge class, s the gcd of the adjoint edge lengths, by the seed,
+        gcd1 and gcd2 transfers of ``_lower_bridges``.
 
         Why this reaches s.  At an adjoint vertex kappa with edges E and F,
         let D(E) hold the distances along E whose bridge class has exponent
@@ -783,81 +812,57 @@ class Engine:
         D comes down, at each vertex, to a divisor of the gcd of its two
         edge lengths, passes along each edge (a multiple of the spacing at
         both ends), and around the boundary cycle comes down to s; the point
-        at distance l then gets s / gcd(s, l).  Seeding from the far vertex
-        alone does not do: on the 4 x 6 rectangle it leaves exponent 4 at
-        (2, 1).
+        at distance l then gets s / gcd(s, l).  Seeding gcd1 from the far
+        vertex alone does not do: on the 4 x 6 rectangle it leaves exponent
+        4 at (2, 1).
 
-        A failed gcd1 seed from an interior point or gcd2 spreading is
-        skipped and counted; if a class misses its exponent, the
-        DerivationError lists every class's exponent on the adjoint boundary
-        cycle, how the loop ended and both counts."""
-        from . import builders
-
+        If a class misses its exponent, the DerivationError lists every
+        class's exponent on the adjoint boundary cycle, the number of passes
+        and the count of failed moves of each kind."""
         adj = self.adjoint
         self.ensure_acycles()
         for v in adj.vertices:
             self.pipeline_corner(v)
         self.ensure_sides()
-        cyc = builders.adjoint_boundary_cycle(adj)
-        verts = list(adj.vertices)
 
-        def exp_at(p):
-            hit = self.facts.get((GEOMETRIC, ("bridge", p)))
-            return hit[0] if hit else 0
+        exp_at = partial(self._bridge_exponent, GEOMETRIC)
 
-        failed_seeds = failed_gcd2 = 0
-        rounds = 8 * len(cyc)
-        for done in range(1, rounds + 1):
-            before = {p: exp_at(p) for p in cyc}
-            for kappa in verts:
-                edges = self._adjoint_edges_at(kappa)
-                for far, m in edges:
-                    # seed graph: exponent m at the distance-one point of F
-                    try:
-                        self.run_plan(self._build("build_gcdedges_graph", kappa, far), GEOMETRIC)
-                    except (DerivationError, CertificationError, ValueError) as exc:
-                        raise DerivationError("gcdedges", str(exc))
-                    # gcd1 toward every point of F from the far vertex and
-                    # from every exponent-one point before it
-                    step = primitive(sub(far, kappa))
-                    ly = next(length for other, length in edges if other != far)
-                    for l in range(1, ly + 1):
-                        self.pipeline_gcd1(kappa, m, l, far)
-                        for mm in range(1, m):
-                            if exp_at(add(kappa, smul(mm, step))) != 1:
-                                continue
-                            try:
-                                self.pipeline_gcd1(kappa, mm, l, far)
-                            except (DerivationError, CertificationError, ValueError):
-                                failed_seeds += 1
-                # gcd2 spreading with the current exponents
-                shortest = min(length for _, length in edges)
-                for kprime in builders._neighbors_on_boundary(adj, kappa):
-                    e = exp_at(kprime)
-                    if 0 < e <= shortest:
-                        try:
-                            self.pipeline_gcd2(kappa, e, kprime)
-                        except (DerivationError, CertificationError, ValueError):
-                            failed_gcd2 += 1
-            after = {p: exp_at(p) for p in cyc}
-            if after == before and all(after.values()):
-                ended = f"fixed point after {done} rounds"
-                break
-        else:
-            ended = f"no fixed point in {rounds} rounds"
+        def moves():
+            for kappa, far, along, m, across, ly in self._edge_pairs():
+                first = add(kappa, across)
+                # seed graph: exponent m at the distance-one point of F
+                yield ("seed", [first], m,
+                       lambda: self.run_plan(self._build("build_gcdedges_graph", kappa, far)))
+                # gcd1 toward every point of F from every exponent-one point
+                # of E, the far vertex included
+                for mm in range(1, m + 1):
+                    if exp_at(add(kappa, smul(mm, along))) == 1:
+                        for l in range(1, ly + 1):
+                            yield ("gcd1", [add(kappa, smul(l, across))], mm // gcd(mm, l),
+                                   partial(self.pipeline_gcd1, kappa, mm, l, far))
+                # gcd2 from the distance-one point of F, if its exponent fits
+                # on both edges
+                e = exp_at(first)
+                if e is not None and e <= min(m, ly):
+                    yield ("gcd2", [add(kappa, smul(e, along)), add(kappa, smul(e, across))], 1,
+                           partial(self.pipeline_gcd2, kappa, e, first))
+
+        passes, failed = self._lower_bridges(GEOMETRIC, moves)
         s = self.analysis.n
+        cyc = adjoint_boundary_cycle(adj)
         for p in cyc:
-            got = exp_at(p)
-            if got != (1 if p in verts else s):
-                if got == 0 or s % got:
-                    exponents = ", ".join(f"{q}: {exp_at(q)}" for q in cyc)
-                    raise DerivationError(
-                        "gcdedges",
-                        f"bridge class at {p} reached exponent {got}, want {s}; {ended}, "
-                        f"exponents on the adjoint boundary cycle {{{exponents}}}; "
-                        f"{failed_seeds} gcd1 seeds failed; "
-                        f"{failed_gcd2} gcd2 spreadings failed",
-                    )
+            got = exp_at(p) or 0
+            if got != (1 if p in adj.vertices else s) and (got == 0 or s % got):
+                exponents = ", ".join(f"{q}: {exp_at(q) or 0}" for q in cyc)
+                raise DerivationError(
+                    "gcdedges",
+                    f"bridge class at {p} reached exponent {got}, want {s}; "
+                    f"fixed point after {passes} passes, "
+                    f"exponents on the adjoint boundary cycle {{{exponents}}}; "
+                    f"{failed['seed']} seed graphs failed; "
+                    f"{failed['gcd1']} gcd1 seeds failed; "
+                    f"{failed['gcd2']} gcd2 spreadings failed",
+                )
 
     # -- ray-sweep leg facts ----------------------------------------------------
 
@@ -1006,8 +1011,6 @@ class Engine:
         """Exponent-one homological facts for every bridge class: the snake
         head's chain rule gives the square at the bridge anchor, the odd gcd
         power reduces it to one, and the propagation graphs spread it."""
-        from . import builders
-
         key = ("bridge", snake.points[2])
         # the projected geometric power lands in the store first, so the
         # chain rule's square combines with the odd exponent to one
@@ -1017,34 +1020,24 @@ class Engine:
         if e != 1:
             raise DerivationError("homological_bridges",
                                   f"anchor exponent {e} after the chain rule")
-        # spread around the adjoint boundary by propagation to a fixed point
-        adj = self.adjoint
-        cyc = builders.adjoint_boundary_cycle(adj)
-        verts = set(adj.vertices)
-        for _ in range(4 * len(cyc)):
-            changed = False
-            for kappa in sorted(verts):
-                for kprime in builders._neighbors_on_boundary(adj, kappa):
-                    got = self.fact(HOMOLOGICAL, ("bridge", kprime))
-                    if got is None or got[0] != 1:
-                        continue
-                    # the other adjoint edge at kappa
-                    far, lx = next((far, length) for far, length in self._adjoint_edges_at(kappa)
-                                   if primitive(sub(far, kappa)) != primitive(sub(kprime, kappa)))
-                    for a in range(1, lx):
-                        point = add(kappa, smul(a, primitive(sub(far, kappa))))
-                        cur = self.fact(HOMOLOGICAL, ("bridge", point))
-                        if cur is not None and cur[0] == 1:
-                            continue
-                        self.pipeline_propagate(kappa, kprime, a, HOMOLOGICAL)
-                        changed = True
-            if not changed:
-                break
-        for p in cyc:
-            got = self.fact(HOMOLOGICAL, ("bridge", p))
-            if got is None or got[0] != 1:
-                raise DerivationError("homological_bridges",
-                                      f"bridge at {p} not reduced to exponent 1")
+
+        # spread around the adjoint boundary: from an exponent-one point
+        # next to kappa on F to every point of E
+        def moves():
+            for kappa, _, along, m, across, _ in self._edge_pairs():
+                kprime = add(kappa, across)
+                if self._bridge_exponent(HOMOLOGICAL, kprime) == 1:
+                    for a in range(1, m):
+                        yield ("propagate", [add(kappa, smul(a, along))], 1,
+                               partial(self.pipeline_propagate, kappa, kprime, a, HOMOLOGICAL))
+
+        _, failed = self._lower_bridges(HOMOLOGICAL, moves)
+        for p in adjoint_boundary_cycle(self.adjoint):
+            if self._bridge_exponent(HOMOLOGICAL, p) != 1:
+                raise DerivationError(
+                    "homological_bridges", f"bridge at {p} not reduced to exponent 1; "
+                    f"{failed['propagate']} propagations failed"
+                )
 
     # -- certificates ---------------------------------------------------------
 
@@ -1089,12 +1082,10 @@ class Engine:
     # -- divisible pipelines (powers of twists under a d-divisible adjoint) -----
 
     def _all_anchors(self):
-        from . import builders
-
         adj = self.adjoint
         out = []
         for kappa in adj.vertices:
-            for kprime in builders._neighbors_on_boundary(adj, kappa):
+            for kprime in neighbors_on_boundary(adj, kappa):
                 for orientation in ("kk'", "k'k"):
                     out.append((kappa, kprime, orientation))
         return out
@@ -1381,12 +1372,10 @@ def claims(engine: Engine) -> list[tuple[str, tuple, int]]:
         keys += [("acycle", p) for p in snake.points[1:]]
         keys.append(engine.key_of(snake.bridge))
         return [(flavor, key, 1) for key in keys]
-    from . import builders
-
     verts = set(engine.adjoint.vertices)
     return [
         (GEOMETRIC, ("bridge", p), 1 if p in verts else a.n)
-        for p in builders.adjoint_boundary_cycle(engine.adjoint)
+        for p in adjoint_boundary_cycle(engine.adjoint)
     ]
 
 

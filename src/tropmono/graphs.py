@@ -233,7 +233,7 @@ class AdmissibilityCertificate:
     cells: tuple[LatticePolygon, ...]
     unbalanced_ok: tuple[Point, ...] = ()
 
-    def verify(self, checked: dict | None = None, shared: dict | None = None) -> bool:
+    def verify(self, checked: dict | None = None) -> bool:
         """The one check of a certificate: the witness induces exactly
         ``cells`` (by verify_subdivision), which are unimodular and contain
         every graph edge, and the graph is balanced outside ``unbalanced_ok``.
@@ -242,10 +242,7 @@ class AdmissibilityCertificate:
 
         ``checked`` memoizes the witness part across certificates: it maps
         (polygon, witness, cells) to the edges of the unimodular subdivision
-        they form, or to None; the graph is checked against them each time.
-        ``shared`` maps each segment, cell and polygon stored in ``checked``
-        to itself, so entries that repeat one (most segments and cells of
-        one polygon's witnesses) hold a single copy."""
+        they form, or to None; the graph is checked against them each time."""
         key = (self.polygon, self.witness, self.cells)
         if checked is None:
             checked = {}
@@ -253,7 +250,7 @@ class AdmissibilityCertificate:
         if edges is False:
             sub_div = verify_subdivision(self.polygon, self.cells, self.witness)
             unimodular = sub_div is not None and sub_div.is_unimodular()
-            edges = _remember(checked, shared, key, sub_div.edges() if unimodular else None)
+            edges = checked[key] = sub_div.edges() if unimodular else None
         if edges is None or not all(s in edges for s in self.graph.entries):
             return False
         if check_balancing(self.graph, self.polygon) - set(self.unbalanced_ok):
@@ -280,21 +277,6 @@ class AdmissibilityCertificate:
         cells = tuple(LatticePolygon.from_json(c) for c in data["cells"])
         allow = tuple(point_from_json(p) for p in data.get("unbalanced_ok", []))
         return AdmissibilityCertificate(graph, poly, hf, cells, allow)
-
-
-def _remember(checked: dict, shared: dict | None, key: tuple, edges: set | None) -> set | None:
-    """Enter the witness ``key`` = (polygon, heights, cells) in the memo
-    ``checked`` of ``AdmissibilityCertificate.verify``: ``edges`` are those
-    of the unimodular subdivision ``verify_subdivision`` found it to form,
-    None for a rejection.  An accepted witness's polygon, cells and edges
-    go through the pool ``shared``.  Returns the stored edges."""
-    if edges is not None:
-        pool = {} if shared is None else shared
-        polygon, witness, cells = key
-        edges = {pool.setdefault(s, s) for s in edges}
-        key = (pool.setdefault(polygon, polygon), witness, tuple(pool.setdefault(c, c) for c in cells))
-    checked[key] = edges
-    return edges
 
 
 @dataclass(frozen=True)
@@ -333,7 +315,6 @@ def complete_certificate(
     stages=(),
     *,
     checked: dict | None = None,
-    shared: dict | None = None,
 ) -> AdmissibilityCertificate:
     """Extend a subdivision carrying the graph through the polygons
     ``stages`` to ``poly``, refine it to a unimodular one and check that no
@@ -341,10 +322,9 @@ def complete_certificate(
 
     When the refinement pulled, it ended by verifying its witness with
     ``verify_subdivision``; the witness then goes into ``checked`` (the memo
-    of ``AdmissibilityCertificate.verify``, pooled through ``shared``), so
-    the ``admissible`` rule of the same derivation does not verify it again.
-    A subdivision that was unimodular already has not been verified and is
-    not entered."""
+    of ``AdmissibilityCertificate.verify``), so the ``admissible`` rule of
+    the same derivation does not verify it again.  A subdivision that was
+    unimodular already has not been verified and is not entered."""
     for stage in (*stages, poly):
         sub_div = extend_subdivision(stage, sub_div)
     refined = unimodular_refinement(sub_div)
@@ -353,7 +333,7 @@ def complete_certificate(
     if lost:
         raise CertificationError(f"refinement lost edges {lost}")
     if checked is not None and refined is not sub_div:
-        _remember(checked, shared, (poly, refined.witness, refined.cells), refined_edges)
+        checked[(poly, refined.witness, refined.cells)] = refined_edges
     return AdmissibilityCertificate(
         graph, poly, refined.witness, refined.cells, tuple(sorted(allow_unbalanced_at))
     )
@@ -364,11 +344,12 @@ def certify_admissible(
     poly: LatticePolygon,
     hint: Hint | None = None,
     allow_unbalanced_at: frozenset[Point] = frozenset(),
-    **memo,
+    *,
+    checked: dict | None = None,
 ) -> AdmissibilityCertificate:
     """Produce an admissibility certificate for a balanced weighted graph,
     or raise CertificationError; the ``admissible`` rule checks it.
-    ``memo`` (``checked`` and ``shared``) goes to ``complete_certificate``.
+    ``checked`` goes to ``complete_certificate``.
 
     The checker is sound but not complete: without a usable hint it only
     tries the canonical refinement of the trivial subdivision.
@@ -376,7 +357,7 @@ def certify_admissible(
     check_certifiable(graph, poly, allow_unbalanced_at)
     if hint is None:
         return complete_certificate(
-            graph, poly, trivial_subdivision(poly), allow_unbalanced_at, **memo
+            graph, poly, trivial_subdivision(poly), allow_unbalanced_at, checked=checked
         )
     if hint.cells:
         hf = hint.heights
@@ -397,7 +378,7 @@ def certify_admissible(
     missing = [s for s in graph.entries if s not in region_edges]
     if missing:
         raise CertificationError(f"hint does not support edges {missing}")
-    return complete_certificate(graph, poly, region_sub, allow_unbalanced_at, **memo)
+    return complete_certificate(graph, poly, region_sub, allow_unbalanced_at, checked=checked)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from .geometry import (
     UnimodularMap,
     add,
     cross,
+    lattice_length,
+    lattice_points_on_segment,
     primitive,
     sub,
 )
@@ -253,6 +255,35 @@ def normalize_at_vertex(
         if image.side(anchor) != 0:
             raise ValueError(f"anchor {anchor} not on the boundary after normalization")
     return f, image
+
+
+# ---------------------------------------------------------------------------
+# Navigation on the adjoint boundary
+# ---------------------------------------------------------------------------
+
+
+def adjoint_boundary_cycle(adjoint: LatticePolygon) -> list[Point]:
+    """Boundary lattice points of the adjoint in ccw cyclic order."""
+    out = []
+    for a, b in adjoint.edges():
+        out.extend(lattice_points_on_segment(a, b)[:-1])
+    return out
+
+
+def neighbors_on_boundary(adjoint: LatticePolygon, p: Point) -> tuple[Point, Point]:
+    """The points before and after p on ``adjoint_boundary_cycle``."""
+    cyc = adjoint_boundary_cycle(adjoint)
+    i = cyc.index(p)
+    return cyc[(i - 1) % len(cyc)], cyc[(i + 1) % len(cyc)]
+
+
+def adjoint_edges_at(adjoint: LatticePolygon, kappa: Point) -> list[tuple[Point, int]]:
+    """(far vertex, lattice length) of each adjoint edge at the adjoint
+    vertex kappa, in the order of the adjoint's vertex list."""
+    verts = adjoint.vertices
+    i = verts.index(kappa)
+    return [(verts[j], lattice_length(kappa, verts[j]))
+            for j in sorted({(i - 1) % len(verts), (i + 1) % len(verts)})]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ import pytest
 import tropmono
 from tropmono.geometry import LatticePolygon, add, neg, seg, smul, sub
 from tropmono.graphs import WeightedSegmentGraph, check_balancing, residual
-from tropmono.polygons import adjoint_polygon
+from tropmono.polygons import adjoint_polygon, neighbors_on_boundary
 from tropmono.builders import (
-    _neighbors_on_boundary,
     build_corner_graph,
     build_divisible_ray_sweep,
     build_gcd1_graph,
@@ -236,7 +235,7 @@ def test_cancelling_sweep_cancels_r_at_the_seed(poly, built):
     count = 0
     for u in adjoint.interior_points():
         for kappa in adjoint.vertices:
-            for kappa_prime in _neighbors_on_boundary(adjoint, kappa):
+            for kappa_prime in neighbors_on_boundary(adjoint, kappa):
                 for orientation in ("kk'", "k'k"):
                     anchors = (kappa, kappa_prime, orientation)
                     for r in ((1, 0), (0, 1), (-1, -1), (2, -3)):

@@ -25,13 +25,13 @@ from tropmono.engine import (
     replay_certificate,
     single,
 )
-from tropmono.polygons import adjoint_polygon
-from tropmono.builders import adjoint_boundary_cycle
+from tropmono.polygons import adjoint_boundary_cycle, adjoint_polygon
 
 T3 = LatticePolygon([(0, 0), (3, 0), (0, 3)])
 T4 = LatticePolygon([(0, 0), (4, 0), (0, 4)])
 T6 = LatticePolygon([(0, 0), (6, 0), (0, 6)])
 SQ4 = LatticePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+R4x6 = LatticePolygon([(0, 0), (4, 0), (4, 6), (0, 6)])
 
 
 def test_acycle_axiom():
@@ -112,9 +112,9 @@ def _digest(data) -> str:
 
 CERTIFICATE_DIGESTS = {
     "T3": "6a89695aea2baf46bd572f90b147e49b972c5d9de79bfd8af9b95166088421f8",
-    "T4": "3106e5fa143cd2a116fc972f063cafab1b11e83d6832699c5054649fb3dd3c5d",
-    "SQ4": "ba06731996ced362b2bedbf321607aa1c832408a5fee19a3f7a04c0082ee29cb",
-    "T6": "c14e907afe49806a7f72035420241055b3fc5a3d4020084361b43e182c157348",
+    "T4": "0175ff6be9485ffb32e4894a047e18ffa100299569cde0f9f326d868883159bc",
+    "SQ4": "a59b0cc1fead054196fa1a7173933c85e2760e71098fcf321f9f42278d193c1f",
+    "T6": "d1ef3022099391c0a8ac4bc49f05006b6cafaa5d4ae4d7d9047e49f16e8b5f20",
 }
 
 
@@ -122,8 +122,8 @@ CERTIFICATE_DIGESTS = {
 REPORT_DIGESTS = {
     "T3": "22712072b24a4b48370d239ee134a878646ee1288ed92544f4d431be0830be10",
     "T4": "ad3799aea0fae066caa3f1e3e054853ecdf77086013af0895b13b376978e9c25",
-    "SQ4": "986f550527b7f24a18bfe1b1762955f89f87a1180dbc3038c520d3c7684f359c",
-    "T6": "6b25cab235ce63911b42e3b78d76d1f9b72013edab04e9823b9365beaad6d084",
+    "SQ4": "5e505ef171b10ec3e782dcec8c4d67c8af20b1af4a9137e5e69ab7c935754159",
+    "T6": "f9907a4663a4f93ce2965db30c12610245fcea2b960ea05da5383df9ce14917c",
 }
 
 POLYGONS = {"T3": T3, "T4": T4, "SQ4": SQ4, "T6": T6}
@@ -143,11 +143,25 @@ def test_certificate_bytes_golden(name):
     re-derives byte for byte.  T3 keeps the digests it had before the
     peeler replaced the hand-written deduction plans (its one composite
     collapses); T4, SQ4 and T6 were re-pinned then, since the peeler
-    records its nodes in another order."""
+    records its nodes in another order, and again when the bridge
+    exponents came from one closure that runs only the transfers that
+    lower them (T4's report kept its digest)."""
     e = Engine(POLYGONS[name])
     report = e.derive_surjectivity()
     assert _digest(e.export_certificate()) == CERTIFICATE_DIGESTS[name]
     assert _digest(report["certificate"]) == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("poly", [T4, SQ4, T6, R4x6], ids=["T4", "SQ4", "T6", "R4x6"])
+def test_no_graph_enters_the_dag_twice(poly):
+    """A transfer runs only when it lowers a bridge exponent, so the whole
+    DAG's admissible nodes carry pairwise distinct graphs.  The fixed-point
+    loops that reran every transfer each round recorded 30 such nodes for 9
+    graphs on T4, 88 for 28 on SQ4, 87 for 36 on T6 and 120 for 40 on R4x6."""
+    nodes = _derived(poly).export_certificate()["nodes"]
+    drawn = [json.dumps(n["params"]["certificate"]["graph"], sort_keys=True)
+             for n in nodes if n["rule"] == "admissible"]
+    assert drawn and len(set(drawn)) == len(drawn)
 
 
 @pytest.fixture(scope="module")
@@ -257,10 +271,22 @@ def _witness_json(cert_json) -> str:
     return json.dumps([cert_json[k] for k in ("polygon", "heights", "cells")], sort_keys=True)
 
 
-def test_replay_checks_each_witness_once(monkeypatch):
+@pytest.fixture(scope="module")
+def t4_repeating(t4_certificate):
+    """The T4 certificate with a copy of its first admissible node appended.
+    A derivation no longer records a witness twice, but schema-1 files
+    written by earlier versions do, and replay must handle them."""
+    cert = json.loads(json.dumps(t4_certificate))
+    copy = json.loads(json.dumps(next(n for n in cert["nodes"] if n["rule"] == "admissible")))
+    copy["id"] = cert["nodes"][-1]["id"] + 1
+    cert["nodes"].append(copy)
+    return cert
+
+
+def test_replay_checks_each_witness_once(monkeypatch, t4_repeating):
     """Replay verifies every admissible node, runs verify_subdivision once
     per distinct witness, and never gift-wraps a witness."""
-    cert = _derived(T4).export_certificate()
+    cert = t4_repeating
     params = [n["params"]["certificate"] for n in cert["nodes"] if n["rule"] == "admissible"]
     admissible, distinct = len(params), len({_witness_json(c) for c in params})
     calls = {"verify": 0, "subdivision_from_heights": 0, "verify_subdivision": 0}
@@ -282,7 +308,7 @@ def test_replay_checks_each_witness_once(monkeypatch):
     for module in (subdivision, graphs):
         counted(module, "verify_subdivision", "verify_subdivision")
     assert replay_certificate(cert)
-    assert (admissible, distinct) == (30, 9)
+    assert (admissible, distinct) == (7, 6)
     assert calls == {
         "verify": admissible,
         "subdivision_from_heights": 0,
@@ -313,12 +339,12 @@ def _decoded_witness(cert_json):
     return subdivision.verify_subdivision(c.polygon, c.cells, c.witness)
 
 
-def test_witness_memo_checks_each_graph_against_the_cells(t4_certificate):
+def test_witness_memo_checks_each_graph_against_the_cells(t4_repeating):
     """A later node that reuses a verified witness still has its graph
     checked against the cells: an edge outside them is rejected there,
     while an edge inside them replays."""
-    _, second = _shared_witness(t4_certificate)
-    edges = _decoded_witness(t4_certificate["nodes"][second]["params"]["certificate"]).edges()
+    _, second = _shared_witness(t4_repeating)
+    edges = _decoded_witness(t4_repeating["nodes"][second]["params"]["certificate"]).edges()
     inside = outside = None
     boundary = T4.boundary_points()
     for p in boundary:
@@ -330,7 +356,7 @@ def test_witness_memo_checks_each_graph_against_the_cells(t4_certificate):
                     outside = outside or seg(p, q)
     assert inside is not None and outside is not None
     for s, ok in ((inside, True), (outside, False)):
-        cert = json.loads(json.dumps(t4_certificate))
+        cert = json.loads(json.dumps(t4_repeating))
         cert["nodes"] = cert["nodes"][:second + 1]
         node = cert["nodes"][second]
         edge = [list(s[0]), list(s[1]), 1]
@@ -358,11 +384,11 @@ def _corrupted_witnesses(cert_json):
 
 
 @pytest.mark.parametrize("what", ["height", "cell"])
-def test_witness_memo_rejects_a_corrupted_second_copy(what, t4_certificate):
+def test_witness_memo_rejects_a_corrupted_second_copy(what, t4_repeating):
     """Only the second copy of a shared witness is corrupted: the first
     node replays, the second fails, since the memo keys the whole witness."""
-    _, second = _shared_witness(t4_certificate)
-    cert = json.loads(json.dumps(t4_certificate))
+    _, second = _shared_witness(t4_repeating)
+    cert = json.loads(json.dumps(t4_repeating))
     params = cert["nodes"][second]["params"]
     params["certificate"] = _corrupted_witnesses(params["certificate"])[what]
     with _rejected_at(cert, second):
@@ -370,55 +396,15 @@ def test_witness_memo_rejects_a_corrupted_second_copy(what, t4_certificate):
 
 
 @pytest.mark.parametrize("what", ["height", "cell"])
-def test_witness_memo_rejects_a_corrupted_first_copy(what, t4_certificate):
+def test_witness_memo_rejects_a_corrupted_first_copy(what, t4_repeating):
     """The first copy of a shared witness is corrupted: replay fails at
     that first node, before the intact second copy is reached."""
-    first, _ = _shared_witness(t4_certificate)
-    cert = json.loads(json.dumps(t4_certificate))
+    first, _ = _shared_witness(t4_repeating)
+    cert = json.loads(json.dumps(t4_repeating))
     params = cert["nodes"][first]["params"]
     params["certificate"] = _corrupted_witnesses(params["certificate"])[what]
     with _rejected_at(cert, first):
         replay_certificate(cert)
-
-
-def test_build_memo_builds_each_argument_tuple_once(monkeypatch):
-    """An SQ4 derivation asks for some graphs more than once but calls each
-    builder once per distinct argument tuple; a fresh Engine builds again,
-    and both emit the same certificate bytes."""
-    names = [n for n in vars(builders) if n.startswith("build_") and callable(getattr(builders, n))]
-    calls, depth = [], [0]
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            if depth[0] == 0:  # builders calling builders are not the memo's concern
-                calls.append((name, args))
-            depth[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(builders, name, counted(name, getattr(builders, name)))
-    requests = []
-    memo = Engine._build
-
-    def asked(self, name, *args):
-        requests.append((name, args))
-        return memo(self, name, *args)
-
-    monkeypatch.setattr(Engine, "_build", asked)
-    runs = []
-    for _ in range(2):
-        calls.clear()
-        requests.clear()
-        cert = _derived(SQ4).export_certificate()
-        assert len(calls) == len(set(calls)) < len(requests)
-        assert set(calls) == {(name, (SQ4, *args)) for name, args in requests}
-        runs.append((list(calls), _digest(cert)))
-    assert runs[0] == runs[1]
 
 
 def _count_certifications(monkeypatch) -> list:
@@ -436,10 +422,11 @@ def _count_certifications(monkeypatch) -> list:
 
 
 def test_certify_memo_certifies_each_graph_once(monkeypatch):
-    """An SQ4 derivation asks for some graphs' certificates more than once
-    (builders with different arguments produce one graph) but certifies
-    each distinct (entries, exemptions) key once; a fresh Engine certifies
-    again, and both emit the same certificate bytes."""
+    """A T6 derivation asks for some graphs' certificates more than once
+    (the leg-pair and device-pair searches meet one graph from several
+    arguments) but certifies each distinct (entries, exemptions) key once;
+    a fresh Engine certifies again, and both emit the same certificate
+    bytes."""
     calls = _count_certifications(monkeypatch)
     requests = []
     memo = Engine._certify
@@ -453,7 +440,7 @@ def test_certify_memo_certifies_each_graph_once(monkeypatch):
     for _ in range(2):
         calls.clear()
         requests.clear()
-        cert = _derived(SQ4).export_certificate()
+        cert = _derived(T6).export_certificate()
         assert len(calls) == len(set(calls)) == len(set(requests)) < len(requests)
         assert set(calls) == set(requests)
         runs.append((list(calls), _digest(cert)))
@@ -569,14 +556,6 @@ def test_engine_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_witness_memo_stores_each_segment_once():
-    """Equal segments of different memoized witnesses are one object."""
-    e = Engine(T4)
-    e.derive_surjectivity()
-    segments = [s for edges in e.ctx.witnesses.values() if edges for s in edges]
-    assert len({id(s) for s in segments}) == len(set(segments)) < len(segments)
-
-
 def test_interior_d_and_dd_on_sq4():
     e = Engine(SQ4)
     e.pipeline_gcdedges()
@@ -586,10 +565,11 @@ def test_interior_d_and_dd_on_sq4():
     assert e.nodes[nid2].conclusion["exponent"] == 2
     cert = e.export_certificate()
     assert replay_certificate(cert)
-    # pinned when the peeler replaced the hand-written deduction plans
-    # (1150 nodes before)
-    assert len(cert["nodes"]) == 1172
-    assert _digest(cert) == "b40f4ba37e90c8a58f4d3e9c81784878e6a1125643593271afc6eb1da80f1ac8"
+    # pinned when the bridge exponents came from one closure that runs only
+    # the transfers that lower them (1150 nodes before the peeler, 1172 with
+    # it and the fixed-point loops)
+    assert len(cert["nodes"]) == 301
+    assert _digest(cert) == "3e06c03a60179adae8e86504bf4b16990f30e0987a03e93caee647cb1ab8ef24"
 
 
 def test_interior_d_rejects_missed_line():
@@ -794,8 +774,8 @@ def test_gcdedges_failure_lists_every_bridge_exponent(monkeypatch):
     forces the stall it had before them: the bridge class at (2, 1) keeps
     exponent 4, the length of the other adjoint edge.  The error names it
     and gives the exponent of every class on the adjoint boundary cycle,
-    the count of failed gcd1 seeds and that of failed gcd2 spreadings."""
-    rect = LatticePolygon([(0, 0), (4, 0), (4, 6), (0, 6)])
+    the number of passes and the counts of failed seed graphs, gcd1 seeds
+    and gcd2 spreadings."""
     gcd1 = Engine.pipeline_gcd1
 
     def refuse_seeds(self, kappa, m, l, known_toward, flavor=GEOMETRIC):
@@ -805,7 +785,7 @@ def test_gcdedges_failure_lists_every_bridge_exponent(monkeypatch):
 
     monkeypatch.setattr(Engine, "pipeline_gcd1", refuse_seeds)
     with pytest.raises(DerivationError) as info:
-        Engine(rect).derive_surjectivity()
+        Engine(R4x6).derive_surjectivity()
     err = info.value
     assert err.rule == "gcdedges"
     assert err.message.startswith("bridge class at (2, 1) reached exponent 4, want 2;")
@@ -814,15 +794,20 @@ def test_gcdedges_failure_lists_every_bridge_exponent(monkeypatch):
     for item in listed.split(", ("):
         point, exp = item.strip("(").split("): ")
         exponents[tuple(int(x) for x in point.split(", "))] = int(exp)
-    assert list(exponents) == adjoint_boundary_cycle(adjoint_polygon(rect))
+    assert list(exponents) == adjoint_boundary_cycle(adjoint_polygon(R4x6))
     assert exponents[2, 1] == exponents[2, 5] == 4
     assert all(exponents[v] == 1 for v in ((1, 1), (3, 1), (3, 5), (1, 5)))
-    assert "fixed point after" in err.message
-    assert err.message.endswith("; 16 gcd1 seeds failed; 0 gcd2 spreadings failed")
+    assert "fixed point after 2 passes" in err.message
+    assert err.message.endswith(
+        "; 0 seed graphs failed; 8 gcd1 seeds failed; 0 gcd2 spreadings failed"
+    )
 
-    def refuse(self, kappa, m, known_toward, flavor=GEOMETRIC):
+    def refuse(self, *args, **kwargs):
         raise DerivationError("gcd", "refused")
 
+    # gcd2 runs only when it lowers a class: with every gcd1 transfer refused,
+    # (1, 2) keeps the seed's exponent 2 and the spreading toward (1, 3) runs
+    monkeypatch.setattr(Engine, "pipeline_gcd1", refuse)
     monkeypatch.setattr(Engine, "pipeline_gcd2", refuse)
     with pytest.raises(DerivationError, match=r"gcdedges.*; [1-9]\d* gcd2 spreadings failed$"):
-        Engine(rect).derive_surjectivity()
+        Engine(R4x6).derive_surjectivity()

@@ -39,7 +39,9 @@ from tropmono.subdivision import (
 
 T4 = LatticePolygon([(0, 0), (4, 0), (0, 4)])
 T6 = LatticePolygon([(0, 0), (6, 0), (0, 6)])
+R5x7 = LatticePolygon([(0, 0), (5, 0), (5, 7), (0, 7)])
 SQ4 = LatticePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+R4x6 = LatticePolygon([(0, 0), (4, 0), (4, 6), (0, 6)])
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +210,9 @@ def same_subdivision(got, want):
 
 @pytest.fixture(scope="module")
 def derived():
-    """Certificate and distinct admissibility witnesses of T4, SQ4 and T6
-    derivations; the derivations run with every extension and refinement
-    checked against the oracles."""
+    """Certificate and distinct admissibility witnesses of T4, SQ4, T6, R4x6
+    and R5x7 derivations; the derivations run with every extension and
+    refinement checked against the oracles."""
     pulls, attempts = {True: 0, False: 0}, [0]
     real_extend, real_refine = tropmono.graphs.extend_subdivision, tropmono.graphs.unimodular_refinement
 
@@ -229,7 +231,8 @@ def derived():
     patch.setattr(tropmono.graphs, "unimodular_refinement", refine)
     try:
         out = {}
-        for name, poly in (("T4", T4), ("SQ4", SQ4), ("T6", T6)):
+        corpus = {"T4": T4, "SQ4": SQ4, "T6": T6, "R4x6": R4x6, "R5x7": R5x7}
+        for name, poly in corpus.items():
             engine = Engine(poly)
             engine.derive_surjectivity()
             cert = engine.export_certificate()
@@ -250,7 +253,7 @@ def test_derivation_witnesses_and_height_moves(derived):
     of the shared integer scale, get the same verdict from the folds as
     from the scans."""
     rng = random.Random(11)
-    witnesses = [w for name in ("T4", "SQ4", "T6") for w in derived[name][1]]
+    witnesses = [w for _, found in derived.values() for w in found]
     assert len(witnesses) > 60
     for poly, witness, cells in witnesses:
         assert same_verdict(poly, cells, witness) is not None
@@ -391,8 +394,8 @@ def test_cells_sharing_a_directed_edge_are_rejected():
 
 
 def test_local_paths_do_not_fall_back_to_scans(monkeypatch):
-    """An SQ4 derivation refines without any ``_touching`` scan or
-    ``LatticePolygon.side`` call, and gift-wraps each growing extension
+    """SQ4 and R4x6 derivations refine without any ``_touching`` scan or
+    ``LatticePolygon.side`` call, and gift-wrap each growing extension
     once."""
     inside = [0]
     scans = {"_touching": 0, "side": 0}
@@ -433,7 +436,8 @@ def test_local_paths_do_not_fall_back_to_scans(monkeypatch):
     monkeypatch.setattr(tropmono.subdivision, "subdivision_from_heights", wrap)
     monkeypatch.setattr(tropmono.graphs, "unimodular_refinement", refine)
     monkeypatch.setattr(tropmono.graphs, "extend_subdivision", extend)
-    Engine(SQ4).derive_surjectivity()
+    for poly in (SQ4, R4x6):
+        Engine(poly).derive_surjectivity()
     assert scans == {"_touching": 0, "side": 0}
     assert grown[0] > 10
 

@@ -278,7 +278,8 @@ def test_seg_matches_int_cast_reference():
 
 def test_derivation_builds_triangles_without_the_hull(monkeypatch):
     """The three-point path carries the derivation's cells and trial cones:
-    a T4 derivation runs convex_hull for under a quarter of its polygons."""
+    T4 and R4x6 derivations run convex_hull for under a quarter of their
+    polygons."""
     calls = {"hull": 0, "polygon": 0}
     real_hull, real_init = tropmono.geometry.convex_hull, LatticePolygon.__init__
 
@@ -292,6 +293,7 @@ def test_derivation_builds_triangles_without_the_hull(monkeypatch):
 
     monkeypatch.setattr(tropmono.geometry, "convex_hull", counting_hull)
     monkeypatch.setattr(LatticePolygon, "__init__", counting_init)
-    Engine(LatticePolygon([(0, 0), (4, 0), (0, 4)])).derive_surjectivity()
+    for vertices in ([(0, 0), (4, 0), (0, 4)], [(0, 0), (4, 0), (4, 6), (0, 6)]):
+        Engine(LatticePolygon(vertices)).derive_surjectivity()
     assert calls["polygon"] > 400
     assert 4 * calls["hull"] < calls["polygon"], calls

@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ["HeightFunction", "RegularSubdivision", "TropicalCurve", "dual_tropical_curve",
-         "extend_subdivision", "regularity_heights_for", "subdivision_from_heights",
-         "trivial_subdivision", "unimodular_refinement"],
+         "extend_subdivision", "subdivision_from_heights", "trivial_subdivision",
+         "unimodular_refinement"],
         "subdivision",
     ),
     **dict.fromkeys(

@@ -7,18 +7,20 @@ reconstructed from the stated weights plus the balancing conditions.  Each
 comes with an admissibility certificate and names its target segment; the
 engine's peeler reads the deduction off the graph itself.
 
-Certification strategy: the segments of each graph, extended to full lines,
-induce an arrangement subdivision of the convex hull of the graph; the
-heights sum of |line functional| is convex with breaks exactly on the lines,
-so it supports the graph.  The witness is then extended to the whole polygon
-and refined; all steps are replayed and checked.
+Certification: ``certify_graph`` hands ``graphs.certify_admissible`` the
+heights of a region, which it wraps, extends to the whole polygon and
+refines; all steps are replayed and checked.  By default the segments of
+the graph, extended to full lines, induce an arrangement subdivision of the
+convex hull of the graph: the heights sum of |line functional| is convex
+with breaks exactly on the lines, so they support the graph.  Given a
+``fan_plan``, the heights lift the ray-sweep chains to 0 and the leg
+targets to 1 instead, and the boundary anchors are adjoined in stages.
 
 Every builder that certifies (corner, side, propagation, gcd1, gcd2,
 gcdedges, interior, leg pair), ``device_pairs`` and ``certify_flexible``
 take a keyword-only ``certify`` with the signature of ``certify_graph``, its
-default, and run both recipes (line arrangement, and staged fans given a
-``fan_plan``) through it; the Engine passes its graph-keyed memo.  The ray
-sweeps certify nothing and take no ``certify``.
+default; the Engine passes its graph-keyed memo.  The ray sweeps certify
+nothing and take no ``certify``.
 
 The transfer graphs are drawn in a frame and mapped back by ``_framed``;
 the interior graphs and the engine's divisible pipelines search end-device
@@ -59,17 +61,14 @@ from .polygons import (
 from .graphs import (
     AdmissibilityCertificate,
     CertificationError,
-    Hint,
     WeightedSegmentGraph,
     bridges_at,
     certify_admissible,
     check_balancing,
-    check_certifiable,
-    complete_certificate,
     is_bridge,
     residual,
 )
-from .subdivision import HeightFunction, subdivision_from_heights
+from .subdivision import HeightFunction
 
 
 @dataclass(frozen=True)
@@ -112,16 +111,29 @@ def certify_graph(
     *,
     checked=None,
 ) -> AdmissibilityCertificate:
-    """Certify via the line-arrangement recipe, or via the staged fan
-    recipe of ``fans`` (a ``fan_plan``) when given.  ``checked`` goes to
-    ``complete_certificate``."""
-    if fans is not None:
-        return certify_fans(graph, poly, fans, allow_unbalanced_at, checked=checked)
-    region = LatticePolygon(graph.vertices())
-    if region.dimension < 2:
-        region = poly
-    hint = Hint(region, None, HeightFunction.of(arrangement_heights(graph, region)))
-    return certify_admissible(graph, poly, hint, allow_unbalanced_at, checked=checked)
+    """``certify_admissible`` from the line-arrangement heights on the
+    graph's convex hull (``poly`` when the hull is flat), or from the heights
+    of ``fans`` (a ``fan_plan``) on their hull, extended through one stage
+    per batch of boundary anchors that leaves the current hull.  ``checked``
+    goes to ``certify_admissible``."""
+    stages = []
+    if fans is None:
+        region = LatticePolygon(graph.vertices())
+        if region.dimension < 2:
+            region = poly
+        heights = arrangement_heights(graph, region)
+    else:
+        heights, *batches = fans
+        region = current = LatticePolygon([p for p, _ in heights])
+        for batch in batches:
+            new_pts = [p for p in batch if current.side(p) < 0]
+            if new_pts:
+                current = LatticePolygon(list(current.vertices) + new_pts)
+                stages.append(current)
+    return certify_admissible(
+        graph, poly, region, HeightFunction.of(heights), allow_unbalanced_at, stages,
+        checked=checked,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -835,39 +847,6 @@ def fan_plan(sweeps, zero_points=(), one_points=()) -> tuple:
         tuple(sorted({rs.alpha for rs in sweeps})),
         tuple(sorted({rs.alpha_prime for rs in sweeps})),
     )
-
-
-def certify_fans(
-    graph: WeightedSegmentGraph,
-    poly: LatticePolygon,
-    plan: tuple,
-    allow_unbalanced_at=frozenset(),
-    *,
-    checked=None,
-) -> AdmissibilityCertificate:
-    """Certify a union of ray sweeps (plus optional flat pieces) by the
-    staged construction of ``plan`` (a ``fan_plan``): lift the chains to 0
-    and the leg targets to 1 on the convex hull, then adjoin the boundary
-    anchors batch by batch and extend, refine and check."""
-    check_certifiable(graph, poly, allow_unbalanced_at)
-    heights, *batches = plan
-    region = LatticePolygon([p for p, _ in heights])
-    if region.dimension != 2:
-        raise CertificationError("fan region degenerate")
-    sub_div = subdivision_from_heights(region, dict(heights))
-    inside = [s for s in graph.entries if region.contains_segment(s)]
-    region_edges = sub_div.edges()
-    missing = [s for s in inside if s not in region_edges]
-    if missing:
-        raise CertificationError(f"fan heights miss edges {missing}")
-    stages = []
-    current = region
-    for batch in batches:
-        new_pts = [p for p in batch if current.side(p) < 0]
-        if new_pts:
-            current = LatticePolygon(list(current.vertices) + new_pts)
-            stages.append(current)
-    return complete_certificate(graph, poly, sub_div, allow_unbalanced_at, stages, checked=checked)
 
 
 def certify_flexible(

@@ -6,8 +6,9 @@ polygon with nonzero integer weights.  It is balanced when at every vertex
 interior to the polygon the weighted outward primitive directions cancel,
 and admissible when on top of that it embeds in a unimodular regular
 subdivision; admissibility is certified by an explicit height witness and
-the cells it induces.  ``AdmissibilityCertificate.verify`` is the one check
-of such a certificate (the ``admissible`` rule runs it once per node); it
+the cells it induces.  ``certify_admissible`` builds every certificate from
+heights on a region of the polygon, and ``AdmissibilityCertificate.verify``
+is the one check of one (the ``admissible`` rule runs it once per node); it
 decides whether the cells come from the heights with ``verify_subdivision``.
 """
 
@@ -31,9 +32,7 @@ from .subdivision import (
     HeightFunction,
     RegularSubdivision,
     extend_subdivision,
-    regularity_heights_for,
     subdivision_from_heights,
-    trivial_subdivision,
     unimodular_refinement,
     verify_subdivision,
 )
@@ -279,21 +278,6 @@ class AdmissibilityCertificate:
         return AdmissibilityCertificate(graph, poly, hf, cells, allow)
 
 
-@dataclass(frozen=True)
-class Hint:
-    """A supporting subdivision of a subregion containing the graph.
-
-    Either explicit heights (their induced subdivision is used directly) or
-    a prescribed cell complex (the exact LP supplies a witness), or both
-    (the heights must replay to the cells).  The region subdivision is then
-    extended to the full polygon and refined to a unimodular one, which
-    never destroys primitive edges already present."""
-
-    region: LatticePolygon
-    cells: tuple[LatticePolygon, ...] | None = None
-    heights: HeightFunction | None = None
-
-
 def check_certifiable(
     graph: WeightedSegmentGraph, poly: LatticePolygon, allow_unbalanced_at=frozenset()
 ) -> None:
@@ -342,43 +326,30 @@ def complete_certificate(
 def certify_admissible(
     graph: WeightedSegmentGraph,
     poly: LatticePolygon,
-    hint: Hint | None = None,
+    region: LatticePolygon,
+    heights,
     allow_unbalanced_at: frozenset[Point] = frozenset(),
+    stages=(),
     *,
     checked: dict | None = None,
 ) -> AdmissibilityCertificate:
     """Produce an admissibility certificate for a balanced weighted graph,
     or raise CertificationError; the ``admissible`` rule checks it.
-    ``checked`` goes to ``complete_certificate``.
 
-    The checker is sound but not complete: without a usable hint it only
-    tries the canonical refinement of the trivial subdivision.
+    ``heights`` (on lattice points of the two-dimensional polygon
+    ``region``) induce a regular subdivision of ``region``, which must carry
+    every graph edge inside ``region``; ``complete_certificate`` extends it
+    through ``stages`` to ``poly``, refines it and gets ``checked``.
     """
     check_certifiable(graph, poly, allow_unbalanced_at)
-    if hint is None:
-        return complete_certificate(
-            graph, poly, trivial_subdivision(poly), allow_unbalanced_at, checked=checked
-        )
-    if hint.cells:
-        hf = hint.heights
-        if hf is None:
-            needed = [s for s in graph.entries if hint.region.contains_segment(s)]
-            hf = regularity_heights_for(hint.region, hint.cells, required_edges=needed)
-            if hf is None:
-                raise CertificationError("hint complex is not regular")
-        region_sub = verify_subdivision(hint.region, hint.cells, hf)
-        if region_sub is None:
-            raise CertificationError("hint heights do not induce the hint cells")
-    elif hint.heights is not None:
-        region_sub = subdivision_from_heights(hint.region, hint.heights)
-    else:
-        raise CertificationError("empty hint")
-
-    region_edges = region_sub.edges()
-    missing = [s for s in graph.entries if s not in region_edges]
+    if region.dimension != 2:
+        raise CertificationError("height region is degenerate")
+    sub_div = subdivision_from_heights(region, heights)
+    edges = sub_div.edges()
+    missing = [s for s in graph.entries if s not in edges and region.contains_segment(s)]
     if missing:
-        raise CertificationError(f"hint does not support edges {missing}")
-    return complete_certificate(graph, poly, region_sub, allow_unbalanced_at, checked=checked)
+        raise CertificationError(f"heights miss edges {missing}")
+    return complete_certificate(graph, poly, sub_div, allow_unbalanced_at, stages, checked=checked)
 
 
 # ---------------------------------------------------------------------------

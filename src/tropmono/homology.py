@@ -33,7 +33,7 @@ from .geometry import (
     Segment,
     seg,
 )
-from .intlinalg import IntSolver, det_unimodular, mat_vec, matmul
+from .intlinalg import IntSolver, mat_vec, matmul
 from .polygons import analyze
 from .subdivision import RegularSubdivision, trivial_subdivision, unimodular_refinement
 
@@ -311,9 +311,9 @@ class SurfaceModel:
             self._b_paths[v] = path
             basis_vectors.append(self._cycle_class_raw(self._path_chain(path)))
         mat = [[basis_vectors[j][i] for j in range(len(basis_vectors))] for i in range(self.h1_rank)]
-        if not det_unimodular(mat):
-            raise AssertionError("A/B classes do not span the cellular H1")
         self._absolver = IntSolver(mat)
+        if any(abs(self._absolver.d[i][i]) != 1 for i in range(len(mat))):
+            raise AssertionError("A/B classes do not span the cellular H1")
 
     def _to_ab(self, raw: list[int]) -> list[int]:
         x = self._absolver.solve(raw)

@@ -1,6 +1,6 @@
 """Small exact integer linear algebra: Smith normal form with transformation
-matrices, integer linear solves and a unimodularity test.  Dense lists of
-ints, for the small matrices of the symplectic calculus."""
+matrices and integer linear solves.  Dense lists of ints, for the small
+matrices of the symplectic calculus."""
 
 from __future__ import annotations
 
@@ -146,13 +146,3 @@ def solve_int(a, b):
     """Some integer solution x of a x = b, or None."""
     return IntSolver(a).solve(b)
 
-
-def det_unimodular(a) -> bool:
-    """Whether a square integer matrix has determinant +-1."""
-    if not a:
-        return True
-    u, d, v = smith_normal_form(a)
-    prod = 1
-    for i in range(len(a)):
-        prod *= d[i][i]
-    return abs(prod) == 1

@@ -4,14 +4,15 @@ Two primitives work on lifted lattice points with integer arithmetic after
 clearing denominators: ``subdivision_from_heights`` computes the lower
 convex hull (gift wrapping), and ``verify_subdivision`` is the one check
 that given cells are the subdivision induced by given heights (admissibility
-certificates, the regularity LP and pulling all use it).  Gift wrapping and
-the check of non-unimodular cells find the lifted points on a plane with one
-scan, ``_touching``; unimodular triangulations, extension heights and pull
-trials are decided by local folds instead, each with its proof of agreement
-with the scan.  On top of them sit the regularity decision procedure (exact
-LP), the extension of a subdivision of a subpolygon to the whole polygon,
-unimodular refinement by pulling (integer heights on one shared scale), and
-the dual tropical curve.
+certificates and pulling use it).  Gift wrapping and the check of
+non-unimodular cells find the lifted points on a plane with one scan,
+``_touching``; unimodular triangulations, extension heights and pull trials
+are decided by local folds instead, each with its proof of agreement with
+the scan.  On top of them sit the extension of a subdivision of a
+subpolygon to the whole polygon, unimodular refinement by pulling (integer
+heights on one shared scale), and the dual tropical curve.  Every
+subdivision here comes from explicit heights; whether a prescribed cell
+complex is regular is never asked.
 """
 
 from __future__ import annotations
@@ -382,110 +383,6 @@ def _folds(poly: LatticePolygon, cells, h) -> list | None:
             if nx * qx + ny * qy + nz * h[qx, qy] <= d:
                 return None
     return planes
-
-
-# ---------------------------------------------------------------------------
-# Regularity of a prescribed complex
-# ---------------------------------------------------------------------------
-
-
-def validate_complex(poly: LatticePolygon, cells) -> list[tuple[tuple[Point, Point], list[int]]]:
-    """Light validation that the cells form a face-to-face tiling of poly;
-    returns the 1-face incidence list."""
-    cells = list(cells)
-    if sum(c.area2() for c in cells) != poly.area2():
-        raise SubdivisionError("cells do not tile the polygon (area mismatch)")
-    seen: dict[tuple[Point, Point], list[int]] = {}
-    for i, c in enumerate(cells):
-        if c.dimension != 2:
-            raise SubdivisionError("degenerate cell")
-        for a, b in c.edges():
-            key = (a, b) if a < b else (b, a)
-            seen.setdefault(key, []).append(i)
-    for (a, b), owners in seen.items():
-        if len(owners) > 2:
-            raise SubdivisionError("1-face shared by more than two cells")
-        if len(owners) == 1:
-            mid2 = (a[0] + b[0], a[1] + b[1])  # doubled midpoint
-            if poly.side((Fraction(mid2[0], 2), Fraction(mid2[1], 2))) != 0:
-                raise SubdivisionError(f"unmatched interior 1-face {(a, b)}")
-    return sorted(seen.items())
-
-
-def regularity_heights_for(
-    poly: LatticePolygon, cells, required_edges=()
-) -> HeightFunction | None:
-    """Exact-rational decision procedure for regularity of a prescribed cell
-    complex on ``poly``.
-
-    One affine function per cell, agreement on shared 1-faces, and a margin
-    variable forcing a strict convexity break across every interior 1-face;
-    the margin is maximized (capped at 1) and the complex is regular iff the
-    optimum is positive.  On success returns heights that replay to exactly
-    the given complex; on failure returns None (with a Farkas certificate
-    checked internally).  Imports the LP on first call, so a caller that
-    never asks for regularity does not load it.
-    """
-    from .linprog import solve_lp
-
-    cells = list(cells)
-    faces = validate_complex(poly, cells)
-    covered = set()
-    for c in cells:
-        for a, b in c.edges():
-            covered.update(primitive_segments_on(a, b))
-    for e in required_edges:
-        if e not in covered:
-            raise SubdivisionError(f"required edge {e} not in the complex")
-
-    k = len(cells)
-    nvar = 3 * k + 1  # (a_i, b_i, c_i) per cell plus the margin t
-    t_idx = 3 * k
-
-    def row_for(i: int, p: Point, coef=1):
-        row = [Fraction(0)] * nvar
-        row[3 * i] = Fraction(coef * p[0])
-        row[3 * i + 1] = Fraction(coef * p[1])
-        row[3 * i + 2] = Fraction(coef)
-        return row
-
-    a_eq = []
-    a_le = []
-    for (u, w), owners in faces:
-        if len(owners) != 2:
-            continue
-        i, j = owners
-        for p in (u, w):
-            row = row_for(i, p)
-            other = row_for(j, p)
-            a_eq.append(([x - y for x, y in zip(row, other)], Fraction(0)))
-        q = next(v for v in cells[j].vertices if orient(u, w, v) != 0)
-        row = row_for(i, q)
-        other = row_for(j, q)
-        le = [x - y for x, y in zip(row, other)]
-        le[t_idx] = Fraction(1)
-        a_le.append((le, Fraction(0)))
-    cap = [Fraction(0)] * nvar
-    cap[t_idx] = Fraction(1)
-    a_le.append((cap, Fraction(1)))
-    objective = [Fraction(0)] * nvar
-    objective[t_idx] = Fraction(1)
-
-    res = solve_lp(nvar, a_eq=a_eq, a_le=a_le, objective=objective)
-    if not res.feasible or res.value is None or res.value <= 0:
-        return None
-    x = res.x
-    heights: dict[Point, Fraction] = {}
-    for i, c in enumerate(cells):
-        for v in c.vertices:
-            val = x[3 * i] * v[0] + x[3 * i + 1] * v[1] + x[3 * i + 2]
-            if v in heights and heights[v] != val:
-                raise AssertionError("inconsistent LP heights at a shared vertex")
-            heights[v] = val
-    hf = HeightFunction.of(heights)
-    if verify_subdivision(poly, cells, hf) is None:
-        raise AssertionError("LP heights do not replay to the prescribed complex")
-    return hf
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ T4 = LatticePolygon([(0, 0), (4, 0), (0, 4)])
 T6 = LatticePolygon([(0, 0), (6, 0), (0, 6)])
 SQ4 = LatticePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 R4x6 = LatticePolygon([(0, 0), (4, 0), (4, 6), (0, 6)])
+SQ5 = LatticePolygon([(0, 0), (5, 0), (5, 5), (0, 5)])
 
 
 def test_acycle_axiom():
@@ -115,6 +116,7 @@ CERTIFICATE_DIGESTS = {
     "T4": "0175ff6be9485ffb32e4894a047e18ffa100299569cde0f9f326d868883159bc",
     "SQ4": "a59b0cc1fead054196fa1a7173933c85e2760e71098fcf321f9f42278d193c1f",
     "T6": "d1ef3022099391c0a8ac4bc49f05006b6cafaa5d4ae4d7d9047e49f16e8b5f20",
+    "SQ5": "96b101781591891b53a8d91756b1eff8ff61be6257d1a78b4cace4d86c0e6f68",
 }
 
 
@@ -150,6 +152,23 @@ def test_certificate_bytes_golden(name):
     report = e.derive_surjectivity()
     assert _digest(e.export_certificate()) == CERTIFICATE_DIGESTS[name]
     assert _digest(report["certificate"]) == REPORT_DIGESTS[name]
+
+
+def test_fan_recipe_certificate_bytes_golden(monkeypatch):
+    """SQ5's whole DAG is pinned as well: T3, T4, SQ4 and T6 certify every
+    graph by its line arrangement, while on SQ5 the staged fan recipe
+    certifies a graph too, so its certificates stay byte for byte."""
+    fan_certified = []
+    original = builders.certify_graph
+
+    def counted(graph, poly, allow_unbalanced_at=frozenset(), fans=None, **memo):
+        cert = original(graph, poly, allow_unbalanced_at, fans, **memo)
+        fan_certified.append(fans is not None)
+        return cert
+
+    monkeypatch.setattr(builders, "certify_graph", counted)
+    assert _digest(_derived(SQ5).export_certificate()) == CERTIFICATE_DIGESTS["SQ5"]
+    assert any(fan_certified)
 
 
 @pytest.mark.parametrize("poly", [T4, SQ4, T6, R4x6], ids=["T4", "SQ4", "T6", "R4x6"])
@@ -303,7 +322,7 @@ def test_replay_checks_each_witness_once(monkeypatch, t4_repeating):
     counted(graphs.AdmissibilityCertificate, "verify", "verify")
     # the package first: it resolves the name on first access, from the
     # module binding, which must not be a wrapper yet
-    for module in (tropmono, subdivision, graphs, builders):
+    for module in (tropmono, subdivision, graphs):
         counted(module, "subdivision_from_heights", "subdivision_from_heights")
     for module in (subdivision, graphs):
         counted(module, "verify_subdivision", "verify_subdivision")
@@ -408,14 +427,15 @@ def test_witness_memo_rejects_a_corrupted_first_copy(what, t4_repeating):
 
 
 def _count_certifications(monkeypatch) -> list:
-    """(graph entries, exemptions) of every certify_admissible call that
-    builders.certify_graph makes from now on."""
+    """(graph entries, exemptions, heights) of every certify_admissible call
+    that builders.certify_graph makes from now on: a failed arrangement
+    attempt and its fan retry are two calls on one graph."""
     calls = []
     original = builders.certify_admissible
 
-    def counted(graph, poly, hint=None, allow_unbalanced_at=frozenset(), **memo):
-        calls.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at)))
-        return original(graph, poly, hint, allow_unbalanced_at, **memo)
+    def counted(graph, poly, region, heights, allow_unbalanced_at=frozenset(), stages=(), **memo):
+        calls.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at), heights))
+        return original(graph, poly, region, heights, allow_unbalanced_at, stages, **memo)
 
     monkeypatch.setattr(builders, "certify_admissible", counted)
     return calls
@@ -424,15 +444,16 @@ def _count_certifications(monkeypatch) -> list:
 def test_certify_memo_certifies_each_graph_once(monkeypatch):
     """A T6 derivation asks for some graphs' certificates more than once
     (the leg-pair and device-pair searches meet one graph from several
-    arguments) but certifies each distinct (entries, exemptions) key once;
-    a fresh Engine certifies again, and both emit the same certificate
+    arguments) but certifies each distinct (entries, exemptions, heights)
+    key once, one per distinct request (entries, exemptions, fan plan); a
+    fresh Engine certifies again, and both emit the same certificate
     bytes."""
     calls = _count_certifications(monkeypatch)
     requests = []
     memo = Engine._certify
 
     def asked(self, graph, poly, allow_unbalanced_at=frozenset(), fans=None):
-        requests.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at)))
+        requests.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at), fans))
         return memo(self, graph, poly, allow_unbalanced_at, fans)
 
     monkeypatch.setattr(Engine, "_certify", asked)
@@ -442,7 +463,7 @@ def test_certify_memo_certifies_each_graph_once(monkeypatch):
         requests.clear()
         cert = _derived(T6).export_certificate()
         assert len(calls) == len(set(calls)) == len(set(requests)) < len(requests)
-        assert set(calls) == set(requests)
+        assert {c[:2] for c in calls} == {r[:2] for r in requests}
         runs.append((list(calls), _digest(cert)))
     assert runs[0] == runs[1]
 

@@ -8,7 +8,6 @@ from tropmono.geometry import LatticePolygon, seg
 from tropmono.graphs import (
     AdmissibilityCertificate,
     CertificationError,
-    Hint,
     WeightedSegmentGraph,
     bridges,
     bridges_at,
@@ -71,13 +70,12 @@ def test_bridges_share_interior_end_key():
     assert all(b.interior_end == (2, 1) for b in at)
 
 
-def test_certify_with_hint_and_roundtrip():
-    hint = Hint(
-        USQ,
-        (LatticePolygon([(0, 0), (1, 0), (1, 1)]), LatticePolygon([(0, 0), (1, 1), (0, 1)])),
-        HeightFunction.of({(0, 0): 0, (1, 1): 0, (1, 0): 1, (0, 1): 1}),
-    )
-    cert = certify_admissible(corner_graph(), T4, hint)
+# heights on the unit square folding along its diagonal (0, 0)-(1, 1)
+DIAGONAL_SPLIT = HeightFunction.of({(0, 0): 0, (1, 1): 0, (1, 0): 1, (0, 1): 1})
+
+
+def test_certify_from_heights_and_roundtrip():
+    cert = certify_admissible(corner_graph(), T4, USQ, DIAGONAL_SPLIT)
     assert cert.verify()
     assert all(len(c.vertices) == 3 and c.area2() == 1 for c in cert.cells)
     assert len(cert.cells) == T4.area2()
@@ -87,8 +85,33 @@ def test_certify_with_hint_and_roundtrip():
 
 def test_certify_rejects_unbalanced():
     bad = WeightedSegmentGraph({seg((0, 0), (1, 1)): 1})
-    with pytest.raises(CertificationError):
-        certify_admissible(bad, T4)
+    with pytest.raises(CertificationError, match="not balanced"):
+        certify_admissible(bad, T4, USQ, DIAGONAL_SPLIT)
+
+
+def test_certify_rejects_a_degenerate_region():
+    flat = LatticePolygon([(0, 0), (1, 1)])
+    with pytest.raises(CertificationError, match="degenerate"):
+        certify_admissible(corner_graph(), T4, flat, {(0, 0): 0, (1, 1): 0})
+
+
+def test_certify_rejects_heights_missing_an_edge_inside_the_region():
+    """Heights folding along the other diagonal miss the corner graph's
+    diagonal (0, 0)-(1, 1), which lies inside the region."""
+    other = HeightFunction.of({(0, 0): 1, (1, 1): 1, (1, 0): 0, (0, 1): 0})
+    with pytest.raises(CertificationError, match=r"miss edges \[\(\(0, 0\), \(1, 1\)\)\]"):
+        certify_admissible(corner_graph(), T4, USQ, other)
+
+
+def test_certify_leaves_edges_outside_the_region_to_the_refinement():
+    """Only the graph's edges inside the region must be edges of the
+    heights' subdivision; the corner graph's edge (1, 1)-(0, 1) leaves the
+    triangle below the diagonal, and the refinement keeps it."""
+    below = LatticePolygon([(0, 0), (1, 0), (1, 1)])
+    heights = {(0, 0): 0, (1, 0): 0, (1, 1): 0}
+    graph = corner_graph()
+    assert not all(below.contains_segment(s) for s in graph.entries)
+    assert certify_admissible(graph, T4, below, heights).verify()
 
 
 def test_snakes():

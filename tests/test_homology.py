@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import tropmono.homology
+import tropmono.intlinalg
 from tropmono.geometry import LatticePolygon, seg
 from tropmono.graphs import build_snake
 from tropmono.homology import (
@@ -93,6 +94,33 @@ def test_incoherent_face_orientation_is_rejected():
 
     with pytest.raises(AssertionError, match="orientations are incoherent"):
         Flipped(T4)
+
+
+def test_surface_model_runs_one_smith_normal_form(monkeypatch):
+    """One SNF of the 20 x 20 A/B matrix of T6 both checks that the A and B
+    classes span the cellular H1 and serves every later solve."""
+    sizes = []
+    original = tropmono.intlinalg.smith_normal_form
+
+    def counted(a):
+        sizes.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(tropmono.intlinalg, "smith_normal_form", counted)
+    SurfaceModel(LatticePolygon([(0, 0), (6, 0), (0, 6)]))
+    assert sizes == [20]
+
+
+def test_ab_classes_spanning_a_proper_sublattice_are_rejected():
+    """Doubled A and B classes span a sublattice of index 2^6 in T4's H1;
+    the SNF's diagonal shows it."""
+
+    class Doubled(SurfaceModel):
+        def _cycle_class_raw(self, chain):
+            return [2 * x for x in super()._cycle_class_raw(chain)]
+
+    with pytest.raises(AssertionError, match="do not span the cellular H1"):
+        Doubled(T4)
 
 
 def test_acycle_classes_are_basis_vectors():

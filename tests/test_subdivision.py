@@ -13,7 +13,6 @@ from tropmono.subdivision import (
     SubdivisionError,
     dual_tropical_curve,
     extend_subdivision,
-    regularity_heights_for,
     subdivision_from_heights,
     trivial_subdivision,
     unimodular_refinement,
@@ -100,37 +99,11 @@ def test_extend_identity():
     assert extend_subdivision(USQ, s) is s
 
 
-def test_regularity_lp_feasible():
-    cells = [
-        LatticePolygon([(0, 0), (1, 0), (1, 1)]),
-        LatticePolygon([(0, 0), (1, 1), (0, 1)]),
-    ]
-    hf = regularity_heights_for(USQ, cells, required_edges=[seg((0, 0), (1, 1))])
-    assert hf is not None
-    replay = subdivision_from_heights(USQ, hf)
-    assert set(replay.cells) == set(cells)
-    assert regularity_heights_for(USQ, [USQ]) is not None
-
-
-def test_mother_of_all_examples_not_regular():
-    # two nested homothetic triangles, spiral triangulation of the annulus
-    a_, b_, c_ = (0, 0), (4, 0), (0, 4)
-    x, y, z = (1, 1), (2, 1), (1, 2)
-    spiral = [
-        LatticePolygon(t)
-        for t in [
-            [a_, b_, y],
-            [a_, y, x],
-            [b_, c_, z],
-            [b_, z, y],
-            [c_, a_, x],
-            [c_, x, z],
-            [x, y, z],
-        ]
-    ]
-    poly = LatticePolygon([a_, b_, c_])
-    assert regularity_heights_for(poly, spiral) is None
-    # sanity: the pulling triangulation of the same polygon is regular
+def test_pulling_triangulation_of_nested_triangles_is_regular():
+    """The pulling refinement of the outer triangle of the mother of all
+    examples (whose spiral triangulation is not regular) is verified by
+    its own witness."""
+    poly = LatticePolygon([(0, 0), (4, 0), (0, 4)])
     r = unimodular_refinement(trivial_subdivision(poly))
     assert verify_subdivision(poly, list(r.cells), r.witness) is not None
 

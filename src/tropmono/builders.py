@@ -17,10 +17,8 @@ with breaks exactly on the lines, so they support the graph.  Given a
 targets to 1 instead, and the boundary anchors are adjoined in stages.
 
 Every builder that certifies (corner, side, propagation, gcd1, gcd2,
-gcdedges, interior, leg pair), ``device_pairs`` and ``certify_flexible``
-take a keyword-only ``certify`` with the signature of ``certify_graph``, its
-default; the Engine passes its graph-keyed memo.  The ray sweeps certify
-nothing and take no ``certify``.
+gcdedges, interior, leg pair) calls ``certify_graph`` itself, directly or
+through ``certify_flexible``; the ray sweeps certify nothing.
 
 The transfer graphs are drawn in a frame and mapped back by ``_framed``;
 the interior graphs and the engine's divisible pipelines search end-device
@@ -108,14 +106,11 @@ def certify_graph(
     poly: LatticePolygon,
     allow_unbalanced_at=frozenset(),
     fans=None,
-    *,
-    checked=None,
 ) -> AdmissibilityCertificate:
     """``certify_admissible`` from the line-arrangement heights on the
     graph's convex hull (``poly`` when the hull is flat), or from the heights
     of ``fans`` (a ``fan_plan``) on their hull, extended through one stage
-    per batch of boundary anchors that leaves the current hull.  ``checked``
-    goes to ``certify_admissible``."""
+    per batch of boundary anchors that leaves the current hull."""
     stages = []
     if fans is None:
         region = LatticePolygon(graph.vertices())
@@ -131,8 +126,7 @@ def certify_graph(
                 current = LatticePolygon(list(current.vertices) + new_pts)
                 stages.append(current)
     return certify_admissible(
-        graph, poly, region, HeightFunction.of(heights), allow_unbalanced_at, stages,
-        checked=checked,
+        graph, poly, region, HeightFunction.of(heights), allow_unbalanced_at, stages
     )
 
 
@@ -155,18 +149,18 @@ def corner_frame(poly: LatticePolygon, kappa: Point) -> UnimodularMap:
     raise ValueError(f"no polygon vertex adjacent to the adjoint vertex {kappa}")
 
 
-def _framed(poly, f, name, edges, target, exponent=1, notes=None, *, certify):
+def _framed(poly, f, name, edges, target, exponent=1, notes=None):
     """The BuildResult of a graph drawn in the frame ``f``: ``edges`` are
     (segment, weight) pairs and ``target`` a segment, in frame coordinates.
     Everything is mapped back once, the graph must balance, and it is
-    certified through ``certify``."""
+    certified by ``certify_graph``."""
     inv = f.inverse()
     graph = WeightedSegmentGraph()
     for s, m in edges:
         graph.add(inv.apply_seg(s), m)
     if check_balancing(graph, poly):
         raise AssertionError(f"{name} graph must balance")
-    cert = certify(graph, poly)
+    cert = certify_graph(graph, poly)
     return BuildResult(graph, cert, inv.apply_seg(target), exponent, notes or {})
 
 
@@ -181,9 +175,7 @@ def _closings(vertical: int, horizontal: int) -> list:
     return [(seg((0, 0), (0, -1)), vertical), (seg((0, 0), (-1, 0)), horizontal)]
 
 
-def build_corner_graph(
-    poly: LatticePolygon, kappa: Point, *, certify=certify_graph
-) -> BuildResult:
+def build_corner_graph(poly: LatticePolygon, kappa: Point) -> BuildResult:
     """Balanced graph on three bridges at an adjoint vertex whose twists are
     all isotopic; the net exponent is +1, so the composite collapses to the
     bridge twist itself."""
@@ -194,7 +186,7 @@ def build_corner_graph(
         raise ValueError(f"{kappa} is not a vertex of the adjoint")
     diagonal = seg((0, 0), (1, 1))
     edges = [(diagonal, -1), (seg((1, 1), (1, 0)), 1), (seg((1, 1), (0, 1)), 1)]
-    res = _framed(poly, corner_frame(poly, kappa), "corner", edges, diagonal, certify=certify)
+    res = _framed(poly, corner_frame(poly, kappa), "corner", edges, diagonal)
     for s in res.graph.entries:
         b = is_bridge(poly, adjoint, s)
         if b is None or b.interior_end != kappa:
@@ -228,9 +220,7 @@ def _frame_with_point_up(poly: LatticePolygon, kappa: Point, kappa_prime: Point)
     raise ValueError(f"{kappa_prime} is not next to {kappa} on the adjoint boundary")
 
 
-def build_side_graph(
-    poly: LatticePolygon, edge: tuple[Point, Point], *, certify=certify_graph
-) -> BuildResult:
+def build_side_graph(poly: LatticePolygon, edge: tuple[Point, Point]) -> BuildResult:
     """Weight-1 chain along an adjoint edge, extended one step past both
     ends to the polygon boundary."""
     adjoint = adjoint_polygon(poly)
@@ -244,7 +234,7 @@ def build_side_graph(
     if img.side((-1, 0)) != 0 or img.side((l + 1, 0)) != 0:
         raise AssertionError("chain endpoints must reach the boundary")
     chain = _run((-1, 0), (l + 1, 0), 1)
-    res = _framed(poly, f, "side", chain, chain[l][0], certify=certify)
+    res = _framed(poly, f, "side", chain, chain[l][0])
     res.notes["chain"] = tuple(res.graph.entries)  # the graph is the chain, in order
     return res
 
@@ -255,7 +245,7 @@ def build_side_graph(
 
 
 def build_propagation_graph(
-    poly: LatticePolygon, kappa: Point, kappa_prime: Point, a: int, *, certify=certify_graph
+    poly: LatticePolygon, kappa: Point, kappa_prime: Point, a: int
 ) -> BuildResult:
     """Transfer graph from a known bridge at the point next to a vertex on
     one adjoint edge to the bridge at distance ``a`` on the other edge.
@@ -277,7 +267,7 @@ def build_propagation_graph(
     horizontal, closings = _run((0, 0), (a, 0), hw), _closings(vw, hw)
     edges = [(target, 1), (seg((0, 1), (a, 0)), 1), vertical, *horizontal, known, *closings]
     notes = {"weights": {"horizontal": hw, "vertical": vw}}
-    return _framed(poly, f, "propagation", edges, target, 1, notes, certify=certify)
+    return _framed(poly, f, "propagation", edges, target, 1, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +281,6 @@ def build_gcd1_graph(
     m: int,
     l: int,
     known_toward: Point,
-    *,
-    certify=certify_graph,
 ) -> BuildResult:
     """From a known bridge at distance m on one adjoint edge at kappa,
     conclude the m/gcd(m,l)-th power at distance l on the other edge.
@@ -302,10 +290,10 @@ def build_gcd1_graph(
     with weight 1.
     """
     f, img = _frame_with_edge_on_x(poly, kappa, known_toward)
-    return _gcd_transfer(poly, f, img, m, l, "gcd1", certify)
+    return _gcd_transfer(poly, f, img, m, l, "gcd1")
 
 
-def _gcd_transfer(poly, f, img, m, l, name, certify) -> BuildResult:
+def _gcd_transfer(poly, f, img, m, l, name) -> BuildResult:
     """The gcd transfer in the frame ``f`` (image ``img`` of the polygon):
     from the bridge at (m, 0) to the bridge at (0, l), along the diagonal
     chain from (m, 0) to (0, l)."""
@@ -320,26 +308,24 @@ def _gcd_transfer(poly, f, img, m, l, name, certify) -> BuildResult:
     closings = _closings(vw, hw)
     edges = [known, (target, m // g), *runs, *_run((m, 0), (0, l), 1), *closings]
     notes = {"weights": {"horizontal": hw, "vertical": vw}}
-    return _framed(poly, f, name, edges, target, m // g, notes, certify=certify)
+    return _framed(poly, f, name, edges, target, m // g, notes)
 
 
 def build_gcd2_graphs(
-    poly: LatticePolygon, kappa: Point, m: int, known_toward: Point, *, certify=certify_graph
+    poly: LatticePolygon, kappa: Point, m: int, known_toward: Point
 ) -> tuple[BuildResult, BuildResult]:
     """The two transfer graphs of the gcd step: the first is the propagation
     graph with a = m (vertical weight -m-1, horizontal -2m), the second the
     symmetric anti-diagonal graph (all chain weights -m-1)."""
-    first = build_propagation_graph(poly, kappa, known_toward, m, certify=certify)
+    first = build_propagation_graph(poly, kappa, known_toward, m)
     # The second graph starts from the conclusion of the first (a bridge at
     # distance m on the other edge) and transfers it back to distance m on
     # the original edge; same frame as the first graph.
     f, img = _frame_with_point_up(poly, kappa, known_toward)
-    return first, _gcd_transfer(poly, f, img, m, m, "gcd2 second", certify)
+    return first, _gcd_transfer(poly, f, img, m, m, "gcd2 second")
 
 
-def build_gcdedges_graph(
-    poly: LatticePolygon, kappa: Point, toward: Point, *, certify=certify_graph
-) -> BuildResult:
+def build_gcdedges_graph(poly: LatticePolygon, kappa: Point, toward: Point) -> BuildResult:
     """Seed graph of the edge-gcd argument: from corner bridges alone it
     derives the l1-th power of the bridge at the point next to kappa on the
     other edge.  Horizontal edges carry weight -2 l1 and the foot of the
@@ -366,7 +352,7 @@ def build_gcdedges_graph(
     diagonal = (seg((lx, 0), (0, 1)), 1)
     edges = [known, (target, lx), diagonal, *horizontal, foot, *column, *closings]
     notes = {"weights": {"horizontal": hw, "vertical": vw}}
-    return _framed(poly, f, "gcdedges", edges, target, lx, notes, certify=certify)
+    return _framed(poly, f, "gcdedges", edges, target, lx, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +601,6 @@ class EndDevice:
 
     kind: str
     graph: WeightedSegmentGraph
-    legs: tuple[Segment, ...]
     ray: RaySweep | None = None
 
 
@@ -651,8 +636,7 @@ def _chain_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
                         g.add(s, c)
                 if beta:
                     g.add(br.segment, beta)
-                legs = (seg(u, add(u, e)), br.segment)
-                out.append(EndDevice("chain", g, legs))
+                out.append(EndDevice("chain", g))
     return out
 
 
@@ -689,7 +673,7 @@ def _ray_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
         for orientation in ("k'k", "kk'")
     ]
     return [
-        EndDevice("ray", rs.graph, (rs.leg1, rs.leg2), rs)
+        EndDevice("ray", rs.graph, rs)
         for rs in _cancelling_sweeps(poly, anchors, u, sigma_dir)
     ]
 
@@ -697,7 +681,7 @@ def _ray_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
 def end_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     adjoint = adjoint_polygon(poly)
     if poly.side(u) == 0:
-        return [EndDevice("none", WeightedSegmentGraph(), ())]
+        return [EndDevice("none", WeightedSegmentGraph())]
     if adjoint.dimension == 2 and adjoint.side(u) == 1:
         return _ray_devices(poly, u, sigma_dir)
     return _chain_devices(poly, u, sigma_dir)
@@ -718,7 +702,7 @@ class _Tally:
         return f"({sum(self.counts.values())} {self.noun}{': ' + why if why else ''})"
 
 
-def _certified(graph, poly, unit, tally: _Tally, sweeps, zero=(), one=(), *, certify):
+def _certified(graph, poly, unit, tally: _Tally, sweeps, zero=(), one=()):
     """The certificate of one candidate graph of a search, or None, counted
     in ``tally``, when a segment of ``unit`` lost weight one, the graph is
     unbalanced or has crossing loops, or ``certify_flexible`` (with the ray
@@ -729,15 +713,15 @@ def _certified(graph, poly, unit, tally: _Tally, sweeps, zero=(), one=(), *, cer
         outcome = "are unbalanced or have crossing loops"
     else:
         try:
-            return certify_flexible(graph, poly, sweeps, zero, one, certify=certify)
-        except (CertificationError, AssertionError) as exc:
+            return certify_flexible(graph, poly, sweeps, zero, one)
+        except CertificationError as exc:
             tally.last_error = str(exc)  # not exc: its traceback would pin these frames in a cycle
             outcome = "fail certification"
     tally.counts[outcome] += 1
     return None
 
 
-def device_pairs(poly: LatticePolygon, x: Point, w: Point, *, certify=certify_graph, keep=None):
+def device_pairs(poly: LatticePolygon, x: Point, w: Point, *, keep=None):
     """The certified graphs made of the weight-one chain [x, w] and one end
     device at each end, in search order: yields (device at x, device at w,
     graph, certificate).  Pairs that ``keep`` (if given) rejects are
@@ -757,15 +741,13 @@ def device_pairs(poly: LatticePolygon, x: Point, w: Point, *, certify=certify_gr
             zero = [p for p in lattice_points_on_segment(x, w) + ends if poly.side(p) != 0]
             one = [p for p in dict.fromkeys(ends) if poly.side(p) == 0]
             sweeps = [dev.ray for dev in (dx, dw) if dev.ray is not None]
-            cert = _certified(graph, poly, pieces, tally, sweeps, zero, one, certify=certify)
+            cert = _certified(graph, poly, pieces, tally, sweeps, zero, one)
             if cert is not None:
                 yield dx, dw, graph, cert
     return f"{tally.last_error or 'no end-device pair reached certification'} {tally}"
 
 
-def build_interior_graph(
-    poly: LatticePolygon, sigma: Segment, *, certify=certify_graph
-) -> BuildResult:
+def build_interior_graph(poly: LatticePolygon, sigma: Segment) -> BuildResult:
     """Admissible graph containing a given primitive segment with weight one,
     balanced by end devices; the segment's twist is peeled off it once the
     device legs have facts.
@@ -778,7 +760,7 @@ def build_interior_graph(
     if poly.side(v) == 0 and poly.side(w) == 0:
         raise ValueError("both ends on the polygon boundary")
     try:
-        dv, dw, graph, cert = next(device_pairs(poly, v, w, certify=certify))
+        dv, dw, graph, cert = next(device_pairs(poly, v, w))
     except StopIteration as done:
         raise CertificationError(
             f"no interior configuration for {sigma}: {done.value}"
@@ -798,8 +780,6 @@ def build_leg_pair(
     u: Point,
     orientation: str,
     which: int,
-    *,
-    certify=certify_graph,
 ):
     """The balanced pairs deriving the twist of leg ``which`` (1: toward the
     leg target, 2: the first chain segment) of the sweep G at u, in search
@@ -813,15 +793,15 @@ def build_leg_pair(
     main = build_ray_sweep(poly, kappa, kappa_prime, u, m1, m2, orientation)
     target = main.leg1 if which == 1 else main.leg2
     recurse = main.chain[1] if which == 2 and len(main.chain) > 2 else None
-    pairs = [_pair_anchors(adjoint, kappa, kappa_prime, orientation)] + [
+    pairs = dict.fromkeys([_pair_anchors(adjoint, kappa, kappa_prime, orientation)] + [
         (x, xp) for x in adjoint.vertices for xp in neighbors_on_boundary(adjoint, x)
-    ]
+    ])
     anchors = [(*pair, co) for pair in pairs if pair != (kappa, kappa_prime)
                for co in ("kk'", "k'k")]
     tally = _Tally("companions", "change the target's weight")
     for companion in _cancelling_sweeps(poly, anchors, u, seg_dir_from(target, u)):
         graph = main.graph.union(companion.graph)
-        cert = _certified(graph, poly, [target], tally, [main, companion], certify=certify)
+        cert = _certified(graph, poly, [target], tally, [main, companion])
         if cert is not None:
             yield BuildResult(graph, cert, target, 1, {"recurse": recurse, "companion": companion})
     return (f"no companion for leg {which} of sweep at {u}: "
@@ -856,19 +836,18 @@ def certify_flexible(
     zero_points=(),
     one_points=(),
     allow_unbalanced_at=frozenset(),
-    *,
-    certify=certify_graph,
 ) -> AdmissibilityCertificate:
-    """Try the line-arrangement recipe, then the staged fan recipe, both
-    through ``certify``."""
+    """Try the line-arrangement recipe of ``certify_graph``, then its staged
+    fan recipe.  Only a ``CertificationError`` moves on to the next recipe:
+    an ``AssertionError`` is a broken invariant and propagates."""
     try:
-        return certify(graph, poly, allow_unbalanced_at)
-    except (CertificationError, AssertionError) as first:
+        return certify_graph(graph, poly, allow_unbalanced_at)
+    except CertificationError as first:
         if not sweeps and not one_points:
             raise
         try:
-            return certify(
+            return certify_graph(
                 graph, poly, allow_unbalanced_at, fans=fan_plan(sweeps, zero_points, one_points)
             )
-        except (CertificationError, AssertionError):
+        except CertificationError:
             raise first

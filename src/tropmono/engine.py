@@ -140,9 +140,9 @@ class RuleContext:
     witness checked so far to the edge set of the unimodular subdivision
     they were verified to form, or to None for a rejection; it lives as long
     as the context, that is one derivation or one replay.  In a derivation
-    ``Engine._certify`` passes it to ``complete_certificate``, which enters
-    each witness that the refinement verified, so the ``admissible`` rule
-    does not verify it a second time.  Replay stays
+    a certificate whose witness the refinement verified carries that
+    witness's edges (``verified_edges``), which ``verify`` enters here, so
+    the ``admissible`` rule does not verify it a second time.  Replay stays
     sound: the key is the whole decoded witness and ``verify_subdivision``
     is a pure function of it, so a witness that differs in any height or
     cell is checked on its own, and the graph's containment in the cells and
@@ -402,22 +402,7 @@ _ANCHOR_ROUNDS = 3
 class Engine:
     """Fact store plus rule applications over a fixed smooth polygon.  A
     builder's graph yields its target's fact through ``peel``, which reads
-    the deduction off the composite; the builders write no plans.
-
-    One memo lives as long as the Engine, that is one derivation: ``_certs``
-    maps (the graph's entries as a frozenset, polygon,
-    ``allow_unbalanced_at`` as a frozenset, fan plan or None) to the
-    certificate ``builders.certify_graph`` gives, or to the
-    ``CertificationError`` it raised.  The leg-pair and device-pair searches
-    meet one union graph from several arguments, and ``_certify`` is the
-    ``certify`` every builder is given.  A certification that raises
-    ``CertificationError`` raises it again on every later request.
-    Certificates stay byte-identical: ``certify_graph`` is a pure function
-    of the key (the region and heights come from the graph's entries and
-    the fan plan alone), so a hit equals what a fresh call would return or
-    raise, and every use still peels through the rule kernel, which emits
-    its nodes and verifies every ``admissible`` node.  No caller mutates a
-    memoized certificate."""
+    the deduction off the composite; the builders write no plans."""
 
     def __init__(self, poly: LatticePolygon):
         self.poly = poly
@@ -428,7 +413,6 @@ class Engine:
         # (flavor, key) -> (exponent, node_id); exponents are positive ideal
         # generators, tightened by gcd as new facts arrive
         self.facts: dict[tuple, tuple[int, int]] = {}
-        self._certs: dict[tuple, AdmissibilityCertificate | CertificationError] = {}
 
     # -- infrastructure ------------------------------------------------------
 
@@ -443,40 +427,11 @@ class Engine:
         return node.id
 
     def _build(self, name: str, *args):
-        """``builders.<name>(self.poly, *args)``, certified through
-        ``_certify``.  The builder is looked up at call time, so a rebound
-        one is honoured."""
+        """``builders.<name>(self.poly, *args)``.  The builder is looked up
+        at call time, so a rebound one is honoured."""
         from . import builders
 
-        return getattr(builders, name)(self.poly, *args, certify=self._certify)
-
-    def _certify(
-        self,
-        graph: WeightedSegmentGraph,
-        poly: LatticePolygon,
-        allow_unbalanced_at=frozenset(),
-        fans=None,
-    ) -> AdmissibilityCertificate:
-        """``builders.certify_graph``, run once per distinct graph, polygon,
-        exemption set and fan plan; a ``CertificationError`` is stored and
-        raised again (as a new instance of the same type and message).
-        Looked up at call time, so a rebound one is honoured."""
-        from . import builders
-
-        key = (frozenset(graph.entries.items()), poly, frozenset(allow_unbalanced_at), fans)
-        cert = self._certs.get(key)
-        if cert is None:
-            try:
-                cert = self._certs[key] = builders.certify_graph(
-                    graph, poly, allow_unbalanced_at, fans, checked=self.ctx.witnesses
-                )
-            except CertificationError as exc:
-                # a copy without traceback: the raised one's frames hold self
-                self._certs[key] = type(exc)(*exc.args)
-                raise
-        elif isinstance(cert, CertificationError):
-            raise type(cert)(*cert.args)
-        return cert
+        return getattr(builders, name)(self.poly, *args)
 
     def _apply_single(self, rule: str, params: dict, premises: list[int]) -> int:
         """Apply a rule concluding a single fact and enter it in the store."""
@@ -866,25 +821,25 @@ class Engine:
 
     # -- ray-sweep leg facts ----------------------------------------------------
 
-    def ensure_leg_facts(self, rs: "builders.RaySweep", flavor) -> None:
+    def ensure_leg_facts(self, rs: "builders.RaySweep", flavor, depth=0) -> None:
         for which, legseg in ((1, rs.leg1), (2, rs.leg2)):
             if self.fact(flavor, self.key_of(legseg)) is not None:
                 continue
-            self.derive_leg(rs.kappa, rs.kappa_prime, rs.v, rs.orientation, which, flavor)
+            self.derive_leg(rs.kappa, rs.kappa_prime, rs.v, rs.orientation, which, flavor, depth)
 
     def derive_leg(
         self, kappa, kappa_prime, u, orientation, which, flavor, depth=0
     ) -> int:
         """The fact for leg ``which`` of the sweep at u, from the first of
         ``builders.build_leg_pair``'s certified pairs whose union peels.  A
-        pair that does not peel leaves no node and no fact behind."""
+        pair that holds the sweep's tail first gets the tail sweep's legs
+        through ``ensure_leg_facts``, which skips a leg with a stored fact.
+        A pair that does not peel leaves no node and no fact behind."""
         from . import builders
 
         if depth > 64:
             raise DerivationError("diamond", "leg recursion too deep")
-        pairs = builders.build_leg_pair(
-            self.poly, kappa, kappa_prime, u, orientation, which, certify=self._certify
-        )
+        pairs = builders.build_leg_pair(self.poly, kappa, kappa_prime, u, orientation, which)
         last = None
         while True:
             try:
@@ -894,10 +849,10 @@ class Engine:
                 raise DerivationError("diamond", why) from None
             recurse = build.notes["recurse"]
             if last is None and recurse is not None:  # the same for every pair: once
-                for sub_which in (1, 2):
-                    self.derive_leg(
-                        kappa, kappa_prime, recurse, orientation, sub_which, flavor, depth + 1
-                    )
+                tail = builders.build_ray_sweep(
+                    self.poly, kappa, kappa_prime, recurse, 1, 1, orientation
+                )
+                self.ensure_leg_facts(tail, flavor, depth + 1)
             try:
                 return self._peel_or_undo(build.certificate, build.target, flavor)
             except DerivationError as exc:
@@ -1091,9 +1046,9 @@ class Engine:
         return out
 
     def _device_pairs(self, x: Point, w: Point, also=None):
-        """``builders.device_pairs`` for the chain [x, w], certified through
-        ``_certify``, keeping only device pairs that pass ``also`` (if given)
-        and overlap neither the chain nor each other."""
+        """``builders.device_pairs`` for the chain [x, w], keeping only
+        device pairs that pass ``also`` (if given) and overlap neither the
+        chain nor each other."""
         from . import builders
 
         pieces = primitive_segments_on(x, w)
@@ -1105,7 +1060,7 @@ class Engine:
                 return False
             return not any(dx.graph.weight(s) for s in dw.graph.entries)
 
-        return builders.device_pairs(self.poly, x, w, certify=self._certify, keep=keep)
+        return builders.device_pairs(self.poly, x, w, keep=keep)
 
     def _chain_chase(self, u: Point, w: Point, sigma: Segment, flavor) -> int:
         """The fact for sigma from the weight-one chain [u, w] through it,
@@ -1224,7 +1179,7 @@ class Engine:
         if check_balancing(union, self.poly) or not union.loops_pairwise_disjoint():
             return None
         try:
-            cert = builders.certify_flexible(union, self.poly, [tsweep], certify=self._certify)
+            cert = builders.certify_flexible(union, self.poly, [tsweep])
         except (CertificationError, AssertionError):
             return None
         rea = self.axiom_rea(cert, flavor)

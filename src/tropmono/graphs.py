@@ -14,7 +14,7 @@ decides whether the cells come from the heights with ``verify_subdivision``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import (
     LatticePolygon,
@@ -224,13 +224,19 @@ class AdmissibilityCertificate:
 
     ``unbalanced_ok`` lists vertices exempt from the balancing check; the
     one-sided ray-sweep graphs are unbalanced at their seed point by
-    construction and only their balanced unions enter the deduction rules."""
+    construction and only their balanced unions enter the deduction rules.
+
+    ``verified_edges`` is the edge set of the subdivision the witness and
+    cells form, when ``complete_certificate`` has just verified them with
+    ``verify_subdivision``; it is never encoded, so a decoded certificate
+    has None there."""
 
     graph: WeightedSegmentGraph
     polygon: LatticePolygon
     witness: HeightFunction
     cells: tuple[LatticePolygon, ...]
     unbalanced_ok: tuple[Point, ...] = ()
+    verified_edges: set[Segment] | None = field(default=None, compare=False, repr=False)
 
     def verify(self, checked: dict | None = None) -> bool:
         """The one check of a certificate: the witness induces exactly
@@ -241,10 +247,13 @@ class AdmissibilityCertificate:
 
         ``checked`` memoizes the witness part across certificates: it maps
         (polygon, witness, cells) to the edges of the unimodular subdivision
-        they form, or to None; the graph is checked against them each time."""
+        they form, or to None; the graph is checked against them each time.
+        A key it lacks is taken from ``verified_edges`` when that is set."""
         key = (self.polygon, self.witness, self.cells)
         if checked is None:
             checked = {}
+        elif key not in checked and self.verified_edges is not None:
+            checked[key] = self.verified_edges
         edges = checked.get(key, False)
         if edges is False:
             sub_div = verify_subdivision(self.polygon, self.cells, self.witness)
@@ -297,18 +306,16 @@ def complete_certificate(
     sub_div: RegularSubdivision,
     allow_unbalanced_at=frozenset(),
     stages=(),
-    *,
-    checked: dict | None = None,
 ) -> AdmissibilityCertificate:
     """Extend a subdivision carrying the graph through the polygons
     ``stages`` to ``poly``, refine it to a unimodular one and check that no
     graph edge was lost.
 
     When the refinement pulled, it ended by verifying its witness with
-    ``verify_subdivision``; the witness then goes into ``checked`` (the memo
-    of ``AdmissibilityCertificate.verify``), so the ``admissible`` rule of
-    the same derivation does not verify it again.  A subdivision that was
-    unimodular already has not been verified and is not entered."""
+    ``verify_subdivision``; its edges then go into the certificate's
+    ``verified_edges``, so the ``admissible`` rule of the same derivation
+    does not verify the witness again.  A subdivision that was unimodular
+    already has not been verified and leaves ``verified_edges`` None."""
     for stage in (*stages, poly):
         sub_div = extend_subdivision(stage, sub_div)
     refined = unimodular_refinement(sub_div)
@@ -316,10 +323,9 @@ def complete_certificate(
     lost = [s for s in graph.entries if s not in refined_edges]
     if lost:
         raise CertificationError(f"refinement lost edges {lost}")
-    if checked is not None and refined is not sub_div:
-        checked[(poly, refined.witness, refined.cells)] = refined_edges
     return AdmissibilityCertificate(
-        graph, poly, refined.witness, refined.cells, tuple(sorted(allow_unbalanced_at))
+        graph, poly, refined.witness, refined.cells, tuple(sorted(allow_unbalanced_at)),
+        refined_edges if refined is not sub_div else None,
     )
 
 
@@ -330,8 +336,6 @@ def certify_admissible(
     heights,
     allow_unbalanced_at: frozenset[Point] = frozenset(),
     stages=(),
-    *,
-    checked: dict | None = None,
 ) -> AdmissibilityCertificate:
     """Produce an admissibility certificate for a balanced weighted graph,
     or raise CertificationError; the ``admissible`` rule checks it.
@@ -339,7 +343,7 @@ def certify_admissible(
     ``heights`` (on lattice points of the two-dimensional polygon
     ``region``) induce a regular subdivision of ``region``, which must carry
     every graph edge inside ``region``; ``complete_certificate`` extends it
-    through ``stages`` to ``poly``, refines it and gets ``checked``.
+    through ``stages`` to ``poly`` and refines it.
     """
     check_certifiable(graph, poly, allow_unbalanced_at)
     if region.dimension != 2:
@@ -349,7 +353,7 @@ def certify_admissible(
     missing = [s for s in graph.entries if s not in edges and region.contains_segment(s)]
     if missing:
         raise CertificationError(f"heights miss edges {missing}")
-    return complete_certificate(graph, poly, sub_div, allow_unbalanced_at, stages, checked=checked)
+    return complete_certificate(graph, poly, sub_div, allow_unbalanced_at, stages)
 
 
 # ---------------------------------------------------------------------------

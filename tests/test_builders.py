@@ -6,8 +6,9 @@ import sys
 import pytest
 
 import tropmono
+from tropmono import builders
 from tropmono.geometry import LatticePolygon, add, neg, seg, smul, sub
-from tropmono.graphs import WeightedSegmentGraph, check_balancing, residual
+from tropmono.graphs import CertificationError, WeightedSegmentGraph, check_balancing, residual
 from tropmono.polygons import adjoint_polygon, neighbors_on_boundary
 from tropmono.builders import (
     build_corner_graph,
@@ -184,6 +185,46 @@ def test_leg_pairs():
     lp2 = next(build_leg_pair(T6, (1, 1), (1, 2), (2, 2), "kk'", 2))
     assert lp2.target == seg((1, 1), (2, 2))
     assert lp2.certificate.verify()
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_leg_pair_builds_each_companion_anchor_once(monkeypatch, which):
+    """The preferred companion anchors come first and are not tried again
+    among the other (vertex, boundary neighbour) pairs of the adjoint."""
+    tried = []
+    original = builders.cancelling_sweep
+
+    def counted(poly, anchors, u, r):
+        tried.append(anchors)
+        return original(poly, anchors, u, r)
+
+    monkeypatch.setattr(builders, "cancelling_sweep", counted)
+    pairs = build_leg_pair(T6, (1, 1), (1, 2), (2, 2), "kk'", which)
+    while True:
+        try:
+            next(pairs)
+        except StopIteration:
+            break
+    preferred = builders._pair_anchors(adjoint_polygon(T6), (1, 1), (1, 2), "kk'")
+    assert tried[0][:2] == preferred
+    assert len(tried) == len(set(tried)) > 2
+
+
+@pytest.mark.parametrize("fan_fails", [False, True], ids=["arrangement", "fan"])
+def test_certify_flexible_lets_an_invariant_failure_through(monkeypatch, fan_fails):
+    """Only a CertificationError moves on to the next recipe; an
+    AssertionError from either recipe is a broken invariant and
+    propagates."""
+    rs = build_ray_sweep(T6, (1, 1), (1, 2), (2, 2), 1, 1, "kk'")
+
+    def broken(graph, poly, allow_unbalanced_at=frozenset(), fans=None):
+        if fans is None and fan_fails:
+            raise CertificationError("heights miss edges")
+        raise AssertionError("pulling left a fat cell")
+
+    monkeypatch.setattr(builders, "certify_graph", broken)
+    with pytest.raises(AssertionError, match="fat cell"):
+        certify_flexible(rs.graph, T6, [rs], allow_unbalanced_at=frozenset({(2, 2)}))
 
 
 def test_no_library_module_uses_assert():

@@ -33,6 +33,7 @@ T6 = LatticePolygon([(0, 0), (6, 0), (0, 6)])
 SQ4 = LatticePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 R4x6 = LatticePolygon([(0, 0), (4, 0), (4, 6), (0, 6)])
 SQ5 = LatticePolygon([(0, 0), (5, 0), (5, 5), (0, 5)])
+R5x7 = LatticePolygon([(0, 0), (5, 0), (5, 7), (0, 7)])
 
 
 def test_acycle_axiom():
@@ -161,8 +162,8 @@ def test_fan_recipe_certificate_bytes_golden(monkeypatch):
     fan_certified = []
     original = builders.certify_graph
 
-    def counted(graph, poly, allow_unbalanced_at=frozenset(), fans=None, **memo):
-        cert = original(graph, poly, allow_unbalanced_at, fans, **memo)
+    def counted(graph, poly, allow_unbalanced_at=frozenset(), fans=None):
+        cert = original(graph, poly, allow_unbalanced_at, fans)
         fan_certified.append(fans is not None)
         return cert
 
@@ -426,114 +427,6 @@ def test_witness_memo_rejects_a_corrupted_first_copy(what, t4_repeating):
         replay_certificate(cert)
 
 
-def _count_certifications(monkeypatch) -> list:
-    """(graph entries, exemptions, heights) of every certify_admissible call
-    that builders.certify_graph makes from now on: a failed arrangement
-    attempt and its fan retry are two calls on one graph."""
-    calls = []
-    original = builders.certify_admissible
-
-    def counted(graph, poly, region, heights, allow_unbalanced_at=frozenset(), stages=(), **memo):
-        calls.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at), heights))
-        return original(graph, poly, region, heights, allow_unbalanced_at, stages, **memo)
-
-    monkeypatch.setattr(builders, "certify_admissible", counted)
-    return calls
-
-
-def test_certify_memo_certifies_each_graph_once(monkeypatch):
-    """A T6 derivation asks for some graphs' certificates more than once
-    (the leg-pair and device-pair searches meet one graph from several
-    arguments) but certifies each distinct (entries, exemptions, heights)
-    key once, one per distinct request (entries, exemptions, fan plan); a
-    fresh Engine certifies again, and both emit the same certificate
-    bytes."""
-    calls = _count_certifications(monkeypatch)
-    requests = []
-    memo = Engine._certify
-
-    def asked(self, graph, poly, allow_unbalanced_at=frozenset(), fans=None):
-        requests.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at), fans))
-        return memo(self, graph, poly, allow_unbalanced_at, fans)
-
-    monkeypatch.setattr(Engine, "_certify", asked)
-    runs = []
-    for _ in range(2):
-        calls.clear()
-        requests.clear()
-        cert = _derived(T6).export_certificate()
-        assert len(calls) == len(set(calls)) == len(set(requests)) < len(requests)
-        assert {c[:2] for c in calls} == {r[:2] for r in requests}
-        runs.append((list(calls), _digest(cert)))
-    assert runs[0] == runs[1]
-
-
-def test_certify_memo_keys_weights_and_exemptions(monkeypatch):
-    """Graphs on the same segments with other weights, and one graph with
-    another exemption set, are certified separately."""
-    calls = _count_certifications(monkeypatch)
-    e = Engine(T4)
-    g = builders.build_corner_graph(T4, (1, 1)).graph
-    doubled = g.scaled(2)
-    assert set(doubled.entries) == set(g.entries)
-    calls.clear()
-    assert e._certify(g, T4).graph == g
-    assert e._certify(doubled, T4).graph == doubled
-    assert e._certify(g, T4, frozenset({(1, 1)})).unbalanced_ok == ((1, 1),)
-    assert e._certify(g, T4).unbalanced_ok == ()
-    assert len(calls) == 3
-
-
-def test_certify_memo_stores_failures(monkeypatch):
-    """A certification that raises CertificationError runs once: every later
-    request raises the same error again, for either recipe.  The memo keeps
-    a copy without the traceback, whose frames would hold the Engine."""
-    runs = []
-
-    def failing(graph, poly, allow_unbalanced_at=frozenset(), fans=None, **memo):
-        runs.append(fans)
-        raise graphs.CertificationError(f"attempt with fans={fans!r} fails")
-
-    monkeypatch.setattr(builders, "certify_graph", failing)
-    e = Engine(T4)
-    g = builders.build_corner_graph(T4, (1, 1)).graph
-    plan = builders.fan_plan([], [(0, 0), (1, 1)], [(2, 0)])
-    for fans in (None, plan):
-        errors = []
-        for _ in range(3):
-            with pytest.raises(graphs.CertificationError) as info:
-                e._certify(g, T4, fans=fans)
-            errors.append(info.value)
-        assert {(type(err), str(err)) for err in errors} == {
-            (graphs.CertificationError, f"attempt with fans={fans!r} fails")
-        }
-    stored = [v for v in e._certs.values() if isinstance(v, graphs.CertificationError)]
-    assert len(stored) == 2 and all(err.__traceback__ is None for err in stored)
-    assert runs == [None, plan]
-
-
-def test_certify_memo_runs_each_failing_certification_once_on_t6(monkeypatch):
-    """The T6 derivation asks again for certifications that failed (one
-    union graph from several leg-pair arguments, and its staged fan
-    fallbacks); each distinct request runs once."""
-    runs = []
-    original = builders.certify_graph
-
-    def counted(graph, poly, allow_unbalanced_at=frozenset(), fans=None, **memo):
-        try:
-            return original(graph, poly, allow_unbalanced_at, fans, **memo)
-        except graphs.CertificationError:
-            runs.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at), fans))
-            raise
-
-    monkeypatch.setattr(builders, "certify_graph", counted)
-    e = Engine(T6)
-    e.derive_surjectivity()
-    failed = [k for k, v in e._certs.items() if isinstance(v, graphs.CertificationError)]
-    assert len(runs) == len(set(runs)) == len(failed) >= 2
-    assert any(fans is not None for _, _, fans in runs)
-
-
 def test_derivation_verifies_each_witness_once(monkeypatch):
     """The refinement verifies the witness it builds, and the admissible
     rule of the same derivation finds it checked; replay still verifies
@@ -561,15 +454,59 @@ def test_derivation_verifies_each_witness_once(monkeypatch):
     assert len(seen) == len(set(seen)) == len(witnesses)
 
 
+def test_verified_edges_stay_out_of_the_certificate_bytes(monkeypatch):
+    """The edges the refinement verified ride on the derived certificate
+    only: a certificate decoded from its JSON has none, and it compares
+    equal to the derived one, whose witness-memo key hashes the same."""
+    derived = []
+    original = builders.certify_graph
+
+    def kept(graph, poly, allow_unbalanced_at=frozenset(), fans=None):
+        cert = original(graph, poly, allow_unbalanced_at, fans)
+        derived.append(cert)
+        return cert
+
+    monkeypatch.setattr(builders, "certify_graph", kept)
+    _derived(T4)
+    pulled = [c for c in derived if c.verified_edges is not None]
+    assert pulled
+    for cert in pulled:
+        decoded = graphs.AdmissibilityCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+        assert decoded.verified_edges is None
+        assert decoded == cert and repr(decoded) == repr(cert)
+        key = (cert.polygon, cert.witness, cert.cells)
+        assert hash((decoded.polygon, decoded.witness, decoded.cells)) == hash(key)
+        assert decoded.verify() and cert.verify()
+
+
+def test_leg_recursion_skips_legs_with_a_fact(monkeypatch):
+    """R5x7 has leg-2 sweeps of more than one step, whose tail legs are
+    derived first; a tail leg that already has a fact is not derived again
+    (the recursion re-derived 3 such legs on R5x7, 48 nodes)."""
+    entered = []
+    original = Engine.derive_leg
+
+    def checked(self, kappa, kappa_prime, u, orientation, which, flavor, depth=0):
+        rs = builders.build_ray_sweep(self.poly, kappa, kappa_prime, u, 1, 1, orientation)
+        leg = rs.leg1 if which == 1 else rs.leg2
+        entered.append((depth, self.fact(flavor, self.key_of(leg)) is not None))
+        return original(self, kappa, kappa_prime, u, orientation, which, flavor, depth)
+
+    monkeypatch.setattr(Engine, "derive_leg", checked)
+    e = _derived(R5x7)
+    assert any(depth > 0 for depth, _ in entered)
+    assert not any(stored for _, stored in entered)
+    assert replay_certificate(e.export_certificate())
+
+
 def test_engine_is_freed_without_the_cycle_collector():
-    """A T6 derivation, whose memo stores failed certifications, leaves no
+    """A T6 derivation, whose searches meet failed certifications, leaves no
     reference cycle through the Engine: it is freed as soon as it is
     dropped, so repeated derivations do not pile up until a collection."""
     gc.disable()
     try:
         e = Engine(T6)
         e.derive_surjectivity()
-        assert any(isinstance(v, graphs.CertificationError) for v in e._certs.values())
         ref = weakref.ref(e)
         del e
         assert ref() is None

@@ -689,10 +689,12 @@ def end_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
 
 class _Tally:
     """The rejected candidates of one search (``noun``) counted by outcome,
-    in the order of the checks, and the last certification error."""
+    in the order of the checks, the last certification error, and the
+    search's failed certification requests for ``certify_flexible``."""
 
     def __init__(self, noun: str, unit_weights: str, *earlier: str):
         self.noun, self.unit_weights, self.last_error = noun, unit_weights, None
+        self.failed: dict[tuple, str] = {}
         self.counts = dict.fromkeys(
             (*earlier, unit_weights, "are unbalanced or have crossing loops", "fail certification"), 0
         )
@@ -713,7 +715,7 @@ def _certified(graph, poly, unit, tally: _Tally, sweeps, zero=(), one=()):
         outcome = "are unbalanced or have crossing loops"
     else:
         try:
-            return certify_flexible(graph, poly, sweeps, zero, one)
+            return certify_flexible(graph, poly, sweeps, zero, one, failed=tally.failed)
         except CertificationError as exc:
             tally.last_error = str(exc)  # not exc: its traceback would pin these frames in a cycle
             outcome = "fail certification"
@@ -836,18 +838,34 @@ def certify_flexible(
     zero_points=(),
     one_points=(),
     allow_unbalanced_at=frozenset(),
+    failed=None,
 ) -> AdmissibilityCertificate:
     """Try the line-arrangement recipe of ``certify_graph``, then its staged
     fan recipe.  Only a ``CertificationError`` moves on to the next recipe:
-    an ``AssertionError`` is a broken invariant and propagates."""
+    an ``AssertionError`` is a broken invariant and propagates.
+
+    ``failed``, one search's own dict, maps each request (graph entries,
+    exemptions, fan plan) that failed in that search to its message; such a
+    request fails again with that message and is not certified again.
+    Certification is deterministic, so that is the error it would raise."""
+    failed = {} if failed is None else failed
+
+    def attempt(fans=None):
+        key = (frozenset(graph.entries.items()), frozenset(allow_unbalanced_at), fans)
+        if key in failed:
+            raise CertificationError(failed[key])
+        try:
+            return certify_graph(graph, poly, allow_unbalanced_at, fans)
+        except CertificationError as exc:
+            failed[key] = str(exc)
+            raise
+
     try:
-        return certify_graph(graph, poly, allow_unbalanced_at)
+        return attempt()
     except CertificationError as first:
         if not sweeps and not one_points:
             raise
         try:
-            return certify_graph(
-                graph, poly, allow_unbalanced_at, fans=fan_plan(sweeps, zero_points, one_points)
-            )
+            return attempt(fan_plan(sweeps, zero_points, one_points))
         except CertificationError:
             raise first

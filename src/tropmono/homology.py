@@ -9,7 +9,14 @@ explicit CW structure built from the canonical unimodular triangulation,
 kept as sparse edge ends and face columns; no boundary matrix is formed)
 and through the symplectic calculus (A-classes are the circles, B-classes
 are doubles of lattice paths to the boundary; a segment double has no
-A-part and its B-coordinates are carried by its interior endpoints).  The
+A-part and its B-coordinates are carried by its interior endpoints).
+
+The cellular class map is linear, so one leaves-to-root pass over the
+cotree tabulates the class of every cw edge, and a chain's class is the
+sum of its edges' classes.  One Smith normal form shows that the A and B
+classes form a basis; each segment double is then checked against
++-(B_head - B_tail) in cellular coordinates, which, coordinates in a basis
+being unique, is the symplectic rule itself, with no solve per edge.  The
 cross-checks raise AssertionError explicitly, so they also hold under
 ``python -O``.
 Dehn twists act by Picard-Lefschetz transvections.
@@ -18,7 +25,9 @@ Orders of twist groups mod a prime p come from a deterministic
 Schreier-Sims on the action on row vectors over F_p, with the standard
 basis as base (Seress, *Permutation Group Algorithms*, CUP 2003, ch. 4);
 no group element list is kept, and each row vector is one int with its
-entries in fixed-width bit slots.  Standard library only.
+entries in fixed-width bit slots.  An element of the stabilizer of
+e_0..e_i is formed and sifted on its rows i+1.. only, the others being
+e_0..e_i.  Standard library only.
 """
 
 from __future__ import annotations
@@ -33,7 +42,8 @@ from .geometry import (
     Segment,
     seg,
 )
-from .intlinalg import IntSolver, mat_vec, matmul
+from . import intlinalg
+from .intlinalg import mat_vec, matmul
 from .polygons import analyze
 from .subdivision import RegularSubdivision, trivial_subdivision, unimodular_refinement
 
@@ -187,9 +197,9 @@ class SurfaceModel:
         BFS in index order; L holds the leftover edges, and |L| = E - (V-1)
         - (F-1) = 2 - chi = 2g.  Every edge lies on exactly two faces with
         coefficient +-1, so a cycle z has unique face coefficients c with
-        c = 0 at the root of C that clear z' = z - d(c) on every C-edge:
-        one pass from the root to the leaves, in integers.  Then z -> z'|L
-        is an isomorphism H1 -> Z^L:
+        c = 0 at the root of C that clear z' = z - d(c) on every C-edge
+        (fix them root to leaves, each face from the C-edge to its parent).
+        Then z -> z'|L is an isomorphism H1 -> Z^L:
 
         - well defined: it is linear, and faces are coherently oriented
           (sum of d(f) = 0), so for z = d(w) the coefficients are
@@ -202,6 +212,20 @@ class SurfaceModel:
         So H1 is free of rank 2g, with no torsion or rank check.  Checked
         here: closed faces, coherent orientation (every edge on exactly two
         faces, with coefficients +1 and -1) and both trees spanning.
+
+        The map is linear in z, so it is tabulated once per cw edge j, as
+        the image of the one-edge chain e_j, in one pass from the leaves of
+        C to its root:
+
+        - j in L: no C-edge is touched, c = 0, and the image is e_j;
+        - j in T: likewise c = 0, and the image is 0;
+        - j the C-edge from face f to its parent, with coefficient s in f:
+          clearing j sets c_f = s; each child f' of f, across a C-edge k,
+          then gets c_f' = -s * d(f)_k * d(f')_k = s, since coherent
+          orientation makes d(f)_k d(f')_k = -1; faces outside f's subtree
+          keep c = 0.  So the image is -s * (the boundary of f's subtree)
+          restricted to L, and that boundary is d(f) plus the boundaries of
+          the children's subtrees.
         """
         ends, faces = self._ends, self._faces
         on_edge: list[list[tuple[int, int]]] = [[] for _ in ends]  # (face, coefficient)
@@ -213,19 +237,31 @@ class SurfaceModel:
         for j, fc in enumerate(on_edge):
             if sorted(c for _, c in fc) != [-1, 1]:
                 raise AssertionError(f"face orientations are incoherent at cw edge {j}: {fc}")
-        self._on_edge = on_edge
         skeleton = [(j, tail, head) for j, (tail, head) in enumerate(ends)]
         _, up = _bfs_tree(len(self._nodes), skeleton, "1-skeleton")
         tree = set(up.values())
         links = [(j, f, h) for j, ((f, _), (h, _)) in enumerate(on_edge) if j not in tree]
         order, up = _bfs_tree(len(faces), links, "dual graph")
-        # (face, its C-edge to its parent, the edge's coefficient in the
-        # face), root to leaves
-        self._cotree = [(f, up[f], dict(on_edge[up[f]])[f]) for f in order[1:]]
         self._leftover = sorted(set(range(len(ends))) - tree - set(up.values()))
         self.h1_rank = len(self._leftover)
         if self.h1_rank != 2 * self.genus:
             raise AssertionError("H1 rank mismatch")
+        # edge j -> its image as sparse (position in L, value) pairs
+        self._edge_class: list[list[tuple[int, int]]] = [[] for _ in ends]
+        pos = {j: i for i, j in enumerate(self._leftover)}
+        for j, i in pos.items():
+            self._edge_class[j] = [(i, 1)]
+        rim: list[dict[int, int]] = [{} for _ in faces]  # d(subtree of f) on L
+        for f in reversed(order[1:]):
+            j, acc = up[f], rim[f]
+            for k, c in faces[f].items():
+                if k in pos:
+                    acc[pos[k]] = acc.get(pos[k], 0) + c
+            self._edge_class[j] = [(i, -faces[f][j] * x) for i, x in acc.items() if x]
+            (g, _), (h, _) = on_edge[j]
+            above = rim[h if g == f else g]
+            for i, x in acc.items():
+                above[i] = above.get(i, 0) + x
 
     def _is_cycle(self, entries) -> bool:
         """Whether a 1-chain given by (edge, coefficient) pairs is closed."""
@@ -238,18 +274,15 @@ class SurfaceModel:
         return not any(img.values())
 
     def _cycle_class_raw(self, chain: dict[int, int]) -> list[int]:
-        """Coordinates of a cellular 1-cycle on the leftover edges L: clear
-        the C-edges root to leaves (see ``_homology``), read off L."""
+        """Coordinates of a cellular 1-cycle on the leftover edges L: the
+        sum of its edges' tabulated images (see ``_homology``)."""
         if not self._is_cycle(chain.items()):
             raise AssertionError("chain is not a cycle")
-        coef = [0] * len(self._faces)
-
-        def reduced(j):  # z' = z - d(coef) on edge j
-            return chain.get(j, 0) - sum(coef[f] * c for f, c in self._on_edge[j])
-
-        for f, j, c in self._cotree:
-            coef[f] = reduced(j) * c  # coef[f] is still 0, and 1/c = c
-        return [reduced(j) for j in self._leftover]
+        out = [0] * self.h1_rank
+        for j, z in chain.items():
+            for i, x in self._edge_class[j]:
+                out[i] += z * x
+        return out
 
     def _acycle_chain(self, v: Point) -> dict[int, int]:
         return {self._arc_idx[(v, ti)]: 1 for ti in self._tri_at[v]}
@@ -270,8 +303,10 @@ class SurfaceModel:
 
     def _reference_paths(self):
         """B-classes: doubles of triangulation paths from each interior point
-        to the boundary; A-classes: the circles.  Asserts they form a basis
-        of the cellular H1."""
+        to the boundary, kept by point in ``_b_class`` (cellular
+        coordinates); A-classes: the circles.  Asserts they form a basis of
+        the cellular H1: the Smith form of the square matrix of their
+        classes has a unit diagonal, so the matrix is unimodular."""
         T = self.triangulation
         poly = self.polygon
         adj: dict[Point, list[Point]] = {}
@@ -302,51 +337,43 @@ class SurfaceModel:
                         dq.append(w)
             raise AssertionError("no path to the boundary")
 
-        self._b_paths = {}
-        basis_vectors = []
-        for v in self.interior_colex:
-            basis_vectors.append(self._cycle_class_raw(self._acycle_chain(v)))
-        for v in self.interior_colex:
-            path = bfs_path(v)
-            self._b_paths[v] = path
-            basis_vectors.append(self._cycle_class_raw(self._path_chain(path)))
-        mat = [[basis_vectors[j][i] for j in range(len(basis_vectors))] for i in range(self.h1_rank)]
-        self._absolver = IntSolver(mat)
-        if any(abs(self._absolver.d[i][i]) != 1 for i in range(len(mat))):
+        self._b_paths = {v: bfs_path(v) for v in self.interior_colex}
+        a_classes = [self._cycle_class_raw(self._acycle_chain(v)) for v in self.interior_colex]
+        self._b_class = {v: self._cycle_class_raw(self._path_chain(self._b_paths[v]))
+                         for v in self.interior_colex}
+        columns = a_classes + list(self._b_class.values())
+        _, d, _ = intlinalg.smith_normal_form([list(row) for row in zip(*columns)])
+        if any(abs(d[i][i]) != 1 for i in range(self.h1_rank)):
             raise AssertionError("A/B classes do not span the cellular H1")
-
-    def _to_ab(self, raw: list[int]) -> list[int]:
-        x = self._absolver.solve(raw)
-        if x is None:
-            raise AssertionError("class does not lie in the A/B lattice")
-        return x
 
     def _validate_against_cw(self):
         """Cross-check: every triangulation edge's double has no A-part, and
         its B-part is +-1 exactly on its interior endpoints with the
-        head-minus-tail sign pattern."""
-        g = self.genus
+        head-minus-tail sign pattern, one sign for all edges.
+
+        Read in the cellular coordinates: the double of e = (tail, head)
+        has class s * (B_head - B_tail), a term dropped for an endpoint on
+        the boundary, with the B-path classes ``_reference_paths`` stored
+        and s = +-1 the same for every edge.  The A and B classes form a
+        basis (checked there by the SNF), and coordinates in a basis are
+        unique, so this equality holds exactly when the double's A/B
+        coordinates are those stated above: no integer solve is needed."""
+        zero = [0] * self.h1_rank
         self._head_sign = None
         for e in sorted(self.triangulation.edges()):
-            coords = self._to_ab(self._cycle_class_raw(self._segment_chain(e)))
-            a_part, b_part = coords[:g], coords[g:]
-            if any(a_part):
-                raise AssertionError(f"segment double {e} has an A-part")
-            expected = {}
-            tail, head = e
-            if tail in self.a_index:
-                expected[self.a_index[tail]] = -1
-            if head in self.a_index:
-                expected[self.a_index[head]] = 1
-            got = {i: x for i, x in enumerate(b_part) if x}
-            if set(got) != set(expected):
-                raise AssertionError(f"B-support mismatch for {e}: {got} vs {expected}")
-            if not expected:
+            got = self._cycle_class_raw(self._segment_chain(e))
+            if not any(v in self._b_class for v in e):
+                if any(got):
+                    raise AssertionError(f"segment double {e} with ends on the boundary is not 0")
                 continue
-            signs = {got[i] * expected[i] for i in got}
-            if signs not in ({1}, {-1}):
-                raise AssertionError(f"incoherent endpoint signs for {e}")
-            sign = signs.pop()
+            b_tail, b_head = (self._b_class.get(v, zero) for v in e)
+            diff = [x - y for x, y in zip(b_head, b_tail)]
+            if got == diff:
+                sign = 1
+            elif got == [-x for x in diff]:
+                sign = -1
+            else:
+                raise AssertionError(f"segment double {e} is not +-(B_head - B_tail)")
             if self._head_sign is None:
                 self._head_sign = sign
             elif self._head_sign != sign:
@@ -470,6 +497,25 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
     are never replaced, so each is sifted until it passes once.  The order
     is the product of the basic orbit lengths.
 
+    Unfixed rows.  Every strong generator at level i, and so every
+    transversal element and Schreier generator there, fixes e_0..e_{i-1},
+    and a Schreier generator g = u_x s u_y^-1 (y = xs) fixes e_i too
+    (e_i u_x s = y).  So rows 0..i of g are e_0..e_i: only rows i+1..n-1
+    are formed, and u, u^-1 are formed from row i on.  Row k of g is
+    (row k of u_x s) u_y^-1, which is e_k, with no second product, where
+    row k of u_x s equals row k of u_y.  Sifting keeps this: at level j,
+    h fixes e_0..e_{j-1}, and e_j h u_x^-1 = x u_x^-1 = e_j, so only rows
+    j+1..n-1 are multiplied.  A generator that drops out at level j is
+    completed with the rows e_0..e_{j-1} into the very matrix the full
+    products give, so the strong generators, orbits and limit checks are
+    those of full-matrix Schreier-Sims, in the same order.  Orbits: a level
+    gains one strong generator at a time and its orbit is closed under the
+    others, so close_orbit applies only the newest one to the points it
+    already had (an older one maps them into the orbit and adds nothing),
+    and every one to the points it adds.  When it reaches a new point y
+    from x, the transversal of y is u_x s, so that Schreier generator is
+    the identity and goes into ``passed`` unsifted.
+
     Packed rows.  A row vector x over F_p is one int, entry x_k in bits
     [k*b, (k+1)*b), and a matrix is the tuple of its rows, so row i of h is
     e_i h.  With c the bit length of n*(p-1)^2, the slot width is
@@ -505,9 +551,10 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"modulus {p} is not prime")
     generators = list(generators)
+    ok = object()  # no entry is this object, so even a None entry is reported
     for idx, m in enumerate(generators):
-        bad = next((x for row in m for x in row if type(x) is bool or not isinstance(x, int)), None)
-        if bad is not None:
+        bad = next((x for row in m for x in row if type(x) is bool or not isinstance(x, int)), ok)
+        if bad is not ok:
             raise ValueError(f"generator {idx} has entry {bad!r}, not an int")
     if not generators:
         return 1
@@ -515,12 +562,13 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
     if any(len(m) != n or any(len(row) != n for row in m) for m in generators):
         raise ValueError("generators must be square matrices of one size")
     pack, unpack, vec_mul = _packing(n, p)
-
-    def mul(a, rows):
-        return tuple([vec_mul(x, rows) for x in a])
-
     gens = list(dict.fromkeys(pack([[x % p for x in row] for row in m]) for m in generators))
     ident = pack([[int(i == j) for j in range(n)] for i in range(n)])
+
+    def mul(a, rows, first: int):
+        """a times ``rows``, both fixing e_0..e_{first-1}: those rows are e_k."""
+        return ident[:first] + tuple([vec_mul(x, rows) for x in a[first:]])
+
     strong: list[list[tuple]] = [[] for _ in range(n)]  # (s, s^-1)
     orbits = [{ident[i]: (ident, ident)} for i in range(n)]  # x -> (u, u^-1)
     passed: list[set] = [set() for _ in range(n)]  # (x, k): Schreier generator sifted
@@ -535,27 +583,31 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
         orbit = orbits[i]
         others = prod(len(o) for j, o in enumerate(orbits) if j != i)
         queue = list(orbit)
-        for x in queue:
+        closed, newest = len(queue), len(strong[i]) - 1  # closed under all but the newest
+        for q, x in enumerate(queue):
             u, u_inv = orbit[x]
-            for s, s_inv in strong[i]:
+            for k in range(newest if q < closed else 0, newest + 1):
+                s, s_inv = strong[i][k]
                 y = vec_mul(x, s)
                 if y not in orbit:
-                    orbit[y] = (mul(u, s), mul(s_inv, u_inv))
+                    orbit[y] = (mul(u, s, i), mul(s_inv, u_inv, i))
+                    passed[i].add((x, k))  # u_x s u_y^-1 is the identity
                     if others * len(orbit) > limit:
                         raise RuntimeError("subgroup order exceeded the safety limit")
                     queue.append(y)
 
-    def sift(h, start: int):
-        """Strip h through levels start.. ; the level where it drops out, or n."""
+    def sift(rows: list, start: int):
+        """Strip h, which fixes e_0..e_{start-1} and has rows ``rows`` from
+        row ``start`` on, through levels start.. : (h as a matrix, the level
+        where it drops out), or (None, n) if it sifts to the identity."""
         for j in range(start, n):
-            x = h[j]  # e_j h
-            if x == ident[j]:
-                continue
-            entry = orbits[j].get(x)
-            if entry is None:
-                return h, j
-            h = mul(h, entry[1])
-        return h, n
+            x, *rows = rows  # x = e_j h
+            if x != ident[j]:
+                entry = orbits[j].get(x)
+                if entry is None:
+                    return ident[:j] + (x, *rows), j
+                rows = [vec_mul(r, entry[1]) for r in rows]  # and e_j h u_x^-1 = e_j
+        return None, n
 
     def first_failure(i: int):
         """Level that gained a strong generator while checking level i, or None."""
@@ -564,8 +616,11 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
             for k, (s, _) in enumerate(strong[i]):
                 if (x, k) in passed[i]:
                     continue
-                g = mul(mul(u, s), orbit[vec_mul(x, s)][1])
-                h, j = sift(g, i + 1)
+                u_y, u_y_inv = orbit[vec_mul(x, s)]
+                # row t of u s u_y^-1 is e_t where row t of u s is that of u_y
+                rows = [vec_mul(r, s) for r in u[i + 1:]]
+                h, j = sift([ident[t] if r == u_y[t] else vec_mul(r, u_y_inv)
+                             for t, r in enumerate(rows, i + 1)], i + 1)
                 if j < n:
                     add_strong(h, i + 1, j)
                     return j

@@ -172,6 +172,27 @@ def test_fan_recipe_certificate_bytes_golden(monkeypatch):
     assert any(fan_certified)
 
 
+def test_searches_certify_each_request_once(monkeypatch):
+    """A device-pair or leg-pair search does not certify a request (graph
+    entries, exemptions, fan plan) that already failed in it: T6's
+    derivation makes 24 distinct requests in 24 calls (25 when a
+    ``build_leg_pair`` search certified one union graph twice), and its
+    certificates keep their bytes."""
+    requests = []
+    original = builders.certify_graph
+
+    def counted(graph, poly, allow_unbalanced_at=frozenset(), fans=None):
+        requests.append((frozenset(graph.entries.items()), frozenset(allow_unbalanced_at), fans))
+        return original(graph, poly, allow_unbalanced_at, fans)
+
+    monkeypatch.setattr(builders, "certify_graph", counted)
+    e = Engine(T6)
+    report = e.derive_surjectivity()
+    assert len(requests) == len(set(requests)) == 24
+    assert _digest(e.export_certificate()) == CERTIFICATE_DIGESTS["T6"]
+    assert _digest(report["certificate"]) == REPORT_DIGESTS["T6"]
+
+
 @pytest.mark.parametrize("poly", [T4, SQ4, T6, R4x6], ids=["T4", "SQ4", "T6", "R4x6"])
 def test_no_graph_enters_the_dag_twice(poly):
     """A transfer runs only when it lowers a bridge exponent, so the whole

@@ -15,6 +15,7 @@ from tropmono.graphs import build_snake
 from tropmono.homology import (
     Loop,
     SurfaceModel,
+    _bfs_tree,
     _packing,
     canonical_triangulation,
     pants_check,
@@ -22,7 +23,10 @@ from tropmono.homology import (
     subgroup_order_mod_p,
 )
 from tropmono.intlinalg import IntSolver, mat_vec, matmul, smith_normal_form
+from tropmono.polygons import analyze
 from tropmono.subdivision import trivial_subdivision
+
+from test_polygons import random_smooth_polygon
 
 T3 = LatticePolygon([(0, 0), (3, 0), (0, 3)])
 T4 = LatticePolygon([(0, 0), (4, 0), (0, 4)])
@@ -81,9 +85,128 @@ def test_tree_cotree_matches_dense_smith_route(poly):
     chains = [s._acycle_chain(v) for v in s.interior_colex]
     chains += [s._path_chain(s._b_paths[v]) for v in s.interior_colex]
     basis = IntSolver([list(col) for col in zip(*(raw(c) for c in chains))])
+    cellular = IntSolver([list(col) for col in zip(*(s._cycle_class_raw(c) for c in chains))])
     chains += [s._segment_chain(e) for e in sorted(s.triangulation.edges())]
     for chain in chains:
-        assert basis.solve(raw(chain)) == s._to_ab(s._cycle_class_raw(chain))
+        coords = basis.solve(raw(chain))
+        assert coords is not None and coords == cellular.solve(s._cycle_class_raw(chain))
+
+
+def root_to_leaves_h1(s):
+    """Oracle: the cellular class of a 1-cycle by clearing the cotree edges
+    root to leaves, one chain at a time (the tree-cotree decomposition of
+    ``SurfaceModel._homology``, rebuilt from the model's cells): each face
+    gets the coefficient that clears the edge to its parent, and the class
+    is what is left on the leftover edges."""
+    on_edge = [[] for _ in s._ends]
+    for f, col in enumerate(s._faces):
+        for j, c in col.items():
+            on_edge[j].append((f, c))
+    skeleton = [(j, tail, head) for j, (tail, head) in enumerate(s._ends)]
+    _, up = _bfs_tree(len(s._nodes), skeleton, "1-skeleton")
+    tree = set(up.values())
+    links = [(j, f, h) for j, ((f, _), (h, _)) in enumerate(on_edge) if j not in tree]
+    order, up = _bfs_tree(len(s._faces), links, "dual graph")
+    cotree = [(f, up[f], s._faces[f][up[f]]) for f in order[1:]]
+    leftover = sorted(set(range(len(s._ends))) - tree - set(up.values()))
+    assert leftover == s._leftover
+
+    def raw(chain):
+        coef = [0] * len(s._faces)
+
+        def reduced(j):
+            return chain.get(j, 0) - sum(coef[f] * c for f, c in on_edge[j])
+
+        for f, j, c in cotree:
+            coef[f] = reduced(j) * c
+        return [reduced(j) for j in leftover]
+
+    return raw
+
+
+def _oracle_polygons():
+    rng = random.Random(3)
+    polys = [T3, T4, LatticePolygon([(0, 0), (6, 0), (0, 6)]),
+             LatticePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])]
+    while len(polys) < 9:
+        poly = random_smooth_polygon(rng)
+        if 1 <= analyze(poly)[0].genus <= 25:
+            polys.append(poly)
+    return polys
+
+
+@pytest.mark.parametrize("poly", _oracle_polygons(),
+                         ids=["T3", "T4", "T6", "SQ4"] + [f"random{i}" for i in range(5)])
+def test_cotree_table_matches_root_to_leaves_pass(poly):
+    """The per-edge table of ``_homology`` gives every A-cycle, segment
+    double and B-path double the class the root-to-leaves pass gives."""
+    s = SurfaceModel(poly)
+    raw = root_to_leaves_h1(s)
+    chains = [s._acycle_chain(v) for v in s.interior_colex]
+    chains += [s._path_chain(s._b_paths[v]) for v in s.interior_colex]
+    chains += [s._segment_chain(e) for e in sorted(s.triangulation.edges())]
+    for chain in chains:
+        assert s._cycle_class_raw(chain) == raw(chain)
+
+
+class SwappedBPaths(SurfaceModel):
+    """Two interior points trade their stored B-path classes: the A/B
+    classes still form a basis, but the segment doubles disagree."""
+
+    def _reference_paths(self):
+        super()._reference_paths()
+        v, w = self.interior_colex[:2]
+        self._b_class[v], self._b_class[w] = self._b_class[w], self._b_class[v]
+
+
+class ShiftedBClasses(SurfaceModel):
+    """Every stored B-class gains its point's A-class: still a basis, and
+    each segment double still has one sign, but is not +-(B_head - B_tail)."""
+
+    def _reference_paths(self):
+        super()._reference_paths()
+        for v, b in self._b_class.items():
+            a = self._cycle_class_raw(self._acycle_chain(v))
+            self._b_class[v] = [x + y for x, y in zip(a, b)]
+
+
+class FlippedSide(SurfaceModel):
+    """One side edge's coefficient is flipped in the first face."""
+
+    def _build_cw(self):
+        super()._build_cw()
+        j = self._side_idx[(sorted(self.triangulation.edges())[0], 0)]
+        f = next(f for f, col in enumerate(self._faces) if j in col)
+        self._faces[f][j] = -self._faces[f][j]
+
+
+@pytest.mark.parametrize("corrupted", [SwappedBPaths, ShiftedBClasses, FlippedSide])
+def test_corrupted_model_is_rejected(corrupted):
+    with pytest.raises(AssertionError):
+        corrupted(T4)
+
+
+def test_corrupted_model_is_rejected_under_python_O():
+    """The same corruptions raise AssertionError with asserts stripped."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}, {here!r}]\n"
+        "from test_homology import SwappedBPaths, ShiftedBClasses, FlippedSide, T4\n"
+        "for corrupted in (SwappedBPaths, ShiftedBClasses, FlippedSide):\n"
+        "    try:\n"
+        "        corrupted(T4)\n"
+        "    except AssertionError as exc:\n"
+        "        print(corrupted.__name__, 'rejected:', exc)\n"
+        "    else:\n"
+        "        print(corrupted.__name__, 'accepted')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["SwappedBPaths", "rejected:"], ["ShiftedBClasses", "rejected:"], ["FlippedSide", "rejected:"]
+    ], lines
 
 
 def test_incoherent_face_orientation_is_rejected():
@@ -463,6 +586,32 @@ def test_sp6_f2_order_under_seeded_generator_orders():
         assert subgroup_order_mod_p([mats[i] for i in order], 2) == sp_order(3, 2) == 1451520
 
 
+def test_closure_of_the_seeded_snake_twists_runs_few_vector_products(monkeypatch):
+    """The Sp(6, F_2) closure of T4's seven snake twists in the generator
+    order of seed 1 (``random.Random("1:closure")``; the seed-1 image of T4
+    is T4) forms and sifts Schreier generators on the unfixed rows only:
+    at most 10,000 packed vector products (7,000 now, 15,740 on full
+    matrices)."""
+    calls = []
+    real_packing = tropmono.homology._packing
+
+    def counted_packing(n, p):
+        pack, unpack, vec_mul = real_packing(n, p)
+
+        def counted(x, rows):
+            calls.append(None)
+            return vec_mul(x, rows)
+
+        return pack, unpack, counted
+
+    mats = snake_twists(T4)
+    order = list(range(7))
+    random.Random("1:closure").shuffle(order)
+    monkeypatch.setattr(tropmono.homology, "_packing", counted_packing)
+    assert subgroup_order_mod_p([mats[i] for i in order], 2) == sp_order(3, 2)
+    assert 0 < len(calls) <= 10_000
+
+
 def test_subgroup_order_contract():
     assert subgroup_order_mod_p([], 2) == 1
     ma, mb = sl2_twists()
@@ -482,6 +631,10 @@ def test_subgroup_order_contract():
         subgroup_order_mod_p([ma, mb, [[1, True], [0, 1]]], 3)
     with pytest.raises(ValueError, match="generator 0 .*'1'"):
         subgroup_order_mod_p([[["1", 0], [0, 1]]], 5)
+    with pytest.raises(ValueError, match="generator 0 .*None"):
+        subgroup_order_mod_p([[[None]]], 2)
+    with pytest.raises(ValueError, match="generator 1 .*None"):
+        subgroup_order_mod_p([ma, [[1, None], [0, 1]]], 3)
     with pytest.raises(RuntimeError):
         subgroup_order_mod_p(snake_twists(T4), 2, limit=1000)
     assert subgroup_order_mod_p([ma, mb], 3, limit=24) == 24

@@ -512,9 +512,10 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
     gains one strong generator at a time and its orbit is closed under the
     others, so close_orbit applies only the newest one to the points it
     already had (an older one maps them into the orbit and adds nothing),
-    and every one to the points it adds.  When it reaches a new point y
-    from x, the transversal of y is u_x s, so that Schreier generator is
-    the identity and goes into ``passed`` unsifted.
+    and every one to the points it adds: it meets each pair (x, s) once.
+    When that reaches a new point y, the transversal of y is u_x s, so the
+    Schreier generator is the identity and is never sifted; otherwise the
+    pair waits in ``pending`` with its y = xs until it sifts.
 
     Packed rows.  A row vector x over F_p is one int, entry x_k in bits
     [k*b, (k+1)*b), and a matrix is the tuple of its rows, so row i of h is
@@ -538,7 +539,7 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
       quotients.  Subtracting p times them takes each slot to a mod p with
       no borrow.  One routine for every prime.
     Packing is one-to-one on reduced matrices, so the orbits, transversals,
-    ``passed`` sets and sifts do the same work in the same order as on
+    ``pending`` pairs and sifts do the same work in the same order as on
     tuples of tuples.  Inverses are computed unpacked, once per strong
     generator.
 
@@ -571,7 +572,8 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
 
     strong: list[list[tuple]] = [[] for _ in range(n)]  # (s, s^-1)
     orbits = [{ident[i]: (ident, ident)} for i in range(n)]  # x -> (u, u^-1)
-    passed: list[set] = [set() for _ in range(n)]  # (x, k): Schreier generator sifted
+    # (x, k) -> xs for each Schreier generator not yet sifted to the identity
+    pending: list[dict] = [{} for _ in range(n)]
 
     def add_strong(h, first: int, last: int) -> None:
         item = (h, pack(_inverse_mod(unpack(h), p)))
@@ -589,12 +591,13 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
             for k in range(newest if q < closed else 0, newest + 1):
                 s, s_inv = strong[i][k]
                 y = vec_mul(x, s)
-                if y not in orbit:
-                    orbit[y] = (mul(u, s, i), mul(s_inv, u_inv, i))
-                    passed[i].add((x, k))  # u_x s u_y^-1 is the identity
-                    if others * len(orbit) > limit:
-                        raise RuntimeError("subgroup order exceeded the safety limit")
-                    queue.append(y)
+                if y in orbit:
+                    pending[i][(x, k)] = y
+                    continue
+                orbit[y] = (mul(u, s, i), mul(s_inv, u_inv, i))  # u_x s u_y^-1 = 1
+                if others * len(orbit) > limit:
+                    raise RuntimeError("subgroup order exceeded the safety limit")
+                queue.append(y)
 
     def sift(rows: list, start: int):
         """Strip h, which fixes e_0..e_{start-1} and has rows ``rows`` from
@@ -614,9 +617,10 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
         orbit = orbits[i]
         for x, (u, _) in orbit.items():  # levels > i change, level i does not
             for k, (s, _) in enumerate(strong[i]):
-                if (x, k) in passed[i]:
+                y = pending[i].get((x, k))
+                if y is None:
                     continue
-                u_y, u_y_inv = orbit[vec_mul(x, s)]
+                u_y, u_y_inv = orbit[y]
                 # row t of u s u_y^-1 is e_t where row t of u s is that of u_y
                 rows = [vec_mul(r, s) for r in u[i + 1:]]
                 h, j = sift([ident[t] if r == u_y[t] else vec_mul(r, u_y_inv)
@@ -624,7 +628,7 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
                 if j < n:
                     add_strong(h, i + 1, j)
                     return j
-                passed[i].add((x, k))
+                del pending[i][(x, k)]
         return None
 
     for s in gens:

@@ -42,8 +42,7 @@ from .geometry import (
     Segment,
     seg,
 )
-from . import intlinalg
-from .intlinalg import mat_vec, matmul
+from .intlinalg import IntSolver, mat_vec, matmul
 from .polygons import analyze
 from .subdivision import RegularSubdivision, trivial_subdivision, unimodular_refinement
 
@@ -342,7 +341,7 @@ class SurfaceModel:
         self._b_class = {v: self._cycle_class_raw(self._path_chain(self._b_paths[v]))
                          for v in self.interior_colex}
         columns = a_classes + list(self._b_class.values())
-        _, d, _ = intlinalg.smith_normal_form([list(row) for row in zip(*columns)])
+        d = IntSolver([list(row) for row in zip(*columns)]).d  # its Smith form
         if any(abs(d[i][i]) != 1 for i in range(self.h1_rank)):
             raise AssertionError("A/B classes do not span the cellular H1")
 

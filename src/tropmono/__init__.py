@@ -12,9 +12,7 @@ import importlib
 
 # exported name -> the module defining it
 _EXPORTS = {
-    **dict.fromkeys(
-        ["LatticePolygon", "UnimodularMap", "polygon_from_vertices", "seg"], "geometry"
-    ),
+    **dict.fromkeys(["LatticePolygon", "UnimodularMap", "seg"], "geometry"),
     **dict.fromkeys(
         ["PolygonAnalysis", "Surjectivity", "Verdict", "adjoint_polygon", "analyze",
          "divisibility", "is_smooth", "normalize_at_vertex", "root_order"],
@@ -31,9 +29,7 @@ _EXPORTS = {
          "build_snake", "certify_admissible", "check_balancing"],
         "graphs",
     ),
-    **dict.fromkeys(
-        ["Loop", "SurfaceModel", "pants_check", "sp_order", "subgroup_order_mod_p"], "homology"
-    ),
+    **dict.fromkeys(["Loop", "SurfaceModel", "sp_order", "subgroup_order_mod_p"], "homology"),
     **dict.fromkeys(["Engine", "replay_certificate"], "engine"),
 }
 

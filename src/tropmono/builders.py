@@ -234,9 +234,7 @@ def build_side_graph(poly: LatticePolygon, edge: tuple[Point, Point]) -> BuildRe
     if img.side((-1, 0)) != 0 or img.side((l + 1, 0)) != 0:
         raise AssertionError("chain endpoints must reach the boundary")
     chain = _run((-1, 0), (l + 1, 0), 1)
-    res = _framed(poly, f, "side", chain, chain[l][0])
-    res.notes["chain"] = tuple(res.graph.entries)  # the graph is the chain, in order
-    return res
+    return _framed(poly, f, "side", chain, chain[l][0])
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +424,12 @@ class RaySweep:
     chain: tuple[Point, ...]
     leg1: Segment  # first primitive segment of the leg [v, B]
     leg2: Segment | None  # first primitive segment of the chain [v, v'_1]
-    chain_end: Point
     leg_target: Point
-    frame: UnimodularMap
     alpha: Point = None  # boundary anchor across the chain-end edge
     alpha_prime: Point = None  # boundary anchor across the leg-target edge
     kappa: Point = None
     kappa_prime: Point = None
     orientation: str = "kk'"
-    divisor: int = 1
 
 
 def build_ray_sweep(
@@ -536,15 +531,12 @@ def _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation) -> RaySweep:
         tuple(inv.apply(p) for p in chain),
         leg1,
         leg2,
-        inv.apply(smul(d, chain_end)),
         inv.apply(legt),
-        f,
         inv.apply((0, -1)),
         inv.apply((-1, 0)),
         kappa,
         kappa_prime,
         orientation,
-        d,
     )
 
 
@@ -654,11 +646,13 @@ def cancelling_sweep(poly: LatticePolygon, anchors: tuple, u: Point, r: Point) -
 
 def _cancelling_sweeps(poly: LatticePolygon, anchors, u: Point, r: Point):
     """``cancelling_sweep`` at each (kappa, kappa', orientation) of
-    ``anchors`` in turn, skipping the anchors where it does not exist."""
+    ``anchors`` in turn, skipping the anchors where it does not exist (a
+    ``ValueError``); an ``AssertionError`` is a broken invariant and
+    propagates."""
     for a in anchors:
         try:
             rs = cancelling_sweep(poly, a, u, r)
-        except (ValueError, AssertionError):
+        except ValueError:
             continue
         yield rs
 

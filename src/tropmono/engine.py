@@ -39,6 +39,7 @@ from .polygons import (
     adjoint_polygon,
     analyze,
     divisible_points,
+    is_smooth,
     neighbors_on_boundary,
 )
 from .graphs import (
@@ -49,7 +50,7 @@ from .graphs import (
     is_bridge,
     residual,
 )
-from .errors import CertificationError, DerivationError, ReplayError
+from .errors import CertificationError, DerivationError, ReplayError, SmoothnessError
 from .homology import Loop, SurfaceModel, canonical_triangulation
 from .intlinalg import matmul, solve_int
 
@@ -669,8 +670,6 @@ class Engine:
     def pipeline_side(self, edge: tuple[Point, Point]) -> int:
         """Twists of every primitive segment on an adjoint edge."""
         build = self._build("build_side_graph", edge)
-        if all((GEOMETRIC, self.key_of(s)) in self.facts for s in build.notes["chain"][1:-1]):
-            return self.facts[(GEOMETRIC, self.key_of(build.target))][1]
         self.pipeline_corner(edge[0])
         self.pipeline_corner(edge[1])
         return self.run_plan(build, GEOMETRIC)
@@ -871,21 +870,6 @@ class Engine:
             if dev.kind == "ray":
                 self.ensure_leg_facts(dev.ray, flavor)
         return self.run_plan(build, flavor)
-
-    def interior_targets(self) -> list[Segment]:
-        """All primitive segments with at least one end off the polygon
-        boundary, lexicographically."""
-        pts = self.poly.lattice_points()
-        out = []
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                if self.poly.side(p) == 0 and self.poly.side(q) == 0:
-                    continue
-                try:
-                    out.append(seg(p, q))
-                except ValueError:
-                    continue
-        return sorted(set(out))
 
     def derive_segment(self, sigma: Segment, flavor=GEOMETRIC) -> int:
         """Exponent-one fact for a primitive segment with an interior end,
@@ -1344,11 +1328,17 @@ _NODE_FIELDS = ("id", "rule", "params", "premises", "conclusion")
 def replay_certificate(data: dict) -> bool:
     """Re-run every rule application of an exported certificate through the
     rule kernel; a malformed node, a failed rule or a recomputed conclusion
-    that differs from the recorded one raises ReplayError."""
+    that differs from the recorded one raises ReplayError.  The polygon must
+    be smooth, as for a derivation, and that is checked first:
+    ``adjoint_polygon`` enumerates the interior points when the adjoint has
+    a fractional vertex, as a non-smooth polygon's may.  ``analyze`` checks
+    smoothness too, but its divisor list costs O(sqrt n)."""
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise ReplayError("certificate has no node list")
     try:
         poly = LatticePolygon.from_json(data["polygon"])
+        if not is_smooth(poly):
+            raise SmoothnessError("polygon not smooth")
         ctx = RuleContext(poly, adjoint_polygon(poly))
     except Exception as exc:
         raise ReplayError(f"bad polygon: {exc}")

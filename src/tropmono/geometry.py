@@ -221,10 +221,6 @@ class UnimodularMap(namedtuple("UnimodularMap", "m t")):
         return UnimodularMap(inv, neg(lin.apply_vector(self.t)))
 
     @staticmethod
-    def identity() -> "UnimodularMap":
-        return UnimodularMap(((1, 0), (0, 1)))
-
-    @staticmethod
     def from_basis(e1: Point, e2: Point, origin: Point = (0, 0)) -> "UnimodularMap":
         """The map sending origin to 0, e1 to (1,0) and e2 to (0,1).
 
@@ -380,9 +376,6 @@ class LatticePolygon:
     def transform(self, f: UnimodularMap) -> "LatticePolygon":
         return LatticePolygon([f.apply(p) for p in self.vertices])
 
-    def translate(self, t: Point) -> "LatticePolygon":
-        return LatticePolygon([add(p, t) for p in self.vertices])
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -391,17 +384,3 @@ class LatticePolygon:
     @staticmethod
     def from_json(data: dict) -> "LatticePolygon":
         return LatticePolygon([point_from_json(p) for p in data["vertices"]])
-
-
-def polygon_from_vertices(points) -> LatticePolygon:
-    """Convex hull of the given lattice points as a LatticePolygon."""
-    return LatticePolygon(points)
-
-
-def pick_check(poly: LatticePolygon) -> bool:
-    """Pick's identity 2A = 2i + b - 2 for two-dimensional polygons."""
-    if poly.dimension < 2:
-        return True
-    i = len(poly.interior_points())
-    b = len(poly.boundary_points())
-    return poly.area2() == 2 * i + b - 2

@@ -30,7 +30,6 @@ from .errors import CertificationError
 from .polygons import adjoint_polygon, normalize_at_vertex
 from .subdivision import (
     HeightFunction,
-    RegularSubdivision,
     extend_subdivision,
     subdivision_from_heights,
     unimodular_refinement,
@@ -83,12 +82,6 @@ class WeightedSegmentGraph:
 
     def edges_at(self, v: Point) -> list[Segment]:
         return sorted(s for s in self.entries if v in s)
-
-    def valency(self, v: Point) -> int:
-        return len(self.edges_at(v))
-
-    def copy(self) -> "WeightedSegmentGraph":
-        return WeightedSegmentGraph(self.entries)
 
     def __len__(self):
         return len(self.entries)
@@ -153,13 +146,6 @@ class Bridge:
     segment: Segment
     interior_end: Point  # on the boundary of the adjoint polygon
     boundary_end: Point  # on the boundary of the polygon
-
-    def to_json(self):
-        return {
-            "segment": [list(self.segment[0]), list(self.segment[1])],
-            "interior_end": list(self.interior_end),
-            "boundary_end": list(self.boundary_end),
-        }
 
 
 def is_bridge(poly: LatticePolygon, adjoint: LatticePolygon, s: Segment) -> Bridge | None:
@@ -227,7 +213,7 @@ class AdmissibilityCertificate:
     construction and only their balanced unions enter the deduction rules.
 
     ``verified_edges`` is the edge set of the subdivision the witness and
-    cells form, when ``complete_certificate`` has just verified them with
+    cells form, when ``certify_admissible`` has just verified them with
     ``verify_subdivision``; it is never encoded, so a decoded certificate
     has None there."""
 
@@ -287,35 +273,42 @@ class AdmissibilityCertificate:
         return AdmissibilityCertificate(graph, poly, hf, cells, allow)
 
 
-def check_certifiable(
-    graph: WeightedSegmentGraph, poly: LatticePolygon, allow_unbalanced_at=frozenset()
-) -> None:
-    """Raise CertificationError unless the graph is balanced (outside
-    ``allow_unbalanced_at``) and lies in the polygon."""
-    bad = check_balancing(graph, poly) - set(allow_unbalanced_at)
-    if bad:
-        raise CertificationError(f"graph not balanced at {sorted(bad)}")
-    for s in graph.entries:
-        if not poly.contains_segment(s):
-            raise CertificationError(f"edge {s} leaves the polygon")
-
-
-def complete_certificate(
+def certify_admissible(
     graph: WeightedSegmentGraph,
     poly: LatticePolygon,
-    sub_div: RegularSubdivision,
-    allow_unbalanced_at=frozenset(),
+    region: LatticePolygon,
+    heights,
+    allow_unbalanced_at: frozenset[Point] = frozenset(),
     stages=(),
 ) -> AdmissibilityCertificate:
-    """Extend a subdivision carrying the graph through the polygons
-    ``stages`` to ``poly``, refine it to a unimodular one and check that no
-    graph edge was lost.
+    """Produce an admissibility certificate for a graph that is balanced
+    (outside ``allow_unbalanced_at``) and lies in the polygon, or raise
+    CertificationError; the ``admissible`` rule checks it.
+
+    ``heights`` (on lattice points of the two-dimensional polygon
+    ``region``) induce a regular subdivision of ``region``, which must carry
+    every graph edge inside ``region``.  It is extended through the polygons
+    ``stages`` to ``poly`` and refined to a unimodular one, which must keep
+    every graph edge.
 
     When the refinement pulled, it ended by verifying its witness with
     ``verify_subdivision``; its edges then go into the certificate's
     ``verified_edges``, so the ``admissible`` rule of the same derivation
     does not verify the witness again.  A subdivision that was unimodular
     already has not been verified and leaves ``verified_edges`` None."""
+    bad = check_balancing(graph, poly) - set(allow_unbalanced_at)
+    if bad:
+        raise CertificationError(f"graph not balanced at {sorted(bad)}")
+    for s in graph.entries:
+        if not poly.contains_segment(s):
+            raise CertificationError(f"edge {s} leaves the polygon")
+    if region.dimension != 2:
+        raise CertificationError("height region is degenerate")
+    sub_div = subdivision_from_heights(region, heights)
+    edges = sub_div.edges()
+    missing = [s for s in graph.entries if s not in edges and region.contains_segment(s)]
+    if missing:
+        raise CertificationError(f"heights miss edges {missing}")
     for stage in (*stages, poly):
         sub_div = extend_subdivision(stage, sub_div)
     refined = unimodular_refinement(sub_div)
@@ -327,33 +320,6 @@ def complete_certificate(
         graph, poly, refined.witness, refined.cells, tuple(sorted(allow_unbalanced_at)),
         refined_edges if refined is not sub_div else None,
     )
-
-
-def certify_admissible(
-    graph: WeightedSegmentGraph,
-    poly: LatticePolygon,
-    region: LatticePolygon,
-    heights,
-    allow_unbalanced_at: frozenset[Point] = frozenset(),
-    stages=(),
-) -> AdmissibilityCertificate:
-    """Produce an admissibility certificate for a balanced weighted graph,
-    or raise CertificationError; the ``admissible`` rule checks it.
-
-    ``heights`` (on lattice points of the two-dimensional polygon
-    ``region``) induce a regular subdivision of ``region``, which must carry
-    every graph edge inside ``region``; ``complete_certificate`` extends it
-    through ``stages`` to ``poly`` and refines it.
-    """
-    check_certifiable(graph, poly, allow_unbalanced_at)
-    if region.dimension != 2:
-        raise CertificationError("height region is degenerate")
-    sub_div = subdivision_from_heights(region, heights)
-    edges = sub_div.edges()
-    missing = [s for s in graph.entries if s not in edges and region.contains_segment(s)]
-    if missing:
-        raise CertificationError(f"heights miss edges {missing}")
-    return complete_certificate(graph, poly, sub_div, allow_unbalanced_at, stages)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +342,6 @@ class Snake:
     chain: tuple[Segment, ...]  # sigma_1 .. sigma_g
     points: tuple[Point, ...]  # v_0 .. v_g
     bridge: Segment
-    frame: object  # UnimodularMap used to normalize (kept for reports)
 
     def validate(self, poly: LatticePolygon) -> None:
         adjoint = adjoint_polygon(poly)
@@ -437,7 +402,7 @@ def build_snake(poly: LatticePolygon) -> Snake:
             )
             if other is None:
                 continue
-            sn = Snake(chain, (v0, kappa), other.segment, None)
+            sn = Snake(chain, (v0, kappa), other.segment)
             sn.validate(poly)
             return sn
         raise ValueError("no bridge for the elliptic snake")
@@ -458,7 +423,6 @@ def build_snake(poly: LatticePolygon) -> Snake:
         tuple(inv.apply_seg(s) for s in chain),
         tuple(inv.apply(p) for p in chain_pts),
         inv.apply_seg(bridge),
-        frame,
     )
     sn.validate(poly)
     return sn

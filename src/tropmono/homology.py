@@ -648,20 +648,3 @@ def sp_order(g: int, q: int) -> int:
     for i in range(1, g + 1):
         order *= q ** (2 * i) - 1
     return order
-
-
-# ---------------------------------------------------------------------------
-# pair of pants decompositions
-# ---------------------------------------------------------------------------
-
-
-def pants_check(poly: LatticePolygon, sub_div: RegularSubdivision) -> bool:
-    """Whether cutting the punctured surface along the doubles of all
-    subdivision edges leaves one pair of pants per 2-cell.
-
-    Only a unimodular subdivision qualifies: a larger cell holds further
-    lattice points.  Its cells are then triangles, and the piece over a
-    cell with c corners (its two sheets glued along one blow-up arc per
-    corner: 2c nodes, 2c side edges, c arcs, 2 faces) is connected with
-    chi = 2c - 3c + 2 = 2 - c = -1.  So the check is unimodularity."""
-    return sub_div.is_unimodular()

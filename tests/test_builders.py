@@ -227,6 +227,31 @@ def test_certify_flexible_lets_an_invariant_failure_through(monkeypatch, fan_fai
         certify_flexible(rs.graph, T6, [rs], allow_unbalanced_at=frozenset({(2, 2)}))
 
 
+@pytest.mark.parametrize("exc", [ValueError, AssertionError], ids=["missing", "broken"])
+def test_a_companion_sweep_skips_only_a_value_error(monkeypatch, exc):
+    """A companion sweep that does not exist (ValueError) is skipped, so
+    these searches find nothing when no sweep exists; an AssertionError is a
+    broken invariant and escapes both the leg-pair and the device-pair
+    search."""
+    original = builders.build_ray_sweep
+
+    def probe_fails(poly, kappa, kappa_prime, v, m1, m2, orientation="kk'"):
+        if (m1, m2) == (1, 1):  # the weight probe of cancelling_sweep
+            raise exc("no sweep here")
+        return original(poly, kappa, kappa_prime, v, m1, m2, orientation)
+
+    monkeypatch.setattr(builders, "build_ray_sweep", probe_fails)
+    # (2, 2) is the one point inside T6's adjoint, so its devices are ray sweeps
+    searches = [build_leg_pair(T6, (1, 1), (1, 2), (2, 2), "kk'", 1),
+                builders.device_pairs(T6, (2, 2), (3, 2))]
+    for search in searches:
+        if exc is ValueError:
+            assert list(search) == []
+        else:
+            with pytest.raises(AssertionError, match="no sweep here"):
+                next(search)
+
+
 def test_no_library_module_uses_assert():
     """Every check in src/tropmono raises explicitly, so python -O keeps it."""
     src = os.path.dirname(tropmono.__file__)

@@ -335,6 +335,12 @@ def test_exit_codes_in_fresh_processes(flags, t3_certificate, polyfile, capsys, 
     assert (got.returncode, got.stdout) == (3, "")
     assert got.stderr.startswith("certification failed: ")
 
+    path = tmp_path / "not-smooth.json"
+    path.write_text(json.dumps({"polygon": {"vertices": [[0, 0], [300, 0], [0, 301]]}, "nodes": []}))
+    got = fresh("replay", str(path))
+    assert (got.returncode, got.stdout) == (3, "")
+    assert got.stderr == "certification failed: bad polygon: polygon not smooth\n"
+
     got = fresh("certify", polyfile("r3x2.json", R3X2), "--segment", "1,1,2,1")
     assert (got.returncode, got.stdout) == (3, "")
     assert got.stderr == "certification failed: [certify] hyperelliptic case deferred\n"

@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 import weakref
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -34,6 +36,22 @@ SQ4 = LatticePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 R4x6 = LatticePolygon([(0, 0), (4, 0), (4, 6), (0, 6)])
 SQ5 = LatticePolygon([(0, 0), (5, 0), (5, 5), (0, 5)])
 R5x7 = LatticePolygon([(0, 0), (5, 0), (5, 7), (0, 7)])
+
+
+def interior_targets(poly: LatticePolygon) -> list:
+    """All primitive segments of the polygon with at least one end off its
+    boundary, lexicographically."""
+    pts = poly.lattice_points()
+    out = []
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            if poly.side(p) == 0 and poly.side(q) == 0:
+                continue
+            try:
+                out.append(seg(p, q))
+            except ValueError:
+                continue
+    return sorted(set(out))
 
 
 def test_acycle_axiom():
@@ -77,7 +95,7 @@ def test_derive_t4_geometric_coverage():
     e = Engine(T4)
     rep = e.derive_surjectivity()
     assert rep["verdict"] == {"mu": "surjective", "algebraic_mu": "surjective"}
-    for s in e.interior_targets():
+    for s in interior_targets(e.poly):
         e.derive_segment(s, GEOMETRIC)
         exp, _ = e.fact(GEOMETRIC, e.key_of(s))
         assert exp == 1
@@ -558,6 +576,58 @@ def test_interior_d_rejects_missed_line():
         e.pipeline_interior_d(seg((2, 1), (2, 2)), 2)
 
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+def _power_fixture() -> dict:
+    """The schema-1 sub-DAG of ``pipeline_interior_dd(seg((2, 1), (2, 2)),
+    2)`` on SQ4 after ``pipeline_gcdedges`` and ``pipeline_interior_d(seg((2,
+    2), (3, 3)), 2)``: the d-th-power pipelines are the only derivation of
+    the ``power``, ``subtract`` and ``combine`` rules, so this file keeps
+    them under replay."""
+    with open(os.path.join(FIXTURES, "sq4_interior_dd.json")) as fh:
+        return json.load(fh)
+
+
+def test_pinned_power_subtract_combine_certificate_replays():
+    cert = _power_fixture()
+    rules = Counter(n["rule"] for n in cert["nodes"])
+    assert (len(cert["nodes"]), rules["power"], rules["subtract"], rules["combine"]) == (70, 3, 3, 1)
+    assert _digest(cert) == "2ab4dddd8fee3bb783707ba0f9114592437191573277ba5474a5a0070795b9e2"
+    assert replay_certificate(cert)
+
+
+def _bump_first_weight(node):
+    node["conclusion"]["edges"][0][2] += 1
+
+
+def _change_operation(node):
+    """k negated for ``power``; ``subtract`` and ``combine`` exchanged."""
+    if node["rule"] == "power":
+        node["params"]["k"] = -node["params"]["k"]
+    else:
+        node["rule"] = {"subtract": "combine", "combine": "subtract"}[node["rule"]]
+
+
+POWER_CORRUPTIONS = {
+    "conclusion-weight": _bump_first_weight,
+    "premise-dropped": lambda node: node["premises"].pop(),
+    "operation": _change_operation,
+}
+
+
+@pytest.mark.parametrize("how", sorted(POWER_CORRUPTIONS))
+def test_corrupted_power_subtract_combine_nodes_are_rejected(how):
+    cert = _power_fixture()
+    ids = [i for i, n in enumerate(cert["nodes"]) if n["rule"] in ("power", "subtract", "combine")]
+    assert len(ids) == 7
+    for i in ids:
+        corrupted = json.loads(json.dumps(cert))
+        POWER_CORRUPTIONS[how](corrupted["nodes"][i])
+        with pytest.raises(ReplayError, match=f"node {cert['nodes'][i]['id']} "):
+            replay_certificate(corrupted)
+
+
 def test_chase_preconditions():
     e = Engine(T4)
     e.ensure_acycles()
@@ -577,6 +647,28 @@ def test_minimal_subdag_replays():
     sub = e.minimal_subdag(nid)
     assert replay_certificate(sub)
     assert len(sub["nodes"]) < len(e.nodes)
+
+
+def test_replay_rejects_a_non_smooth_polygon():
+    """Replay checks smoothness, as a derivation does, before it forms the
+    adjoint: the adjoint of this triangle has a fractional vertex, so it
+    would enumerate the N^2 / 2 interior points."""
+    for n in (300, 10**9):
+        cert = {"polygon": {"vertices": [[0, 0], [n, 0], [0, n + 1]]}, "nodes": []}
+        with pytest.raises(ReplayError, match="^bad polygon: polygon not smooth$"):
+            replay_certificate(cert)
+
+
+def test_replay_checks_a_large_smooth_polygon_in_closed_form():
+    """The polygon check costs O(#edges): ``analyze`` would list the
+    divisors of n = 10^16 - 3 by trial division, seconds of work."""
+    n = 10**16
+    start = time.perf_counter()
+    try:
+        replay_certificate({"polygon": {"vertices": [[0, 0], [n, 0], [0, n]]}, "nodes": []})
+    except ReplayError:
+        pass
+    assert time.perf_counter() - start < 1
 
 
 @pytest.fixture(scope="module")
@@ -678,7 +770,7 @@ def test_exhaustive_coverage_rectangle_with_deep_interior():
     e = Engine(rect)
     rep = e.derive_surjectivity()
     assert rep["verdict"]["mu"] == "surjective"
-    for s in e.interior_targets():
+    for s in interior_targets(e.poly):
         e.derive_segment(s, GEOMETRIC)
         exp, _ = e.fact(GEOMETRIC, e.key_of(s))
         assert exp == 1, s

@@ -13,8 +13,6 @@ from tropmono.geometry import (
     dot,
     lattice_points_on_segment,
     orient,
-    pick_check,
-    polygon_from_vertices,
     primitive,
     primitive_segments_on,
     seg,
@@ -24,7 +22,7 @@ from tropmono.geometry import (
 
 
 def test_hull_drops_interior_point():
-    assert polygon_from_vertices([(0, 0), (3, 0), (0, 3), (1, 1)]).vertices == (
+    assert LatticePolygon([(0, 0), (3, 0), (0, 3), (1, 1)]).vertices == (
         (0, 0),
         (3, 0),
         (0, 3),
@@ -32,8 +30,8 @@ def test_hull_drops_interior_point():
 
 
 def test_degenerate_polygons():
-    assert polygon_from_vertices([(0, 0)]).dimension == 0
-    p = polygon_from_vertices([(0, 0), (2, 0), (4, 0)])
+    assert LatticePolygon([(0, 0)]).dimension == 0
+    p = LatticePolygon([(0, 0), (2, 0), (4, 0)])
     assert p.dimension == 1 and p.vertices == ((0, 0), (4, 0))
 
 
@@ -100,6 +98,15 @@ def test_unimodular_map_roundtrip():
         for p in [(0, 0), (3, -2), (17, 5)]:
             assert g.apply(f.apply(p)) == p
             assert f.apply(g.apply(p)) == p
+
+
+def pick_check(poly: LatticePolygon) -> bool:
+    """Pick's identity 2A = 2i + b - 2 for two-dimensional polygons."""
+    if poly.dimension < 2:
+        return True
+    i = len(poly.interior_points())
+    b = len(poly.boundary_points())
+    return poly.area2() == 2 * i + b - 2
 
 
 def test_pick_on_random_polygons():

@@ -18,7 +18,6 @@ from tropmono.homology import (
     _bfs_tree,
     _packing,
     canonical_triangulation,
-    pants_check,
     sp_order,
     subgroup_order_mod_p,
 )
@@ -725,11 +724,14 @@ def test_humphries_intersection_pattern():
 
 
 def test_pants_check():
+    """Cutting along the doubles of a subdivision's edges leaves one pair of
+    pants per cell iff the subdivision is unimodular: its cells are then
+    triangles, and the piece over a cell with c corners has chi = 2 - c = -1."""
     t = canonical_triangulation(T3)
-    assert pants_check(T3, t) and len(t.cells) == 9
+    assert t.is_unimodular() and len(t.cells) == 9
     t4 = canonical_triangulation(T4)
-    assert pants_check(T4, t4) and len(t4.cells) == 16
-    assert not pants_check(T3, trivial_subdivision(T3))
+    assert t4.is_unimodular() and len(t4.cells) == 16
+    assert not trivial_subdivision(T3).is_unimodular()
 
 
 def test_sp_order_formula():

@@ -165,7 +165,7 @@ def test_hyperelliptic_deferred():
 
 
 def test_normalize_already_normalized_is_identity():
-    shifted = T4.translate((-1, -1))
+    shifted = LatticePolygon([(-1, -1), (3, -1), (-1, 3)])  # T4 moved by (-1, -1)
     f, img = normalize_at_vertex(shifted, (0, 0))
     assert f.m == ((1, 0), (0, 1)) and f.t == (0, 0)
     assert img == shifted

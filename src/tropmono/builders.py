@@ -66,7 +66,6 @@ from .graphs import (
     is_bridge,
     residual,
 )
-from .subdivision import HeightFunction
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,7 @@ def certify_graph(
             if new_pts:
                 current = LatticePolygon(list(current.vertices) + new_pts)
                 stages.append(current)
-    return certify_admissible(
-        graph, poly, region, HeightFunction.of(heights), allow_unbalanced_at, stages
-    )
+    return certify_admissible(graph, poly, region, heights, allow_unbalanced_at, stages)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,8 @@ class LatticePolygon:
     def area2(self) -> int:
         """Twice the Euclidean area (shoelace)."""
         v = self.vertices
+        if len(v) == 3:
+            return orient(*v)  # ccw
         return abs(sum(cross(v[i], v[(i + 1) % len(v)]) for i in range(len(v))))
 
     def halfplanes(self) -> tuple[tuple[int, int, int], ...]:

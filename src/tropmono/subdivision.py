@@ -1,18 +1,21 @@
 """Regular (convex) subdivisions of lattice polygons from height functions.
 
-Two primitives work on lifted lattice points with integer arithmetic after
-clearing denominators: ``subdivision_from_heights`` computes the lower
-convex hull (gift wrapping), and ``verify_subdivision`` is the one check
-that given cells are the subdivision induced by given heights (admissibility
-certificates and pulling use it).  Gift wrapping and the check of
-non-unimodular cells find the lifted points on a plane with one scan,
-``_touching``; unimodular triangulations, extension heights and pull trials
-are decided by local folds instead, each with its proof of agreement with
-the scan.  On top of them sit the extension of a subdivision of a
-subpolygon to the whole polygon, unimodular refinement by pulling (integer
-heights on one shared scale), and the dual tropical curve.  Every
-subdivision here comes from explicit heights; whether a prescribed cell
-complex is regular is never asked.
+One integer kernel: heights are integers on one shared scale from the first
+wrap to the final witness (``HeightFunction.lift``), and a rational height
+function is built from them once, when a witness is read.  Two primitives
+work on lifted lattice points: ``subdivision_from_heights`` computes the
+lower convex hull (gift wrapping), and ``verify_subdivision`` is the one
+check that given cells are the subdivision induced by given heights
+(admissibility certificates and pulling use it).  Gift wrapping and the
+check of non-unimodular cells find the lifted points on a plane with one
+scan, ``_touching``; unimodular triangulations and extension heights are
+decided by local folds instead, each with its proof of agreement with the
+scan, and the pulling drop is computed in closed form from the folds
+(``_drop_exponent``).  On top of them sit the extension of a subdivision of
+a subpolygon to the whole polygon, unimodular refinement by pulling (cells
+as ccw vertex tuples until the final check), and the dual tropical curve.
+Every subdivision here comes from explicit heights; whether a prescribed
+cell complex is regular is never asked.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .geometry import (
     LatticePolygon,
     Point,
     Segment,
-    convex_hull,
     dot,
     lattice_length,
     orient,
@@ -41,16 +43,64 @@ class SubdivisionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class HeightFunction:
-    """Exact rational heights on a finite set of lattice points."""
+    """Exact rational heights on a finite set of lattice points.
 
-    values: tuple[tuple[Point, Fraction], ...]
+    Held in either of two forms and converted to the other on first use:
+    ``values``, the sorted ``(point, Fraction)`` pairs that encode, compare
+    and hash, and ``lift()``, integer heights on the least common scale (the
+    lcm of the reduced denominators) together with that scale.  The kernel
+    builds and reads heights in the integer form, so a witness it builds is
+    converted to fractions once."""
+
+    __slots__ = ("_values", "_lift")
+
+    def __init__(self, values):
+        self._values = tuple(values)
+        self._lift = None
+
+    @staticmethod
+    def lifted(h: dict[Point, int], scale: int) -> "HeightFunction":
+        """The heights ``h[p] / scale``, brought to the least common scale.
+        ``h`` is kept, so the caller must not change it afterwards."""
+        g = scale
+        for v in h.values():
+            if g == 1:
+                break
+            g = gcd(g, v)
+        if g != 1:
+            h, scale = {p: v // g for p, v in h.items()}, scale // g
+        hf = HeightFunction.__new__(HeightFunction)
+        hf._values, hf._lift = None, (h, scale)
+        return hf
 
     @staticmethod
     def of(mapping) -> "HeightFunction":
-        items = tuple(sorted(((int(p[0]), int(p[1])), Fraction(v)) for p, v in dict(mapping).items()))
-        return HeightFunction(items)
+        h = {(int(p[0]), int(p[1])): v if type(v) is int else Fraction(v) for p, v in dict(mapping).items()}
+        return HeightFunction.lifted(*_cleared(h))
+
+    @property
+    def values(self) -> tuple[tuple[Point, Fraction], ...]:
+        if self._values is None:
+            h, scale = self._lift
+            self._values = tuple(sorted((p, Fraction(v, scale)) for p, v in h.items()))
+        return self._values
+
+    def lift(self) -> tuple[dict[Point, int], int]:
+        """Integer heights on the least common scale, and that scale; the
+        dict is shared, so callers must not change it."""
+        if self._lift is None:
+            self._lift = _cleared(dict(self._values))
+        return self._lift
+
+    def __eq__(self, other):
+        return isinstance(other, HeightFunction) and self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"HeightFunction(values={self.values!r})"
 
     def as_dict(self) -> dict[Point, Fraction]:
         return dict(self.values)
@@ -79,11 +129,12 @@ class HeightFunction:
             if p in values:
                 raise ValueError(f"height of {p} given twice")
             values[p] = Fraction(num, den)
-        return HeightFunction(tuple(sorted(values.items())))
+        return HeightFunction(sorted(values.items()))
 
 
-def _cleared(heights: dict[Point, Fraction]) -> tuple[dict[Point, int], int]:
-    """Integer heights on the scale of the lcm of the denominators, and that scale."""
+def _cleared(heights) -> tuple[dict[Point, int], int]:
+    """Integer heights on the scale of the lcm of the denominators, and that
+    scale (values are Fractions or ints)."""
     denom = 1
     for v in heights.values():
         denom = lcm(denom, v.denominator)
@@ -117,37 +168,58 @@ def _touching(plane, lifted) -> list[Point] | None:
 
 
 def _norm_plane(plane):
-    g = gcd(gcd(abs(plane[0]), abs(plane[1])), gcd(abs(plane[2]), abs(plane[3])))
-    return tuple(v // g for v in plane)
+    a, b, c, d = plane
+    g = gcd(a, b, c, d)
+    return a // g, b // g, c // g, d // g
 
 
-def _boundary_chain_edges(pts, h):
-    """Directed seed edges of the lower hull over each boundary line of the
-    projected hull, interior on the left."""
-    hull = convex_hull(pts)
-    if len(hull) < 3:
-        raise SubdivisionError("support does not span a two-dimensional polygon")
+def _spans(poly: LatticePolygon, h) -> bool:
+    """Whether the convex hull of the support of ``h`` is ``poly``: every
+    support point lies in ``poly`` and every vertex of ``poly`` is a support
+    point, with no hull run."""
+    if not all(v in h for v in poly.vertices):
+        return False
+    if poly.dimension < 2:
+        return all(poly.side(p) >= 0 for p in h)
+    return all(a * x + b * y >= c for a, b, c in poly.halfplanes() for x, y in h)
+
+
+def _lowest_plane(a, b, h, lifted):
+    """The gift-wrapping step: the plane through the lifted edge ``a -> b``
+    that no lifted point on the edge's left lies below, in one pass that
+    keeps the first candidate and moves to any point strictly below it."""
+    ax, ay, az = a[0], a[1], h[a]
+    ux, uy, uz = b[0] - ax, b[1] - ay, h[b] - az
+    nx = ny = nz = 0
+    for x, y, z in lifted:
+        vx, vy, vz = x - ax, y - ay, z - az
+        o = ux * vy - uy * vx  # orient(a, b, (x, y))
+        if o > 0 and (nz == 0 or nx * vx + ny * vy + nz * vz < 0):
+            nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, o
+    if nz == 0:
+        raise SubdivisionError(f"no facet on the left of {(a, b)}")
+    return nx, ny, nz, nx * ax + ny * ay + nz * az
+
+
+def _boundary_chain_edges(poly: LatticePolygon, lifted):
+    """Directed seed edges of the lower hull over each edge of ``poly`` (the
+    hull of the support), interior on the left."""
     seeds = []
-    n = len(hull)
-    for i in range(n):
-        u, w = hull[i], hull[(i + 1) % n]
-        on_line = [p for p in pts if orient(u, w, p) == 0]
-        d = primitive(sub(w, u))
-        keyed = sorted((dot(sub(p, u), d), p) for p in on_line)
+    for (u, _), (a, b, c) in zip(poly.edges(), poly.halfplanes()):
+        # (b, -a) is the primitive direction of the edge
+        keyed = sorted(((x - u[0]) * b - (y - u[1]) * a, z, (x, y)) for x, y, z in lifted if a * x + b * y == c)
         # 1D lower hull over (position, height); collinear lifted points are
         # merged so the chain edges are maximal 1-faces.
-        chain: list[tuple[int, Point]] = []
-        for k, p in keyed:
+        chain: list[tuple[int, int, Point]] = []
+        for k, z, p in keyed:
             while len(chain) >= 2:
-                (k1, p1), (k2, p2) = chain[-2], chain[-1]
-                turn = (k2 - k1) * (h[p] - h[p2]) - (h[p2] - h[p1]) * (k - k2)
-                if turn <= 0:
+                (k1, z1, _), (k2, z2, _) = chain[-2], chain[-1]
+                if (k2 - k1) * (z - z2) - (z2 - z1) * (k - k2) <= 0:
                     chain.pop()
                 else:
                     break
-            chain.append((k, p))
-        for (k1, p1), (k2, p2) in zip(chain, chain[1:]):
-            seeds.append((p1, p2))
+            chain.append((k, z, p))
+        seeds.extend((p1, p2) for (_, _, p1), (_, _, p2) in zip(chain, chain[1:]))
     return seeds
 
 
@@ -156,9 +228,10 @@ class RegularSubdivision:
     """A regular subdivision of a polygon together with its height witness.
 
     ``cells`` are the two-dimensional faces, ``planes`` the integer
-    supporting planes of the lifted cells (parallel data).  ``unimodular``
-    is whether every cell is a unimodular triangle, when the constructor
-    already measured the cells; None means ``is_unimodular`` measures."""
+    supporting planes of the lifted cells (parallel data), on the witness's
+    least common scale.  ``unimodular`` is whether every cell is a
+    unimodular triangle, when the constructor already measured the cells;
+    None means ``is_unimodular`` measures."""
 
     polygon: LatticePolygon
     cells: tuple[LatticePolygon, ...]
@@ -207,10 +280,6 @@ class RegularSubdivision:
             return self.unimodular
         return all(len(c.vertices) == 3 and c.area2() == 1 for c in self.cells)
 
-    def plane_value(self, cell_idx: int, p: Point) -> Fraction:
-        nx, ny, nz, d = self.planes[cell_idx]
-        return Fraction(d - nx * p[0] - ny * p[1], nz)
-
     def to_json(self) -> dict:
         pts = self.witness.support
         index = {p: i for i, p in enumerate(pts)}
@@ -220,42 +289,38 @@ class RegularSubdivision:
 
 def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivision:
     """The regular subdivision of ``poly`` induced by lifting the support of
-    ``heights`` and projecting the lower convex hull."""
-    if isinstance(heights, HeightFunction):
-        hf = heights
-    else:
-        hf = HeightFunction.of(heights)
-    hmap = hf.as_dict()
-    pts = list(hmap)
-    for p in pts:
-        if poly.side(p) < 0:
-            raise SubdivisionError(f"support point {p} outside the polygon")
-    if LatticePolygon(pts) != poly:
+    ``heights`` (a HeightFunction or a mapping) and projecting the lower
+    convex hull.
+
+    Gift wrapping from the lower chains over the polygon's edges: each
+    directed edge popped gives the facet on its left (``_lowest_plane``,
+    then ``_touching`` for the points on it), and every edge of a facet
+    found is marked done, so each facet is wrapped once.  A lower facet's
+    edge is the whole face it shares with its neighbour, so the neighbour
+    is wrapped from exactly that edge."""
+    hf = heights if isinstance(heights, HeightFunction) else HeightFunction.of(heights)
+    h, _ = hf.lift()
+    pts = list(h)
+    if not _spans(poly, h):
+        outside = next((p for p in sorted(pts) if poly.side(p) < 0), None)
+        if outside is not None:
+            raise SubdivisionError(f"support point {outside} outside the polygon")
         raise SubdivisionError("support does not span the polygon")
-    h, _ = _cleared(hmap)
+    if poly.dimension != 2:
+        raise SubdivisionError("support does not span a two-dimensional polygon")
     lifted = [(x, y, h[x, y]) for x, y in pts]
 
-    seeds = _boundary_chain_edges(pts, h)
-    queue = list(seeds)
-    boundary_keys = {(min(a, b), max(a, b)) for a, b in seeds}
-    done_directed: set[tuple[Point, Point]] = set()
+    queue = _boundary_chain_edges(poly, lifted)
+    boundary_keys = {(min(a, b), max(a, b)) for a, b in queue}
+    done: set[tuple[Point, Point]] = set()
     facets: dict[tuple, tuple[LatticePolygon, list[Point]]] = {}
 
     while queue:
         a, b = queue.pop()
-        if (a, b) in done_directed:
+        if (a, b) in done:
             continue
-        done_directed.add((a, b))
-        cands = [p for p in pts if orient(a, b, p) > 0]
-        if not cands:
-            raise SubdivisionError(f"no facet on the left of {(a, b)}")
-        nx, ny, nz, d = _plane_through(a, b, cands[0], h)
-        for c in cands[1:]:
-            if nx * c[0] + ny * c[1] + nz * h[c] < d:
-                nx, ny, nz, d = _plane_through(a, b, c, h)
-        plane = _norm_plane((nx, ny, nz, d))
-        if plane in facets:
-            continue
+        done.add((a, b))
+        plane = _norm_plane(_lowest_plane(a, b, h, lifted))
         on = _touching(plane, lifted)
         if on is None:
             raise AssertionError("gift wrapping produced a non-supporting plane")
@@ -264,8 +329,8 @@ def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivisio
             raise AssertionError("degenerate facet")
         facets[plane] = (cell, on)
         for u, w in cell.edges():
-            key = (min(u, w), max(u, w))
-            if key not in boundary_keys:
+            done.add((u, w))
+            if (min(u, w), max(u, w)) not in boundary_keys:
                 queue.append((w, u))
 
     ordered = sorted(facets.items(), key=lambda kv: kv[1][0].vertices)
@@ -280,7 +345,7 @@ def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivisio
 
 
 def trivial_subdivision(poly: LatticePolygon) -> RegularSubdivision:
-    return subdivision_from_heights(poly, {p: Fraction(0) for p in poly.vertices})
+    return subdivision_from_heights(poly, dict.fromkeys(poly.vertices, 0))
 
 
 def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivision | None:
@@ -310,11 +375,9 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
     far vertex of a neighbour is a support point off the cell.
     """
     hf = heights if isinstance(heights, HeightFunction) else HeightFunction.of(heights)
-    hmap = hf.as_dict()
-    pts = list(hmap)
-    if LatticePolygon(pts) != poly:
+    h, _ = hf.lift()
+    if not _spans(poly, h):
         return None
-    h, _ = _cleared(hmap)
     cells = sorted(cells, key=lambda c: c.vertices)
     areas = [c.area2() for c in cells]
     if len(set(cells)) != len(cells) or sum(areas) != poly.area2():
@@ -326,7 +389,7 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
             return None
         unused = ()
     else:
-        lifted = [(x, y, h[x, y]) for x, y in pts]
+        lifted = [(x, y, z) for (x, y), z in h.items()]
         planes = []
         used = set()
         for c in cells:
@@ -339,7 +402,7 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
                 return None
             used.update(on)
             planes.append(plane)
-        unused = tuple(sorted(set(pts) - used))
+        unused = tuple(sorted(set(h) - used))
     return RegularSubdivision(poly, tuple(cells), hf, tuple(map(_norm_plane, planes)), unused, unimodular)
 
 
@@ -363,24 +426,22 @@ def _folds(poly: LatticePolygon, cells, h) -> list | None:
     lookup, and it does not lean on the area sum."""
     left: dict[tuple[Point, Point], tuple[Point, int]] = {}  # edge -> (far vertex, cell)
     planes = []
-    for c in cells:
+    for i, c in enumerate(cells):
         a, b, e = c.vertices
-        if a not in h or b not in h or e not in h:
+        if a not in h or b not in h or e not in h or (a, b) in left or (b, e) in left or (e, a) in left:
             return None
-        for edge, far in (((a, b), e), ((b, e), a), ((e, a), b)):
-            if edge in left:
-                return None
-            left[edge] = (far, len(planes))
+        left[a, b], left[b, e], left[e, a] = (e, i), (a, i), (b, i)
         planes.append(_plane_through(a, b, e, h))
-    boundary = set(poly.boundary_segments())
     for (u, w), (_, i) in left.items():
         other = left.get((w, u))
         if other is None:
-            if ((u, w) if u < w else (w, u)) not in boundary:
+            # a unimodular triangle's edge is primitive, and its ends lie in
+            # poly: it is a boundary segment iff both are on one edge line
+            if not any(a * u[0] + b * u[1] == c == a * w[0] + b * w[1] for a, b, c in poly.halfplanes()):
                 return None
         elif u < w:
-            (qx, qy), nx, ny, nz, d = other[0], *planes[i]
-            if nx * qx + ny * qy + nz * h[qx, qy] <= d:
+            q, (nx, ny, nz, d) = other[0], planes[i]
+            if nx * q[0] + ny * q[1] + nz * h[q] <= d:
                 return None
     return planes
 
@@ -391,18 +452,21 @@ def _folds(poly: LatticePolygon, cells, h) -> list | None:
 
 
 _MAX_DOUBLINGS = 80
+_MAX_HALVINGS = 400
 
 
 def extend_subdivision(poly: LatticePolygon, inner: RegularSubdivision) -> RegularSubdivision:
     """Extend a regular subdivision of a subpolygon to all of ``poly``.
 
-    New vertices of ``poly`` are lifted to a common height H, doubled until
-    every new vertex lies strictly above every inner cell's plane; those
-    heights are gift-wrapped once.  This is exactly when the inner cells
-    reappear: each inner plane then still supports the lift and touches the
-    same points, and a reappearing cell's plane is the inner one, which the
-    new vertices (outside the cell) lie off.  The inner cells tile the
-    subpolygon, so its primitive boundary segments stay edges.
+    The inner heights are shifted to be at least 1, and new vertices of
+    ``poly`` are lifted to a common height H, doubled until every new vertex
+    lies strictly above every inner cell's plane; those heights are
+    gift-wrapped once.  This is exactly when the inner cells reappear: each
+    inner plane then still supports the lift and touches the same points,
+    and a reappearing cell's plane is the inner one, which the new vertices
+    (outside the cell) lie off.  The inner cells tile the subpolygon, so its
+    primitive boundary segments stay edges.  All of it is integer, on the
+    inner witness's scale.
     """
     inner_poly = inner.polygon
     for v in inner_poly.vertices:
@@ -411,101 +475,136 @@ def extend_subdivision(poly: LatticePolygon, inner: RegularSubdivision) -> Regul
     if inner_poly == poly:
         return inner
     new_vertices = [v for v in poly.vertices if inner_poly.side(v) < 0]
-    base = inner.witness.as_dict()
-    lo = min(base.values())
-    base = {p: v - lo + 1 for p, v in base.items()}  # positive values
-    b, scale = _cleared(base)
-    planes = [_plane_through(*c.vertices[:3], b) for c in inner.cells]
-    height = max(base.values()) + 1
+    h, scale = inner.witness.lift()
+    shift = scale - min(h.values())
+    base = {p: v + shift for p, v in h.items()}  # the least height is 1, that is scale
+    planes = [_plane_through(*c.vertices[:3], base) for c in inner.cells]
+    z = max(base.values()) + scale
     for _ in range(_MAX_DOUBLINGS):
-        z = int(height * scale)
         if all(nx * x + ny * y + nz * z > d for nx, ny, nz, d in planes for x, y in new_vertices):
-            return subdivision_from_heights(poly, {**base, **dict.fromkeys(new_vertices, height)})
-        height *= 2
+            lift = {**base, **dict.fromkeys(new_vertices, z)}
+            return subdivision_from_heights(poly, HeightFunction.lifted(lift, scale))
+        z *= 2
     raise SubdivisionError("extension height search did not converge")
 
 
 def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
     """Regular unimodular refinement of a regular subdivision.
 
-    Pulls every lattice point in lexicographic order.  Each pull lowers the
-    point slightly below the current lifted surface (the exact rational drop
-    is halved until ``_pull`` accepts it) and cones the cells containing it.
-    Heights are integers on one shared ``scale``: when a drop needs a finer
-    denominator, the scale, every height and every plane's (nx, ny, d) are
-    multiplied by the missing factor, which changes no sign.  ``where`` maps
-    each point not yet pulled to the cells containing it (``inside`` is the
-    inverse) and ``owner`` each directed ccw cell edge to the cell on its
-    left.  The final witness is re-verified globally.
+    Pulls every lattice point in lexicographic order: the point is lowered
+    below the current lifted surface and the cells containing it are coned
+    from it (De Loera, Rambau and Santos, *Triangulations*, 2010, §4.3).
+    The heights start as the surface values of ``sub_div`` on its witness's
+    scale, as integers on one shared ``scale``.  The drop is ``2**-k`` of
+    those units, where the pulling search starts k at the last drop's
+    exponent e and raises it by one (halves the drop) until the trial is a
+    regular subdivision, at most ``_MAX_HALVINGS`` times.
+
+    The first passing k has a closed form, ``_drop_exponent``, so no trial
+    is made.  A trial is regular exactly when p ends strictly above the
+    plane of each cell across one of its link edges (see
+    ``_drop_exponent``).  Let (nx, ny, nz, d) be the plane of a cell
+    containing p = (x, y), so the surface at p is N/nz with
+    N = d - nx x - ny y, and the trial height is z = N/nz - scale 2**-k.  For
+    an across plane (ax, ay, az, ad), with az > 0 and nz > 0, p lies above it
+    when ax x + ay y + az z > ad, that is 2**k num > A with
+    num = N az - (ad - ax x - ay y) nz and A = nz az scale > 0.  If num <= 0,
+    no k passes and the search fails.  Otherwise, as 2**k is an integer,
+    2**k > A / num exactly when 2**k > A // num, and the least such k is
+    (A // num).bit_length().  Each test holds for every k from its own
+    bound on, so the first k >= e that passes all of them, which is the
+    search's, is the largest of e and the bounds; the search gives up when
+    that is e + ``_MAX_HALVINGS`` or more.  A rescale multiplies N,
+    ad - ax x - ay y and scale by one factor, so the bound does not depend
+    on the scale.  The heights, and so the witness, are those the search
+    would reach.
+
+    Only the drop taken is applied.  When it needs a finer denominator, the
+    scale, every height and every plane's (nx, ny, d) are multiplied by the
+    missing factor, which changes no sign.  Cells and their cones are ccw
+    vertex tuples; ``where`` maps each point not yet pulled to the cells
+    containing it (``inside`` is the inverse), and ``owner`` each directed
+    ccw cell edge to the cell on its left.  A point of the star lies in the
+    cones of its own cells only, so it is tested against those.  The final
+    cells become polygons once, and the witness is re-verified globally by
+    ``verify_subdivision``.
     """
     if sub_div.is_unimodular():
         return sub_div
     poly = sub_div.polygon
-    cells: dict[int, LatticePolygon] = dict(enumerate(sub_div.cells))
+    cells: dict[int, tuple[Point, ...]] = {}
     where, inside, owner, seed = {}, {}, {}, {}
-    for i, c in cells.items():
-        inside[i] = c.lattice_points()
+    for i, (c, (nx, ny, nz, d)) in enumerate(zip(sub_div.cells, sub_div.planes)):
+        cells[i] = t = c.vertices
+        inside[i] = list(t) if len(t) == 3 and orient(*t) == 1 else c.lattice_points()
         for q in inside[i]:
             where.setdefault(q, []).append(i)
             if q not in seed:  # the surface is continuous: any cell gives it
-                seed[q] = sub_div.plane_value(i, q)
-        owner.update(dict.fromkeys(c.edges(), i))
-    h, scale = _cleared(seed)
-    planes = {i: _plane_through(*c.vertices[:3], h) for i, c in cells.items()}
+                v = d - nx * q[0] - ny * q[1]
+                g = gcd(v, nz)
+                seed[q] = (v // g, nz // g)  # the surface at q, in lowest terms
+        owner.update(dict.fromkeys(zip(t, t[1:] + t[:1]), i))
+    scale = lcm(*{den for _, den in seed.values()})
+    h = {q: v * (scale // den) for q, (v, den) in seed.items()}
+    planes = {i: _plane_through(*t[:3], h) for i, t in cells.items()}
     fresh = count(len(cells))
-    eps = Fraction(1)
+    e = 0
 
     for p in poly.lattice_points():
         affected = where.pop(p)
-        if all(len(cells[i].vertices) == 3 and p in cells[i].vertices for i in affected):
+        if all(len(cells[i]) == 3 and p in cells[i] for i in affected):
             continue  # pulling is a combinatorial no-op
-        cones = [
-            (u, w)
-            for i in affected
-            for u, w in cells[i].edges()
-            if orient(u, w, p) != 0 or dot(sub(p, u), sub(p, w)) > 0
-        ]
-        nx, ny, nz, d = planes[affected[0]]
-        nu = Fraction(d - nx * p[0] - ny * p[1], nz * scale)
-        old = h[p]
-        for _ in range(400):
-            drop = nu - eps
-            if scale % drop.denominator:
-                m = drop.denominator // gcd(scale, drop.denominator)
-                scale *= m
-                for q in h:
-                    h[q] *= m
-                planes = {i: (a * m, b * m, c, e * m) for i, (a, b, c, e) in planes.items()}
-                old = h[p]
-            h[p] = int(drop * scale)
-            new_planes = _pull(p, h, cones, [planes.get(owner.get((w, u))) for u, w in cones])
-            if new_planes is not None:
-                break
-            h[p] = old
-            eps /= 2
-        else:
-            raise SubdivisionError("pulling drop search did not converge")
+        x, y = p
+        links = []  # per affected cell, its edges that miss p
+        for i in affected:
+            t = cells[i]
+            u, edges = t[-1], []
+            for w in t:
+                if (w[0] - u[0]) * (y - u[1]) > (w[1] - u[1]) * (x - u[0]):  # orient(u, w, p) > 0
+                    edges.append((u, w))
+                u = w
+            links.append((i, edges))
+        across = [planes[j] for _, edges in links for u, w in edges if (j := owner.get((w, u))) is not None]
+        surface = planes[affected[0]]
+        e = _drop_exponent(p, surface, across, scale, e)
+        nx, ny, nz, d = surface
+        # the new height N/nz - scale 2**-e, in lowest terms num / den
+        num, den = ((d - nx * x - ny * y) << e) - scale * nz, nz << e
+        g = gcd(num, den)
+        m = den // g
+        if m > 1:
+            scale *= m
+            for q in h:
+                h[q] *= m
+            planes = {i: (a * m, b * m, c, f * m) for i, (a, b, c, f) in planes.items()}
+        h[p] = num // g
 
-        star = dict.fromkeys(q for i in affected for q in inside.pop(i) if q in where)
         for i in affected:
             del planes[i]
-            for e in cells.pop(i).edges():
-                del owner[e]
-        new = []
-        for (u, w), plane in zip(cones, new_planes):
-            k = next(fresh)
-            cells[k], planes[k], inside[k] = LatticePolygon([p, u, w]), plane, []
-            owner[p, u] = owner[u, w] = owner[w, p] = k
-            new.append((k, u, w))
-        for q in star:
-            here = [i for i in where[q] if i not in affected]
-            for k, u, w in new:
-                if orient(p, u, q) >= 0 and orient(u, w, q) >= 0 and orient(w, p, q) >= 0:
-                    here.append(k)
-                    inside[k].append(q)
-            where[q] = here
+            t = cells.pop(i)
+            for edge in zip(t, t[1:] + t[:1]):
+                del owner[edge]
+        star: dict[Point, list[int]] = {}
+        for i, edges in links:
+            cones = []
+            for u, w in edges:
+                k = next(fresh)
+                cells[k], planes[k], inside[k] = (p, u, w), _plane_through(p, u, w, h), []
+                owner[p, u] = owner[u, w] = owner[w, p] = k
+                cones.append((k, u[0] - x, u[1] - y, w[0] - x, w[1] - y))
+            for q in inside.pop(i):
+                if q in where:
+                    qx, qy = q[0] - x, q[1] - y
+                    here = star.setdefault(q, [])
+                    for k, ux, uy, wx, wy in cones:
+                        if ux * qy - uy * qx >= 0 and qx * wy - qy * wx >= 0:
+                            here.append(k)
+                            inside[k].append(q)
+        for q, here in star.items():
+            where[q] = [i for i in where[q] if i not in affected] + here
 
-    result = verify_subdivision(poly, list(cells.values()), {q: Fraction(v, scale) for q, v in h.items()})
+    witness = HeightFunction.lifted(h, scale)
+    result = verify_subdivision(poly, [LatticePolygon(t) for t in cells.values()], witness)
     if result is None:
         raise AssertionError("pulled witness failed global verification")
     if not result.is_unimodular():
@@ -513,17 +612,23 @@ def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
     return result
 
 
-def _pull(p: Point, h, cones, across) -> list | None:
-    """The planes of the cones ``(u, w)`` (ccw triangles p, u, w) of a pull
-    trial at height ``h[p]``, or None if the trial fails: ``p`` must lie
-    strictly above each plane in ``across`` (the cell across each cone's link
-    edge, None on the boundary), so that every link edge is a strict fold.
+def _drop_exponent(p: Point, surface, across, scale: int, e: int) -> int:
+    """The exponent k of the pulling drop at ``p``: the first k >= e, in
+    fewer than ``_MAX_HALVINGS`` steps past e, at which lowering p to
+    ``2**-k`` units below the current surface leaves p strictly above every
+    plane in ``across``; SubdivisionError("pulling drop search did not
+    converge") if there is none.  ``surface`` is the integer plane of a cell
+    containing p and ``across`` those of the cells across p's link edges
+    (boundary link edges have none), all on ``scale``.  See
+    ``unimodular_refinement`` for why the closed form is the first k the
+    halving search accepts.
 
-    This is the scans' verdict (p strictly above every kept plane, each
-    cone's plane below the lift and touching just the cone's points).  The
-    scans imply the test, since the cells across the link are kept.
+    Being strictly above ``across`` makes every link edge a strict fold,
+    and it is the scans' verdict on the trial (p strictly above every kept
+    plane, each cone's plane below the lift and touching just the cone's
+    points).  The scans imply the test, since the cells across the link are kept.
     Conversely the current cells are the regular subdivision of the current
-    heights, every lattice point on or above its surface, and lowering h(p)
+    heights, every lattice point on or above its surface, and lowering p
     replaces the surface only on p's star, by cones below it that meet it
     on the link.  Folds across spokes, link edges and between kept cells
     (strict by regularity) make the new surface strictly convex across every
@@ -532,11 +637,11 @@ def _pull(p: Point, h, cones, across) -> list | None:
 
     The spokes need no test: once the link edges are strict folds, so is
     every spoke.  Let f be the current surface, S the star of p (the cells
-    containing it), δ = f(p) - h[p] > 0, and λ the function on S that is 1
-    at p, 0 on the link and affine on each cone.  Each cone lies in one
-    cell, where f is affine, so the new surface on S is f - δλ.  Take a
-    spoke pu between the cones over the link edges tu and uw, and let θ be
-    the angle t-u-w on p's side.
+    containing it), δ = f(p) - z > 0, and λ the function on S that is 1 at
+    p, 0 on the link and affine on each cone.  Each cone lies in one cell,
+    where f is affine, so the new surface on S is f - δλ.  Take a spoke pu
+    between the cones over the link edges tu and uw, and let θ be the angle
+    t-u-w on p's side.
     - θ <= 180°: λ is concave across pu and f convex, one of them strictly.
       If pu runs inside one cell, u is a corner of it and θ < 180°, so λ is
       strictly concave; otherwise pu lies on an edge between two cells,
@@ -550,11 +655,18 @@ def _pull(p: Point, h, cones, across) -> list | None:
       sector, and the spoke's term cancels it along u -> p, which points out
       of the sector; so its c_e > 0.
     """
-    x, y, z = p[0], p[1], h[p]
-    for plane in across:
-        if plane is not None and plane[0] * x + plane[1] * y + plane[2] * z <= plane[3]:
-            return None
-    return [_plane_through(p, u, w, h) for u, w in cones]
+    x, y = p
+    nx, ny, nz, d = surface
+    n = d - nx * x - ny * y
+    k = e
+    for ax, ay, az, ad in across:
+        num = n * az - (ad - ax * x - ay * y) * nz
+        if num <= 0:
+            raise SubdivisionError("pulling drop search did not converge")
+        k = max(k, (nz * az * scale // num).bit_length())
+    if k >= e + _MAX_HALVINGS:
+        raise SubdivisionError("pulling drop search did not converge")
+    return k
 
 
 # ---------------------------------------------------------------------------

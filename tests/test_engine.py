@@ -810,15 +810,17 @@ def test_hyperelliptic_reports_deferred():
 OPTIMIZED_REPLAY = """
 import random, sys
 sys.path[:0] = [{tests!r}, {src!r}]
-from test_engine import T3, T4, _derived, _digest, corruptible_paths, corruption_survives
-from tropmono.engine import replay_certificate
+from test_engine import POLYGONS, _digest, corruptible_paths, corruption_survives
+from tropmono.engine import Engine, replay_certificate
 
 survivors = 0
-for poly in (T3, T4):
-    cert = _derived(poly).export_certificate()
-    print(_digest(cert))
+for name, poly in POLYGONS.items():
+    engine = Engine(poly)
+    report = engine.derive_surjectivity()
+    cert = engine.export_certificate()
+    print(_digest(cert), _digest(report["certificate"]))
     replay_certificate(cert)
-    replay_certificate(cert)
+    replay_certificate(report["certificate"])
     paths = corruptible_paths(cert)
     rng = random.Random(5)
     for _ in range(60):
@@ -829,13 +831,14 @@ print(__debug__, survivors)
 
 def test_soundness_under_python_O():
     """Derivation, replay and corruption rejection with assert statements
-    compiled out: the rule kernel's checks do not rest on assert, and the
-    T3 and T4 certificates keep their pinned bytes."""
+    compiled out: the rule kernel's and the certification kernel's checks
+    do not rest on assert, and the T3, T4, SQ4 and T6 certificates (whole
+    DAG and report) keep their pinned bytes and replay."""
     tests = os.path.dirname(os.path.abspath(__file__))
     code = OPTIMIZED_REPLAY.format(tests=tests, src=os.path.join(os.path.dirname(tests), "src"))
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    digests = [CERTIFICATE_DIGESTS["T3"], CERTIFICATE_DIGESTS["T4"]]
+    digests = [d for name in POLYGONS for d in (CERTIFICATE_DIGESTS[name], REPORT_DIGESTS[name])]
     assert proc.stdout.split() == digests + ["False", "0"]
 
 

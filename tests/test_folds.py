@@ -2,15 +2,17 @@
 scans they replace.
 
 The oracles below are the scan versions of the three decisions: the
-``_touching`` check of every cell in ``verify_subdivision``, the pull trial
-of ``unimodular_refinement`` (every kept plane below the pulled point, and a
-``_touching`` scan per cone), and the gift-wrapped acceptance of an
-extension height.  The kernel must decide exactly as they do, so the tests
-compare decisions as well as the subdivisions built from them.
+``_touching`` check of every cell in ``verify_subdivision``, the pulling
+drop of ``unimodular_refinement`` (halved until every kept plane is below
+the pulled point and a ``_touching`` scan per cone passes, against the
+closed form), and the gift-wrapped acceptance of an extension height.  The
+kernel must decide exactly as they do, so the tests compare decisions as
+well as the subdivisions built from them.
 """
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -28,7 +30,7 @@ from tropmono.subdivision import (
     _cleared,
     _norm_plane,
     _plane_through,
-    _pull,
+    _drop_exponent,
     _touching,
     extend_subdivision,
     subdivision_from_heights,
@@ -95,10 +97,12 @@ def measured_unimodular(sub_div):
 
 def scan_refinement(sub_div, tally):
     """Pulling as done with global scans: cells located with ``side``,
-    heights seeded from the first containing cell, and every trial decided
-    by the kept planes plus a ``_touching`` scan per cone.  Each trial is
-    also put to ``_pull`` on the same state, which must agree; ``tally``
-    counts the accepted and rejected trials."""
+    heights seeded from the first containing cell, and the drop halved
+    until the trial passes the kept planes plus a ``_touching`` scan per
+    cone.  The first passing halving must be the closed-form exponent of
+    ``_drop_exponent`` on the same state.  ``tally`` counts the accepted and
+    rejected trials, and the pulls that took two or more halvings and a
+    rescale of the shared scale."""
     if sub_div.is_unimodular():
         return sub_div
     poly = sub_div.polygon
@@ -106,12 +110,13 @@ def scan_refinement(sub_div, tally):
 
     def surface(p):
         i = next(i for i, c in enumerate(sub_div.cells) if c.side(p) >= 0)
-        return sub_div.plane_value(i, p)
+        nx, ny, nz, d = sub_div.planes[i]
+        return Fraction(d - nx * p[0] - ny * p[1], nz)
 
     h, scale = _cleared({p: surface(p) for p in pts})
     cells = list(sub_div.cells)
     planes = [_plane_through(c.vertices[0], c.vertices[1], c.vertices[2], h) for c in cells]
-    eps = Fraction(1)
+    eps, e = Fraction(1), 0
     for p in pts:
         affected = [i for i, c in enumerate(cells) if c.side(p) >= 0]
         if all(len(cells[i].vertices) == 3 and p in cells[i].vertices for i in affected):
@@ -124,9 +129,15 @@ def scan_refinement(sub_div, tally):
             if not (orient(u, w, p) == 0 and dot(sub(p, u), sub(p, w)) <= 0)
         ]
         cones = [LatticePolygon([p, u, w]) for u, w in links]
+        across = []
+        for u, w in links:
+            owners = [i for i in kept if (w, u) in cells[i].edges()]
+            assert len(owners) <= 1
+            across.extend(planes[i] for i in owners)
+        want = _drop_exponent(p, planes[affected[0]], across, scale, e)
         nx, ny, nz, d = planes[affected[0]]
         nu = Fraction(d - nx * p[0] - ny * p[1], nz * scale)
-        old = h[p]
+        old, first, rescaled = h[p], e, False
         for _ in range(400):
             drop = nu - eps
             if scale % drop.denominator:
@@ -134,10 +145,10 @@ def scan_refinement(sub_div, tally):
                 scale *= m
                 for q in h:
                     h[q] *= m
-                planes = [(a * m, b * m, c, e * m) for a, b, c, e in planes]
-                old = h[p]
+                planes = [(a * m, b * m, c, f * m) for a, b, c, f in planes]
+                old, rescaled = h[p], True
             z = h[p] = int(drop * scale)
-            good = all(a * p[0] + b * p[1] + c * z > e for a, b, c, e in (planes[i] for i in kept))
+            good = all(a * p[0] + b * p[1] + c * z > f for a, b, c, f in (planes[i] for i in kept))
             new_planes = []
             if good:
                 lifted = [(x, y, h[x, y]) for x, y in pts]
@@ -149,21 +160,16 @@ def scan_refinement(sub_div, tally):
                         good = False
                         break
                     new_planes.append(plane)
-            across = []
-            for u, w in links:
-                owners = [i for i in kept if (w, u) in cells[i].edges()]
-                assert len(owners) <= 1
-                across.append(planes[owners[0]] if owners else None)
-            local = _pull(p, h, links, across)
-            assert (local is not None) == good, (p, z)
-            tally[good] += 1
+            tally["accepted" if good else "rejected"] += 1
             if good:
-                assert [_norm_plane(q) for q in local] == [_norm_plane(q) for q in new_planes]
+                assert e == want, (p, e, want)
+                tally["deep"] += e - first >= 2 and rescaled
                 cells = [cells[i] for i in kept] + cones
                 planes = [planes[i] for i in kept] + new_planes
                 break
             h[p] = old
             eps /= 2
+            e += 1
         else:
             raise SubdivisionError("pulling drop search did not converge")
     result = scan_verify(poly, cells, {q: Fraction(v, scale) for q, v in h.items()})
@@ -213,7 +219,7 @@ def derived():
     """Certificate and distinct admissibility witnesses of T4, SQ4, T6, R4x6
     and R5x7 derivations; the derivations run with every extension and
     refinement checked against the oracles."""
-    pulls, attempts = {True: 0, False: 0}, [0]
+    pulls, attempts = Counter(), [0]
     real_extend, real_refine = tropmono.graphs.extend_subdivision, tropmono.graphs.unimodular_refinement
 
     def extend(poly, inner):
@@ -244,7 +250,7 @@ def derived():
             out[name] = (cert, list(witnesses))
     finally:
         patch.undo()
-    assert min(pulls.values()) > 100 and attempts[0] > 20, (pulls, attempts)
+    assert min(pulls["accepted"], pulls["rejected"]) > 100 and attempts[0] > 20, (pulls, attempts)
     return out
 
 
@@ -283,10 +289,12 @@ def test_derivation_witnesses_and_height_moves(derived):
 
 
 def test_random_refinements_and_extensions():
-    """Pull trials on random subdivisions decide as the scans do, and the
-    refinements and extensions built from them are the scans' own."""
+    """On random subdivisions the closed-form pulling drop is the first
+    halving the scans accept, also in more than 100 pulls that take two or
+    more halvings and a rescale, and the refinements and extensions are
+    the scans' own."""
     rng = random.Random(29)
-    pulls, attempts = {True: 0, False: 0}, [0]
+    pulls, attempts = Counter(), [0]
     for _ in range(40):
         poly = LatticePolygon([(rng.randint(-3, 4), rng.randint(-3, 3)) for _ in range(rng.randint(3, 7))])
         if poly.dimension < 2:
@@ -298,7 +306,25 @@ def test_random_refinements_and_extensions():
         same_subdivision(extend_subdivision(outer, sub_div), wrap_extension(outer, sub_div, attempts))
         trivial = trivial_subdivision(outer)
         same_subdivision(unimodular_refinement(trivial), scan_refinement(trivial, pulls))
-    assert min(pulls.values()) > 100 and attempts[0] > 40, (pulls, attempts)
+    assert min(pulls["accepted"], pulls["rejected"]) > 100 and attempts[0] > 40, (pulls, attempts)
+    assert pulls["deep"] > 100, pulls
+
+
+def test_drop_exponent_bounds_the_halving_search():
+    """The closed form raises where the halving search gives up: when the
+    pulled point is on or below a plane across its link whatever the drop
+    (num <= 0), and when the gap needs more than ``_MAX_HALVINGS`` halvings
+    past the current exponent; the last halving the search tries passes."""
+    surface = (0, 0, 1, 5)  # z = 5 over p = (0, 0)
+    for ad in (5, 6):  # across plane z = ad, on or above the surface at p
+        with pytest.raises(SubdivisionError, match="^pulling drop search did not converge$"):
+            _drop_exponent((0, 0), surface, [(0, 0, 1, ad)], 1, 0)
+    across = [(0, 0, 1, 4)]  # one unit below: 2**k * 1 > scale
+    for e in (0, 7):
+        assert _drop_exponent((0, 0), surface, across, 1 << (e + 398), e) == e + 399
+        with pytest.raises(SubdivisionError, match="^pulling drop search did not converge$"):
+            _drop_exponent((0, 0), surface, across, 1 << (e + 399), e)
+    assert _drop_exponent((0, 0), surface, [], 1, 9) == 9  # boundary link: no bound
 
 
 # ---------------------------------------------------------------------------

@@ -284,23 +284,24 @@ def test_seg_matches_int_cast_reference():
 
 
 def test_derivation_builds_triangles_without_the_hull(monkeypatch):
-    """The three-point path carries the derivation's cells and trial cones:
-    T4 and R4x6 derivations run convex_hull for under a quarter of their
-    polygons."""
-    calls = {"hull": 0, "polygon": 0}
+    """The three-point path carries the derivation's cells and cones: T4
+    and R4x6 derivations build hundreds of triangles, and no convex_hull
+    call is handed three non-collinear points."""
+    calls = {"triangles": 0, "hull of three": 0}
     real_hull, real_init = tropmono.geometry.convex_hull, LatticePolygon.__init__
 
     def counting_hull(points):
-        calls["hull"] += 1
+        points = list(points)
+        distinct = set(map(tuple, points))
+        calls["hull of three"] += len(distinct) == 3 and orient(*distinct) != 0
         return real_hull(points)
 
     def counting_init(self, points):
-        calls["polygon"] += 1
         real_init(self, points)
+        calls["triangles"] += len(self.vertices) == 3
 
     monkeypatch.setattr(tropmono.geometry, "convex_hull", counting_hull)
     monkeypatch.setattr(LatticePolygon, "__init__", counting_init)
     for vertices in ([(0, 0), (4, 0), (0, 4)], [(0, 0), (4, 0), (4, 6), (0, 6)]):
         Engine(LatticePolygon(vertices)).derive_surjectivity()
-    assert calls["polygon"] > 400
-    assert 4 * calls["hull"] < calls["polygon"], calls
+    assert calls["triangles"] > 400 and calls["hull of three"] == 0, calls

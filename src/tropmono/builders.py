@@ -20,7 +20,8 @@ Every builder that certifies (corner, side, propagation, gcd1, gcd2,
 gcdedges, interior, leg pair) calls ``certify_graph`` itself, directly or
 through ``certify_flexible``; the ray sweeps certify nothing.
 
-The transfer graphs are drawn in a frame and mapped back by ``_framed``;
+The transfer graphs are drawn in the frame ``_frame`` finds and mapped
+back by ``_framed``;
 the interior graphs and the engine's divisible pipelines search end-device
 pairs with ``device_pairs``, and every sweep whose seed weights must cancel
 a given residual comes from ``cancelling_sweep``.
@@ -51,6 +52,7 @@ from .geometry import (
 )
 from .polygons import (
     adjoint_boundary_cycle,
+    adjoint_edges_at,
     adjoint_polygon,
     divisible_points,
     neighbors_on_boundary,
@@ -196,38 +198,27 @@ def build_corner_graph(poly: LatticePolygon, kappa: Point) -> BuildResult:
 # ---------------------------------------------------------------------------
 
 
-def _frame_with_edge_on_x(poly: LatticePolygon, kappa: Point, other: Point):
-    """Def-normalization at kappa putting the adjoint edge toward ``other``
-    on the positive x-axis."""
+def _frame(poly: LatticePolygon, kappa: Point, point: Point, up: bool = False):
+    """Def-normalization at kappa, as ``normalize_at_vertex`` returns it,
+    that puts the adjoint boundary point ``point`` on the positive x-axis,
+    or, when ``up``, that sends the point next to kappa to (0, 1)."""
     for swap in (False, True):
-        f, img = normalize_at_vertex(poly, kappa, swap_axes=swap)
-        q = f.apply(other)
-        if q[1] == 0 and q[0] >= 1:
-            return f, img
-    raise ValueError(f"{other} is not along an adjoint edge at {kappa}")
-
-
-def _frame_with_point_up(poly: LatticePolygon, kappa: Point, kappa_prime: Point):
-    """Def-normalization at kappa sending the adjacent adjoint boundary point
-    kappa_prime to (0, 1)."""
-    for swap in (False, True):
-        f, img = normalize_at_vertex(poly, kappa, swap_axes=swap)
-        if f.apply(kappa_prime) == (0, 1):
-            return f, img
-    raise ValueError(f"{kappa_prime} is not next to {kappa} on the adjoint boundary")
+        frame = normalize_at_vertex(poly, kappa, swap_axes=swap)
+        q = frame[0].apply(point)
+        if (q == (0, 1) if up else q[1] == 0 and q[0] >= 1):
+            return frame
+    where = "next to" if up else "along an adjoint edge at"
+    raise ValueError(f"{point} is not {where} {kappa}")
 
 
 def build_side_graph(poly: LatticePolygon, edge: tuple[Point, Point]) -> BuildResult:
     """Weight-1 chain along an adjoint edge, extended one step past both
     ends to the polygon boundary."""
-    adjoint = adjoint_polygon(poly)
     kappa, xi = edge
-    if kappa not in adjoint.vertices or xi not in adjoint.vertices:
-        raise ValueError("side graphs are anchored at an adjoint edge")
-    f, img = _frame_with_edge_on_x(poly, kappa, xi)
+    f, img, adj_img = _frame(poly, kappa, xi)
     l = f.apply(xi)[0]
-    if f.apply(xi) != (l, 0) or l < 1:
-        raise AssertionError(f"{xi} is not on the positive x-axis of the frame")
+    if (l, 0) not in adj_img.vertices:
+        raise ValueError("side graphs are anchored at an adjoint edge")
     if img.side((-1, 0)) != 0 or img.side((l + 1, 0)) != 0:
         raise AssertionError("chain endpoints must reach the boundary")
     chain = _run((-1, 0), (l + 1, 0), 1)
@@ -253,8 +244,8 @@ def build_propagation_graph(
     """
     if a < 1:
         raise ValueError("a must be positive")
-    f, img = _frame_with_point_up(poly, kappa, kappa_prime)
-    if adjoint_polygon(img).side((a, 0)) != 0:
+    f, _, adj_img = _frame(poly, kappa, kappa_prime, up=True)
+    if adj_img.side((a, 0)) != 0:
         raise ValueError("target point must lie on the adjoint edge")
     hw, vw = -2 * a, -a - 1
     target = seg((0, -1), (a, 0))
@@ -284,15 +275,14 @@ def build_gcd1_graph(
     -(l m/(m^l) + l/(m^l)); the diagonal chain joins the two anchor points
     with weight 1.
     """
-    f, img = _frame_with_edge_on_x(poly, kappa, known_toward)
-    return _gcd_transfer(poly, f, img, m, l, "gcd1")
+    f, _, adj_img = _frame(poly, kappa, known_toward)
+    return _gcd_transfer(poly, f, adj_img, m, l, "gcd1")
 
 
-def _gcd_transfer(poly, f, img, m, l, name) -> BuildResult:
-    """The gcd transfer in the frame ``f`` (image ``img`` of the polygon):
-    from the bridge at (m, 0) to the bridge at (0, l), along the diagonal
-    chain from (m, 0) to (0, l)."""
-    adj_img = adjoint_polygon(img)
+def _gcd_transfer(poly, f, adj_img, m, l, name) -> BuildResult:
+    """The gcd transfer in the frame ``f`` (image ``adj_img`` of the
+    adjoint): from the bridge at (m, 0) to the bridge at (0, l), along the
+    diagonal chain from (m, 0) to (0, l)."""
     if adj_img.side((m, 0)) != 0 or adj_img.side((0, l)) != 0:
         raise ValueError("distances exceed the adjoint edges")
     g = gcd(m, l)
@@ -316,8 +306,8 @@ def build_gcd2_graphs(
     # The second graph starts from the conclusion of the first (a bridge at
     # distance m on the other edge) and transfers it back to distance m on
     # the original edge; same frame as the first graph.
-    f, img = _frame_with_point_up(poly, kappa, known_toward)
-    return first, _gcd_transfer(poly, f, img, m, m, "gcd2 second")
+    f, _, adj_img = _frame(poly, kappa, known_toward, up=True)
+    return first, _gcd_transfer(poly, f, adj_img, m, m, "gcd2 second")
 
 
 def build_gcdedges_graph(poly: LatticePolygon, kappa: Point, toward: Point) -> BuildResult:
@@ -327,18 +317,13 @@ def build_gcdedges_graph(poly: LatticePolygon, kappa: Point, toward: Point) -> B
     vertical edge weight -2; the remaining vertical column telescopes with
     weight l1 - 1 up to the boundary.
     """
-    f, img = _frame_with_edge_on_x(poly, kappa, toward)
-    adj_img = adjoint_polygon(img)
+    f, _, adj_img = _frame(poly, kappa, toward)
     xi = f.apply(toward)
-    lx = xi[0]
-    if xi != (lx, 0) or toward not in adjoint_polygon(poly).vertices:
+    if xi not in adj_img.vertices:
         raise ValueError("toward must be the far vertex of an adjoint edge at kappa")
-    # length of the vertical adjoint edge at kappa
-    ly = 0
-    while adj_img.side((0, ly + 1)) == 0:
-        ly += 1
-    if ly < 1:
-        raise AssertionError("no vertical adjoint edge at kappa")
+    lx = xi[0]
+    # the length of the other adjoint edge at kappa, the vertical one
+    ly = next(l for far, l in adjoint_edges_at(adj_img, (0, 0)) if far != xi)
     hw, vw = -2 * lx, -2
     target = seg((-1, 0), (0, 1))
     known, foot = (seg((0, -1), (lx, 0)), 1), (seg((0, 0), (0, 1)), vw)
@@ -472,7 +457,7 @@ def build_divisible_ray_sweep(
 def _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation) -> RaySweep:
     """Shared body of the sweeps: at d = 1 the closing column is the single
     anchor segment [kappa, kappa']."""
-    f = _frame_with_point_up(poly, kappa, kappa_prime)[0]
+    f = _frame(poly, kappa, kappa_prime, up=True)[0]
     inv = f.inverse()
     vi = f.apply(v)
     if vi[0] % d or vi[1] % d:
@@ -597,9 +582,9 @@ def _on_edge(a: Point, b: Point, p: Point) -> bool:
     return orient(a, b, p) == 0 and dot(sub(p, a), sub(p, b)) <= 0
 
 
-def _chain_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
+def _chain_devices(poly: LatticePolygon, adjoint: LatticePolygon, u: Point, sigma_dir: Point):
     """Candidate chain+bridge devices at an adjoint-boundary end."""
-    adjoint = adjoint_polygon(poly)
+    at_u = bridges_at(poly, u)
     out = []
     for a, b in adjoint.edges():
         if not _on_edge(a, b, u):
@@ -614,7 +599,7 @@ def _chain_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
             omega = add(end, e)
             if poly.side(omega) != 0:
                 continue
-            for br in bridges_at(poly, u):
+            for br in at_u:
                 bdir = seg_dir_from(br.segment, u)
                 if abs(cross(e, bdir)) != 1:
                     continue
@@ -654,9 +639,8 @@ def _cancelling_sweeps(poly: LatticePolygon, anchors, u: Point, r: Point):
         yield rs
 
 
-def _ray_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
+def _ray_devices(poly: LatticePolygon, adjoint: LatticePolygon, u: Point, sigma_dir: Point):
     """Candidate ray-sweep devices at an adjoint-interior end."""
-    adjoint = adjoint_polygon(poly)
     anchors = [
         (kappa, kappa_prime, orientation)
         for kappa in adjoint.vertices
@@ -674,8 +658,8 @@ def end_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     if poly.side(u) == 0:
         return [EndDevice("none", WeightedSegmentGraph())]
     if adjoint.dimension == 2 and adjoint.side(u) == 1:
-        return _ray_devices(poly, u, sigma_dir)
-    return _chain_devices(poly, u, sigma_dir)
+        return _ray_devices(poly, adjoint, u, sigma_dir)
+    return _chain_devices(poly, adjoint, u, sigma_dir)
 
 
 class _Tally:

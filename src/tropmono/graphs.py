@@ -243,8 +243,7 @@ class AdmissibilityCertificate:
         edges = checked.get(key, False)
         if edges is False:
             sub_div = verify_subdivision(self.polygon, self.cells, self.witness)
-            unimodular = sub_div is not None and sub_div.is_unimodular()
-            edges = checked[key] = sub_div.edges() if unimodular else None
+            edges = checked[key] = sub_div.edges() if sub_div is not None else None
         if edges is None or not all(s in edges for s in self.graph.entries):
             return False
         if check_balancing(self.graph, self.polygon) - set(self.unbalanced_ok):
@@ -411,8 +410,7 @@ def build_snake(poly: LatticePolygon) -> Snake:
 
     # normalize at a vertex of the adjoint, colex order downstream
     kappa = min(adjoint.vertices, key=lambda p: (p[1], p[0]))
-    frame, image = normalize_at_vertex(poly, kappa)
-    adj_img = adjoint_polygon(image)
+    frame, _, adj_img = normalize_at_vertex(poly, kappa)
     pts = sorted(adj_img.lattice_points(), key=lambda p: (p[1], p[0]))
     _ensure(pts[0] == (0, 0) and pts[1] == (1, 0), "colex order must start along the axis")
     chain_pts = [(-1, 0)] + pts

@@ -8,11 +8,13 @@ root, the algebraic one tolerates odd root orders.  Genus-zero polygons are
 out of scope and the one-dimensional adjoint (hyperelliptic) case is
 reported as deferred.
 
-A verdict costs O(#edges), whatever the area: the adjoint is the polygon's
-half-planes moved in by one (see ``adjoint_polygon``), the genus comes from
-Pick's formula and the divisors from trial division of the root order.  No
-lattice point is enumerated on that path.  Internal consistency checks raise
-``AssertionError`` explicitly, so they also hold under ``python -O``.
+A verdict enumerates no lattice point: the adjoint is the polygon's
+half-planes moved in by one (see ``adjoint_polygon``) and the genus comes
+from Pick's formula, in O(#edges) integer operations whatever the area.  The
+divisors of the root order n come from trial division up to sqrt(n), so that
+step costs O(sqrt(n)) and dominates for very large polygons.  Internal
+consistency checks raise ``AssertionError`` explicitly, so they also hold
+under ``python -O``.
 """
 
 from __future__ import annotations
@@ -213,40 +215,29 @@ def divisible_points(adjoint: LatticePolygon, d: int) -> list[Point]:
 # ---------------------------------------------------------------------------
 
 
-def adjacent_edge_dirs(poly: LatticePolygon, v: Point) -> tuple[Point, Point]:
-    """Primitive directions of the two edges at a vertex, (ccw, cw)."""
-    verts = poly.vertices
-    if v not in verts:
-        raise ValueError(f"{v} is not a vertex of {poly}")
-    i = verts.index(v)
-    n = len(verts)
-    if poly.dimension < 2:
-        other = verts[1 - i]
-        d = primitive(sub(other, v))
-        return d, d
-    return (
-        primitive(sub(verts[(i + 1) % n], v)),
-        primitive(sub(verts[(i - 1) % n], v)),
-    )
-
-
 def normalize_at_vertex(
     poly: LatticePolygon, kappa: Point, swap_axes: bool = False
-) -> tuple[UnimodularMap, LatticePolygon]:
+) -> tuple[UnimodularMap, LatticePolygon, LatticePolygon]:
     """Normalization at a vertex kappa of the adjoint: the returned
-    lattice-preserving affine map sends kappa to the origin and the two
-    adjoint edges at kappa onto the rays (1,0) and (0,1).
+    lattice-preserving affine map f sends kappa to the origin and the two
+    adjoint edges at kappa onto the rays (1,0) and (0,1); with it come the
+    images of the polygon and of its adjoint.
 
     With ``swap_axes`` the ccw edge goes to the y-axis instead of the x-axis.
     The anchor points (0,-1) and (-1,0) are verified to lie on the boundary
-    of the image of the ambient polygon.
+    of the image of the ambient polygon.  A unimodular map preserves the
+    lattice and the half-planes, so it commutes with taking the adjoint: the
+    adjoint's image is the adjoint of the polygon's image.
     """
     adj = adjoint_polygon(poly)
     if adj is None or adj.dimension != 2:
         raise ValueError("normalization needs a two-dimensional adjoint")
-    if kappa not in adj.vertices:
+    verts = adj.vertices
+    if kappa not in verts:
         raise ValueError(f"{kappa} is not a vertex of the adjoint")
-    e1, e2 = adjacent_edge_dirs(adj, kappa)
+    i = verts.index(kappa)
+    e1 = primitive(sub(verts[(i + 1) % len(verts)], kappa))
+    e2 = primitive(sub(verts[i - 1], kappa))
     if swap_axes:
         e1, e2 = e2, e1
     f = UnimodularMap.from_basis(e1, e2, kappa)
@@ -254,7 +245,7 @@ def normalize_at_vertex(
     for anchor in ((0, -1), (-1, 0)):
         if image.side(anchor) != 0:
             raise ValueError(f"anchor {anchor} not on the boundary after normalization")
-    return f, image
+    return f, image, adj.transform(f)
 
 
 # ---------------------------------------------------------------------------

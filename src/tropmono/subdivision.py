@@ -5,12 +5,12 @@ wrap to the final witness (``HeightFunction.lift``), and a rational height
 function is built from them once, when a witness is read.  Two primitives
 work on lifted lattice points: ``subdivision_from_heights`` computes the
 lower convex hull (gift wrapping), and ``verify_subdivision`` is the one
-check that given cells are the subdivision induced by given heights
-(admissibility certificates and pulling use it).  Gift wrapping and the
-check of non-unimodular cells find the lifted points on a plane with one
-scan, ``_touching``; unimodular triangulations and extension heights are
-decided by local folds instead, each with its proof of agreement with the
-scan, and the pulling drop is computed in closed form from the folds
+check that given cells are a unimodular triangulation induced by given
+heights (admissibility certificates and pulling use it, and neither accepts
+anything else).  Gift wrapping finds the lifted points on a plane with one
+scan, ``_touching``; the witness check and extension heights are decided by
+local folds instead, each with its proof of agreement with the scan, and
+the pulling drop is computed in closed form from the folds
 (``_drop_exponent``).  On top of them sit the extension of a subdivision of
 a subpolygon to the whole polygon, unimodular refinement by pulling (cells
 as ccw vertex tuples until the final check), and the dual tropical curve.
@@ -349,61 +349,49 @@ def trivial_subdivision(poly: LatticePolygon) -> RegularSubdivision:
 
 
 def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivision | None:
-    """The one check that ``cells`` is the regular subdivision of ``poly``
-    induced by ``heights``: the support spans ``poly``, no cell repeats,
-    each lifted cell spans a supporting plane of the lifted support touching
-    exactly the cell's points, and the cells' areas add up to the polygon's.
+    """The one check that ``cells`` is a unimodular triangulation of
+    ``poly`` and the regular subdivision induced by ``heights``: the support
+    spans ``poly``, no cell repeats, every cell is a unimodular triangle,
+    there are as many cells as the polygon's normalized area, and the local
+    folds (``_folds``) hold.  Returns the assembled subdivision or None; a
+    cell that is not a unimodular triangle gives None, as neither caller
+    accepts one.
 
-    Each such cell is a lower facet, distinct facets have disjoint
-    interiors, so full area means every facet is listed (the standard
-    characterisation of a regular subdivision; De Loera, Rambau and Santos,
-    *Triangulations*, 2010).  Returns the assembled subdivision or None.
+    The folds decide what the plane scans would (the tests keep the scans
+    as the oracle ``scan_verify``): each lifted cell spans a supporting
+    plane of the lifted support touching exactly the cell's points, and the
+    areas add up.  Each such cell is a lower facet, distinct facets have
+    disjoint interiors, so full area means every facet is listed (the
+    standard characterisation of a regular subdivision; De Loera, Rambau
+    and Santos, *Triangulations*, 2010).
 
-    When every cell is a unimodular triangle, local folds (``_folds``)
-    replace the scans and decide the same.  Folds imply the scans: shared
-    edges cancel in the boundary of the 2-chain of ccw cells, so it is k
-    times the boundary cycle of ``poly``, and k (the number of cells over a
-    generic point inside; 0 outside) is 1 by the area sum.  So the cells
-    tile ``poly``, face to face as primitive edges hold no inner lattice
-    point, and every lattice point is a vertex (none unused).  A continuous
-    piecewise-linear function on a convex domain, strictly convex across
-    every interior edge, exceeds each cell's affine piece off the cell: along
-    a segment from inside the cell to an outside point, avoiding other
-    vertices, the convex difference is 0 until the first crossed edge and
-    positive just past it.  So each plane touches exactly its three points.
-    The scans imply the folds: the cells are then a triangulation, and the
-    far vertex of a neighbour is a support point off the cell.
+    Folds imply the scans: shared edges cancel in the boundary of the
+    2-chain of ccw cells, so it is k times the boundary cycle of ``poly``,
+    and k (the number of cells over a generic point inside; 0 outside) is 1
+    by the area sum.  So the cells tile ``poly``, face to face as primitive
+    edges hold no inner lattice point, and every lattice point is a vertex
+    (none unused).  A continuous piecewise-linear function on a convex
+    domain, strictly convex across every interior edge, exceeds each cell's
+    affine piece off the cell: along a segment from inside the cell to an
+    outside point, avoiding other vertices, the convex difference is 0 until
+    the first crossed edge and positive just past it.  So each plane touches
+    exactly its three points.  The scans imply the folds: the cells are then
+    a triangulation, and the far vertex of a neighbour is a support point
+    off the cell.
     """
     hf = heights if isinstance(heights, HeightFunction) else HeightFunction.of(heights)
     h, _ = hf.lift()
     if not _spans(poly, h):
         return None
     cells = sorted(cells, key=lambda c: c.vertices)
-    areas = [c.area2() for c in cells]
-    if len(set(cells)) != len(cells) or sum(areas) != poly.area2():
+    if len(set(cells)) != len(cells) or len(cells) != poly.area2():
         return None
-    unimodular = all(a == 1 and len(c.vertices) == 3 for a, c in zip(areas, cells))
-    if unimodular:
-        planes = _folds(poly, cells, h)
-        if planes is None:
-            return None
-        unused = ()
-    else:
-        lifted = [(x, y, z) for (x, y), z in h.items()]
-        planes = []
-        used = set()
-        for c in cells:
-            v = c.vertices
-            if len(v) < 3 or any(q not in h for q in (v[0], v[1], v[2])):
-                return None
-            plane = _plane_through(v[0], v[1], v[2], h)
-            on = _touching(plane, lifted)
-            if on is None or LatticePolygon(on) != c:
-                return None
-            used.update(on)
-            planes.append(plane)
-        unused = tuple(sorted(set(h) - used))
-    return RegularSubdivision(poly, tuple(cells), hf, tuple(map(_norm_plane, planes)), unused, unimodular)
+    if not all(len(c.vertices) == 3 and c.area2() == 1 for c in cells):
+        return None
+    planes = _folds(poly, cells, h)
+    if planes is None:
+        return None
+    return RegularSubdivision(poly, tuple(cells), hf, tuple(map(_norm_plane, planes)), (), True)
 
 
 def _folds(poly: LatticePolygon, cells, h) -> list | None:
@@ -607,8 +595,6 @@ def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
     result = verify_subdivision(poly, [LatticePolygon(t) for t in cells.values()], witness)
     if result is None:
         raise AssertionError("pulled witness failed global verification")
-    if not result.is_unimodular():
-        raise AssertionError("pulling left a fat cell")
     return result
 
 

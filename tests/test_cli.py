@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from test_folds import merged_witness_certificate
 from tropmono.cli import main
 from tropmono.engine import Engine, ReplayError, replay_certificate
 from tropmono.geometry import LatticePolygon, seg
@@ -334,6 +335,12 @@ def test_exit_codes_in_fresh_processes(flags, t3_certificate, polyfile, capsys, 
     got = fresh("replay", str(path))
     assert (got.returncode, got.stdout) == (3, "")
     assert got.stderr.startswith("certification failed: ")
+
+    path = tmp_path / "merged-cells.json"
+    path.write_text(json.dumps(merged_witness_certificate()))
+    got = fresh("replay", str(path))
+    assert (got.returncode, got.stdout) == (3, "")
+    assert got.stderr.startswith("certification failed: ") and "(admissible)" in got.stderr
 
     path = tmp_path / "not-smooth.json"
     path.write_text(json.dumps({"polygon": {"vertices": [[0, 0], [300, 0], [0, 301]]}, "nodes": []}))

@@ -1,8 +1,8 @@
 """The local fold checks of the subdivision kernel against the global plane
 scans they replace.
 
-The oracles below are the scan versions of the three decisions: the
-``_touching`` check of every cell in ``verify_subdivision``, the pulling
+The oracles below are the scan versions of the three decisions: a
+``_touching`` check of every cell for ``verify_subdivision``, the pulling
 drop of ``unimodular_refinement`` (halved until every kept plane is below
 the pulled point and a ``_touching`` scan per cone passes, against the
 closed form), and the gift-wrapped acceptance of an extension height.  The
@@ -52,7 +52,10 @@ R4x6 = LatticePolygon([(0, 0), (4, 0), (4, 6), (0, 6)])
 
 
 def scan_verify(poly, cells, heights):
-    """``verify_subdivision`` with a ``_touching`` scan for every cell."""
+    """The plane-scan check that ``cells`` is the regular subdivision
+    induced by ``heights``, with a ``_touching`` scan for every cell of any
+    shape; ``verify_subdivision`` decides the same by folds on unimodular
+    triangulations and accepts nothing else."""
     hf = heights if isinstance(heights, HeightFunction) else HeightFunction.of(heights)
     hmap = hf.as_dict()
     pts = list(hmap)
@@ -414,6 +417,46 @@ def test_cells_sharing_a_directed_edge_are_rejected():
         assert same_verdict(square, cells, hmap) is None
 
 
+def _merge(cells):
+    """Merge the first two cells sharing an edge whose union is convex into
+    one cell of twice the area."""
+    for i, a in enumerate(cells):
+        for j, b in enumerate(cells):
+            if i < j and len(set(a.vertices) & set(b.vertices)) == 2:
+                merged = LatticePolygon(a.vertices + b.vertices)
+                if merged.area2() == a.area2() + b.area2():
+                    return [c for k, c in enumerate(cells) if k not in (i, j)] + [merged]
+    raise AssertionError("no mergeable pair")
+
+
+def merged_witness_certificate():
+    """The T4 report certificate with two adjacent triangles of its first
+    ``admissible`` witness merged into one cell, so that witness is not a
+    unimodular triangulation; the areas still add up."""
+    data = json.loads(json.dumps(Engine(T4).derive_surjectivity()["certificate"]))
+    params = next(node["params"] for node in data["nodes"] if node["rule"] == "admissible")
+    cells = AdmissibilityCertificate.from_json(params["certificate"]).cells
+    params["certificate"]["cells"] = [c.to_json() for c in _merge(list(cells))]
+    return data
+
+
+def test_a_witness_that_is_not_a_triangulation_fails_replay_without_a_scan(monkeypatch):
+    """Replay rejects a witness with a cell that is not a unimodular
+    triangle by counting, with no plane scan."""
+    calls = [0]
+    real_touching = tropmono.subdivision._touching
+
+    def touching(plane, lifted):
+        calls[0] += 1
+        return real_touching(plane, lifted)
+
+    data = merged_witness_certificate()
+    monkeypatch.setattr(tropmono.subdivision, "_touching", touching)
+    with pytest.raises(ReplayError, match=r"\(admissible\)"):
+        replay_certificate(data)
+    assert calls[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # the local paths are the ones taken
 # ---------------------------------------------------------------------------
@@ -471,7 +514,9 @@ def test_local_paths_do_not_fall_back_to_scans(monkeypatch):
 def test_built_and_verified_subdivisions_know_if_they_are_unimodular(monkeypatch):
     """``subdivision_from_heights`` and ``verify_subdivision`` measure every
     cell once, so ``is_unimodular`` on what they return measures nothing
-    again; a subdivision assembled by hand still measures."""
+    again; a subdivision assembled by hand still measures.
+    ``verify_subdivision`` accepts unimodular triangulations only: on the
+    others it returns None, and the scan oracle still rebuilds them."""
     rng = random.Random(31)
     measured = [0]
     real_area2 = LatticePolygon.area2
@@ -481,7 +526,7 @@ def test_built_and_verified_subdivisions_know_if_they_are_unimodular(monkeypatch
         return real_area2(self)
 
     monkeypatch.setattr(LatticePolygon, "area2", area2)
-    answers = set()
+    answers, rebuilt = set(), 0
     for _ in range(30):
         poly = LatticePolygon([(rng.randint(-3, 4), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))])
         if poly.dimension < 2:
@@ -489,12 +534,22 @@ def test_built_and_verified_subdivisions_know_if_they_are_unimodular(monkeypatch
         heights = {p: Fraction(rng.randint(0, 6), rng.choice([1, 2])) for p in poly.lattice_points()}
         for sub_div in (subdivision_from_heights(poly, heights), unimodular_refinement(trivial_subdivision(poly))):
             again = verify_subdivision(poly, sub_div.cells, sub_div.witness)
-            for s in (sub_div, again):
+            if again is None:
+                assert not measured_unimodular(sub_div)
+                scanned = scan_verify(poly, sub_div.cells, sub_div.witness)
+                assert scanned == sub_div
+                assert (scanned.planes, scanned.unused_support) == (sub_div.planes, sub_div.unused_support)
+                rebuilt += 1
+            else:
+                verified = again
+            for s in [s for s in (sub_div, again) if s is not None]:
                 measured[0] = 0
                 answers.add(s.is_unimodular())
                 assert measured[0] == 0
                 assert s.is_unimodular() is measured_unimodular(s)
-    assert answers == {True, False}
-    by_hand = RegularSubdivision(again.polygon, again.cells, again.witness, again.planes, again.unused_support)
+    assert answers == {True, False} and rebuilt > 0
+    by_hand = RegularSubdivision(
+        verified.polygon, verified.cells, verified.witness, verified.planes, verified.unused_support
+    )
     measured[0] = 0
     assert by_hand.is_unimodular() and measured[0] == len(by_hand.cells)

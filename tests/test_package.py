@@ -41,3 +41,19 @@ def test_package_import_is_lazy_and_submodules_still_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True True", "True True True True"]
+
+
+def test_every_traced_layer_resolves():
+    """Every target the benchmark's tracer wraps names a function of the
+    library, so renaming or deleting one fails here before it crashes a
+    traced benchmark run.  The tracer is read and run from source (no
+    bytecode is written next to it) and is not installed."""
+    path = os.path.join(os.path.dirname(SRC), "perfbench", "tracer.py")
+    with open(path) as fh:
+        tracer = {"__name__": "perfbench_tracer"}
+        exec(compile(fh.read(), path, "exec"), tracer)
+    targets = [t for ts in tracer["LAYERS"].values() for t in ts]
+    assert len(targets) == len(set(targets)) >= 24
+    for target in targets:
+        found = tracer["_resolve"](target)
+        assert found and all(callable(fn) for fn in found), target

@@ -6,18 +6,28 @@ from math import gcd
 import pytest
 
 import tropmono.polygons
+from tropmono.builders import _frame
 from tropmono.cli import main
-from tropmono.geometry import LatticePolygon, UnimodularMap, lattice_length, primitive, sub
+from tropmono.geometry import (
+    LatticePolygon,
+    UnimodularMap,
+    lattice_length,
+    lattice_points_on_segment,
+    primitive,
+    sub,
+)
 from tropmono.polygons import (
     SmoothnessError,
     Surjectivity,
     Verdict,
     adjoint_edge_lengths_valid,
+    adjoint_edges_at,
     adjoint_polygon,
     analyze,
     divisibility,
     divisors_from_2,
     is_smooth,
+    neighbors_on_boundary,
     normalize_at_vertex,
     root_order,
 )
@@ -68,11 +78,13 @@ def test_root_order_divides_edge_lengths_and_scaling():
 
 
 def test_normalization_examples():
-    f, img = normalize_at_vertex(T4, (1, 1))
+    f, img, adj_img = normalize_at_vertex(T4, (1, 1))
     assert f.m == ((1, 0), (0, 1)) and f.t == (-1, -1)
     assert img.side((0, -1)) == 0 and img.side((-1, 0)) == 0
-    f2, img2 = normalize_at_vertex(SQ4, (1, 1))
+    assert adj_img.vertices == ((0, 0), (1, 0), (0, 1)) == adjoint_polygon(img).vertices
+    f2, img2, adj_img2 = normalize_at_vertex(SQ4, (1, 1))
     assert f2.t == (-1, -1)
+    assert adj_img2 == adjoint_polygon(img2)
     g = f.inverse()
     for p in T4.lattice_points():
         assert g.apply(f.apply(p)) == p
@@ -166,9 +178,9 @@ def test_hyperelliptic_deferred():
 
 def test_normalize_already_normalized_is_identity():
     shifted = LatticePolygon([(-1, -1), (3, -1), (-1, 3)])  # T4 moved by (-1, -1)
-    f, img = normalize_at_vertex(shifted, (0, 0))
+    f, img, adj_img = normalize_at_vertex(shifted, (0, 0))
     assert f.m == ((1, 0), (0, 1)) and f.t == (0, 0)
-    assert img == shifted
+    assert img == shifted and adj_img == adjoint_polygon(shifted)
 
 
 # -- enumeration oracle --------------------------------------------------------
@@ -301,3 +313,86 @@ def test_polygon_checks_are_not_assert_statements():
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     with pytest.raises(AssertionError):
         Verdict(Surjectivity.YES, Surjectivity.NO)
+
+
+# -- frames at adjoint vertices ------------------------------------------------
+
+
+def normalize_oracle(poly, kappa, swap):
+    """The frame at an adjoint vertex as it was built from the enumerated
+    adjoint: the edge directions at kappa, (ccw, cw), swapped on request,
+    and the image of the polygon, whose anchors must be boundary points."""
+    verts = adjoint_oracle(poly).vertices
+    i = verts.index(kappa)
+    e1 = primitive(sub(verts[(i + 1) % len(verts)], kappa))
+    e2 = primitive(sub(verts[(i - 1) % len(verts)], kappa))
+    if swap:
+        e1, e2 = e2, e1
+    f = UnimodularMap.from_basis(e1, e2, kappa)
+    image = poly.transform(f)
+    if image.side((0, -1)) != 0 or image.side((-1, 0)) != 0:
+        raise ValueError("anchor not on the boundary after normalization")
+    return f, image
+
+
+def frame_with_edge_on_x_oracle(poly, kappa, other):
+    """The swap-loop search putting the adjoint edge toward ``other`` on the
+    positive x-axis."""
+    for swap in (False, True):
+        f, img = normalize_oracle(poly, kappa, swap)
+        q = f.apply(other)
+        if q[1] == 0 and q[0] >= 1:
+            return f, img
+    raise ValueError(f"{other} is not along an adjoint edge at {kappa}")
+
+
+def frame_with_point_up_oracle(poly, kappa, kappa_prime):
+    """The swap-loop search sending the boundary neighbour kappa_prime of
+    kappa to (0, 1)."""
+    for swap in (False, True):
+        f, img = normalize_oracle(poly, kappa, swap)
+        if f.apply(kappa_prime) == (0, 1):
+            return f, img
+    raise ValueError(f"{kappa_prime} is not next to {kappa} on the adjoint boundary")
+
+
+def test_frame_matches_the_two_swap_loop_searches():
+    """At every adjoint vertex of T6, SQ4, R4x6 and 40 seeded smooth
+    polygons with a two-dimensional adjoint, ``builders._frame`` gives the
+    oracle searches' map and image for every point along the two adjoint
+    edges and for both boundary neighbours, and its image adjoint is the
+    adjoint of the image.  A point off the edges, and an "up" point that is
+    not a neighbour, raise ValueError."""
+    rng = random.Random(26)
+    polys = [T6, SQ4, LatticePolygon([(0, 0), (4, 0), (4, 6), (0, 6)])]
+    while len(polys) < 43:
+        poly = random_smooth_polygon(rng)
+        adj = adjoint_polygon(poly)
+        if adj is not None and adj.dimension == 2:
+            polys.append(poly)
+    checked = {"x": 0, "up": 0, "off": 0, "far up": 0}
+    for poly in polys:
+        adj = adjoint_polygon(poly)
+        for kappa in adj.vertices:
+            along = [p for far, _ in adjoint_edges_at(adj, kappa) for p in lattice_points_on_segment(kappa, far)[1:]]
+            neighbours = neighbors_on_boundary(adj, kappa)
+            for point, up, oracle in [(p, False, frame_with_edge_on_x_oracle) for p in along] + [
+                (p, True, frame_with_point_up_oracle) for p in neighbours
+            ]:
+                f, image, adj_image = _frame(poly, kappa, point, up)
+                assert (f, image) == oracle(poly, kappa, point)
+                assert adj_image == adjoint_polygon(image) == adjoint_oracle(image)
+                checked["up" if up else "x"] += 1
+            off = [p for p in adj.lattice_points() if p not in along][:3]
+            for point in off:
+                for up, oracle in ((False, frame_with_edge_on_x_oracle), (True, frame_with_point_up_oracle)):
+                    for search in (oracle, lambda *args: _frame(*args, up)):
+                        with pytest.raises(ValueError):
+                            search(poly, kappa, point)
+                checked["off"] += 1
+            for point in (p for p in along if p not in neighbours):
+                for search in (frame_with_point_up_oracle, lambda *args: _frame(*args, True)):
+                    with pytest.raises(ValueError):
+                        search(poly, kappa, point)
+                checked["far up"] += 1
+    assert min(checked.values()) > 100, checked

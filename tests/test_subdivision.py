@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import tropmono.subdivision
+from test_folds import scan_verify
 from tropmono.geometry import LatticePolygon, primitive_segments_on, seg
 from tropmono.subdivision import (
     HeightFunction,
@@ -127,26 +128,44 @@ def test_duality_and_balancing_on_random_heights():
     rng = random.Random(42)
     order = random.Random(7)
     pts = t4.lattice_points()
-    repeats = 0
+    repeats = fat = 0
     for _ in range(60):
         h = {p: Fraction(rng.randint(0, 12)) for p in pts}
         s = subdivision_from_heights(t4, h)
         assert sum(c.area2() for c in s.cells) == t4.area2()
         replay = subdivision_from_heights(t4, s.witness)
         assert set(replay.cells) == set(s.cells)
-        # verify_subdivision agrees with the gift-wrap reference
+        # the scan oracle rebuilds the gift wrap from its shuffled cells;
+        # verify_subdivision accepts it only when it is a triangulation
         cells = list(s.cells)
         order.shuffle(cells)
-        checked = verify_subdivision(t4, cells, h)
+        checked = scan_verify(t4, cells, h)
         assert checked == s
         assert (checked.planes, checked.unused_support) == (s.planes, s.unused_support)
-        assert verify_subdivision(t4, cells[1:], h) is None
+        verified = verify_subdivision(t4, cells, h)
+        if s.is_unimodular():
+            assert verified == s and verified.planes == s.planes
+        else:
+            assert verified is None
+            fat += 1
+        assert scan_verify(t4, cells[1:], h) is None
         for i, c in enumerate(cells):
             for j, other in enumerate(cells):
                 if i != j and c.area2() == other.area2():
                     repeated = cells[:j] + [c] + cells[j + 1:]
+                    assert scan_verify(t4, repeated, h) is None
                     assert verify_subdivision(t4, repeated, h) is None
                     repeats += 1
+        # verify_subdivision agrees with the gift wrap on the refinement
+        r = unimodular_refinement(s)
+        rcells = list(r.cells)
+        order.shuffle(rcells)
+        wrapped = subdivision_from_heights(t4, r.witness)
+        checked = verify_subdivision(t4, rcells, r.witness)
+        assert checked == wrapped == r
+        assert (checked.planes, checked.unused_support) == (wrapped.planes, wrapped.unused_support)
+        assert verify_subdivision(t4, rcells[1:], r.witness) is None
+        assert verify_subdivision(t4, rcells[:1] + rcells[:-1], r.witness) is None
         curve = dual_tropical_curve(s)
         faces = s.one_faces()
         inner = sum(1 for _, o in faces if len(o) == 2)
@@ -154,7 +173,7 @@ def test_duality_and_balancing_on_random_heights():
         assert len(curve.vertices) == len(s.cells)
         assert len(curve.edges) == inner and len(curve.rays) == outer
         assert curve.check_balanced()
-    assert repeats > 0
+    assert repeats > 0 and fat > 0
 
 
 def test_subdivision_json_roundtrip():

@@ -29,7 +29,7 @@ a given residual comes from ``cancelling_sweep``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from .geometry import (
@@ -70,13 +70,11 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class BuildResult:
-    graph: WeightedSegmentGraph
-    certificate: AdmissibilityCertificate | None
-    target: Segment | None  # segment whose twist power the graph yields
-    target_exponent: int = 1
-    notes: dict = field(default_factory=dict)
+class BuildResult(namedtuple("BuildResult", "graph certificate target target_exponent notes")):
+    """A built graph with its certificate, the segment whose twist power
+    (``target_exponent``) it yields, and builder-specific ``notes``."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +196,25 @@ def build_corner_graph(poly: LatticePolygon, kappa: Point) -> BuildResult:
 # ---------------------------------------------------------------------------
 
 
+_SWAP = UnimodularMap(((0, 1), (1, 0)))
+
+
+def _swapped(f: UnimodularMap, image: LatticePolygon, adj_image: LatticePolygon):
+    """The frame ``normalize_at_vertex(..., swap_axes=True)`` returns, from
+    the unswapped one: each part followed by (x, y) -> (y, x)."""
+    (r0, r1), (tx, ty) = f
+    return UnimodularMap((r1, r0), (ty, tx)), image.transform(_SWAP), adj_image.transform(_SWAP)
+
+
 def _frame(poly: LatticePolygon, kappa: Point, point: Point, up: bool = False):
     """Def-normalization at kappa, as ``normalize_at_vertex`` returns it,
     that puts the adjoint boundary point ``point`` on the positive x-axis,
     or, when ``up``, that sends the point next to kappa to (0, 1)."""
-    for swap in (False, True):
-        frame = normalize_at_vertex(poly, kappa, swap_axes=swap)
-        q = frame[0].apply(point)
+    frame = normalize_at_vertex(poly, kappa)
+    x, y = frame[0].apply(point)
+    for q, swap in (((x, y), False), ((y, x), True)):  # point's image in each frame
         if (q == (0, 1) if up else q[1] == 0 and q[0] >= 1):
-            return frame
+            return _swapped(*frame) if swap else frame
     where = "next to" if up else "along an adjoint edge at"
     raise ValueError(f"{point} is not {where} {kappa}")
 
@@ -396,22 +404,16 @@ def _solve_pair(d1: Point, d2: Point, rhs: Point) -> tuple[int, int]:
     return x, y
 
 
-@dataclass(frozen=True)
-class RaySweep:
+class RaySweep(namedtuple("RaySweep", "graph v chain leg1 leg2 leg_target alpha alpha_prime "
+                                     "kappa kappa_prime orientation")):
     """A one-sided ray-sweep graph G_{A,B,v} (chain ends at A, legs point at
-    B) together with its seed data.  Balanced everywhere except at v."""
+    B) together with its seed data.  Balanced everywhere except at v.
 
-    graph: WeightedSegmentGraph
-    v: Point
-    chain: tuple[Point, ...]
-    leg1: Segment  # first primitive segment of the leg [v, B]
-    leg2: Segment | None  # first primitive segment of the chain [v, v'_1]
-    leg_target: Point
-    alpha: Point = None  # boundary anchor across the chain-end edge
-    alpha_prime: Point = None  # boundary anchor across the leg-target edge
-    kappa: Point = None
-    kappa_prime: Point = None
-    orientation: str = "kk'"
+    ``leg1`` is the first primitive segment of the leg [v, B], ``leg2`` that
+    of the chain [v, v'_1]; ``alpha`` and ``alpha_prime`` are the boundary
+    anchors across the chain-end and the leg-target edge."""
+
+    __slots__ = ()
 
 
 def build_ray_sweep(
@@ -565,17 +567,14 @@ def _pair_anchors(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EndDevice:
+class EndDevice(namedtuple("EndDevice", "kind graph ray", defaults=(None,))):
     """Balancing device at one end of an interior segment.
 
-    kind "ray": a ray-sweep pair seed; kind "chain": an adjoint-edge chain
-    out to the polygon boundary plus a bridge; kind "none" for ends on the
-    polygon boundary (no balancing needed there)."""
+    kind "ray": a ray-sweep pair seed (``ray``); kind "chain": an
+    adjoint-edge chain out to the polygon boundary plus a bridge; kind
+    "none" for ends on the polygon boundary (no balancing needed there)."""
 
-    kind: str
-    graph: WeightedSegmentGraph
-    ray: RaySweep | None = None
+    __slots__ = ()
 
 
 def _on_edge(a: Point, b: Point, p: Point) -> bool:

@@ -12,9 +12,7 @@ rule is written once, in the kernel ``apply``, which both the Engine and
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, namedtuple
 from functools import partial
 from math import gcd
 
@@ -51,8 +49,7 @@ from .graphs import (
     residual,
 )
 from .errors import CertificationError, DerivationError, ReplayError, SmoothnessError
-from .homology import Loop, SurfaceModel, canonical_triangulation
-from .intlinalg import matmul, solve_int
+from .intlinalg import matmul
 
 GEOMETRIC = "geometric"
 HOMOLOGICAL = "homological"
@@ -60,9 +57,11 @@ HOMOLOGICAL = "homological"
 
 def loop_key(poly: LatticePolygon, adjoint, obj) -> tuple:
     """Isotopy class key: A-cycles by their point, bridges by their interior
-    end, all other segments by themselves."""
-    if isinstance(obj, Loop):
-        if obj.kind == "acycle":
+    end, all other segments by themselves.  A ``homology.Loop`` is told
+    from a segment by its ``kind``, so homology need not be loaded."""
+    kind = getattr(obj, "kind", None)
+    if kind is not None:
+        if kind == "acycle":
             return ("acycle", obj.v)
         obj = obj.segment
     s = seg(*obj)
@@ -85,13 +84,8 @@ def key_from_json(data):
     return ("seg", (tuple(data[1][0]), tuple(data[1][1])))
 
 
-@dataclass
-class Node:
-    id: int
-    rule: str
-    params: dict
-    premises: list[int]
-    conclusion: dict
+class Node(namedtuple("Node", "id rule params premises conclusion")):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -152,7 +146,7 @@ class RuleContext:
     def __init__(self, poly: LatticePolygon, adjoint):
         self.poly = poly
         self.adjoint = adjoint
-        self._surface: SurfaceModel | None = None
+        self._surface = None
         self._keys: dict = {}
         self.witnesses: dict = {}
 
@@ -163,8 +157,12 @@ class RuleContext:
         return key
 
     @property
-    def surface(self) -> SurfaceModel:
+    def surface(self):
+        """The ``homology.SurfaceModel`` of the polygon; the homology layer
+        is loaded here, by the one rule that reads it."""
         if self._surface is None:
+            from .homology import SurfaceModel
+
             self._surface = SurfaceModel(self.poly)
         return self._surface
 
@@ -383,6 +381,8 @@ def _chain_rule_square(ctx, p, f1, fv, f2):
     s1, v1, s2, s = p["sigma1"], p["v1"], p["sigma2"], p["sigma"]
     for fact, key in zip((f1, fv, f2), (ctx.key_of(s1), ("acycle", v1), ctx.key_of(s2))):
         _check(_single_of(fact, HOMOLOGICAL, key) == 1, f"{key} needs an exponent-one fact")
+    from .homology import Loop
+
     surf = ctx.surface
     m1 = surf.dehn_twist_matrix(Loop.of_segment(s1))
     mv = surf.dehn_twist_matrix(Loop.acycle(v1))
@@ -1106,6 +1106,10 @@ class Engine:
         )
         if scaled.dimension != 2:
             raise DerivationError("diad", "scaled adjoint degenerate")
+        from fractions import Fraction
+
+        from .homology import canonical_triangulation
+
         tri = canonical_triangulation(scaled)
         hw = (
             Fraction(kappa0[0] * (d - 1) + w[0], d),
@@ -1227,6 +1231,8 @@ class Engine:
         m1 = rs.graph.weight(rs.leg1)
         m2 = rs.graph.weight(rs.leg2)
         mat = [[mv[0] for _, mv in facts], [mv[1] for _, mv in facts]]
+        from .intlinalg import solve_int
+
         coeffs = solve_int(mat, [d * m1, d * m2])
         if coeffs is None:
             raise DerivationError("diad", "device power is not an integer combination")

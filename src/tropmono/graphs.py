@@ -14,7 +14,8 @@ decides whether the cells come from the heights with ``verify_subdivision``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from math import gcd
 
 from .geometry import (
     LatticePolygon,
@@ -141,11 +142,11 @@ def check_balancing(graph: WeightedSegmentGraph, poly: LatticePolygon) -> set[Po
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bridge:
-    segment: Segment
-    interior_end: Point  # on the boundary of the adjoint polygon
-    boundary_end: Point  # on the boundary of the polygon
+class Bridge(namedtuple("Bridge", "segment interior_end boundary_end")):
+    """A bridge: its segment, the end on the boundary of the adjoint polygon
+    and the end on the boundary of the polygon."""
+
+    __slots__ = ()
 
 
 def is_bridge(poly: LatticePolygon, adjoint: LatticePolygon, s: Segment) -> Bridge | None:
@@ -195,7 +196,18 @@ def bridges(poly: LatticePolygon) -> list[Bridge]:
 
 
 def bridges_at(poly: LatticePolygon, v: Point) -> list[Bridge]:
-    return [b for b in bridges(poly) if b.interior_end == v]
+    """``bridges(poly)`` at the interior end v, in the same order: only the
+    segments from v to the polygon's boundary points are classified."""
+    adjoint = adjoint_polygon(poly)
+    if adjoint is None:
+        return []
+    out = []
+    for p in poly.boundary_points():
+        if gcd(p[0] - v[0], p[1] - v[1]) == 1:
+            b = is_bridge(poly, adjoint, seg(p, v))
+            if b is not None and b.interior_end == v:
+                out.append(b)
+    return sorted(out, key=lambda b: b.segment)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +215,6 @@ def bridges_at(poly: LatticePolygon, v: Point) -> list[Bridge]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AdmissibilityCertificate:
     """Witness that a balanced graph embeds in a unimodular regular
     subdivision: the height function and the cells it induces.
@@ -215,14 +226,24 @@ class AdmissibilityCertificate:
     ``verified_edges`` is the edge set of the subdivision the witness and
     cells form, when ``certify_admissible`` has just verified them with
     ``verify_subdivision``; it is never encoded, so a decoded certificate
-    has None there."""
+    has None there, and equality and ``repr`` skip it."""
 
-    graph: WeightedSegmentGraph
-    polygon: LatticePolygon
-    witness: HeightFunction
-    cells: tuple[LatticePolygon, ...]
-    unbalanced_ok: tuple[Point, ...] = ()
-    verified_edges: set[Segment] | None = field(default=None, compare=False, repr=False)
+    _COMPARED = ("graph", "polygon", "witness", "cells", "unbalanced_ok")
+    __slots__ = (*_COMPARED, "verified_edges")
+
+    def __init__(self, graph, polygon, witness, cells, unbalanced_ok=(), verified_edges=None):
+        self.graph, self.polygon, self.witness, self.cells = graph, polygon, witness, cells
+        self.unbalanced_ok, self.verified_edges = unbalanced_ok, verified_edges
+
+    def __eq__(self, other):
+        return isinstance(other, AdmissibilityCertificate) and all(
+            getattr(self, k) == getattr(other, k) for k in self._COMPARED)
+
+    __hash__ = None  # the graph is mutable
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._COMPARED)
+        return f"AdmissibilityCertificate({fields})"
 
     def verify(self, checked: dict | None = None) -> bool:
         """The one check of a certificate: the witness induces exactly
@@ -332,15 +353,13 @@ def _ensure(ok, message: str) -> None:
         raise AssertionError(message)
 
 
-@dataclass(frozen=True)
-class Snake:
-    """A chain of primitive segments through all adjoint lattice points plus
-    one bridge at the second chain point; its twists form a Humphries-style
-    generating family."""
+class Snake(namedtuple("Snake", "chain points bridge")):
+    """A chain of primitive segments sigma_1 .. sigma_g through the points
+    v_0 .. v_g, all adjoint lattice points but v_0, plus one bridge at the
+    second chain point; its twists form a Humphries-style generating
+    family."""
 
-    chain: tuple[Segment, ...]  # sigma_1 .. sigma_g
-    points: tuple[Point, ...]  # v_0 .. v_g
-    bridge: Segment
+    __slots__ = ()
 
     def validate(self, poly: LatticePolygon) -> None:
         adjoint = adjoint_polygon(poly)

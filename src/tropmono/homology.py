@@ -32,8 +32,7 @@ e_0..e_i.  Standard library only.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from math import isqrt, prod
 
 from .geometry import (
@@ -47,14 +46,11 @@ from .polygons import analyze
 from .subdivision import RegularSubdivision, trivial_subdivision, unimodular_refinement
 
 
-@dataclass(frozen=True)
-class Loop:
-    """Either the A-cycle over an interior lattice point or the double of a
-    primitive integer segment."""
+class Loop(namedtuple("Loop", "kind v segment", defaults=(None, None))):
+    """Either the A-cycle over an interior lattice point v (kind "acycle")
+    or the double of a primitive integer segment (kind "segment")."""
 
-    kind: str  # "acycle" | "segment"
-    v: Point | None = None
-    segment: Segment | None = None
+    __slots__ = ()
 
     @staticmethod
     def acycle(v: Point) -> "Loop":
@@ -542,6 +538,12 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
     tuples of tuples.  Inverses are computed unpacked, once per strong
     generator.
 
+    Symplectic ceiling.  When n is even and every reduced generator M has
+    M J M^T = J mod p (J the standard form of ``SurfaceModel``), the group
+    lies in Sp(n, F_p).  Each level's orbit lies in the true basic orbit,
+    so the closure stops as soon as the running product of orbit lengths
+    equals |Sp(n, F_p)|, and returns it; no other run changes.
+
     Generators are reduced mod p and deduplicated; ``[]`` gives 1.  The
     running product of orbit lengths bounds the order from below, so
     RuntimeError is raised as soon as it passes ``limit``.  ValueError if p
@@ -562,8 +564,13 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
     if any(len(m) != n or any(len(row) != n for row in m) for m in generators):
         raise ValueError("generators must be square matrices of one size")
     pack, unpack, vec_mul = _packing(n, p)
-    gens = list(dict.fromkeys(pack([[x % p for x in row] for row in m]) for m in generators))
+    reduced = [[[x % p for x in row] for row in m] for m in generators]
+    gens = list(dict.fromkeys(pack(m) for m in reduced))
     ident = pack([[int(i == j) for j in range(n)] for i in range(n)])
+    form = [[((j == i + n // 2) - (i == j + n // 2)) % p for j in range(n)] for i in range(n)]  # J
+    ceiling = sp_order(n // 2, p) if n % 2 == 0 and all(
+        [[x % p for x in r] for r in matmul(matmul(m, form), list(zip(*m)))] == form for m in reduced
+    ) else None
 
     def mul(a, rows, first: int):
         """a times ``rows``, both fixing e_0..e_{first-1}: those rows are e_k."""
@@ -596,6 +603,8 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
                 orbit[y] = (mul(u, s, i), mul(s_inv, u_inv, i))  # u_x s u_y^-1 = 1
                 if others * len(orbit) > limit:
                     raise RuntimeError("subgroup order exceeded the safety limit")
+                if others * len(orbit) == ceiling:
+                    raise _Ceiling
                 queue.append(y)
 
     def sift(rows: list, start: int):
@@ -630,16 +639,23 @@ def subgroup_order_mod_p(generators, p: int, limit: int = 5_000_000) -> int:
                 del pending[i][(x, k)]
         return None
 
-    for s in gens:
-        if s == ident:
-            continue
-        moved = next(i for i in range(n) if s[i] != ident[i])
-        add_strong(s, 0, moved)
-    i = n - 1
-    while i >= 0:
-        j = first_failure(i)
-        i = i - 1 if j is None else j
+    try:
+        for s in gens:
+            if s == ident:
+                continue
+            moved = next(i for i in range(n) if s[i] != ident[i])
+            add_strong(s, 0, moved)
+        i = n - 1
+        while i >= 0:
+            j = first_failure(i)
+            i = i - 1 if j is None else j
+    except _Ceiling:
+        return ceiling
     return prod(len(o) for o in orbits)
+
+
+class _Ceiling(Exception):
+    """The running product of orbit lengths reached |Sp(n, F_p)|."""
 
 
 def sp_order(g: int, q: int) -> int:

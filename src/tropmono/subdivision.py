@@ -1,8 +1,8 @@
 """Regular (convex) subdivisions of lattice polygons from height functions.
 
 One integer kernel: heights are integers on one shared scale from the first
-wrap to the final witness (``HeightFunction.lift``), and a rational height
-function is built from them once, when a witness is read.  Two primitives
+wrap to the final witness and its JSON (``HeightFunction`` holds only the
+lift), with no rational arithmetic.  Two primitives
 work on lifted lattice points: ``subdivision_from_heights`` computes the
 lower convex hull (gift wrapping), and ``verify_subdivision`` is the one
 check that given cells are a unimodular triangulation induced by given
@@ -20,8 +20,7 @@ cell complex is regular is never asked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import count
 from math import gcd, lcm
 
@@ -44,20 +43,12 @@ class SubdivisionError(ValueError):
 
 
 class HeightFunction:
-    """Exact rational heights on a finite set of lattice points.
+    """Exact rational heights on a finite set of lattice points, held as
+    their lift: integer heights on the least common scale (the lcm of the
+    reduced denominators) and that scale.  Equality, hashing and the JSON
+    codec read the lift; only ``values`` and ``as_dict`` build Fractions."""
 
-    Held in either of two forms and converted to the other on first use:
-    ``values``, the sorted ``(point, Fraction)`` pairs that encode, compare
-    and hash, and ``lift()``, integer heights on the least common scale (the
-    lcm of the reduced denominators) together with that scale.  The kernel
-    builds and reads heights in the integer form, so a witness it builds is
-    converted to fractions once."""
-
-    __slots__ = ("_values", "_lift")
-
-    def __init__(self, values):
-        self._values = tuple(values)
-        self._lift = None
+    __slots__ = ("_h", "_scale")
 
     @staticmethod
     def lifted(h: dict[Point, int], scale: int) -> "HeightFunction":
@@ -71,54 +62,59 @@ class HeightFunction:
         if g != 1:
             h, scale = {p: v // g for p, v in h.items()}, scale // g
         hf = HeightFunction.__new__(HeightFunction)
-        hf._values, hf._lift = None, (h, scale)
+        hf._h, hf._scale = h, scale
         return hf
 
     @staticmethod
     def of(mapping) -> "HeightFunction":
-        h = {(int(p[0]), int(p[1])): v if type(v) is int else Fraction(v) for p, v in dict(mapping).items()}
+        h = {(int(p[0]), int(p[1])): v for p, v in dict(mapping).items()}
+        if any(type(v) is not int for v in h.values()):
+            from fractions import Fraction
+
+            h = {p: Fraction(v) for p, v in h.items()}
         return HeightFunction.lifted(*_cleared(h))
 
     @property
-    def values(self) -> tuple[tuple[Point, Fraction], ...]:
-        if self._values is None:
-            h, scale = self._lift
-            self._values = tuple(sorted((p, Fraction(v, scale)) for p, v in h.items()))
-        return self._values
+    def values(self) -> tuple:
+        """The sorted ``(point, Fraction)`` pairs."""
+        from fractions import Fraction
+
+        return tuple((p, Fraction(v, self._scale)) for p, v in sorted(self._h.items()))
 
     def lift(self) -> tuple[dict[Point, int], int]:
         """Integer heights on the least common scale, and that scale; the
         dict is shared, so callers must not change it."""
-        if self._lift is None:
-            self._lift = _cleared(dict(self._values))
-        return self._lift
+        return self._h, self._scale
 
     def __eq__(self, other):
-        return isinstance(other, HeightFunction) and self.values == other.values
+        return isinstance(other, HeightFunction) and self._scale == other._scale and self._h == other._h
 
     def __hash__(self):
-        return hash(self.values)
+        return hash((self._scale, frozenset(self._h.items())))
 
     def __repr__(self):
-        return f"HeightFunction(values={self.values!r})"
+        return f"HeightFunction.lifted({dict(sorted(self._h.items()))!r}, {self._scale})"
 
-    def as_dict(self) -> dict[Point, Fraction]:
+    def as_dict(self) -> dict:
         return dict(self.values)
 
     @property
     def support(self) -> list[Point]:
-        return [p for p, _ in self.values]
+        return sorted(self._h)
 
     def to_json(self) -> list:
-        return [[p[0], p[1], v.numerator, v.denominator] for p, v in self.values]
+        """``[[x, y, num, den], ...]`` in point order, in lowest terms, den > 0."""
+        s = self._scale
+        return [[x, y, v // g, s // g] for (x, y), v in sorted(self._h.items()) for g in (gcd(v, s),)]
 
     @staticmethod
     def from_json(data) -> "HeightFunction":
         """Decode ``[[x, y, num, den], ...]``: integer entries, nonzero
-        denominators, no point twice; ValueError otherwise."""
+        denominators, no point twice; ValueError otherwise.  Each pair goes
+        to lowest terms with den > 0, then all to the lcm of the dens."""
         if not isinstance(data, list):
             raise ValueError("heights must be a list of [x, y, num, den]")
-        values: dict[Point, Fraction] = {}
+        pairs: dict[Point, tuple[int, int]] = {}
         for entry in data:
             if not (isinstance(entry, list) and len(entry) == 4):
                 raise ValueError(f"expected a height [x, y, num, den], got {entry!r}")
@@ -126,10 +122,12 @@ class HeightFunction:
             num, den = entry[2], entry[3]
             if type(num) is not int or type(den) is not int or den == 0:
                 raise ValueError(f"height of {p} is not a fraction of integers")
-            if p in values:
+            if p in pairs:
                 raise ValueError(f"height of {p} given twice")
-            values[p] = Fraction(num, den)
-        return HeightFunction(sorted(values.items()))
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            pairs[p] = (num // g, den // g)
+        scale = lcm(*(den for _, den in pairs.values()))
+        return HeightFunction.lifted({p: num * (scale // den) for p, (num, den) in pairs.items()}, scale)
 
 
 def _cleared(heights) -> tuple[dict[Point, int], int]:
@@ -223,9 +221,9 @@ def _boundary_chain_edges(poly: LatticePolygon, lifted):
     return seeds
 
 
-@dataclass(frozen=True)
 class RegularSubdivision:
-    """A regular subdivision of a polygon together with its height witness.
+    """A regular subdivision of a polygon together with its height witness;
+    two compare equal when their polygons and cells do.
 
     ``cells`` are the two-dimensional faces, ``planes`` the integer
     supporting planes of the lifted cells (parallel data), on the witness's
@@ -233,12 +231,11 @@ class RegularSubdivision:
     unimodular triangle, when the constructor already measured the cells;
     None means ``is_unimodular`` measures."""
 
-    polygon: LatticePolygon
-    cells: tuple[LatticePolygon, ...]
-    witness: HeightFunction
-    planes: tuple[tuple[int, int, int, int], ...]
-    unused_support: tuple[Point, ...]
-    unimodular: bool | None = None
+    __slots__ = ("polygon", "cells", "witness", "planes", "unused_support", "unimodular")
+
+    def __init__(self, polygon, cells, witness, planes, unused_support, unimodular=None):
+        self.polygon, self.cells, self.witness = polygon, cells, witness
+        self.planes, self.unused_support, self.unimodular = planes, unused_support, unimodular
 
     def __eq__(self, other):
         return (
@@ -660,23 +657,20 @@ def _drop_exponent(p: Point, surface, across, scale: int, e: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TropicalCurve:
+class TropicalCurve(namedtuple("TropicalCurve", "vertices edges rays")):
     """Dual tropical curve of a regular subdivision (max convention,
     coefficients c_p = -h(p)).
 
-    Vertices are rational points, one per 2-cell; bounded edges join the
-    vertices of adjacent cells; rays leave through boundary 1-faces.  Every
-    edge and ray carries its dual segment and weight (the lattice length of
-    the dual)."""
+    ``vertices`` are rational points (pairs of Fractions), one per 2-cell;
+    ``edges``, (i, j, dual segment, weight), join the vertices of adjacent
+    cells; ``rays``, (i, direction, dual segment, weight), leave through
+    boundary 1-faces.  The weight is the lattice length of the dual."""
 
-    vertices: tuple[tuple[Fraction, Fraction], ...]
-    edges: tuple[tuple[int, int, tuple[Point, Point], int], ...]
-    rays: tuple[tuple[int, Point, tuple[Point, Point], int], ...]
+    __slots__ = ()
 
     def check_balanced(self) -> bool:
         for i in range(len(self.vertices)):
-            acc = (Fraction(0), Fraction(0))
+            acc = (0, 0)
             for a, b, dual, wt in self.edges:
                 if i not in (a, b):
                     continue
@@ -706,6 +700,8 @@ class TropicalCurve:
 
 
 def dual_tropical_curve(sub_div: RegularSubdivision) -> TropicalCurve:
+    from fractions import Fraction
+
     verts = []
     for plane in sub_div.planes:
         nx, ny, nz, _ = plane

@@ -9,7 +9,7 @@ import tropmono
 from tropmono import builders
 from tropmono.geometry import LatticePolygon, add, neg, seg, smul, sub
 from tropmono.graphs import CertificationError, WeightedSegmentGraph, check_balancing, residual
-from tropmono.polygons import adjoint_polygon, neighbors_on_boundary
+from tropmono.polygons import adjoint_polygon, neighbors_on_boundary, normalize_at_vertex
 from tropmono.builders import (
     build_corner_graph,
     build_divisible_ray_sweep,
@@ -30,6 +30,17 @@ T4 = LatticePolygon([(0, 0), (4, 0), (0, 4)])
 T6 = LatticePolygon([(0, 0), (6, 0), (0, 6)])
 SQ4 = LatticePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 BIG = LatticePolygon([(-1, -1), (18, -1), (18, 6), (-1, 6)])
+
+
+def test_swapped_frame_is_the_swap_axes_frame():
+    """The swapped frame that ``_frame`` builds from the first one, which
+    it follows by (x, y) -> (y, x), is ``normalize_at_vertex(...,
+    swap_axes=True)`` at every adjoint vertex of T4, SQ4, T6 and R45."""
+    r45 = LatticePolygon([(0, 0), (4, 0), (4, 5), (0, 5)])
+    for poly in (T4, SQ4, T6, r45):
+        for kappa in adjoint_polygon(poly).vertices:
+            first = normalize_at_vertex(poly, kappa)
+            assert builders._swapped(*first) == normalize_at_vertex(poly, kappa, swap_axes=True)
 
 
 def test_corner_graph():

@@ -250,20 +250,25 @@ def test_certify_without_a_device_pair_names_the_cause():
     )
 
 
+# standard modules that deriving and replaying do not need: dataclasses
+# brings inspect, ast and dis, fractions brings decimal
+NOT_ON_THE_KERNEL_PATH = ("dataclasses", "inspect", "ast", "fractions", "decimal")
+
 # tropmono.cli.main in a fresh interpreter; prints its exit code and the
-# tropmono modules it loaded
+# tropmono modules and NOT_ON_THE_KERNEL_PATH modules it loaded
 LOADED = """
 import json, sys
 sys.path.insert(0, {src!r})
 from tropmono.cli import main
 code = main({argv!r})
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tropmono."))]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("tropmono.") or m in {watched!r})]))
 """
 
 
 def _loaded(*argv) -> tuple[int, list[str]]:
-    proc = subprocess.run([sys.executable, "-c", LOADED.format(src=SRC, argv=list(argv))],
-                          capture_output=True, text=True)
+    script = LOADED.format(src=SRC, argv=list(argv), watched=NOT_ON_THE_KERNEL_PATH)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     return tuple(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -285,6 +290,25 @@ def test_replay_loads_neither_builders_nor_the_lp(t3_certificate, tmp_path):
     code, modules = _loaded("replay", str(path))
     assert code == 0 and "tropmono.engine" in modules
     assert "tropmono.builders" not in modules and "tropmono.linprog" not in modules
+
+
+def test_derive_and_replay_load_only_what_runs(polyfile, tmp_path):
+    """Deriving T4 and replaying its report load none of
+    NOT_ON_THE_KERNEL_PATH and not the homology layer either.  Replaying
+    T6's report runs the chain_rule_square rule, so it loads homology, and
+    still none of the others."""
+    loaded = {}
+    for name, side in (("T4", 4), ("T6", 6)):
+        report = str(tmp_path / f"{name}.report.json")
+        path = polyfile(f"{name}.json", [[0, 0], [side, 0], [0, side]])
+        loaded["derive", name] = _loaded("derive", path, "--out", report)
+        loaded["replay", name] = _loaded("replay", report)
+    assert all(code == 0 for code, _ in loaded.values())
+    unused = set(NOT_ON_THE_KERNEL_PATH)
+    for run in (("derive", "T4"), ("replay", "T4")):
+        assert not set(loaded[run][1]) & (unused | {"tropmono.homology"}), run
+    _, modules = loaded["replay", "T6"]
+    assert "tropmono.homology" in modules and not set(modules) & unused
 
 
 def test_derive_writes_a_report_that_replays(polyfile, capsys, tmp_path):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 
 import pytest
 
@@ -70,6 +69,20 @@ def test_bridges_share_interior_end_key():
     assert all(b.interior_end == (2, 1) for b in at)
 
 
+def test_bridges_at_is_the_filtered_bridge_list():
+    """``bridges_at`` pairs v with the polygon's boundary points only, and
+    gives the same list, in the same order, as filtering ``bridges`` at
+    every lattice point of T3, T4, SQ4, T6, R45 and T8 (the adjoint's
+    boundary points, its inside and the polygon's boundary)."""
+    r45 = LatticePolygon([(0, 0), (4, 0), (4, 5), (0, 5)])
+    t8 = LatticePolygon([(0, 0), (8, 0), (0, 8)])
+    for poly in (T3, T4, SQ4, T6, r45, t8):
+        every = bridges(poly)
+        assert every
+        for v in poly.lattice_points():
+            assert bridges_at(poly, v) == [b for b in every if b.interior_end == v], (poly, v)
+
+
 # heights on the unit square folding along its diagonal (0, 0)-(1, 1)
 DIAGONAL_SPLIT = HeightFunction.of({(0, 0): 0, (1, 1): 0, (1, 0): 1, (0, 1): 1})
 
@@ -135,9 +148,9 @@ def test_snake_checks_are_not_assert_statements():
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     sn4 = build_snake(T4)
     with pytest.raises(AssertionError):
-        dataclasses.replace(sn4, bridge=sn4.chain[0]).validate(T4)
+        sn4._replace(bridge=sn4.chain[0]).validate(T4)
     with pytest.raises(AssertionError):
-        dataclasses.replace(sn4, points=sn4.points[:-1]).validate(T4)
+        sn4._replace(points=sn4.points[:-1]).validate(T4)
 
 
 def test_snake_chain_through_all_adjoint_points():

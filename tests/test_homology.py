@@ -588,8 +588,9 @@ def test_sp6_f2_order_under_seeded_generator_orders():
 def test_closure_of_the_seeded_snake_twists_runs_few_vector_products(monkeypatch):
     """The Sp(6, F_2) closure of T4's seven snake twists in the generator
     order of seed 1 (``random.Random("1:closure")``; the seed-1 image of T4
-    is T4) forms and sifts Schreier generators on the unfixed rows only:
-    at most 6,500 packed vector products (6,314; 15,740 on full matrices,
+    is T4) forms and sifts Schreier generators on the unfixed rows only,
+    and stops when the orbits reach |Sp(6, F_2)|: at most 4,030 packed
+    vector products (6,314 without the ceiling, 15,740 on full matrices,
     8,722 if a Schreier generator that passed were sifted again)."""
     calls = []
     real_packing = tropmono.homology._packing
@@ -608,7 +609,40 @@ def test_closure_of_the_seeded_snake_twists_runs_few_vector_products(monkeypatch
     random.Random("1:closure").shuffle(order)
     monkeypatch.setattr(tropmono.homology, "_packing", counted_packing)
     assert subgroup_order_mod_p([mats[i] for i in order], 2) == sp_order(3, 2)
-    assert 0 < len(calls) <= 6_500
+    assert 0 < len(calls) <= 4_030
+
+
+def test_symplectic_ceiling_agrees_with_the_dense_oracle():
+    """The closure stops at |Sp(n, F_p)| only when every generator preserves
+    the standard form J, and it agrees with the dense oracle, which has no
+    ceiling, on: the full group (T4's snake twists mod 2, the T3 twists
+    mod 3 and 5); GL(2, F_3), which holds Sp(2, F_3) = SL(2, F_3); proper
+    symplectic subgroups (subsets of the snake twists); a whole symplectic
+    group for another form (the snake twists conjugated by the swap of e_0
+    and e_1, mod 2); and odd n."""
+    ma, mb = sl2_twists()
+    t4 = snake_twists(T4)
+    swap = [[int(j == (1, 0, 2, 3, 4, 5)[i]) for j in range(6)] for i in range(6)]  # its own inverse
+    elementary = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+                  [[1, 0, 0], [0, 1, 0], [1, 0, 1]]]
+    # I + E_{k, k+1 mod 4} for k < 4: SL(4, F_2), of order 20160 > |Sp(4, F_2)| = 720
+    cyclic = [[[int(j == i or (k, j) == (i, (i + 1) % 4)) for j in range(4)] for i in range(4)]
+              for k in range(4)]
+    # (generators, p, whether they preserve J mod p, whether the order is |Sp(n, F_p)|)
+    cases = [(t4, 2, True, True), ([ma, mb], 3, True, True), ([ma, mb], 5, True, True),
+             *((t4[:k], 2, True, False) for k in range(1, 7)), (t4[:2], 3, True, False),
+             ([matmul(matmul(swap, m), swap) for m in t4], 2, False, True),
+             ([ma, mb, [[1, 0], [0, 2]]], 3, False, False), (cyclic, 2, False, False),
+             (elementary, 3, False, False), (elementary[:2], 5, False, False)]
+    for gens, p, preserves, full in cases:
+        n = len(gens[0])
+        form = [[int(j == i + n // 2) - int(i == j + n // 2) for j in range(n)] for i in range(n)]
+        got = [[[x % p for x in row] for row in matmul(matmul(m, form), [list(c) for c in zip(*m)])]
+               for m in gens]
+        assert (n % 2 == 0 and all(g == [[x % p for x in row] for row in form] for g in got)) == preserves
+        order = subgroup_order_mod_p(gens, p)
+        assert order == dense_order(gens, p), (gens, p)
+        assert (n % 2 == 0 and order == sp_order(n // 2, p)) == full, (gens, p)
 
 
 def test_subgroup_order_contract():

@@ -4,7 +4,6 @@ polygons."""
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -82,7 +81,7 @@ def test_a_pair_that_does_not_peel_leaves_nothing_behind(monkeypatch):
         candidates = pairs(*args, **kwargs)
         first = next(candidates)
         decoys.append(args)
-        yield replace(first, target=seg((0, 0), (1, 0)))
+        yield first._replace(target=seg((0, 0), (1, 0)))
         yield first
         return (yield from candidates)
 

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -182,6 +183,38 @@ def test_subdivision_json_roundtrip():
     hf = HeightFunction.from_json(data["heights"])
     replay = subdivision_from_heights(USQ, hf)
     assert set(replay.cells) == set(s.cells)
+
+
+def test_integer_height_codec_matches_fractions():
+    """On random rationals (negative denominators, unreduced pairs, zeros)
+    ``to_json`` gives the Fraction oracle's bytes, and ``of``, ``lifted``
+    and ``from_json`` of the same heights are equal and hash alike."""
+    rng = random.Random(28)
+    grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    for _ in range(300):
+        entries = []
+        for x, y in rng.sample(grid, rng.randint(1, 8)):
+            k = rng.randint(1, 6)  # common factor: the pair is unreduced
+            num = rng.choice([0, rng.randint(-40, 40)])
+            den = rng.choice([-1, 1]) * rng.randint(1, 12)
+            entries.append([x, y, k * num, k * den])
+        rng.shuffle(entries)
+        fractions = {(x, y): Fraction(num, den) for x, y, num, den in entries}
+        # the oracle: the codec through Fraction, as it was before heights stayed integers
+        want = json.dumps([[x, y, v.numerator, v.denominator] for (x, y), v in sorted(fractions.items())])
+        scale = rng.randint(1, 5) * math.lcm(*(v.denominator for v in fractions.values()))
+        forms = [
+            HeightFunction.from_json(entries),
+            HeightFunction.of(fractions),
+            HeightFunction.lifted({p: int(v * scale) for p, v in fractions.items()}, scale),
+        ]
+        for hf in forms:
+            assert json.dumps(hf.to_json()) == want
+            assert hf == forms[0] and hash(hf) == hash(forms[0])
+            assert hf.values == tuple(sorted(fractions.items()))
+    for bad in ([[0, 0, 1, 0]], [[0, 0, True, 1]], [[0, 0, 1, False]], [[0, 0, 1, 2], [0, 0, 3, 4]]):
+        with pytest.raises(ValueError):
+            HeightFunction.from_json(bad)
 
 
 def test_dual_curve_checks_are_not_assert_statements():

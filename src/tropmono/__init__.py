@@ -25,7 +25,7 @@ _EXPORTS = {
         "subdivision",
     ),
     **dict.fromkeys(
-        ["AdmissibilityCertificate", "Bridge", "Snake", "WeightedSegmentGraph", "bridges",
+        ["AdmissibilityCertificate", "Bridge", "Snake", "WeightedSegmentGraph",
          "build_snake", "certify_admissible", "check_balancing"],
         "graphs",
     ),

@@ -185,7 +185,7 @@ def build_corner_graph(poly: LatticePolygon, kappa: Point) -> BuildResult:
     edges = [(diagonal, -1), (seg((1, 1), (1, 0)), 1), (seg((1, 1), (0, 1)), 1)]
     res = _framed(poly, corner_frame(poly, kappa), "corner", edges, diagonal)
     for s in res.graph.entries:
-        b = is_bridge(poly, adjoint, s)
+        b = is_bridge(poly, s)
         if b is None or b.interior_end != kappa:
             raise AssertionError("corner edges must be bridges")
     return res
@@ -200,8 +200,8 @@ _SWAP = UnimodularMap(((0, 1), (1, 0)))
 
 
 def _swapped(f: UnimodularMap, image: LatticePolygon, adj_image: LatticePolygon):
-    """The frame ``normalize_at_vertex(..., swap_axes=True)`` returns, from
-    the unswapped one: each part followed by (x, y) -> (y, x)."""
+    """The frame at the same vertex with the two adjoint edges sent to the
+    other axes, from the first one: each part followed by (x, y) -> (y, x)."""
     (r0, r1), (tx, ty) = f
     return UnimodularMap((r1, r0), (ty, tx)), image.transform(_SWAP), adj_image.transform(_SWAP)
 
@@ -581,8 +581,9 @@ def _on_edge(a: Point, b: Point, p: Point) -> bool:
     return orient(a, b, p) == 0 and dot(sub(p, a), sub(p, b)) <= 0
 
 
-def _chain_devices(poly: LatticePolygon, adjoint: LatticePolygon, u: Point, sigma_dir: Point):
+def _chain_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     """Candidate chain+bridge devices at an adjoint-boundary end."""
+    adjoint = adjoint_polygon(poly)
     at_u = bridges_at(poly, u)
     out = []
     for a, b in adjoint.edges():
@@ -638,8 +639,9 @@ def _cancelling_sweeps(poly: LatticePolygon, anchors, u: Point, r: Point):
         yield rs
 
 
-def _ray_devices(poly: LatticePolygon, adjoint: LatticePolygon, u: Point, sigma_dir: Point):
+def _ray_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
     """Candidate ray-sweep devices at an adjoint-interior end."""
+    adjoint = adjoint_polygon(poly)
     anchors = [
         (kappa, kappa_prime, orientation)
         for kappa in adjoint.vertices
@@ -653,12 +655,12 @@ def _ray_devices(poly: LatticePolygon, adjoint: LatticePolygon, u: Point, sigma_
 
 
 def end_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
-    adjoint = adjoint_polygon(poly)
     if poly.side(u) == 0:
         return [EndDevice("none", WeightedSegmentGraph())]
+    adjoint = adjoint_polygon(poly)
     if adjoint.dimension == 2 and adjoint.side(u) == 1:
-        return _ray_devices(poly, adjoint, u, sigma_dir)
-    return _chain_devices(poly, adjoint, u, sigma_dir)
+        return _ray_devices(poly, u, sigma_dir)
+    return _chain_devices(poly, u, sigma_dir)
 
 
 class _Tally:

@@ -199,6 +199,8 @@ def cmd_derive(args) -> int:
 def cmd_certify(args) -> int:
     poly = _load_polygon(args.polygon)
     sigma = _parse_segment(args.segment)
+    if not poly.contains_segment(sigma):
+        raise InputError(f"{sigma} leaves the polygon")
     # no builder reaches the hyperelliptic case: say so before loading them
     if analyze(poly)[0].d == 1:
         raise DerivationError("certify", "hyperelliptic case deferred")

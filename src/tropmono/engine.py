@@ -34,7 +34,6 @@ from .geometry import (
 from .polygons import (
     adjoint_boundary_cycle,
     adjoint_edges_at,
-    adjoint_polygon,
     analyze,
     divisible_points,
     is_smooth,
@@ -55,7 +54,7 @@ GEOMETRIC = "geometric"
 HOMOLOGICAL = "homological"
 
 
-def loop_key(poly: LatticePolygon, adjoint, obj) -> tuple:
+def loop_key(poly: LatticePolygon, obj) -> tuple:
     """Isotopy class key: A-cycles by their point, bridges by their interior
     end, all other segments by themselves.  A ``homology.Loop`` is told
     from a segment by its ``kind``, so homology need not be loaded."""
@@ -65,10 +64,9 @@ def loop_key(poly: LatticePolygon, adjoint, obj) -> tuple:
             return ("acycle", obj.v)
         obj = obj.segment
     s = seg(*obj)
-    if adjoint is not None:
-        b = is_bridge(poly, adjoint, s)
-        if b is not None:
-            return ("bridge", b.interior_end)
+    b = is_bridge(poly, s)
+    if b is not None:
+        return ("bridge", b.interior_end)
     return ("seg", s)
 
 
@@ -127,9 +125,10 @@ def graph_of(conclusion) -> WeightedSegmentGraph:
 
 
 class RuleContext:
-    """What the rules read besides their params and premises: the polygon,
-    its adjoint, loop keys (memoized: at most one per loop or segment of
-    the polygon), a surface model built on first use, and the witness memo.
+    """What the rules read besides their params and premises: the polygon
+    (which keeps its adjoint), loop keys (memoized: at most one per loop or
+    segment of the polygon), a surface model built on first use, and the
+    witness memo.
 
     ``witnesses`` maps (polygon, heights, cells) of each admissibility
     witness checked so far to the edge set of the unimodular subdivision
@@ -143,9 +142,8 @@ class RuleContext:
     cell is checked on its own, and the graph's containment in the cells and
     its balancing are checked at every node."""
 
-    def __init__(self, poly: LatticePolygon, adjoint):
+    def __init__(self, poly: LatticePolygon):
         self.poly = poly
-        self.adjoint = adjoint
         self._surface = None
         self._keys: dict = {}
         self.witnesses: dict = {}
@@ -153,7 +151,7 @@ class RuleContext:
     def key_of(self, obj) -> tuple:
         key = self._keys.get(obj)
         if key is None:
-            key = self._keys[obj] = loop_key(self.poly, self.adjoint, obj)
+            key = self._keys[obj] = loop_key(self.poly, obj)
         return key
 
     @property
@@ -366,7 +364,7 @@ def _subtract(ctx, p, c1, c2):
 def _bridge_transfer(ctx, p, fact):
     """R4: the fact for a specific bridge from its class."""
     s = p["segment"]
-    b = None if ctx.adjoint is None else is_bridge(ctx.poly, ctx.adjoint, s)
+    b = is_bridge(ctx.poly, s)
     _check(b is not None, f"{s} is not a bridge")
     key = ("bridge", b.interior_end)
     out = single(fact["flavor"], key, _single_of(fact, fact["flavor"], key))
@@ -409,7 +407,7 @@ class Engine:
         self.poly = poly
         self.analysis, self.verdict = analyze(poly)
         self.adjoint = self.analysis.adjoint
-        self.ctx = RuleContext(poly, self.adjoint)
+        self.ctx = RuleContext(poly)
         self.nodes: list[Node] = []
         # (flavor, key) -> (exponent, node_id); exponents are positive ideal
         # generators, tightened by gcd as new facts arrive
@@ -1335,9 +1333,10 @@ def replay_certificate(data: dict) -> bool:
     """Re-run every rule application of an exported certificate through the
     rule kernel; a malformed node, a failed rule or a recomputed conclusion
     that differs from the recorded one raises ReplayError.  The polygon must
-    be smooth, as for a derivation, and that is checked first:
-    ``adjoint_polygon`` enumerates the interior points when the adjoint has
-    a fractional vertex, as a non-smooth polygon's may.  ``analyze`` checks
+    be smooth, as for a derivation, and that is checked first: a rule that
+    classifies a bridge builds the adjoint, and ``adjoint_polygon``
+    enumerates the interior points when the adjoint has a fractional
+    vertex, as a non-smooth polygon's may.  ``analyze`` checks
     smoothness too, but its divisor list costs O(sqrt n)."""
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise ReplayError("certificate has no node list")
@@ -1345,9 +1344,9 @@ def replay_certificate(data: dict) -> bool:
         poly = LatticePolygon.from_json(data["polygon"])
         if not is_smooth(poly):
             raise SmoothnessError("polygon not smooth")
-        ctx = RuleContext(poly, adjoint_polygon(poly))
     except Exception as exc:
         raise ReplayError(f"bad polygon: {exc}")
+    ctx = RuleContext(poly)
     concl: dict[int, dict] = {}
     last = None
     for i, node in enumerate(data["nodes"]):

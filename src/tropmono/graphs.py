@@ -149,9 +149,13 @@ class Bridge(namedtuple("Bridge", "segment interior_end boundary_end")):
     __slots__ = ()
 
 
-def is_bridge(poly: LatticePolygon, adjoint: LatticePolygon, s: Segment) -> Bridge | None:
+def is_bridge(poly: LatticePolygon, s: Segment) -> Bridge | None:
     """Classify a primitive segment as a bridge: one end on the polygon
-    boundary, the other on the adjoint boundary, avoiding the open adjoint."""
+    boundary, the other on the adjoint boundary, avoiding the open adjoint.
+    A polygon of genus zero has no bridge."""
+    adjoint = adjoint_polygon(poly)
+    if adjoint is None:
+        return None
     ends = []
     for v, w in ((s[0], s[1]), (s[1], s[0])):
         if poly.side(v) != 0:
@@ -172,39 +176,14 @@ def is_bridge(poly: LatticePolygon, adjoint: LatticePolygon, s: Segment) -> Brid
     return None
 
 
-def bridges(poly: LatticePolygon) -> list[Bridge]:
-    """All bridges of the polygon, in lexicographic segment order."""
-    adjoint = adjoint_polygon(poly)
-    if adjoint is None:
-        return []
-    adj_boundary = adjoint.boundary_points() if adjoint.dimension == 2 else adjoint.lattice_points()
-    out = []
-    seen = set()
-    for p in poly.boundary_points():
-        for q in adj_boundary:
-            try:
-                s = seg(p, q)
-            except ValueError:
-                continue
-            if s in seen:
-                continue
-            seen.add(s)
-            b = is_bridge(poly, adjoint, s)
-            if b is not None:
-                out.append(b)
-    return sorted(out, key=lambda b: b.segment)
-
-
 def bridges_at(poly: LatticePolygon, v: Point) -> list[Bridge]:
-    """``bridges(poly)`` at the interior end v, in the same order: only the
+    """The bridges with interior end v, in lexicographic segment order: a
+    bridge joins the polygon's boundary to the adjoint's, so only the
     segments from v to the polygon's boundary points are classified."""
-    adjoint = adjoint_polygon(poly)
-    if adjoint is None:
-        return []
     out = []
     for p in poly.boundary_points():
         if gcd(p[0] - v[0], p[1] - v[1]) == 1:
-            b = is_bridge(poly, adjoint, seg(p, v))
+            b = is_bridge(poly, seg(p, v))
             if b is not None and b.interior_end == v:
                 out.append(b)
     return sorted(out, key=lambda b: b.segment)
@@ -375,7 +354,7 @@ class Snake(namedtuple("Snake", "chain points bridge")):
             _ensure(set(s) == {v[i], v[i + 1]}, "chain segments must join consecutive points")
         anchor = v[2] if g >= 2 else v[1]
         _ensure(anchor in self.bridge, "snake bridge misses its anchor")
-        b = is_bridge(poly, adjoint, self.bridge)
+        b = is_bridge(poly, self.bridge)
         _ensure(b is not None and b.interior_end == anchor, "snake bridge invalid")
         all_segs = list(self.chain) + [self.bridge]
         for i in range(len(all_segs)):
@@ -403,10 +382,8 @@ def build_snake(poly: LatticePolygon) -> Snake:
         kappa = adjoint.vertices[0]
         # genus one: the chain is the single bridge-segment into kappa and the
         # extra bridge attaches at v1 = kappa itself.
-        all_bridges = bridges(poly)
+        all_bridges = bridges_at(poly, kappa)
         for b in all_bridges:
-            if b.interior_end != kappa:
-                continue
             v0 = b.boundary_end
             chain = (seg(v0, kappa),)
             other = next(

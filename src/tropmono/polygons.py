@@ -9,7 +9,8 @@ out of scope and the one-dimensional adjoint (hyperelliptic) case is
 reported as deferred.
 
 A verdict enumerates no lattice point: the adjoint is the polygon's
-half-planes moved in by one (see ``adjoint_polygon``) and the genus comes
+half-planes moved in by one (``adjoint_polygon``, defined in ``geometry``
+next to the slot where each polygon keeps it) and the genus comes
 from Pick's formula, in O(#edges) integer operations whatever the area.  The
 divisors of the root order n come from trial division up to sqrt(n), so that
 step costs O(sqrt(n)) and dominates for very large polygons.  Internal
@@ -29,6 +30,7 @@ from .geometry import (
     Point,
     UnimodularMap,
     add,
+    adjoint_polygon,
     cross,
     lattice_length,
     lattice_points_on_segment,
@@ -50,61 +52,6 @@ def is_smooth(poly: LatticePolygon) -> bool:
         if abs(cross(d1, d2)) != 1:
             return False
     return True
-
-
-def _quotient(num, den):
-    """num / den exactly: an int when den divides num, else a Fraction
-    (imported here: a verdict with an integral adjoint needs none)."""
-    if num % den == 0:
-        return num // den
-    from fractions import Fraction
-
-    return Fraction(num, den)
-
-
-def _clip(region: list, a: int, b: int, c: int) -> list:
-    """The part of a convex polygon (vertex list, possibly degenerate, exact
-    coordinates) where a*x + b*y >= c."""
-    out = []
-    for i, p in enumerate(region):
-        q = region[i - 1]
-        fp = a * p[0] + b * p[1] - c
-        fq = a * q[0] + b * q[1] - c
-        if (fq < 0 < fp) or (fp < 0 < fq):  # the crossing (fq p - fp q) / (fq - fp)
-            out.append(tuple(_quotient(fq * pc - fp * qc, fq - fp) for pc, qc in zip(p, q)))
-        if fp >= 0:
-            out.append(p)
-    return out
-
-
-def adjoint_polygon(poly: LatticePolygon) -> LatticePolygon | None:
-    """Convex hull of the interior lattice points; None when there are none.
-
-    Computed without enumeration as Q, the intersection of the half-planes
-    <n_i, x> >= c_i + 1 (the polygon is <n_i, x> >= c_i with primitive
-    integer n_i, so c_i is an integer), by exact clipping of the polygon:
-
-    - every interior lattice point x has <n_i, x> > c_i, hence >= c_i + 1
-      since the values are integers, so it lies in Q;
-    - so an empty Q means there are no interior points;
-    - when every vertex of Q is integral, each vertex satisfies every
-      <n_i, x> > c_i, so it is an interior lattice point, and Q is the
-      hull of the interior lattice points.
-
-    Only when a vertex of Q is not integral are the interior points
-    enumerated.
-    """
-    if poly.dimension != 2:
-        raise ValueError("adjoint needs a two-dimensional polygon")
-    region = list(poly.vertices)
-    for a, b, c in poly.halfplanes():
-        region = _clip(region, a, b, c + 1)
-        if not region:
-            return None
-    if all(x.denominator == 1 and y.denominator == 1 for x, y in region):
-        return LatticePolygon(region)
-    pts = poly.interior_points()
-    return LatticePolygon(pts) if pts else None
 
 
 def normal_fan_rays(poly: LatticePolygon) -> list[Point]:
@@ -137,14 +84,10 @@ def self_intersections(poly: LatticePolygon) -> list[int]:
     return out
 
 
-def adjoint_edge_lengths_valid(
-    poly: LatticePolygon, adj: LatticePolygon | None = None
-) -> bool:
+def adjoint_edge_lengths_valid(poly: LatticePolygon) -> bool:
     """Cross-check: for each edge the adjoint edge with the same outward
-    normal has lattice length l - D^2 - 2 (0 meaning no such edge).  ``adj``
-    is the adjoint of ``poly`` when the caller has built it already."""
-    if adj is None:
-        adj = adjoint_polygon(poly)
+    normal has lattice length l - D^2 - 2 (0 meaning no such edge)."""
+    adj = adjoint_polygon(poly)
     if adj is None or adj.dimension != 2:
         return True
     adj_by_normal = dict(zip(normal_fan_rays(adj), adj.edge_lengths()))
@@ -216,14 +159,13 @@ def divisible_points(adjoint: LatticePolygon, d: int) -> list[Point]:
 
 
 def normalize_at_vertex(
-    poly: LatticePolygon, kappa: Point, swap_axes: bool = False
+    poly: LatticePolygon, kappa: Point
 ) -> tuple[UnimodularMap, LatticePolygon, LatticePolygon]:
     """Normalization at a vertex kappa of the adjoint: the returned
     lattice-preserving affine map f sends kappa to the origin and the two
     adjoint edges at kappa onto the rays (1,0) and (0,1); with it come the
     images of the polygon and of its adjoint.
 
-    With ``swap_axes`` the ccw edge goes to the y-axis instead of the x-axis.
     The anchor points (0,-1) and (-1,0) are verified to lie on the boundary
     of the image of the ambient polygon.  A unimodular map preserves the
     lattice and the half-planes, so it commutes with taking the adjoint: the
@@ -238,8 +180,6 @@ def normalize_at_vertex(
     i = verts.index(kappa)
     e1 = primitive(sub(verts[(i + 1) % len(verts)], kappa))
     e2 = primitive(sub(verts[i - 1], kappa))
-    if swap_axes:
-        e1, e2 = e2, e1
     f = UnimodularMap.from_basis(e1, e2, kappa)
     image = poly.transform(f)
     for anchor in ((0, -1), (-1, 0)):
@@ -357,7 +297,7 @@ def analyze(poly: LatticePolygon) -> tuple[PolygonAnalysis, Verdict]:
             raise AssertionError("two-dimensional adjoint of a smooth polygon is not smooth")
         divisors = tuple(divisors_from_2(n))  # the d of divisibility(adj)
     analysis = PolygonAnalysis(
-        g, b, adj, d, n, True, divisors, adjoint_edge_lengths_valid(poly, adj)
+        g, b, adj, d, n, True, divisors, adjoint_edge_lengths_valid(poly)
     )
     if d == 0:
         verdict = Verdict(Surjectivity.YES, Surjectivity.YES)

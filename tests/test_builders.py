@@ -7,7 +7,7 @@ import pytest
 
 import tropmono
 from tropmono import builders
-from tropmono.geometry import LatticePolygon, add, neg, seg, smul, sub
+from tropmono.geometry import LatticePolygon, UnimodularMap, add, neg, primitive, seg, smul, sub
 from tropmono.graphs import CertificationError, WeightedSegmentGraph, check_balancing, residual
 from tropmono.polygons import adjoint_polygon, neighbors_on_boundary, normalize_at_vertex
 from tropmono.builders import (
@@ -32,15 +32,31 @@ SQ4 = LatticePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 BIG = LatticePolygon([(-1, -1), (18, -1), (18, 6), (-1, 6)])
 
 
+def swap_axes_frame(poly, kappa):
+    """Oracle: the normalization at the adjoint vertex kappa that sends the
+    ccw adjoint edge to the y-axis and the other one to the x-axis, with the
+    images of the polygon and of its adjoint."""
+    adj = adjoint_polygon(poly)
+    verts = adj.vertices
+    i = verts.index(kappa)
+    e1 = primitive(sub(verts[(i + 1) % len(verts)], kappa))
+    e2 = primitive(sub(verts[i - 1], kappa))
+    f = UnimodularMap.from_basis(e2, e1, kappa)
+    image = poly.transform(f)
+    assert image.side((0, -1)) == image.side((-1, 0)) == 0
+    return f, image, adj.transform(f)
+
+
 def test_swapped_frame_is_the_swap_axes_frame():
     """The swapped frame that ``_frame`` builds from the first one, which
-    it follows by (x, y) -> (y, x), is ``normalize_at_vertex(...,
-    swap_axes=True)`` at every adjoint vertex of T4, SQ4, T6 and R45."""
+    it follows by (x, y) -> (y, x), is the frame with the adjoint edges at
+    kappa sent to the other axes (``swap_axes_frame``) at every adjoint
+    vertex of T4, SQ4, T6 and R45."""
     r45 = LatticePolygon([(0, 0), (4, 0), (4, 5), (0, 5)])
     for poly in (T4, SQ4, T6, r45):
         for kappa in adjoint_polygon(poly).vertices:
             first = normalize_at_vertex(poly, kappa)
-            assert builders._swapped(*first) == normalize_at_vertex(poly, kappa, swap_axes=True)
+            assert builders._swapped(*first) == swap_axes_frame(poly, kappa)
 
 
 def test_corner_graph():

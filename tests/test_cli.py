@@ -282,6 +282,20 @@ def test_certify_says_at_once_that_the_hyperelliptic_case_is_deferred(polyfile, 
     assert code == 3 and "tropmono.engine" not in modules and "tropmono.builders" not in modules
 
 
+@pytest.mark.parametrize("command", ["verdict", "analyze"])
+def test_verdicts_at_scale_load_only_geometry_and_polygons(command, polyfile):
+    """``verdict`` and ``analyze`` on T300 and HEX250 (integral adjoints)
+    load the CLI, the errors, ``geometry`` and ``polygons`` and nothing
+    else of the library, and none of NOT_ON_THE_KERNEL_PATH: the polygon
+    keeps its adjoint without loading another layer or ``fractions``."""
+    for name in ("T300", "HEX250"):
+        path = polyfile(f"{name}.json", ANALYZE_GOLDEN[name][0])
+        code, modules = _loaded(command, path)
+        assert code == 0
+        assert modules == ["tropmono.cli", "tropmono.errors", "tropmono.geometry",
+                           "tropmono.polygons"], (name, modules)
+
+
 def test_replay_loads_neither_builders_nor_the_lp(t3_certificate, tmp_path):
     """Replay runs the rule kernel and the witness checks: it loads the
     engine but neither the graph builders nor the LP."""
@@ -375,3 +389,7 @@ def test_exit_codes_in_fresh_processes(flags, t3_certificate, polyfile, capsys, 
     got = fresh("certify", polyfile("r3x2.json", R3X2), "--segment", "1,1,2,1")
     assert (got.returncode, got.stdout) == (3, "")
     assert got.stderr == "certification failed: [certify] hyperelliptic case deferred\n"
+
+    got = fresh("certify", t3, "--segment", "10,10,11,10")
+    assert (got.returncode, got.stdout) == (2, "")
+    assert got.stderr == "invalid input: ((10, 10), (11, 10)) leaves the polygon\n"

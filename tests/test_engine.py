@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 import tropmono
-from tropmono import builders, graphs, subdivision
+from tropmono import builders, geometry, graphs, subdivision
 from tropmono.geometry import LatticePolygon, lattice_length, seg
 from tropmono.engine import (
     Engine,
@@ -209,6 +209,30 @@ def test_searches_certify_each_request_once(monkeypatch):
     assert len(requests) == len(set(requests)) == 24
     assert _digest(e.export_certificate()) == CERTIFICATE_DIGESTS["T6"]
     assert _digest(report["certificate"]) == REPORT_DIGESTS["T6"]
+
+
+def test_a_derivation_clips_its_polygon_once(monkeypatch):
+    """The polygon keeps its adjoint and each frame image comes with the
+    image of it, so one derivation clips by each half-plane of its polygon
+    once: 13 times over T3, T4, SQ4 and T6, 3 times on T8 and 4 on R6x7.
+    Each derivation starts from a new polygon object, which keeps no
+    adjoint yet."""
+    calls = []
+    clip = geometry._clip
+
+    def counted(*args):
+        calls.append(args)
+        return clip(*args)
+
+    monkeypatch.setattr(geometry, "_clip", counted)
+    t8 = [(0, 0), (8, 0), (0, 8)]
+    r6x7 = [(0, 0), (6, 0), (6, 7), (0, 7)]
+    counts = {}
+    for name, vertices in [(n, p.vertices) for n, p in POLYGONS.items()] + [("T8", t8), ("R6x7", r6x7)]:
+        calls.clear()
+        _derived(LatticePolygon(vertices))
+        counts[name] = len(calls)
+    assert counts == {"T3": 3, "T4": 3, "SQ4": 4, "T6": 3, "T8": 3, "R6x7": 4}
 
 
 @pytest.mark.parametrize("poly", [T4, SQ4, T6, R4x6], ids=["T4", "SQ4", "T6", "R4x6"])

@@ -1,19 +1,22 @@
 import ast
+import random
 
 import pytest
 
 import tropmono.graphs
+from test_polygons import random_smooth_polygon
 from tropmono.geometry import LatticePolygon, seg
 from tropmono.graphs import (
     AdmissibilityCertificate,
     CertificationError,
     WeightedSegmentGraph,
-    bridges,
     bridges_at,
     build_snake,
     certify_admissible,
     check_balancing,
+    is_bridge,
 )
+from tropmono.polygons import adjoint_polygon
 from tropmono.subdivision import HeightFunction
 
 T3 = LatticePolygon([(0, 0), (3, 0), (0, 3)])
@@ -53,6 +56,26 @@ def test_balancing():
     assert check_balancing(short, T6) == {(3, 1)}
 
 
+def bridges(poly):
+    """Oracle: every bridge of the polygon, in lexicographic segment order,
+    from classifying each segment between a boundary point of the polygon
+    and a boundary point of the adjoint (its one point in genus one)."""
+    adjoint = adjoint_polygon(poly)
+    if adjoint is None:
+        return []
+    adj_boundary = adjoint.boundary_points() if adjoint.dimension == 2 else adjoint.lattice_points()
+    found = set()
+    for p in poly.boundary_points():
+        for q in adj_boundary:
+            try:
+                b = is_bridge(poly, seg(p, q))
+            except ValueError:
+                continue
+            if b is not None:
+                found.add(b)
+    return sorted(found, key=lambda b: b.segment)
+
+
 def test_bridges_examples():
     assert len(bridges(T3)) == 9
     assert bridges(USQ) == []
@@ -71,16 +94,27 @@ def test_bridges_share_interior_end_key():
 
 def test_bridges_at_is_the_filtered_bridge_list():
     """``bridges_at`` pairs v with the polygon's boundary points only, and
-    gives the same list, in the same order, as filtering ``bridges`` at
-    every lattice point of T3, T4, SQ4, T6, R45 and T8 (the adjoint's
-    boundary points, its inside and the polygon's boundary)."""
+    gives the same list, in the same order, as filtering the ``bridges``
+    oracle at every lattice point of T3, T4, SQ4, T6, R45, T8 and the
+    genus-one polygons among the first 200 seeded random smooth polygons
+    (the adjoint's boundary points, its inside and the polygon's
+    boundary).  In genus one every bridge ends at the adjoint point, so
+    there ``bridges_at`` at that point is the whole oracle list, which is
+    what ``build_snake`` reads."""
     r45 = LatticePolygon([(0, 0), (4, 0), (4, 5), (0, 5)])
     t8 = LatticePolygon([(0, 0), (8, 0), (0, 8)])
-    for poly in (T3, T4, SQ4, T6, r45, t8):
+    rng = random.Random(7)
+    seeded = [random_smooth_polygon(rng) for _ in range(200)]
+    genus_one = [p for p in seeded if p.interior_points() and adjoint_polygon(p).dimension == 0]
+    assert len(genus_one) >= 10
+    for poly in (T3, T4, SQ4, T6, r45, t8, *genus_one):
         every = bridges(poly)
         assert every
         for v in poly.lattice_points():
             assert bridges_at(poly, v) == [b for b in every if b.interior_end == v], (poly, v)
+    for poly in (T3, *genus_one):
+        (kappa,) = adjoint_polygon(poly).vertices
+        assert bridges_at(poly, kappa) == bridges(poly), poly
 
 
 # heights on the unit square folding along its diagonal (0, 0)-(1, 1)

@@ -28,8 +28,10 @@ from tropmono.polygons import (
     divisors_from_2,
     is_smooth,
     neighbors_on_boundary,
+    normal_fan_rays,
     normalize_at_vertex,
     root_order,
+    self_intersections,
 )
 
 T3 = LatticePolygon([(0, 0), (3, 0), (0, 3)])
@@ -220,7 +222,18 @@ def analysis_oracle_json(poly):
     return {"g": len(poly.interior_points()), "b": b, "d": adj.dimension,
             "n": root_order(adj), "smooth": True, "divisors": divisors,
             "adjoint": adj.to_json(),
-            "adjoint_lengths_valid": adjoint_edge_lengths_valid(poly, adj)}
+            "adjoint_lengths_valid": edge_lengths_oracle(poly, adj)}
+
+
+def edge_lengths_oracle(poly, adj):
+    """``adjoint_edge_lengths_valid`` read off a given adjoint: each edge of
+    length l and self-intersection D^2 faces an adjoint edge of length
+    l - D^2 - 2 with the same outward normal (none when that is 0)."""
+    if adj.dimension != 2:
+        return True
+    by_normal = dict(zip(normal_fan_rays(adj), adj.edge_lengths()))
+    return all(by_normal.get(ray, 0) == l - dsq - 2 for ray, l, dsq in
+               zip(normal_fan_rays(poly), poly.edge_lengths(), self_intersections(poly)))
 
 
 def random_unimodular(rng):

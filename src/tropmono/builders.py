@@ -55,8 +55,8 @@ from .polygons import (
     adjoint_edges_at,
     adjoint_polygon,
     divisible_points,
+    frame_at,
     neighbors_on_boundary,
-    normalize_at_vertex,
 )
 from .graphs import (
     AdmissibilityCertificate,
@@ -196,25 +196,14 @@ def build_corner_graph(poly: LatticePolygon, kappa: Point) -> BuildResult:
 # ---------------------------------------------------------------------------
 
 
-_SWAP = UnimodularMap(((0, 1), (1, 0)))
-
-
-def _swapped(f: UnimodularMap, image: LatticePolygon, adj_image: LatticePolygon):
-    """The frame at the same vertex with the two adjoint edges sent to the
-    other axes, from the first one: each part followed by (x, y) -> (y, x)."""
-    (r0, r1), (tx, ty) = f
-    return UnimodularMap((r1, r0), (ty, tx)), image.transform(_SWAP), adj_image.transform(_SWAP)
-
-
 def _frame(poly: LatticePolygon, kappa: Point, point: Point, up: bool = False):
     """Def-normalization at kappa, as ``normalize_at_vertex`` returns it,
     that puts the adjoint boundary point ``point`` on the positive x-axis,
     or, when ``up``, that sends the point next to kappa to (0, 1)."""
-    frame = normalize_at_vertex(poly, kappa)
-    x, y = frame[0].apply(point)
+    x, y = frame_at(poly, kappa)[0].apply(point)
     for q, swap in (((x, y), False), ((y, x), True)):  # point's image in each frame
         if (q == (0, 1) if up else q[1] == 0 and q[0] >= 1):
-            return _swapped(*frame) if swap else frame
+            return frame_at(poly, kappa, swap)
     where = "next to" if up else "along an adjoint edge at"
     raise ValueError(f"{point} is not {where} {kappa}")
 
@@ -429,10 +418,15 @@ def build_ray_sweep(
     kappa, legs to kappa') or G_{kappa',kappa,v} ("k'k": roles exchanged),
     closed by the four anchor segments.  The underlying graph does not
     depend on (m1, m2); the weights do."""
+    return _sweep_graph(poly, _seeded_geometry(poly, kappa, kappa_prime, v, orientation), m1, m2)
+
+
+def _seeded_geometry(poly, kappa, kappa_prime, v, orientation):
+    """``_sweep_geometry`` at d = 1, for a seed point inside the adjoint."""
     adjoint = adjoint_polygon(poly)
     if adjoint is None or adjoint.side(v) != 1:
         raise ValueError("seed point must be interior to the adjoint")
-    return _ray_sweep(poly, 1, kappa, kappa_prime, v, m1, m2, orientation)
+    return _sweep_geometry(poly, 1, kappa, kappa_prime, v, orientation)
 
 
 def build_divisible_ray_sweep(
@@ -453,12 +447,12 @@ def build_divisible_ray_sweep(
         raise ValueError("divisible sweeps need a two-dimensional adjoint")
     if v not in divisible_points(adjoint, d):
         raise ValueError(f"{v} is not a d-divisible point of the adjoint")
-    return _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation)
+    return _sweep_graph(poly, _sweep_geometry(poly, d, kappa, kappa_prime, v, orientation), m1, m2)
 
 
-def _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation) -> RaySweep:
-    """Shared body of the sweeps: at d = 1 the closing column is the single
-    anchor segment [kappa, kappa']."""
+def _sweep_geometry(poly, d, kappa, kappa_prime, v, orientation):
+    """A sweep's weight-free part (a missing sweep raises its ValueError): the
+    frame, its inverse, d, the chain and leg target in the frame, and the graphless RaySweep."""
     f = _frame(poly, kappa, kappa_prime, up=True)[0]
     inv = f.inverse()
     vi = f.apply(v)
@@ -473,25 +467,33 @@ def _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation) -> RaySweep:
         leg_target, chain_end = (0, 0), (0, 1)
     else:
         raise ValueError("orientation must be \"kk'\" or \"k'k\"")
-    chain_u = _sweep(u, leg_target, chain_end)
-    t = len(chain_u) - 1
-    chain = [smul(d, p) for p in chain_u]
+    chain = [smul(d, p) for p in _sweep(u, leg_target, chain_end)]
     legt = smul(d, leg_target)  # = h^{-1}(kappa') or kappa
+    leg1 = leg2 = None
+    if len(chain) > 1:
+        leg1 = inv.apply_seg(seg(chain[0], lattice_points_on_segment(chain[0], legt)[1]))
+        leg2 = inv.apply_seg(seg(chain[0], lattice_points_on_segment(chain[0], chain[1])[1]))
+    shape = RaySweep(None, v, tuple(inv.apply(p) for p in chain), leg1, leg2, inv.apply(legt),
+                     inv.apply((0, -1)), inv.apply((-1, 0)), kappa, kappa_prime, orientation)
+    return f, inv, d, chain, legt, shape
+
+
+def _sweep_graph(poly, geometry, m1, m2) -> RaySweep:
+    """The sweep of ``geometry`` with seed weights (m1, m2), closed at (0, d)
+    and at kappa (at d = 1 the column is the anchor segment [kappa, kappa'])."""
+    f, inv, d, chain, legt, shape = geometry
+    t = len(chain) - 1
     graph = WeightedSegmentGraph()
     w1, w2 = m1, m2
-    leg1 = leg2 = None
     for k in range(t):
         for s in primitive_segments_on(chain[k], legt):
             graph.add(inv.apply_seg(s), w1)
         for s in primitive_segments_on(chain[k], chain[k + 1]):
             graph.add(inv.apply_seg(s), w2)
-        if k == 0:
-            leg1 = inv.apply_seg(seg(chain[0], lattice_points_on_segment(chain[0], legt)[1]))
-            leg2 = inv.apply_seg(seg(chain[0], lattice_points_on_segment(chain[0], chain[1])[1]))
         if k + 1 < t:
-            d_prev = primitive(sub(chain_u[k], chain_u[k + 1]))
-            d1 = primitive(sub(leg_target, chain_u[k + 1]))
-            d2 = primitive(sub(chain_u[k + 2], chain_u[k + 1]))
+            d_prev = primitive(sub(chain[k], chain[k + 1]))
+            d1 = primitive(sub(legt, chain[k + 1]))
+            d2 = primitive(sub(chain[k + 2], chain[k + 1]))
             rhs = (-w2 * d_prev[0], -w2 * d_prev[1])
             w1, w2 = _solve_pair(d1, d2, rhs)
 
@@ -502,26 +504,14 @@ def _ray_sweep(poly, d, kappa, kappa_prime, v, m1, m2, orientation) -> RaySweep:
     graph.add(inv.apply_seg(seg((0, d), (-1, 0))), b1)
     for s in primitive_segments_on((0, 0), (0, d)):
         graph.add(inv.apply_seg(s), col)
-    r = f.apply_vector(residual(graph, kappa))
+    r = f.apply_vector(residual(graph, shape.kappa))
     b2, b3 = _solve_pair((-1, 0), (0, -1), neg(r))
     graph.add(inv.apply_seg(seg((0, 0), (-1, 0))), b2)
     graph.add(inv.apply_seg(seg((0, 0), (0, -1))), b3)
     bad = check_balancing(graph, poly)
-    if not bad <= {v}:
+    if not bad <= {shape.v}:
         raise AssertionError(f"ray sweep unbalanced beyond the seed: {bad}")
-    return RaySweep(
-        graph,
-        v,
-        tuple(inv.apply(p) for p in chain),
-        leg1,
-        leg2,
-        inv.apply(legt),
-        inv.apply((0, -1)),
-        inv.apply((-1, 0)),
-        kappa,
-        kappa_prime,
-        orientation,
-    )
+    return shape._replace(graph=graph)
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +607,13 @@ def _chain_devices(poly: LatticePolygon, u: Point, sigma_dir: Point):
 def cancelling_sweep(poly: LatticePolygon, anchors: tuple, u: Point, r: Point) -> RaySweep:
     """The ray sweep at ``anchors`` (kappa, kappa', orientation) seeded at u
     whose two legs cancel ``r`` there: its residual at u is -r.  The leg
-    directions do not depend on the weights, so they are read off the sweep
-    with weights (1, 1) and the weights solved for."""
+    directions do not depend on the weights, so they are read off the
+    sweep's geometry, the weights solved for, and the graph built once."""
     kappa, kappa_prime, orientation = anchors
-    probe = build_ray_sweep(poly, kappa, kappa_prime, u, 1, 1, orientation)
-    l1, l2 = seg_dir_from(probe.leg1, u), seg_dir_from(probe.leg2, u)
-    m1, m2 = _solve_pair(l1, l2, neg(r))
-    return build_ray_sweep(poly, kappa, kappa_prime, u, m1, m2, orientation)
+    geometry = _seeded_geometry(poly, kappa, kappa_prime, u, orientation)
+    shape = geometry[-1]
+    l1, l2 = seg_dir_from(shape.leg1, u), seg_dir_from(shape.leg2, u)
+    return _sweep_graph(poly, geometry, *_solve_pair(l1, l2, neg(r)))
 
 
 def _cancelling_sweeps(poly: LatticePolygon, anchors, u: Point, r: Point):

@@ -201,6 +201,8 @@ def cmd_certify(args) -> int:
     sigma = _parse_segment(args.segment)
     if not poly.contains_segment(sigma):
         raise InputError(f"{sigma} leaves the polygon")
+    if poly.side(sigma[0]) == 0 and poly.side(sigma[1]) == 0:
+        raise InputError("both ends on the polygon boundary")
     # no builder reaches the hyperelliptic case: say so before loading them
     if analyze(poly)[0].d == 1:
         raise DerivationError("certify", "hyperelliptic case deferred")

@@ -127,26 +127,15 @@ def graph_of(conclusion) -> WeightedSegmentGraph:
 class RuleContext:
     """What the rules read besides their params and premises: the polygon
     (which keeps its adjoint), loop keys (memoized: at most one per loop or
-    segment of the polygon), a surface model built on first use, and the
-    witness memo.
-
-    ``witnesses`` maps (polygon, heights, cells) of each admissibility
-    witness checked so far to the edge set of the unimodular subdivision
-    they were verified to form, or to None for a rejection; it lives as long
-    as the context, that is one derivation or one replay.  In a derivation
-    a certificate whose witness the refinement verified carries that
-    witness's edges (``verified_edges``), which ``verify`` enters here, so
-    the ``admissible`` rule does not verify it a second time.  Replay stays
-    sound: the key is the whole decoded witness and ``verify_subdivision``
-    is a pure function of it, so a witness that differs in any height or
-    cell is checked on its own, and the graph's containment in the cells and
-    its balancing are checked at every node."""
+    segment of the polygon) and a surface model built on first use.  It
+    keeps no witness: the ``admissible`` rule checks each certificate on its
+    own, and in a derivation the refinement's final check of a witness
+    (``verified_edges``) counts as the rule's."""
 
     def __init__(self, poly: LatticePolygon):
         self.poly = poly
         self._surface = None
         self._keys: dict = {}
-        self.witnesses: dict = {}
 
     def key_of(self, obj) -> tuple:
         key = self._keys.get(obj)
@@ -254,7 +243,7 @@ def _admissible(ctx, p):
     cert = p["certificate"]
     _check(cert.polygon == ctx.poly, "certificate polygon mismatch")
     _check(not cert.unbalanced_ok, "graph not balanced everywhere")
-    _check(cert.verify(ctx.witnesses), "certificate failed verification")
+    _check(cert.verify(), "certificate failed verification")
     _check(cert.graph.loops_pairwise_disjoint(), "graph loops are not disjoint")
     return composite(GEOMETRIC, cert.graph)
 

@@ -179,13 +179,14 @@ def _triangle(points):
     ccw from the lex-min one, with no hull run.  None for any other input."""
     if type(points) not in (list, tuple, set) or len(points) != 3:
         return None
-    pts = []
-    for p in points:
-        if type(p) not in (tuple, list) or len(p) != 2 or \
-                type(p[0]) is not int or type(p[1]) is not int:
+    a, b, c = points
+    if not (type(a) is type(b) is type(c) is tuple and len(a) == len(b) == len(c) == 2
+            and type(a[0]) is type(a[1]) is type(b[0]) is type(b[1]) is type(c[0]) is type(c[1]) is int):
+        if any(type(p) not in (tuple, list) or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int
+               for p in points):
             return None
-        pts.append((p[0], p[1]))
-    a, b, c = sorted(pts)
+        a, b, c = ((p[0], p[1]) for p in points)
+    a, b, c = sorted((a, b, c))
     o = orient(a, b, c)
     return None if o == 0 else (a, b, c) if o > 0 else (a, c, b)
 
@@ -245,7 +246,7 @@ class LatticePolygon:
     vertex, so equal polygons compare equal.
     """
 
-    __slots__ = ("vertices", "_lattice_cache", "_halfplanes", "_adjoint")
+    __slots__ = ("vertices", "_lattice_cache", "_halfplanes", "_adjoint", "_frames")
 
     def __init__(self, points):
         self.vertices = _triangle(points) or tuple(convex_hull(points))
@@ -352,10 +353,10 @@ class LatticePolygon:
                 above = [(a, b, c) for a, b, c in hp if b < 0]  # y <= (c - a x) / b
                 cache = []
                 # vertical edges (b == 0) bound only the x range itself
-                for x in range(min(p[0] for p in v), max(p[0] for p in v) + 1):
-                    lo = max(-((a * x - c) // b) for a, b, c in below)
-                    hi = min((c - a * x) // b for a, b, c in above)
-                    cache.extend((x, y) for y in range(lo, hi + 1))
+                for x in range(v[0][0], max([p[0] for p in v]) + 1):  # v[0] is lex-least
+                    lo = max([-((a * x - c) // b) for a, b, c in below])
+                    hi = min([(c - a * x) // b for a, b, c in above])
+                    cache += [(x, y) for y in range(lo, hi + 1)]
             self._lattice_cache = cache
         return list(cache)
 

@@ -28,7 +28,7 @@ from .geometry import (
     segments_cross,
 )
 from .errors import CertificationError
-from .polygons import adjoint_polygon, normalize_at_vertex
+from .polygons import adjoint_polygon, frame_at
 from .subdivision import (
     HeightFunction,
     extend_subdivision,
@@ -97,9 +97,11 @@ class WeightedSegmentGraph:
         """Whether the segments meet at most in shared endpoints, so the
         corresponding loops are pairwise disjoint and their twists commute."""
         segs = self.segments()
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                if segments_cross(segs[i], segs[j]):
+        for i, s in enumerate(segs):
+            for t in segs[i + 1:]:
+                if t[0][0] > s[1][0]:
+                    break  # t, and each later segment, starts right of s
+                if segments_cross(s, t):
                     return False
         return True
 
@@ -133,8 +135,15 @@ def residual(graph: WeightedSegmentGraph, v: Point) -> Point:
 
 
 def check_balancing(graph: WeightedSegmentGraph, poly: LatticePolygon) -> set[Point]:
-    """Vertices interior to the polygon where the graph is not balanced."""
-    return {v for v in graph.vertices() if poly.side(v) == 1 and residual(graph, v) != (0, 0)}
+    """Vertices interior to the polygon where the graph is not balanced (every ``residual`` in one pass)."""
+    acc: dict[Point, Point] = {}
+    for (a, b), m in graph.entries.items():
+        dx, dy = m * (b[0] - a[0]), m * (b[1] - a[1])
+        x, y = acc.get(a, (0, 0))
+        acc[a] = (x + dx, y + dy)
+        x, y = acc.get(b, (0, 0))
+        acc[b] = (x - dx, y - dy)
+    return {v for v, r in acc.items() if r != (0, 0) and poly.side(v) == 1}
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +233,19 @@ class AdmissibilityCertificate:
         fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._COMPARED)
         return f"AdmissibilityCertificate({fields})"
 
-    def verify(self, checked: dict | None = None) -> bool:
+    def verify(self) -> bool:
         """The one check of a certificate: the witness induces exactly
-        ``cells`` (by verify_subdivision), which are unimodular and contain
-        every graph edge, and the graph is balanced outside ``unbalanced_ok``.
-        Returns False or raises ValueError, so replay of any decoded
-        certificate stays total.
-
-        ``checked`` memoizes the witness part across certificates: it maps
-        (polygon, witness, cells) to the edges of the unimodular subdivision
-        they form, or to None; the graph is checked against them each time.
-        A key it lacks is taken from ``verified_edges`` when that is set."""
-        key = (self.polygon, self.witness, self.cells)
-        if checked is None:
-            checked = {}
-        elif key not in checked and self.verified_edges is not None:
-            checked[key] = self.verified_edges
-        edges = checked.get(key, False)
-        if edges is False:
+        ``cells`` (by verify_subdivision, or ``verified_edges`` if it ran),
+        which are unimodular and contain every graph edge, and the graph is
+        balanced outside ``unbalanced_ok``.  Returns False or raises
+        ValueError, so replay of any decoded certificate stays total."""
+        edges = self.verified_edges
+        if edges is None:
             sub_div = verify_subdivision(self.polygon, self.cells, self.witness)
-            edges = checked[key] = sub_div.edges() if sub_div is not None else None
-        if edges is None or not all(s in edges for s in self.graph.entries):
+            if sub_div is None:
+                return False
+            edges = sub_div.edges()
+        if not all(s in edges for s in self.graph.entries):
             return False
         if check_balancing(self.graph, self.polygon) - set(self.unbalanced_ok):
             return False
@@ -406,7 +407,7 @@ def build_snake(poly: LatticePolygon) -> Snake:
 
     # normalize at a vertex of the adjoint, colex order downstream
     kappa = min(adjoint.vertices, key=lambda p: (p[1], p[0]))
-    frame, _, adj_img = normalize_at_vertex(poly, kappa)
+    frame, _, adj_img = frame_at(poly, kappa)
     pts = sorted(adj_img.lattice_points(), key=lambda p: (p[1], p[0]))
     _ensure(pts[0] == (0, 0) and pts[1] == (1, 0), "colex order must start along the axis")
     chain_pts = [(-1, 0)] + pts

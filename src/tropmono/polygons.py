@@ -188,6 +188,25 @@ def normalize_at_vertex(
     return f, image, adj.transform(f)
 
 
+def frame_at(poly: LatticePolygon, kappa: Point, swap: bool = False):
+    """``normalize_at_vertex(poly, kappa)``, or with ``swap`` that frame then
+    (x, y) -> (y, x); each made once: the polygon keeps its frames in its
+    ``_frames`` slot, a dict unset until the first call."""
+    try:
+        frame = poly._frames.get((kappa, swap))
+    except AttributeError:
+        poly._frames, frame = {}, None
+    if frame is None:
+        if swap:
+            ((r0, r1), (tx, ty)), image, adj_image = frame_at(poly, kappa)
+            flip = UnimodularMap(((0, 1), (1, 0)))
+            frame = UnimodularMap((r1, r0), (ty, tx)), image.transform(flip), adj_image.transform(flip)
+        else:
+            frame = normalize_at_vertex(poly, kappa)
+        poly._frames[kappa, swap] = frame
+    return frame
+
+
 # ---------------------------------------------------------------------------
 # Navigation on the adjoint boundary
 # ---------------------------------------------------------------------------

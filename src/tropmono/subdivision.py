@@ -2,26 +2,20 @@
 
 One integer kernel: heights are integers on one shared scale from the first
 wrap to the final witness and its JSON (``HeightFunction`` holds only the
-lift), with no rational arithmetic.  Two primitives
-work on lifted lattice points: ``subdivision_from_heights`` computes the
-lower convex hull (gift wrapping), and ``verify_subdivision`` is the one
-check that given cells are a unimodular triangulation induced by given
-heights (admissibility certificates and pulling use it, and neither accepts
-anything else).  Gift wrapping finds the lifted points on a plane with one
-scan, ``_touching``; the witness check and extension heights are decided by
-local folds instead, each with its proof of agreement with the scan, and
-the pulling drop is computed in closed form from the folds
-(``_drop_exponent``).  On top of them sit the extension of a subdivision of
-a subpolygon to the whole polygon, unimodular refinement by pulling (cells
-as ccw vertex tuples until the final check), and the dual tropical curve.
-Every subdivision here comes from explicit heights; whether a prescribed
-cell complex is regular is never asked.
+lift).  ``subdivision_from_heights`` gift-wraps the lower hull (``_wrap``,
+with the plane scan ``_touching``), and ``verify_subdivision``, the one
+check that cells are the unimodular triangulation induced by heights,
+decides by local folds; so do the extension heights and the pulling drop
+(``_drop_exponent``), each with its proof of agreement with the scans.  On
+top sit the extension of a subdivision of a subpolygon (wrapping only the
+new ring), unimodular refinement by pulling, and the dual tropical curve.
+Every subdivision comes from explicit heights; whether a prescribed cell
+complex is regular is never asked.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import count
 from math import gcd, lcm
 
 from .geometry import (
@@ -179,7 +173,7 @@ def _spans(poly: LatticePolygon, h) -> bool:
         return False
     if poly.dimension < 2:
         return all(poly.side(p) >= 0 for p in h)
-    return all(a * x + b * y >= c for a, b, c in poly.halfplanes() for x, y in h)
+    return all(min([a * x + b * y for x, y in h]) >= c for a, b, c in poly.halfplanes())
 
 
 def _lowest_plane(a, b, h, lifted):
@@ -250,6 +244,11 @@ class RegularSubdivision:
     def edges(self) -> set[Segment]:
         """All primitive integer segments contained in cell boundaries."""
         out: set[Segment] = set()
+        if self.unimodular:  # a unimodular triangle's edges, from its lex-least first vertex
+            for c in self.cells:
+                a, b, e = c.vertices
+                out.update(((a, b), (a, e), (b, e) if b < e else (e, b)))
+            return out
         for c in self.cells:
             for a, b in c.edges():
                 if gcd(a[0] - b[0], a[1] - b[1]) == 1:
@@ -287,14 +286,8 @@ class RegularSubdivision:
 def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivision:
     """The regular subdivision of ``poly`` induced by lifting the support of
     ``heights`` (a HeightFunction or a mapping) and projecting the lower
-    convex hull.
-
-    Gift wrapping from the lower chains over the polygon's edges: each
-    directed edge popped gives the facet on its left (``_lowest_plane``,
-    then ``_touching`` for the points on it), and every edge of a facet
-    found is marked done, so each facet is wrapped once.  A lower facet's
-    edge is the whole face it shares with its neighbour, so the neighbour
-    is wrapped from exactly that edge."""
+    convex hull, gift-wrapped (``_wrap``) from the lower chains over the
+    polygon's edges."""
     hf = heights if isinstance(heights, HeightFunction) else HeightFunction.of(heights)
     h, _ = hf.lift()
     pts = list(h)
@@ -306,17 +299,22 @@ def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivisio
     if poly.dimension != 2:
         raise SubdivisionError("support does not span a two-dimensional polygon")
     lifted = [(x, y, h[x, y]) for x, y in pts]
+    facets, used = _wrap(h, lifted, _boundary_chain_edges(poly, lifted), set())
+    return _assembled(poly, hf, facets, tuple(sorted(set(pts) - used)))
 
-    queue = _boundary_chain_edges(poly, lifted)
-    boundary_keys = {(min(a, b), max(a, b)) for a, b in queue}
-    done: set[tuple[Point, Point]] = set()
-    facets: dict[tuple, tuple[LatticePolygon, list[Point]]] = {}
 
+def _wrap(h, lifted, queue, done):
+    """Gift wrapping from the boundary edges in ``queue`` (interior on the
+    left, reverses done): each edge popped gives the facet on its left
+    (``_lowest_plane``, ``_touching``), whose edges are marked ``done`` and
+    reversed into the queue, so each facet, whose edges are the whole faces
+    it shares, is wrapped once.  Returns facets (plane -> cell), used points."""
+    facets, used = {}, set()
+    done.update((b, a) for a, b in queue)
     while queue:
         a, b = queue.pop()
         if (a, b) in done:
-            continue
-        done.add((a, b))
+            continue  # (a, b) is an edge of the facet on its left, marked below
         plane = _norm_plane(_lowest_plane(a, b, h, lifted))
         on = _touching(plane, lifted)
         if on is None:
@@ -324,19 +322,21 @@ def subdivision_from_heights(poly: LatticePolygon, heights) -> RegularSubdivisio
         cell = LatticePolygon(on)
         if cell.dimension != 2:
             raise AssertionError("degenerate facet")
-        facets[plane] = (cell, on)
+        facets[plane] = cell
+        used.update(on)
         for u, w in cell.edges():
             done.add((u, w))
-            if (min(u, w), max(u, w)) not in boundary_keys:
-                queue.append((w, u))
+            queue.append((w, u))
+    return facets, used
 
-    ordered = sorted(facets.items(), key=lambda kv: kv[1][0].vertices)
-    cells = tuple(cell for _, (cell, _) in ordered)
+
+def _assembled(poly, hf, facets, unused) -> RegularSubdivision:
+    """The subdivision of ``facets`` (plane -> cell) once they tile ``poly``."""
+    ordered = sorted(facets.items(), key=lambda kv: kv[1].vertices)
+    cells = tuple(cell for _, cell in ordered)
     areas = [c.area2() for c in cells]
     if sum(areas) != poly.area2():
         raise AssertionError("facets do not tile the polygon")
-    used = {p for _, on in facets.values() for p in on}
-    unused = tuple(sorted(set(pts) - used))
     unimodular = all(a == 1 and len(c.vertices) == 3 for a, c in zip(areas, cells))
     return RegularSubdivision(poly, cells, hf, tuple(plane for plane, _ in ordered), unused, unimodular)
 
@@ -348,9 +348,10 @@ def trivial_subdivision(poly: LatticePolygon) -> RegularSubdivision:
 def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivision | None:
     """The one check that ``cells`` is a unimodular triangulation of
     ``poly`` and the regular subdivision induced by ``heights``: the support
-    spans ``poly``, no cell repeats, every cell is a unimodular triangle,
-    there are as many cells as the polygon's normalized area, and the local
-    folds (``_folds``) hold.  Returns the assembled subdivision or None; a
+    spans ``poly``, there are as many cells as the polygon's normalized
+    area, and the local folds (``_folds``) hold: every cell is a unimodular
+    triangle, none repeats, and the cells fold strictly across every inner
+    edge.  Returns the assembled subdivision or None; a
     cell that is not a unimodular triangle gives None, as neither caller
     accepts one.
 
@@ -381,19 +382,16 @@ def verify_subdivision(poly: LatticePolygon, cells, heights) -> RegularSubdivisi
     if not _spans(poly, h):
         return None
     cells = sorted(cells, key=lambda c: c.vertices)
-    if len(set(cells)) != len(cells) or len(cells) != poly.area2():
-        return None
-    if not all(len(c.vertices) == 3 and c.area2() == 1 for c in cells):
+    if len(cells) != poly.area2():
         return None
     planes = _folds(poly, cells, h)
-    if planes is None:
-        return None
-    return RegularSubdivision(poly, tuple(cells), hf, tuple(map(_norm_plane, planes)), (), True)
+    return None if planes is None else RegularSubdivision(poly, tuple(cells), hf, tuple(planes), (), True)
 
 
 def _folds(poly: LatticePolygon, cells, h) -> list | None:
-    """The planes of the unimodular triangles ``cells`` (in order) if every
-    vertex has a height in ``h``, each directed ccw edge occurs once, every
+    """The planes of ``cells`` (in order, primitive: a unimodular ccw
+    triangle's has nz = 1) if each is a unimodular triangle with heights in
+    ``h``, each directed ccw edge occurs once (so no cell repeats), every
     unmatched edge is a primitive boundary segment of ``poly`` and every
     matched edge is a strict fold; None otherwise.  See
     ``verify_subdivision`` for why this is the plane scan's verdict.
@@ -407,26 +405,36 @@ def _folds(poly: LatticePolygon, cells, h) -> list | None:
     point x.  Where n = 0 meets n >= 1 inside the polygon, a cell edge has
     a cell on one side only, so it is unmatched and not a boundary segment.
     So n >= 1 on the polygon, the area sum makes n = 1, and two cells left
-    of one directed edge would overlap.  The once-check stays: it is one
-    lookup, and it does not lean on the area sum."""
-    left: dict[tuple[Point, Point], tuple[Point, int]] = {}  # edge -> (far vertex, cell)
+    of one directed edge would overlap.  The once-check stays, a count of
+    the edges listed, and it does not lean on the area sum.  A fold is
+    tested when its second cell comes: the planes agree on the edge's line,
+    so one far vertex is strictly above the other cell's plane iff the
+    other is."""
+    left: dict[tuple[Point, Point], Point] = {}  # directed edge -> far vertex
     planes = []
-    for i, c in enumerate(cells):
-        a, b, e = c.vertices
-        if a not in h or b not in h or e not in h or (a, b) in left or (b, e) in left or (e, a) in left:
+    for c in cells:
+        if len(c.vertices) != 3:
             return None
-        left[a, b], left[b, e], left[e, a] = (e, i), (a, i), (b, i)
-        planes.append(_plane_through(a, b, e, h))
-    for (u, w), (_, i) in left.items():
-        other = left.get((w, u))
-        if other is None:
-            # a unimodular triangle's edge is primitive, and its ends lie in
-            # poly: it is a boundary segment iff both are on one edge line
-            if not any(a * u[0] + b * u[1] == c == a * w[0] + b * w[1] for a, b, c in poly.halfplanes()):
+        a, b, e = c.vertices
+        ux, uy, wx, wy = b[0] - a[0], b[1] - a[1], e[0] - a[0], e[1] - a[1]
+        if ux * wy - uy * wx != 1 or a not in h or b not in h or e not in h:
+            return None
+        za, uz, wz = h[a], h[b] - h[a], h[e] - h[a]
+        nx, ny = uy * wz - uz * wy, uz * wx - ux * wz
+        d = nx * a[0] + ny * a[1] + za
+        for u, w, q in ((a, b, e), (b, e, a), (e, a, b)):
+            far = left.get((w, u))  # the cell across, if listed already
+            if far is not None and nx * far[0] + ny * far[1] + h[far] <= d:
                 return None
-        elif u < w:
-            q, (nx, ny, nz, d) = other[0], planes[i]
-            if nx * q[0] + ny * q[1] + nz * h[q] <= d:
+            left[u, w] = q
+        planes.append((nx, ny, 1, d))
+    if len(left) != 3 * len(planes):
+        return None  # a directed edge occurs twice
+    hp = poly.halfplanes() if left else ()
+    for u, w in left:
+        if (w, u) not in left:
+            # primitive, with ends in poly: on the boundary iff on one edge line
+            if not any(a * u[0] + b * u[1] == c == a * w[0] + b * w[1] for a, b, c in hp):
                 return None
     return planes
 
@@ -445,18 +453,22 @@ def extend_subdivision(poly: LatticePolygon, inner: RegularSubdivision) -> Regul
 
     The inner heights are shifted to be at least 1, and new vertices of
     ``poly`` are lifted to a common height H, doubled until every new vertex
-    lies strictly above every inner cell's plane; those heights are
-    gift-wrapped once.  This is exactly when the inner cells reappear: each
-    inner plane then still supports the lift and touches the same points,
-    and a reappearing cell's plane is the inner one, which the new vertices
-    (outside the cell) lie off.  The inner cells tile the subpolygon, so its
-    primitive boundary segments stay edges.  All of it is integer, on the
-    inner witness's scale.
+    lies strictly above every inner cell's plane.  This is exactly when the
+    inner cells reappear: each inner plane then still supports the lift and
+    touches the same points, and a reappearing cell's plane is the inner
+    one, which the new vertices (outside the cell) lie off.  The inner cells
+    tile the subpolygon, so its primitive boundary segments stay edges.  All
+    of it is integer, on the inner witness's scale.
+
+    So only the ring outside the subpolygon is wrapped, from the inner
+    boundary and ``poly``'s edges, over the new vertices and the support on
+    the inner boundary: a ring facet has a new vertex, and there that hull
+    is the whole lift's (no lower, and a convex combination of a facet's
+    points).  Inner cells keep their planes (recomputed) and used points.
     """
     inner_poly = inner.polygon
-    for v in inner_poly.vertices:
-        if poly.side(v) < 0:
-            raise SubdivisionError("subpolygon not contained in the polygon")
+    if any(poly.side(v) < 0 for v in inner_poly.vertices):
+        raise SubdivisionError("subpolygon not contained in the polygon")
     if inner_poly == poly:
         return inner
     new_vertices = [v for v in poly.vertices if inner_poly.side(v) < 0]
@@ -467,10 +479,18 @@ def extend_subdivision(poly: LatticePolygon, inner: RegularSubdivision) -> Regul
     z = max(base.values()) + scale
     for _ in range(_MAX_DOUBLINGS):
         if all(nx * x + ny * y + nz * z > d for nx, ny, nz, d in planes for x, y in new_vertices):
-            lift = {**base, **dict.fromkeys(new_vertices, z)}
-            return subdivision_from_heights(poly, HeightFunction.lifted(lift, scale))
+            break
         z *= 2
-    raise SubdivisionError("extension height search did not converge")
+    else:
+        raise SubdivisionError("extension height search did not converge")
+    lift, _ = (hf := HeightFunction.lifted({**base, **dict.fromkeys(new_vertices, z)}, scale)).lift()
+    ring = [(x, y, v) for (x, y), v in lift.items() if inner_poly.side((x, y)) < 1]
+    done = {edge for c in inner.cells for edge in c.edges()}
+    inner_boundary = [(w, u) for u, w in done if (w, u) not in done]  # outside on the left
+    facets, used = _wrap(lift, ring, _boundary_chain_edges(poly, ring) + inner_boundary, done)
+    for c in inner.cells:
+        facets[_norm_plane(_plane_through(*c.vertices[:3], lift))] = c
+    return _assembled(poly, hf, facets, tuple(p for p in inner.unused_support if p not in used))
 
 
 def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
@@ -501,13 +521,13 @@ def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
     search's, is the largest of e and the bounds; the search gives up when
     that is e + ``_MAX_HALVINGS`` or more.  A rescale multiplies N,
     ad - ax x - ay y and scale by one factor, so the bound does not depend
-    on the scale.  The heights, and so the witness, are those the search
-    would reach.
+    on the scale: the planes stay on scale 1 (height / scale), and a cone's
+    plane, through heights on ``scale``, gets nz times ``scale``.  The
+    heights, and so the witness, are those the search would reach.
 
     Only the drop taken is applied.  When it needs a finer denominator, the
-    scale, every height and every plane's (nx, ny, d) are multiplied by the
-    missing factor, which changes no sign.  Cells and their cones are ccw
-    vertex tuples; ``where`` maps each point not yet pulled to the cells
+    scale and every height are multiplied by the missing factor.  Cells and
+    their cones are ccw vertex tuples; ``where`` maps each point not yet pulled to the cells
     containing it (``inside`` is the inverse), and ``owner`` each directed
     ccw cell edge to the cell on its left.  A point of the star lies in the
     cones of its own cells only, so it is tested against those.  The final
@@ -521,72 +541,76 @@ def unimodular_refinement(sub_div: RegularSubdivision) -> RegularSubdivision:
     where, inside, owner, seed = {}, {}, {}, {}
     for i, (c, (nx, ny, nz, d)) in enumerate(zip(sub_div.cells, sub_div.planes)):
         cells[i] = t = c.vertices
-        inside[i] = list(t) if len(t) == 3 and orient(*t) == 1 else c.lattice_points()
-        for q in inside[i]:
-            where.setdefault(q, []).append(i)
-            if q not in seed:  # the surface is continuous: any cell gives it
+        inside[i] = pts = list(t) if len(t) == 3 and orient(*t) == 1 else c.lattice_points()
+        for q in pts:
+            if q in where:
+                where[q].append(i)
+            else:  # the surface is continuous: any cell gives it
+                where[q] = [i]
                 v = d - nx * q[0] - ny * q[1]
-                g = gcd(v, nz)
-                seed[q] = (v // g, nz // g)  # the surface at q, in lowest terms
+                seed[q] = (v // (g := gcd(v, nz)), nz // g)  # the surface at q, in lowest terms
         owner.update(dict.fromkeys(zip(t, t[1:] + t[:1]), i))
     scale = lcm(*{den for _, den in seed.values()})
     h = {q: v * (scale // den) for q, (v, den) in seed.items()}
-    planes = {i: _plane_through(*t[:3], h) for i, t in cells.items()}
-    fresh = count(len(cells))
-    e = 0
+    planes = dict(enumerate(sub_div.planes))  # h / scale is each cell's surface
+    k, e = len(cells), 0
 
     for p in poly.lattice_points():
         affected = where.pop(p)
-        if all(len(cells[i]) == 3 and p in cells[i] for i in affected):
+        for i in affected:
+            if len(cells[i]) != 3 or p not in cells[i]:
+                break
+        else:
             continue  # pulling is a combinatorial no-op
         x, y = p
-        links = []  # per affected cell, its edges that miss p
+        links, across, through = [], [], []  # per affected cell its edges that miss p
         for i in affected:
             t = cells[i]
             u, edges = t[-1], []
             for w in t:
                 if (w[0] - u[0]) * (y - u[1]) > (w[1] - u[1]) * (x - u[0]):  # orient(u, w, p) > 0
                     edges.append((u, w))
+                    j = owner.get((w, u))
+                    if j is not None:
+                        across.append(planes[j])
+                elif u != p != w:
+                    through.append((u, w))  # p splits it; every other edge is a cone's
                 u = w
             links.append((i, edges))
-        across = [planes[j] for _, edges in links for u, w in edges if (j := owner.get((w, u))) is not None]
         surface = planes[affected[0]]
-        e = _drop_exponent(p, surface, across, scale, e)
+        e = _drop_exponent(p, surface, across, 1, e)
         nx, ny, nz, d = surface
-        # the new height N/nz - scale 2**-e, in lowest terms num / den
-        num, den = ((d - nx * x - ny * y) << e) - scale * nz, nz << e
-        g = gcd(num, den)
-        m = den // g
+        # the new height scale (N/nz - 2**-e) = scale num / den, on the least finer scale
+        num, den = ((d - nx * x - ny * y) << e) - nz, nz << e
+        m = den // gcd(scale * num, den)
         if m > 1:
             scale *= m
-            for q in h:
-                h[q] *= m
-            planes = {i: (a * m, b * m, c, f * m) for i, (a, b, c, f) in planes.items()}
-        h[p] = num // g
+            h = {q: v * m for q, v in h.items()}
+        h[p] = hp = scale * num // den
 
         for i in affected:
-            del planes[i]
-            t = cells.pop(i)
-            for edge in zip(t, t[1:] + t[:1]):
-                del owner[edge]
-        star: dict[Point, list[int]] = {}
+            del planes[i], cells[i]
+        for edge in through:
+            del owner[edge]
         for i, edges in links:
             cones = []
             for u, w in edges:
-                k = next(fresh)
-                cells[k], planes[k], inside[k] = (p, u, w), _plane_through(p, u, w, h), []
+                ux, uy, wx, wy = u[0] - x, u[1] - y, w[0] - x, w[1] - y
+                uz, wz = h[u] - hp, h[w] - hp
+                nx, ny, nz = uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx
+                cells[k], planes[k], inside[k] = (p, u, w), (nx, ny, nz * scale, nx * x + ny * y + nz * hp), []
                 owner[p, u] = owner[u, w] = owner[w, p] = k
-                cones.append((k, u[0] - x, u[1] - y, w[0] - x, w[1] - y))
+                cones.append((k, ux, uy, wx, wy))
+                k += 1
             for q in inside.pop(i):
-                if q in where:
+                here = where.get(q)
+                if here is not None:  # not pulled yet: it moves from cell i to the cones holding it
+                    here.remove(i)
                     qx, qy = q[0] - x, q[1] - y
-                    here = star.setdefault(q, [])
-                    for k, ux, uy, wx, wy in cones:
+                    for c, ux, uy, wx, wy in cones:
                         if ux * qy - uy * qx >= 0 and qx * wy - qy * wx >= 0:
-                            here.append(k)
-                            inside[k].append(q)
-        for q, here in star.items():
-            where[q] = [i for i in where[q] if i not in affected] + here
+                            here.append(c)
+                            inside[c].append(q)
 
     witness = HeightFunction.lifted(h, scale)
     result = verify_subdivision(poly, [LatticePolygon(t) for t in cells.values()], witness)

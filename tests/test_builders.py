@@ -9,7 +9,7 @@ import tropmono
 from tropmono import builders
 from tropmono.geometry import LatticePolygon, UnimodularMap, add, neg, primitive, seg, smul, sub
 from tropmono.graphs import CertificationError, WeightedSegmentGraph, check_balancing, residual
-from tropmono.polygons import adjoint_polygon, neighbors_on_boundary, normalize_at_vertex
+from tropmono.polygons import adjoint_polygon, frame_at, neighbors_on_boundary, normalize_at_vertex
 from tropmono.builders import (
     build_corner_graph,
     build_divisible_ray_sweep,
@@ -48,15 +48,18 @@ def swap_axes_frame(poly, kappa):
 
 
 def test_swapped_frame_is_the_swap_axes_frame():
-    """The swapped frame that ``_frame`` builds from the first one, which
+    """The swapped frame that ``frame_at`` builds from the first one, which
     it follows by (x, y) -> (y, x), is the frame with the adjoint edges at
     kappa sent to the other axes (``swap_axes_frame``) at every adjoint
-    vertex of T4, SQ4, T6 and R45."""
+    vertex of T4, SQ4, T6 and R45; the first one is ``normalize_at_vertex``'s,
+    and the polygon keeps both."""
     r45 = LatticePolygon([(0, 0), (4, 0), (4, 5), (0, 5)])
     for poly in (T4, SQ4, T6, r45):
+        poly = LatticePolygon(poly.vertices)
         for kappa in adjoint_polygon(poly).vertices:
-            first = normalize_at_vertex(poly, kappa)
-            assert builders._swapped(*first) == swap_axes_frame(poly, kappa)
+            assert frame_at(poly, kappa) == normalize_at_vertex(poly, kappa)
+            assert frame_at(poly, kappa, swap=True) == swap_axes_frame(poly, kappa)
+            assert frame_at(poly, kappa, True) is frame_at(poly, kappa, True)
 
 
 def test_corner_graph():
@@ -260,14 +263,10 @@ def test_a_companion_sweep_skips_only_a_value_error(monkeypatch, exc):
     these searches find nothing when no sweep exists; an AssertionError is a
     broken invariant and escapes both the leg-pair and the device-pair
     search."""
-    original = builders.build_ray_sweep
+    def fails(poly, anchors, u, r):  # every companion, and no main sweep
+        raise exc("no sweep here")
 
-    def probe_fails(poly, kappa, kappa_prime, v, m1, m2, orientation="kk'"):
-        if (m1, m2) == (1, 1):  # the weight probe of cancelling_sweep
-            raise exc("no sweep here")
-        return original(poly, kappa, kappa_prime, v, m1, m2, orientation)
-
-    monkeypatch.setattr(builders, "build_ray_sweep", probe_fails)
+    monkeypatch.setattr(builders, "cancelling_sweep", fails)
     # (2, 2) is the one point inside T6's adjoint, so its devices are ray sweeps
     searches = [build_leg_pair(T6, (1, 1), (1, 2), (2, 2), "kk'", 1),
                 builders.device_pairs(T6, (2, 2), (3, 2))]

@@ -393,3 +393,10 @@ def test_exit_codes_in_fresh_processes(flags, t3_certificate, polyfile, capsys, 
     got = fresh("certify", t3, "--segment", "10,10,11,10")
     assert (got.returncode, got.stdout) == (2, "")
     assert got.stderr == "invalid input: ((10, 10), (11, 10)) leaves the polygon\n"
+
+    # rejected before any analysis: not after a whole derivation of T8, and
+    # ahead of the hyperelliptic verdict of R3X2
+    for name, vertices in (("t8.json", [[0, 0], [8, 0], [0, 8]]), ("r3x2.json", R3X2)):
+        got = fresh("certify", polyfile(name, vertices), "--segment", "0,0,1,0")
+        assert (got.returncode, got.stdout) == (2, "")
+        assert got.stderr == "invalid input: both ends on the polygon boundary\n"

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 import tropmono
-from tropmono import builders, geometry, graphs, subdivision
+from tropmono import builders, geometry, graphs, polygons, subdivision
 from tropmono.geometry import LatticePolygon, lattice_length, seg
 from tropmono.engine import (
     Engine,
@@ -27,7 +27,7 @@ from tropmono.engine import (
     replay_certificate,
     single,
 )
-from tropmono.polygons import adjoint_boundary_cycle, adjoint_polygon
+from tropmono.polygons import adjoint_boundary_cycle, adjoint_polygon, analyze
 
 T3 = LatticePolygon([(0, 0), (3, 0), (0, 3)])
 T4 = LatticePolygon([(0, 0), (4, 0), (0, 4)])
@@ -235,6 +235,77 @@ def test_a_derivation_clips_its_polygon_once(monkeypatch):
     assert counts == {"T3": 3, "T4": 3, "SQ4": 4, "T6": 3, "T8": 3, "R6x7": 4}
 
 
+def test_a_derivation_normalizes_each_adjoint_vertex_once(monkeypatch):
+    """The polygon keeps its frames (``polygons.frame_at``), so one
+    derivation of a new R6x7 polygon normalizes at each adjoint vertex at
+    most once, where it used to normalize 804 times."""
+    calls = []
+    normalize = polygons.normalize_at_vertex
+
+    def counted(poly, kappa):
+        calls.append(kappa)
+        return normalize(poly, kappa)
+
+    for module in (polygons, builders, graphs):  # every binding of the name
+        if hasattr(module, "normalize_at_vertex"):
+            monkeypatch.setattr(module, "normalize_at_vertex", counted)
+    poly = LatticePolygon([(0, 0), (6, 0), (6, 7), (0, 7)])
+    _derived(poly)
+    assert calls and len(calls) == len(set(calls)) <= len(adjoint_polygon(poly).vertices), calls
+
+
+def test_a_cancelling_sweep_builds_its_graph_once(monkeypatch):
+    """A cancelling sweep reads its legs off the sweep's geometry, so one T6
+    derivation builds at most 30 sweep graphs (58 when each cancelling
+    sweep built a probe sweep first), and each of them once per request."""
+    built = []
+    graph = builders._sweep_graph
+
+    def counted(poly, geometry, m1, m2):
+        built.append((geometry[-1], m1, m2))
+        return graph(poly, geometry, m1, m2)
+
+    monkeypatch.setattr(builders, "_sweep_graph", counted)
+    cancelling = []
+    sweep = builders.cancelling_sweep
+
+    def counted_sweep(*args):
+        before = len(built)
+        out = sweep(*args)
+        cancelling.append(len(built) - before)
+        return out
+
+    monkeypatch.setattr(builders, "cancelling_sweep", counted_sweep)
+    _derived(LatticePolygon(T6.vertices))
+    assert 0 < len(built) <= 30 and cancelling and set(cancelling) == {1}, (len(built), cancelling)
+
+
+def _sweep_a(n: int) -> list:
+    """The first n polygons of genus at most 20 and d != 1 drawn by
+    ``random_smooth_polygon`` from ``random.Random(7)``."""
+    from test_polygons import random_smooth_polygon
+
+    rng, out = random.Random(7), []
+    while len(out) < n:
+        poly = random_smooth_polygon(rng)
+        a = analyze(poly)[0]
+        if a.genus <= 20 and a.d != 1:
+            out.append(poly)
+    return out
+
+
+def test_sweep_a_prefix_certificates_are_pinned():
+    """One sha256 over the whole-DAG and the report certificate of each of
+    the first 40 sweep-A polygons, in order (a genus-zero polygon's report
+    has none)."""
+    items = []
+    for poly in _sweep_a(40):
+        engine = Engine(poly)
+        report = engine.derive_surjectivity()
+        items.append([engine.export_certificate(), report["certificate"]])
+    assert _digest(items) == "8aec289247c1cbe34b4d9821c7e6bf812b46737c59d8b74e54071557e5fa0c5c"
+
+
 @pytest.mark.parametrize("poly", [T4, SQ4, T6, R4x6], ids=["T4", "SQ4", "T6", "R4x6"])
 def test_no_graph_enters_the_dag_twice(poly):
     """A transfer runs only when it lowers a bridge exponent, so the whole
@@ -366,9 +437,10 @@ def t4_repeating(t4_certificate):
     return cert
 
 
-def test_replay_checks_each_witness_once(monkeypatch, t4_repeating):
+def test_replay_verifies_every_admissible_node(monkeypatch, t4_repeating):
     """Replay verifies every admissible node, runs verify_subdivision once
-    per distinct witness, and never gift-wraps a witness."""
+    per node, a repeated witness included (no witness is memoized), and
+    never gift-wraps a witness."""
     cert = t4_repeating
     params = [n["params"]["certificate"] for n in cert["nodes"] if n["rule"] == "admissible"]
     admissible, distinct = len(params), len({_witness_json(c) for c in params})
@@ -395,7 +467,7 @@ def test_replay_checks_each_witness_once(monkeypatch, t4_repeating):
     assert calls == {
         "verify": admissible,
         "subdivision_from_heights": 0,
-        "verify_subdivision": distinct,
+        "verify_subdivision": admissible,
     }
 
 
@@ -423,9 +495,9 @@ def _decoded_witness(cert_json):
 
 
 def test_witness_memo_checks_each_graph_against_the_cells(t4_repeating):
-    """A later node that reuses a verified witness still has its graph
-    checked against the cells: an edge outside them is rejected there,
-    while an edge inside them replays."""
+    """A later node that repeats a verified witness has its graph checked
+    against the cells: an edge outside them is rejected there, while an
+    edge inside them replays."""
     _, second = _shared_witness(t4_repeating)
     edges = _decoded_witness(t4_repeating["nodes"][second]["params"]["certificate"]).edges()
     inside = outside = None
@@ -469,7 +541,7 @@ def _corrupted_witnesses(cert_json):
 @pytest.mark.parametrize("what", ["height", "cell"])
 def test_witness_memo_rejects_a_corrupted_second_copy(what, t4_repeating):
     """Only the second copy of a shared witness is corrupted: the first
-    node replays, the second fails, since the memo keys the whole witness."""
+    node replays, the second fails, since each node's witness is checked."""
     _, second = _shared_witness(t4_repeating)
     cert = json.loads(json.dumps(t4_repeating))
     params = cert["nodes"][second]["params"]
@@ -520,7 +592,8 @@ def test_derivation_verifies_each_witness_once(monkeypatch):
 def test_verified_edges_stay_out_of_the_certificate_bytes(monkeypatch):
     """The edges the refinement verified ride on the derived certificate
     only: a certificate decoded from its JSON has none, and it compares
-    equal to the derived one, whose witness-memo key hashes the same."""
+    equal to the derived one, whose (polygon, heights, cells) hash the
+    same."""
     derived = []
     original = builders.certify_graph
 

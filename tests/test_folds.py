@@ -465,13 +465,13 @@ def test_a_witness_that_is_not_a_triangulation_fails_replay_without_a_scan(monke
 def test_local_paths_do_not_fall_back_to_scans(monkeypatch):
     """SQ4 and R4x6 derivations refine without any ``_touching`` scan or
     ``LatticePolygon.side`` call, and gift-wrap each growing extension
-    once."""
+    once (its ring, by one ``_wrap``)."""
     inside = [0]
     scans = {"_touching": 0, "side": 0}
     wraps, grown = [0], [0]
     real_touching, real_side = tropmono.subdivision._touching, LatticePolygon.side
     real_refine, real_extend = tropmono.graphs.unimodular_refinement, tropmono.graphs.extend_subdivision
-    real_wrap = tropmono.subdivision.subdivision_from_heights
+    real_wrap = tropmono.subdivision._wrap
 
     def touching(plane, lifted):
         scans["_touching"] += inside[0]
@@ -488,9 +488,9 @@ def test_local_paths_do_not_fall_back_to_scans(monkeypatch):
         finally:
             inside[0] = 0
 
-    def wrap(poly, heights):
+    def wrap(*args):
         wraps[0] += 1
-        return real_wrap(poly, heights)
+        return real_wrap(*args)
 
     def extend(poly, inner):
         before = wraps[0]
@@ -502,7 +502,7 @@ def test_local_paths_do_not_fall_back_to_scans(monkeypatch):
 
     monkeypatch.setattr(tropmono.subdivision, "_touching", touching)
     monkeypatch.setattr(LatticePolygon, "side", side)
-    monkeypatch.setattr(tropmono.subdivision, "subdivision_from_heights", wrap)
+    monkeypatch.setattr(tropmono.subdivision, "_wrap", wrap)
     monkeypatch.setattr(tropmono.graphs, "unimodular_refinement", refine)
     monkeypatch.setattr(tropmono.graphs, "extend_subdivision", extend)
     for poly in (SQ4, R4x6):
